@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .operator import DilatedSymbol, assemble
-from .spectral import _power_pair, operator_norm
+from .spectral import operator_norm
 from .core import _rvalue
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -99,20 +99,6 @@ def simplex_project(w):
     return np.maximum(w - theta, 0.0)
 
 
-def _norm_pair(mat, tol, max_iter):
-    """(sigma, u, v, certified) of a dense matrix via power iteration."""
-    if not mat.any():
-        dim = mat.shape[0]
-        e0 = np.zeros(dim, dtype=np.complex128)
-        e0[0] = 1.0
-        return 0.0, e0, e0.copy(), True
-    mh = mat.conj().T
-    sigma, u, v, _, _, ok = _power_pair(
-        lambda x: mat @ x, lambda x: mh @ x, mat.shape[0], tol, max_iter
-    )
-    return sigma, u, v, ok
-
-
 def _golden_min(fun, lo, hi, tol=1e-12):
     """Golden-section minimum of a unimodal fun on [lo, hi]."""
     a, b = lo, hi
@@ -154,7 +140,14 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         return a - np.tensordot(c, stack, axes=1)
 
     def value_pair(c):
-        return _norm_pair(difference(c), cfg.inner_tol, cfg.inner_max_iter)
+        """(sigma, u, v, certified); an uncertified sigma is the best estimate."""
+        try:
+            report = operator_norm(difference(c), cfg.inner_tol, cfg.inner_max_iter)
+            ok = True
+        except ConvergenceError as err:
+            report, ok = err.best, False
+        u, v = report.leading_pair
+        return report.norm, u, v, ok
 
     history = []
     all_certified = True
@@ -224,12 +217,10 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
 
     # certify the reported value at the final weights
     try:
-        report = operator_norm(difference(c), tol=cfg.final_tol)
-        value = report.norm
+        value = operator_norm(difference(c), tol=cfg.final_tol).norm
         certified = True
-    except Exception:
-        sigma, _, _, _ = value_pair(c)
-        value = sigma
+    except ConvergenceError as err:
+        value = err.best.norm
         certified = False
     history.append(value)
     weights = ConvexWeights(r_grid=grid, weights=tuple(c))

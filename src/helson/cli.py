@@ -4,7 +4,8 @@ Commands: factor, convolve, dilate, norm, essnorm, xnorm, duality.
 Outputs are machine-readable (JSON, or CSV tables for essnorm), versioned
 with "schema": 1, and stamped with a hash of the resolved configuration
 so reruns with identical configs produce byte-identical files.  Exit
-codes: 0 success, 2 domain/parse error, 3 convergence failure.
+codes: 0 success, 2 domain/parse error, 3 convergence failure; a result
+that did not converge is still written in full, marked "converged": false.
 
 Flags may also be preloaded from a config file of key=value lines via
 --config; explicit flags win over the file, the file wins over defaults.
@@ -24,6 +25,7 @@ from .core import (
     Sequence,
     dilate,
     dirichlet_convolve,
+    factorize,
     filter_smooth,
     sequence_to_triples,
 )
@@ -35,6 +37,10 @@ from .fixtures import parse_fixture, parse_sequence_arg
 from . import __version__
 
 SCHEMA = 1
+
+
+class _Unconverged(Exception):
+    """Raised with (payload, message) by a run whose result did not converge."""
 
 
 @dataclass
@@ -184,11 +190,7 @@ def cmd_factor(args):
         )
     else:
         prod = "1"
-    width = sieve.prime_index(pairs[-1][0]) if pairs else 0
-    exps = [0] * width
-    for p, e in pairs:
-        exps[sieve.prime_index(p) - 1] = e
-    kappa = ",".join(str(e) for e in exps)
+    kappa = ",".join(str(e) for e in factorize(n).exponents)
     return f"{n} = {prod}, kappa=({kappa})\n"
 
 
@@ -280,8 +282,14 @@ def cmd_essnorm(args):
         if args.output:
             with open(str(args.output) + ".manifest.json", "w") as fh:
                 fh.write(_json_doc(manifest))
-        return text
-    return _json_doc(manifest)
+    else:
+        text = _json_doc(manifest)
+    unconverged = [n for n, w in weights.items() if not w["converged"]]
+    if unconverged:
+        raise _Unconverged(
+            text, f"best convex approximant not certified at N={','.join(unconverged)}"
+        )
+    return text
 
 
 def cmd_xnorm(args):
@@ -305,7 +313,13 @@ def cmd_xnorm(args):
         "prime_budget": cfg.prime_budget,
     }
     doc.update(result.to_json())
-    return _json_doc(doc)
+    text = _json_doc(doc)
+    if not result.converged:
+        raise _Unconverged(
+            text, f"xnorm did not converge within {cfg.max_iter} iterations "
+                  f"(gap {result.primal_dual_gap:.3e})"
+        )
+    return text
 
 
 def cmd_duality(args):
@@ -463,6 +477,11 @@ def main(argv=None):
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except _Unconverged as err:
+        text, message = err.args
+        _emit(text, getattr(args, "output", None))
+        print(f"convergence failure: {message}", file=sys.stderr)
+        return 3
     except ConvergenceError as err:
         print(f"convergence failure: {err}", file=sys.stderr)
         return 3

@@ -92,6 +92,29 @@ def _check_products(indices):
         )
 
 
+@dataclass(frozen=True)
+class ProductClasses:
+    """The positions of a window grouped by product: {(i, j): n_i n_j = n}.
+
+    ``uniq`` holds the distinct products in ascending order and
+    ``labels[i, j]`` is the position of indices[i] * indices[j] in it.
+    The entries of M(alpha) are constant on each class, and the
+    weak-product constraints are sums over the classes.
+    """
+
+    indices: tuple
+    uniq: np.ndarray
+    labels: np.ndarray
+
+
+def product_classes(indices):
+    """ProductClasses of a window; refuses products past the sieve limit."""
+    _check_products(indices)
+    idx = np.asarray(indices, dtype=np.int64)
+    uniq, labels = np.unique(idx[:, None] * idx[None, :], return_inverse=True)
+    return ProductClasses(tuple(indices), uniq, labels.reshape(len(idx), len(idx)))
+
+
 def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
     """Dense truncated matrix with entry (n, m) = alpha(nm).
 
@@ -99,23 +122,19 @@ def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
     by construction because the entry depends only on the product.
     """
     indices = truncation_indices(n_max, prime_budget)
-    _check_products(indices)
     if len(indices) > dense_cap:
         raise DomainError(
             f"dense assembly capped at {dense_cap} rows, window has {len(indices)}; "
             "use apply() for matrix-free products"
         )
-    idx = np.asarray(indices, dtype=np.int64)
-    products = idx[:, None] * idx[None, :]
-    uniq, inverse = np.unique(products, return_inverse=True)
+    classes = product_classes(indices)
     values = np.fromiter(
-        (symbol_value(symbol, int(n)) for n in uniq),
+        (symbol_value(symbol, int(n)) for n in classes.uniq),
         dtype=np.complex128,
-        count=len(uniq),
+        count=len(classes.uniq),
     )
-    entries = values[inverse].reshape(len(idx), len(idx))
     return HelsonMatrix(
-        entries=entries,
+        entries=values[classes.labels],
         indices=indices,
         symbol_id=symbol_label(symbol),
         prime_budget=prime_budget,
@@ -192,14 +211,9 @@ def dilate_symbol(symbol, r, n_max):
     the diagonal matrix of dilation weights, since the weighted degree is
     additive over products.
     """
-    if n_max < 1:
-        raise DomainError(f"truncation size must be >= 1, got {n_max}")
+    _check_products(truncation_indices(n_max))
     view = DilatedSymbol(symbol, r)
     top = n_max * n_max
-    if top > sieve.sieve_limit():
-        raise DomainError(
-            f"window [1, {top}] exceeds sieve limit {sieve.sieve_limit()}"
-        )
     if isinstance(symbol, Sequence):
         space = [n for n in symbol.support if n <= top]
     else:

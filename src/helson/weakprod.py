@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from . import sieve
 from .core import Sequence, bilinear_pair, dirichlet_convolve
-from .operator import assemble, symbol_value, truncation_indices
+from .operator import assemble, product_classes, symbol_value, truncation_indices
 from .spectral import operator_norm
 
 
@@ -68,25 +67,6 @@ def rep_cost(rep):
     if not isinstance(rep, Representation):
         rep = Representation(tuple(rep))
     return rep.cost()
-
-
-def divisor_classes(indices):
-    """Map n -> (row positions, col positions) with index[i]*index[j] = n.
-
-    The classes partition the matrix positions, so the affine constraint
-    'class sums equal c(n)' is always satisfiable.
-    """
-    classes = {}
-    for ii, i in enumerate(indices):
-        for jj, j in enumerate(indices):
-            classes.setdefault(i * j, []).append((ii, jj))
-    return {
-        n: (
-            np.array([p[0] for p in pos], dtype=np.intp),
-            np.array([p[1] for p in pos], dtype=np.intp),
-        )
-        for n, pos in classes.items()
-    }
 
 
 @dataclass
@@ -136,20 +116,15 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     nonincreasing in N.
     """
     cfg = config or XNormConfig()
-    indices = truncation_indices(n_max, prime_budget)
-    top = indices[-1] * indices[-1]
-    if top > sieve.sieve_limit():
+    classes = product_classes(truncation_indices(n_max, prime_budget))
+    size = len(classes.indices)
+    support = np.array(c.support, dtype=np.int64)
+    outside = support[~np.isin(support, classes.uniq)]
+    if outside.size:
         raise DomainError(
-            f"window [1, {top}] exceeds sieve limit {sieve.sieve_limit()}"
+            f"c({outside[0]}) is not representable as a product of two window "
+            f"indices <= {n_max}"
         )
-    size = len(indices)
-    classes = divisor_classes(indices)
-    for n in c.support:
-        if n not in classes:
-            raise DomainError(
-                f"c({n}) is not representable as a product of two window "
-                f"indices <= {n_max}"
-            )
 
     if not c:
         return XNormResult(
@@ -161,16 +136,18 @@ def xnorm(c, n_max, config=None, prime_budget=None):
             converged=True,
         )
 
-    plan = [
-        (rows, cols, float(len(rows)), c[n]) for n, (rows, cols) in classes.items()
-    ]
+    labels = classes.labels
+    flat = labels.ravel()
+    counts = np.bincount(flat)
+    target = np.array([c[int(n)] for n in classes.uniq], dtype=np.complex128)
+
+    def class_sums(mat):
+        # every label occurs, so each bincount has one slot per class
+        re = np.bincount(flat, mat.real.ravel())
+        return re + 1j * np.bincount(flat, mat.imag.ravel())
 
     def project_affine(mat):
-        out = mat.copy()
-        for rows, cols, m, target in plan:
-            shift = (target - out[rows, cols].sum()) / m
-            out[rows, cols] += shift
-        return out
+        return mat + ((target - class_sums(mat)) / counts)[labels]
 
     rho = cfg.rho
     z = np.zeros((size, size), dtype=np.complex128)
@@ -196,19 +173,13 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     value = float(np.linalg.svd(x, compute_uv=False).sum())
     x.setflags(write=False)
 
-    # the scaled dual is constant on divisor classes; read it off, flip
+    # the scaled dual is constant on product classes; read it off, flip
     # the conjugation to match the bilinear pairing, renormalize
-    beta_raw = Sequence(
-        {
-            n: complex(np.mean(u[rows, cols].conj()))
-            for n, (rows, cols) in classes.items()
-        }
-    )
+    means = class_sums(u.conj()) / counts
+    beta_raw = Sequence(zip(classes.uniq.tolist(), means))
     certificate = Sequence()
     if beta_raw:
-        cert_norm = operator_norm(
-            assemble(beta_raw, n_max, prime_budget), tol=cfg.cert_tol
-        ).norm
+        cert_norm = operator_norm(means[labels], tol=cfg.cert_tol).norm
         if cert_norm > 1e-300:
             certificate = (1.0 / (cert_norm * (1.0 + 1e-9))) * beta_raw
     pairing = abs(bilinear_pair(certificate, c))

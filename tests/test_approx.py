@@ -5,6 +5,7 @@ from helson import (
     ApproxConfig,
     ConvexWeights,
     DomainError,
+    InvariantViolation,
     PowerSymbol,
     Sequence,
     assemble,
@@ -145,6 +146,19 @@ def test_approx_nonconvergence_flag():
     res = best_convex_approx(sym, (0.5, 0.8, 0.95), 8, config=cfg)
     assert not res.converged
     assert res.value >= 0
+
+
+def test_approx_certification_does_not_hide_bugs(monkeypatch):
+    cfg = ApproxConfig(iterations=5, final_tol=1e-11)
+
+    def norm_with_bug(matrix, tol=1e-10, max_iter=50000):
+        if tol == cfg.final_tol:
+            raise InvariantViolation("planted")
+        return operator_norm(matrix, tol, max_iter)
+
+    monkeypatch.setattr("helson.approx.operator_norm", norm_with_bug)
+    with pytest.raises(InvariantViolation, match="planted"):
+        best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8, config=cfg)
 
 
 # -------------------------------------------------- compactness_diagnostic

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helson import Sequence, save_sequence, sequence_from_triples
+from helson import Sequence, best_convex_approx, save_sequence, sequence_from_triples
 from helson.cli import main, parse_r_grid
 
 
@@ -208,6 +208,37 @@ def test_xnorm_unrepresentable(capsys):
     code, _, err = run(capsys, "xnorm", "delta:5", "--N", "4")
     assert code == 2
     assert "5" in err
+
+
+def test_xnorm_unconverged_exits_3(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    c = {1: -0.7, 2: 0.4, 3: 0.9, 4: -1.3, 6: 1.3}
+    save_sequence(Sequence(c), path)
+    code, out, err = run(
+        capsys, "xnorm", f"file:{path}", "--N", "12", "--max-iter", "200"
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["iterations"] == 200
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_essnorm_unconverged_exits_3(capsys, tmp_path, monkeypatch):
+    def uncertified(*args, **kwargs):
+        res = best_convex_approx(*args, **kwargs)
+        res.converged = False
+        return res
+
+    monkeypatch.setattr("helson.cli.best_convex_approx", uncertified)
+    out_path = tmp_path / "ess.json"
+    code, out, err = run(capsys, "essnorm", "delta:1", "--grid", "0.5,0.9",
+                         "--N", "4", "--output", str(out_path))
+    assert code == 3
+    assert out == ""
+    doc = json.loads(out_path.read_text())
+    assert doc["weights"]["4"]["converged"] is False
+    assert "N=4" in err
 
 
 # ------------------------------------------------------------------- duality

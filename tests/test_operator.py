@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helson import (
     DomainError,
@@ -16,7 +17,9 @@ from helson import (
     dirichlet_convolve,
     form,
     matrix_to_csv,
+    product_classes,
     save_matrix,
+    smooth_indices,
     symbol_value,
     truncation_indices,
 )
@@ -85,6 +88,16 @@ def test_assemble_prime_budget():
     assert m.indices == (1, 2, 4, 8)
     assert m.size == 4
     assert m.n_max == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.sampled_from([None, 1, 2, 3]))
+def test_product_classes_partition(n_max, budget):
+    idx = np.array(smooth_indices(n_max, budget), dtype=np.int64)
+    classes = product_classes(idx.tolist())
+    assert np.all(np.diff(classes.uniq) > 0)
+    assert np.array_equal(classes.uniq[classes.labels], np.outer(idx, idx))
+    assert np.array_equal(classes.labels, classes.labels.T)
 
 
 def test_truncation_indices():
