@@ -123,9 +123,11 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     Projected subgradient with step eta0/sqrt(t), eta0 = f(uniform),
     followed by pairwise golden-section sweeps along mass-transfer lines
     (f stays convex on every line, so each sweep is exact).  K = 1 is
-    immediate and K = 2 is solved by golden section alone.  The returned
-    value is recomputed by the certified operator norm at the final
-    weights; a failed certificate flags the result instead of raising.
+    immediate and K = 2 is solved by golden section alone.  Inner norms
+    are warm-started from the previous singular vector.  The returned
+    value is recomputed by the certified operator norm, from the cold
+    all-ones start, at the final weights; a failed certificate flags the
+    result instead of raising.
     """
     cfg = config or ApproxConfig()
     target = assemble(symbol, n_max, prime_budget)
@@ -139,14 +141,21 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     def difference(c):
         return a - np.tensordot(c, stack, axes=1)
 
+    # consecutive inner norms are of nearby matrices, so each power
+    # iteration starts from the previous right singular vector
+    warm = None
+
     def value_pair(c):
         """(sigma, u, v, certified); an uncertified sigma is the best estimate."""
+        nonlocal warm
         try:
-            report = operator_norm(difference(c), cfg.inner_tol, cfg.inner_max_iter)
+            report = operator_norm(difference(c), cfg.inner_tol, cfg.inner_max_iter,
+                                   start=warm)
             ok = True
         except ConvergenceError as err:
             report, ok = err.best, False
         u, v = report.leading_pair
+        warm = v
         return report.norm, u, v, ok
 
     history = []

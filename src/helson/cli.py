@@ -5,7 +5,8 @@ Outputs are machine-readable (JSON, or CSV tables for essnorm), versioned
 with "schema": 1, and stamped with a hash of the resolved configuration
 so reruns with identical configs produce byte-identical files.  Exit
 codes: 0 success, 2 domain/parse error, 3 convergence failure; a result
-that did not converge is still written in full, marked "converged": false.
+that did not converge (xnorm, essnorm weights, duality) is still written
+in full, marked "converged": false.
 
 Flags may also be preloaded from a config file of key=value lines via
 --config; explicit flags win over the file, the file wins over defaults.
@@ -330,7 +331,7 @@ def cmd_duality(args):
                          cert_tol=cfg.norm_tol)
     report = duality_gap(symbol, c, cfg.n_max, config=solver,
                          prime_budget=cfg.prime_budget)
-    return _json_doc({
+    text = _json_doc({
         "schema": SCHEMA,
         "config_hash": cfg.digest(),
         "command": "duality",
@@ -341,7 +342,14 @@ def cmd_duality(args):
         "pairing": report.pairing,
         "bound": report.bound,
         "ratio": report.ratio,
+        "converged": report.converged,
     })
+    if not report.converged:
+        raise _Unconverged(
+            text, f"xnorm inside the duality bound did not converge within "
+                  f"{cfg.max_iter} iterations"
+        )
+    return text
 
 
 def _resolve(args, command, inputs=()):

@@ -15,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 from . import sieve
 
@@ -94,7 +96,7 @@ class Sequence:
     a Sequence is reproducible.  Exact zeros are not stored.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_arrays")
 
     def __init__(self, entries=None):
         data = {}
@@ -111,6 +113,7 @@ class Sequence:
                     raise DomainError(f"sequence index must be >= 1, got {m}")
                 data[m] = data.get(m, 0j) + _as_complex(v)
         self._data = {n: data[n] for n in sorted(data) if data[n] != 0}
+        self._arrays = None
 
     @classmethod
     def delta(cls, n, value=1.0):
@@ -130,6 +133,22 @@ class Sequence:
 
     def __getitem__(self, n):
         return self._data.get(n, 0j)
+
+    def values(self, ns):
+        """Entries at an integer array of indices; off the support they read 0."""
+        if self._arrays is None:
+            keys = np.fromiter(self._data, dtype=np.int64, count=len(self._data))
+            vals = np.fromiter(self._data.values(), dtype=np.complex128,
+                               count=len(self._data))
+            self._arrays = (keys, vals)
+        keys, vals = self._arrays
+        ns = np.asarray(ns, dtype=np.int64)
+        out = np.zeros(ns.shape, dtype=np.complex128)
+        if keys.size:
+            pos = np.minimum(np.searchsorted(keys, ns), keys.size - 1)
+            hit = keys[pos] == ns
+            out[hit] = vals[pos[hit]]
+        return out
 
     def __len__(self):
         return len(self._data)

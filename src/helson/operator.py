@@ -21,20 +21,43 @@ from .core import Sequence, DilationParam, _rvalue
 DENSE_CAP = 1024
 
 
-def symbol_value(symbol, n):
-    """Evaluate a symbol source at index n.
+def symbol_values(symbol, ns):
+    """Evaluate a symbol source on an integer array; the one evaluation path.
 
-    Accepts a Sequence (missing indices read as 0) or any object with a
-    pure ``value(n)`` method, e.g. the formula fixtures.
+    Returns a complex128 array shaped like ns.  Sequences and the
+    built-in symbols (fixtures, DilatedSymbol) expose ``values(ns)`` and
+    are evaluated in one vectorized call.  Any other object with a pure
+    ``value(n)`` method (e.g. GeometricDecay) is evaluated index by index.
     """
-    if isinstance(symbol, Sequence):
-        return symbol[n]
+    ns = np.asarray(ns, dtype=np.int64)
+    values = getattr(symbol, "values", None)
+    if values is not None:
+        return np.asarray(values(ns), dtype=np.complex128)
     value = getattr(symbol, "value", None)
     if value is None:
         raise DomainError(
-            f"symbol must be a Sequence or expose value(n), got {type(symbol).__name__}"
+            "symbol must be a Sequence or expose values(ns) or value(n), "
+            f"got {type(symbol).__name__}"
         )
-    return complex(value(n))
+    out = np.fromiter((complex(value(n)) for n in ns.ravel().tolist()),
+                      dtype=np.complex128, count=ns.size)
+    return out.reshape(ns.shape)
+
+
+def symbol_value(symbol, n):
+    """Evaluate a symbol source at one index: symbol_values on [n]."""
+    return complex(symbol_values(symbol, [n])[0])
+
+
+class ArraySymbol:
+    """Base of the built-in symbols: subclasses define ``values(ns)``.
+
+    The scalar ``value(n)`` is ``values`` on a one-element array, so the
+    two can never disagree.
+    """
+
+    def value(self, n):
+        return complex(self.values(np.array([n], dtype=np.int64))[0])
 
 
 def symbol_label(symbol):
@@ -128,13 +151,8 @@ def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
             "use apply() for matrix-free products"
         )
     classes = product_classes(indices)
-    values = np.fromiter(
-        (symbol_value(symbol, int(n)) for n in classes.uniq),
-        dtype=np.complex128,
-        count=len(classes.uniq),
-    )
     return HelsonMatrix(
-        entries=values[classes.labels],
+        entries=symbol_values(symbol, classes.uniq)[classes.labels],
         indices=indices,
         symbol_id=symbol_label(symbol),
         prime_budget=prime_budget,
@@ -156,13 +174,11 @@ def apply(symbol, a, n_max, prime_budget=None):
             + (f" ({prime_budget}-smooth)" if prime_budget else "")
             + f"; offending indices {bad[:5]}"
         )
+    support = np.array(a.support, dtype=np.int64)
+    coeffs = a.values(support)
     out = {}
     for m in indices:
-        acc = 0j
-        for n, v in a.items():
-            acc += symbol_value(symbol, n * m) * v
-        if acc != 0:
-            out[m] = acc
+        out[m] = symbol_values(symbol, m * support) @ coeffs
     return Sequence(out)
 
 
@@ -173,18 +189,21 @@ def form(symbol, a, b):
     enabled the two routes are computed and compared.
     """
     limit = sieve.sieve_limit()
-    total = 0j
+    products, weights = [], []
     for n, av in a.items():
         for m, bv in b.items():
             p = n * m
             if p > limit:
                 raise DomainError(f"form index {n}*{m} exceeds sieve limit {limit}")
-            total += av * bv.conjugate() * symbol_value(symbol, p)
+            products.append(p)
+            weights.append(av * bv.conjugate())
+    alpha = symbol_values(symbol, products).tolist()
+    total = sum((w * x for w, x in zip(weights, alpha)), 0j)
     if __debug__ and a and b:
         from .core import dirichlet_convolve, bilinear_pair
 
         conv = dirichlet_convolve(a, b)
-        alpha = Sequence({n: symbol_value(symbol, n) for n in conv.support})
+        alpha = Sequence(zip(conv.support, symbol_values(symbol, conv.support).tolist()))
         check = bilinear_pair(alpha, conv)
         assert abs(total - check) <= 1e-9 * (1.0 + abs(total)), (
             f"form/pairing mismatch: {total} vs {check}"
@@ -192,7 +211,11 @@ def form(symbol, a, b):
     return complex(total)
 
 
-class DilatedSymbol:
+def _dilation_weights(r, ns):
+    return r ** sieve.weighted_degrees(ns)
+
+
+class DilatedSymbol(ArraySymbol):
     """Lazy view of alpha_r(n) = r^omega(n) alpha(n); avoids materializing."""
 
     def __init__(self, base, r):
@@ -200,8 +223,8 @@ class DilatedSymbol:
         self.r = _rvalue(r)
         self.spec = f"dilate({self.r:g})|{symbol_label(base)}"
 
-    def value(self, n):
-        return (self.r ** sieve.weighted_degree(n)) * symbol_value(self.base, n)
+    def values(self, ns):
+        return _dilation_weights(self.r, ns) * symbol_values(self.base, ns)
 
 
 def dilate_symbol(symbol, r, n_max):
@@ -212,19 +235,18 @@ def dilate_symbol(symbol, r, n_max):
     additive over products.
     """
     _check_products(truncation_indices(n_max))
-    view = DilatedSymbol(symbol, r)
     top = n_max * n_max
     if isinstance(symbol, Sequence):
-        space = [n for n in symbol.support if n <= top]
+        space = np.array([n for n in symbol.support if n <= top], dtype=np.int64)
     else:
-        space = range(1, top + 1)
-    return Sequence({n: view.value(n) for n in space})
+        space = np.arange(1, top + 1, dtype=np.int64)
+    values = symbol_values(DilatedSymbol(symbol, r), space)
+    return Sequence(zip(space.tolist(), values.tolist()))
 
 
 def dilation_matrix(r, indices):
     """Diagonal matrix of dilation weights aligned with a truncation index map."""
-    r = _rvalue(r)
-    return np.diag([r ** sieve.weighted_degree(n) for n in indices])
+    return np.diag(_dilation_weights(_rvalue(r), indices))
 
 
 def matrix_header(matrix):

@@ -145,6 +145,27 @@ def weighted_degree(n):
     return total
 
 
+def weighted_degrees(ns):
+    """omega over an integer array, by walking the spf table in lockstep.
+
+    Each pass strips one prime factor from every entry still above 1, so
+    the number of passes is the largest Omega(n) in the array.
+    """
+    limit, spf, primes, _ = _ensure()
+    rest = np.array(ns, dtype=np.int64)
+    if rest.size and (rest.min() < 1 or rest.max() > limit):
+        raise DomainError(f"indices must lie in [1, sieve limit {limit}]")
+    total = np.zeros(rest.shape, dtype=np.int64)
+    flat_rest, flat_total = rest.reshape(-1), total.reshape(-1)
+    live = np.flatnonzero(flat_rest > 1)
+    while live.size:
+        p = spf[flat_rest[live]]
+        flat_total[live] += np.searchsorted(primes, p) + 1
+        flat_rest[live] //= p
+        live = live[flat_rest[live] > 1]
+    return total
+
+
 def divisors(n):
     """All divisors of n, ascending."""
     divs = [1]

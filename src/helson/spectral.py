@@ -1,10 +1,10 @@
 """Operator norms of truncated matrices, with certifying singular pairs.
 
-The workhorse is power iteration on the normal operator A^H A from the
-fixed all-ones start.  Each iterate carries a residual certificate
-||A^H u - sigma v||; an Aitken extrapolation of the Rayleigh quotient
-handles near-degenerate leading pairs, where the value converges long
-before the vectors settle.
+The workhorse is power iteration on the normal operator A^H A, from the
+fixed all-ones start unless the caller passes a warm start.  Each
+iterate carries a residual certificate ||A^H u - sigma v||; an Aitken
+extrapolation of the Rayleigh quotient handles near-degenerate leading
+pairs, where the value converges long before the vectors settle.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .core import Sequence
-from .operator import HelsonMatrix, apply, assemble, symbol_value, truncation_indices
+from .operator import HelsonMatrix, assemble, symbol_values, truncation_indices
 
 SVD_DENSE_CAP = 512
 NORM_MAX_ITER = 50000
@@ -51,9 +50,10 @@ def _as_dense(matrix):
     return arr
 
 
-def _power_pair(matvec, rmatvec, dim, tol, max_iter):
+def _power_pair(matvec, rmatvec, dim, tol, max_iter, start=None):
     """Leading singular triple of the operator behind matvec/rmatvec.
 
+    Iterates from the unit vector along start (all-ones when None).
     Returns (sigma, u, v, iterations, residual, converged).  Stops when
     the certificate residual ||A^H u - sigma v|| drops below tol*sigma,
     or when three consecutive Aitken gap estimates of the Rayleigh
@@ -61,7 +61,10 @@ def _power_pair(matvec, rmatvec, dim, tol, max_iter):
     (near-degenerate leading pair; the value is then converged even
     though the vectors are not).
     """
-    v = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    if start is None:
+        v = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    else:
+        v = start / np.linalg.norm(start)
     basis_tried = 0
     lam_prev2 = lam_prev = None
     aitken_hits = 0
@@ -118,23 +121,31 @@ def _power_pair(matvec, rmatvec, dim, tol, max_iter):
     return sigma, u, v, max_iter, residual, False
 
 
-def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER):
+def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
     """Largest singular value of a dense matrix, with certificate.
 
-    Deterministic: fixed all-ones start.  Raises ConvergenceError with
-    the best estimate attached when the iteration cap is hit.
+    Deterministic: starts from all-ones, or from start (a nonzero finite
+    vector of length dim), e.g. the right singular vector of a nearby
+    matrix.  Raises ConvergenceError with the best estimate
+    attached when the iteration cap is hit.
     """
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
     arr = _as_dense(matrix)
     dim = arr.shape[0]
+    if start is not None:
+        start = np.asarray(start, dtype=np.complex128)
+        if start.shape != (dim,):
+            raise DomainError(f"start must have shape ({dim},), got {start.shape}")
+        if not np.all(np.isfinite(start)) or not start.any():
+            raise DomainError("start must be a nonzero finite vector")
     if dim == 0 or not arr.any():
         e0 = np.zeros(max(dim, 1), dtype=np.complex128)
         e0[0] = 1.0
         return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
     ah = arr.conj().T
     sigma, u, v, its, res, ok = _power_pair(
-        lambda x: arr @ x, lambda x: ah @ x, dim, tol, max_iter
+        lambda x: arr @ x, lambda x: ah @ x, dim, tol, max_iter, start
     )
     report = SpectralReport(sigma, (u, v), its, res)
     if not ok:
@@ -149,7 +160,7 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER):
 
 def operator_norm_symbol(symbol, n_max, prime_budget=None, tol=1e-10,
                          max_iter=NORM_MAX_ITER):
-    """Matrix-free operator norm via apply(); usable beyond the dense cap."""
+    """Matrix-free operator norm, one symbol_values call per row per matvec."""
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
     indices = truncation_indices(n_max, prime_budget)
@@ -157,11 +168,7 @@ def operator_norm_symbol(symbol, n_max, prime_budget=None, tol=1e-10,
     idx = np.asarray(indices, dtype=np.int64)
 
     def entry_row(i):
-        return np.fromiter(
-            (symbol_value(symbol, int(p)) for p in idx[i] * idx),
-            dtype=np.complex128,
-            count=dim,
-        )
+        return symbol_values(symbol, idx[i] * idx)
 
     def matvec(x):
         return np.array([entry_row(i) @ x for i in range(dim)])
@@ -207,8 +214,7 @@ def l2_lower_bound_check(symbol, n_max, prime_budget=None, tol=1e-10):
     b = e_1: the form then evaluates to the restricted l2 norm.
     """
     indices = truncation_indices(n_max, prime_budget)
-    alpha = Sequence({n: symbol_value(symbol, n) for n in indices})
-    l2 = alpha.norm()
+    l2 = float(np.linalg.norm(symbol_values(symbol, indices)))
     report = operator_norm(assemble(symbol, n_max, prime_budget), tol=tol)
     return LowerBoundCheck(
         op_norm=report.norm,

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import ConvergenceError, DomainError, InvariantViolation
 from .core import Sequence, bilinear_pair, dirichlet_convolve
-from .operator import assemble, product_classes, symbol_value, truncation_indices
+from .operator import assemble, product_classes, symbol_values, truncation_indices
 from .spectral import operator_norm
 
 
@@ -139,7 +139,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     labels = classes.labels
     flat = labels.ravel()
     counts = np.bincount(flat)
-    target = np.array([c[int(n)] for n in classes.uniq], dtype=np.complex128)
+    target = c.values(classes.uniq)
 
     def class_sums(mat):
         # every label occurs, so each bincount has one slot per class
@@ -179,7 +179,12 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     beta_raw = Sequence(zip(classes.uniq.tolist(), means))
     certificate = Sequence()
     if beta_raw:
-        cert_norm = operator_norm(means[labels], tol=cfg.cert_tol).norm
+        try:
+            cert_norm = operator_norm(means[labels], tol=cfg.cert_tol).norm
+        except ConvergenceError as err:
+            # keep the result: scale by the best estimate, flag it unconverged
+            cert_norm = err.best.norm
+            converged = False
         if cert_norm > 1e-300:
             certificate = (1.0 / (cert_norm * (1.0 + 1e-9))) * beta_raw
     pairing = abs(bilinear_pair(certificate, c))
@@ -242,11 +247,16 @@ def xnorm_certificate_check(c, beta, claimed, n_max, tol=1e-6, prime_budget=None
 
 @dataclass
 class DualityReport:
-    """|(alpha, c)| against the product bound ||M_N(alpha)|| ||c||_X."""
+    """|(alpha, c)| against the product bound ||M_N(alpha)|| ||c||_X.
+
+    converged is the xnorm result's flag: when False the bound rests on
+    an unconverged weak-product value.
+    """
 
     pairing: float
     bound: float
     ratio: float
+    converged: bool = True
 
 
 def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
@@ -255,18 +265,20 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     ratio = pairing/bound is 0 when the pairing vanishes and must never
     exceed 1 beyond certificate tolerance.
     """
-    alpha = Sequence({n: symbol_value(symbol, n) for n in c.support})
+    alpha = Sequence(zip(c.support, symbol_values(symbol, c.support).tolist()))
     pairing = abs(bilinear_pair(alpha, c))
     op = operator_norm(assemble(symbol, n_max, prime_budget), tol=1e-10).norm
-    xn = xnorm(c, n_max, config=config, prime_budget=prime_budget).value
-    bound = op * xn
+    xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
+    bound = op * xn.value
     if bound == 0.0:
         if pairing > 1e-12:
             raise InvariantViolation(
                 f"pairing {pairing} with zero bound; duality is broken"
             )
-        return DualityReport(pairing=pairing, bound=bound, ratio=0.0)
-    return DualityReport(pairing=pairing, bound=bound, ratio=pairing / bound)
+        return DualityReport(pairing=pairing, bound=bound, ratio=0.0,
+                             converged=xn.converged)
+    return DualityReport(pairing=pairing, bound=bound, ratio=pairing / bound,
+                         converged=xn.converged)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from helson import (
     ConvexWeights,
     DomainError,
     InvariantViolation,
+    MHilbertSymbol,
     PowerSymbol,
     Sequence,
     assemble,
@@ -151,14 +152,29 @@ def test_approx_nonconvergence_flag():
 def test_approx_certification_does_not_hide_bugs(monkeypatch):
     cfg = ApproxConfig(iterations=5, final_tol=1e-11)
 
-    def norm_with_bug(matrix, tol=1e-10, max_iter=50000):
+    def norm_with_bug(matrix, tol=1e-10, max_iter=50000, start=None):
         if tol == cfg.final_tol:
             raise InvariantViolation("planted")
-        return operator_norm(matrix, tol, max_iter)
+        return operator_norm(matrix, tol, max_iter, start=start)
 
     monkeypatch.setattr("helson.approx.operator_norm", norm_with_bug)
     with pytest.raises(InvariantViolation, match="planted"):
         best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8, config=cfg)
+
+
+def test_approx_warm_start_matches_cold(monkeypatch):
+    sym = MHilbertSymbol()
+    grid = (0.5, 0.8, 0.95)
+    warm = best_convex_approx(sym, grid, 16)
+
+    def cold_norm(matrix, tol=1e-10, max_iter=50000, start=None):
+        return operator_norm(matrix, tol, max_iter)
+
+    monkeypatch.setattr("helson.approx.operator_norm", cold_norm)
+    cold = best_convex_approx(sym, grid, 16)
+    assert warm.converged and cold.converged
+    assert warm.value == pytest.approx(cold.value, rel=1e-9)
+    assert np.allclose(warm.weights.weights, cold.weights.weights, atol=1e-6)
 
 
 # -------------------------------------------------- compactness_diagnostic

@@ -224,6 +224,32 @@ def test_xnorm_unconverged_exits_3(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+# the Gaussian draw of numpy seed 7 on {1, 2, 3, 4, 6}: stopped at 200 ADMM
+# iterations its dual certificate has a near-degenerate leading pair whose
+# power iteration does not certify within the default cap
+STALLED_C = [
+    [1, 0.0012301533574825742, 0.2987455375084699],
+    [2, -0.2741378553622176, -0.8905918387572742],
+    [3, -0.45467078517172255, -0.9916465549964624],
+    [4, 0.060143602597438485, 1.3402152455545335],
+    [6, -0.49220651855132963, -0.6204748998199404],
+]
+
+
+def test_xnorm_uncertified_certificate_keeps_payload(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    save_sequence(sequence_from_triples(STALLED_C), path)
+    code, out, err = run(
+        capsys, "xnorm", f"file:{path}", "--N", "12", "--max-iter", "200"
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["iterations"] == 200
+    assert doc["value"] > 0 and doc["certificate"]
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_essnorm_unconverged_exits_3(capsys, tmp_path, monkeypatch):
     def uncertified(*args, **kwargs):
         res = best_convex_approx(*args, **kwargs)
@@ -259,6 +285,23 @@ def test_duality_equality(capsys):
 
 
 # ------------------------------------------------------------- plumbing
+
+
+def test_duality_unconverged_exits_3(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    save_sequence(Sequence({1: -0.7, 2: 0.4, 3: 0.9, 4: -1.3, 6: 1.3}), path)
+    out_path = tmp_path / "duality.json"
+    code, out, err = run(capsys, "duality", "power:1", f"file:{path}", "--N", "8",
+                         "--max-iter", "20", "--output", str(out_path))
+    assert code == 3
+    assert out == ""
+    doc = json.loads(out_path.read_text())
+    assert doc["converged"] is False
+    assert doc["ratio"] > 0
+    assert "did not converge" in err
+    code, out, _ = run(capsys, "duality", "power:1", "delta:1", "--N", "4")
+    assert code == 0
+    assert json.loads(out)["converged"] is True
 
 
 def test_determinism_byte_identical(tmp_path, capsys):
@@ -324,3 +367,15 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12 = 2^2 · 3, kappa=(2,1)"
+
+
+def test_version_matches_pyproject():
+    import pathlib
+    import tomllib
+
+    import helson
+
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        meta = tomllib.load(fh)
+    assert meta["project"]["version"] == helson.__version__
