@@ -123,11 +123,12 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     Projected subgradient with step eta0/sqrt(t), eta0 = f(uniform),
     followed by pairwise golden-section sweeps along mass-transfer lines
     (f stays convex on every line, so each sweep is exact).  K = 1 is
-    immediate and K = 2 is solved by golden section alone.  Inner norms
-    are warm-started from the previous singular vector.  The returned
-    value is recomputed by the certified operator norm, from the cold
-    all-ones start, at the final weights; a failed certificate flags the
-    result instead of raising.
+    immediate and K = 2 is solved by golden section alone.  Subgradient
+    steps warm-start their inner norms from the previous right singular
+    vector; golden section, the value it is compared against, and the
+    returned value start cold from all-ones.  The returned value is
+    recomputed by the certified operator norm at the final weights; a
+    failed certificate flags the result instead of raising.
     """
     cfg = config or ApproxConfig()
     target = assemble(symbol, n_max, prime_budget)
@@ -141,21 +142,15 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     def difference(c):
         return a - np.tensordot(c, stack, axes=1)
 
-    # consecutive inner norms are of nearby matrices, so each power
-    # iteration starts from the previous right singular vector
-    warm = None
-
-    def value_pair(c):
+    def value_pair(c, start=None):
         """(sigma, u, v, certified); an uncertified sigma is the best estimate."""
-        nonlocal warm
         try:
             report = operator_norm(difference(c), cfg.inner_tol, cfg.inner_max_iter,
-                                   start=warm)
+                                   start=start)
             ok = True
         except ConvergenceError as err:
             report, ok = err.best, False
         u, v = report.leading_pair
-        warm = v
         return report.norm, u, v, ok
 
     history = []
@@ -189,12 +184,18 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
                 [-np.real(u_t.conj() @ (b_k @ v_t)) for b_k in stack]
             )
             c = simplex_project(c - (eta0 / math.sqrt(t)) * grad)
-            sigma, u_t, v_t, ok = value_pair(c)
+            # consecutive iterates are close, so start from the previous
+            # right singular vector; where the two largest singular values
+            # cross, that start can certify the smaller one
+            sigma, u_t, v_t, ok = value_pair(c, start=v_t)
             all_certified &= ok
             history.append(sigma)
             if sigma < best_val:
                 best_val, best_c = sigma, c.copy()
         c = best_c
+        # so the line searches below compare against a cold value
+        best_val, _, _, ok = value_pair(c)
+        all_certified &= ok
 
         # exact line minimization between coordinate pairs; convex along
         # each line, so golden section cannot miss

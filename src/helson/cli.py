@@ -317,7 +317,9 @@ def cmd_xnorm(args):
     text = _json_doc(doc)
     if not result.converged:
         raise _Unconverged(
-            text, f"xnorm did not converge within {cfg.max_iter} iterations "
+            text, f"xnorm did not converge: ADMM ran {result.iterations} of "
+                  f"{cfg.max_iter} iterations, certificate norm "
+                  f"{'certified' if result.certified else 'not certified'} "
                   f"(gap {result.primal_dual_gap:.3e})"
         )
     return text

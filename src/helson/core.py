@@ -262,17 +262,22 @@ def _rvalue(r):
 
 
 def dilation_weight(r, n):
-    """r^omega(n) where omega is the weighted degree; 1 exactly when n = 1."""
+    """r^omega(n) where omega is the weighted degree; 1 exactly when n = 1.
+
+    n may be an integer or an integer array; the result has its shape.
+    """
     r = _rvalue(r)
-    return r ** sieve.weighted_degree(n)
+    omega = sieve.weighted_degrees(n)
+    # one Python power per distinct degree, gathered, so each weight is
+    # bit for bit r ** weighted_degree(n)
+    powers = np.array([r**k for k in range(int(omega.max(initial=0)) + 1)])
+    return powers[omega]
 
 
 def dilate(r, a):
     """(D_r a)(n) = r^omega(n) a(n); contractive, and D_r(a*b) = D_ra * D_rb."""
-    r = _rvalue(r)
-    return Sequence(
-        {n: (r ** sieve.weighted_degree(n)) * v for n, v in a.items()}
-    )
+    weights = dilation_weight(r, np.array(a.support, dtype=np.int64)).tolist()
+    return Sequence({n: w * v for (n, v), w in zip(a.items(), weights)})
 
 
 @dataclass(frozen=True)

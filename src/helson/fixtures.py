@@ -28,6 +28,7 @@ from .operator import ArraySymbol
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_PAIR = np.array([[0], [1]], dtype=np.uint64)
 
 
 def _indices(ns):
@@ -115,8 +116,10 @@ class RandomDecaySymbol(ArraySymbol):
         x = flat.astype(np.uint64) * np.uint64(2) + np.uint64(
             (self.seed * _GAMMA) % (1 << 64)
         )
-        radius = ((splitmix64(x) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-        angle = (splitmix64(x + np.uint64(1)) >> np.uint64(11)) * (2.0**-53 * 2.0 * np.pi)
+        # both words in one pass: rows splitmix64(x) and splitmix64(x + 1)
+        words = splitmix64(x + _PAIR) >> np.uint64(11)
+        radius = (words[0] + np.uint64(1)) * 2.0**-53
+        angle = words[1] * (2.0**-53 * 2.0 * np.pi)
         scale = np.sqrt(-2.0 * np.log(radius)) * flat.astype(np.float64) ** -self.rate
         out = np.empty(flat.shape, dtype=np.complex128)
         out.real = scale * np.cos(angle)

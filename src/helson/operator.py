@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from . import sieve
-from .core import Sequence, DilationParam, _rvalue
+from .core import Sequence, DilationParam, _rvalue, dilation_weight
 
 # dense assembly refuses above this many rows; past that only the
 # matrix-free apply() is meaningful (assembly is O(N^2) memory)
@@ -27,11 +27,13 @@ def symbol_values(symbol, ns):
     Returns a complex128 array shaped like ns.  Sequences and the
     built-in symbols (fixtures, DilatedSymbol) expose ``values(ns)`` and
     are evaluated in one vectorized call.  Any other object with a pure
-    ``value(n)`` method (e.g. GeometricDecay) is evaluated index by index.
+    ``value(n)`` method (e.g. GeometricDecay) is evaluated index by index,
+    and so is an instance whose ``value`` was replaced on the instance
+    (a counting or logging wrapper): the replacement is never bypassed.
     """
     ns = np.asarray(ns, dtype=np.int64)
     values = getattr(symbol, "values", None)
-    if values is not None:
+    if values is not None and "value" not in getattr(symbol, "__dict__", ()):
         return np.asarray(values(ns), dtype=np.complex128)
     value = getattr(symbol, "value", None)
     if value is None:
@@ -211,10 +213,6 @@ def form(symbol, a, b):
     return complex(total)
 
 
-def _dilation_weights(r, ns):
-    return r ** sieve.weighted_degrees(ns)
-
-
 class DilatedSymbol(ArraySymbol):
     """Lazy view of alpha_r(n) = r^omega(n) alpha(n); avoids materializing."""
 
@@ -224,7 +222,7 @@ class DilatedSymbol(ArraySymbol):
         self.spec = f"dilate({self.r:g})|{symbol_label(base)}"
 
     def values(self, ns):
-        return _dilation_weights(self.r, ns) * symbol_values(self.base, ns)
+        return dilation_weight(self.r, ns) * symbol_values(self.base, ns)
 
 
 def dilate_symbol(symbol, r, n_max):
@@ -246,7 +244,7 @@ def dilate_symbol(symbol, r, n_max):
 
 def dilation_matrix(r, indices):
     """Diagonal matrix of dilation weights aligned with a truncation index map."""
-    return np.diag(_dilation_weights(_rvalue(r), indices))
+    return np.diag(dilation_weight(r, indices))
 
 
 def matrix_header(matrix):

@@ -126,8 +126,10 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
 
     Deterministic: starts from all-ones, or from start (a nonzero finite
     vector of length dim), e.g. the right singular vector of a nearby
-    matrix.  Raises ConvergenceError with the best estimate
-    attached when the iteration cap is hit.
+    matrix.  The residual certifies a singular pair, not the largest one:
+    a start (nearly) orthogonal to the leading right singular vector can
+    certify a smaller singular value.  Raises ConvergenceError with the
+    best estimate attached when the iteration cap is hit.
     """
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")

@@ -87,7 +87,14 @@ class XNormConfig:
 
 @dataclass
 class XNormResult:
-    """Primal value with the optimal window matrix and dual certificate."""
+    """Primal value with the optimal window matrix and dual certificate.
+
+    converged is False when ADMM stopped at its iteration cap or when the
+    certificate's operator norm did not certify (certified is False).  In
+    the second case the certificate is scaled by the power iteration's
+    best estimate, which may lie below its norm, so the certificate may
+    be infeasible and pairing and gap rest on it.
+    """
 
     value: float
     matrix: np.ndarray
@@ -95,6 +102,7 @@ class XNormResult:
     primal_dual_gap: float
     iterations: int
     converged: bool = True
+    certified: bool = True
 
     def to_json(self):
         return {
@@ -102,6 +110,7 @@ class XNormResult:
             "gap": self.primal_dual_gap,
             "iterations": self.iterations,
             "converged": self.converged,
+            "certified": self.certified,
             "certificate": [[n, v.real, v.imag] for n, v in self.certificate.items()],
         }
 
@@ -178,13 +187,14 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     means = class_sums(u.conj()) / counts
     beta_raw = Sequence(zip(classes.uniq.tolist(), means))
     certificate = Sequence()
+    certified = True
     if beta_raw:
         try:
             cert_norm = operator_norm(means[labels], tol=cfg.cert_tol).norm
         except ConvergenceError as err:
             # keep the result: scale by the best estimate, flag it unconverged
             cert_norm = err.best.norm
-            converged = False
+            certified = converged = False
         if cert_norm > 1e-300:
             certificate = (1.0 / (cert_norm * (1.0 + 1e-9))) * beta_raw
     pairing = abs(bilinear_pair(certificate, c))
@@ -196,6 +206,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         primal_dual_gap=gap,
         iterations=iterations,
         converged=converged,
+        certified=certified,
     )
 
 

@@ -162,19 +162,45 @@ def test_approx_certification_does_not_hide_bugs(monkeypatch):
         best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8, config=cfg)
 
 
-def test_approx_warm_start_matches_cold(monkeypatch):
-    sym = MHilbertSymbol()
-    grid = (0.5, 0.8, 0.95)
-    warm = best_convex_approx(sym, grid, 16)
+@pytest.mark.parametrize("sym, grid, n_max", [
+    (MHilbertSymbol(), (0.5, 0.8, 0.95), 16),
+    # real with mixed signs: the leading singular value can switch between
+    # the largest and the most negative eigenvalue along the search
+    (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.4, 0.8), 8),
+    (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.3, 0.6, 0.9), 8),
+])
+def test_approx_warm_start_matches_cold(monkeypatch, sym, grid, n_max):
+    warm = best_convex_approx(sym, grid, n_max)
 
     def cold_norm(matrix, tol=1e-10, max_iter=50000, start=None):
         return operator_norm(matrix, tol, max_iter)
 
     monkeypatch.setattr("helson.approx.operator_norm", cold_norm)
-    cold = best_convex_approx(sym, grid, 16)
+    cold = best_convex_approx(sym, grid, n_max)
     assert warm.converged and cold.converged
     assert warm.value == pytest.approx(cold.value, rel=1e-9)
     assert np.allclose(warm.weights.weights, cold.weights.weights, atol=1e-6)
+
+
+def test_approx_line_searches_start_cold(monkeypatch):
+    # a warm start can certify a smaller singular value where the two
+    # largest cross, so only subgradient steps may pass one
+    starts = []
+
+    def recording_norm(matrix, tol=1e-10, max_iter=50000, start=None):
+        starts.append(start is not None)
+        return operator_norm(matrix, tol, max_iter, start=start)
+
+    monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
+    sym = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})
+    best_convex_approx(sym, (0.4, 0.8), 8)
+    assert starts and not any(starts)
+    starts.clear()
+    cfg = ApproxConfig(iterations=20)
+    best_convex_approx(sym, (0.3, 0.6, 0.9), 8, config=cfg)
+    # uniform start, 20 warm subgradient steps, then everything cold
+    assert starts[:21] == [False] + [True] * 20
+    assert len(starts) > 22 and not any(starts[21:])
 
 
 # -------------------------------------------------- compactness_diagnostic

@@ -7,6 +7,7 @@ import pytest
 
 from helson import Sequence, best_convex_approx, save_sequence, sequence_from_triples
 from helson.cli import main, parse_r_grid
+from helson.errors import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -248,6 +249,26 @@ def test_xnorm_uncertified_certificate_keeps_payload(capsys, tmp_path):
     assert doc["iterations"] == 200
     assert doc["value"] > 0 and doc["certificate"]
     assert len(err.strip().splitlines()) == 1
+    assert "ADMM ran 200 of 200 iterations" in err
+
+
+def test_xnorm_certificate_not_certified_is_reported(capsys, monkeypatch):
+    # ADMM converges, but the certificate's operator norm fails to certify
+    import helson.weakprod as weakprod
+
+    real_norm = weakprod.operator_norm
+
+    def stalled(matrix, *args, **kwargs):
+        report = real_norm(matrix, *args, **kwargs)
+        raise ConvergenceError("stalled", best=report, iterations=report.iterations)
+
+    monkeypatch.setattr(weakprod, "operator_norm", stalled)
+    code, out, err = run(capsys, "xnorm", "delta:2", "--N", "2")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is False and doc["certified"] is False
+    assert doc["iterations"] < 20000 and doc["certificate"]
+    assert "certificate norm not certified" in err
 
 
 def test_essnorm_unconverged_exits_3(capsys, tmp_path, monkeypatch):
@@ -371,11 +392,15 @@ def test_console_script_installed():
 
 def test_version_matches_pyproject():
     import pathlib
-    import tomllib
+    import re
 
     import helson
 
-    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        meta = tomllib.load(fh)
-    assert meta["project"]["version"] == helson.__version__
+    text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10: read the [project] version line
+        version = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M).group(1)
+    else:
+        version = tomllib.loads(text)["project"]["version"]
+    assert version == helson.__version__

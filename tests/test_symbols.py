@@ -12,6 +12,8 @@ from helson import (
     GeometricDecay,
     RandomDecaySymbol,
     Sequence,
+    assemble,
+    dilation_weight,
     parse_fixture,
     save_sequence,
     symbol_value,
@@ -115,6 +117,30 @@ def test_fallback_to_scalar_value():
     assert symbol_values(gen, ns).tolist() == [gen.value(n) for n in ns]
     with pytest.raises(DomainError):
         symbol_values(object(), ns)
+
+
+def test_instance_value_override_is_honoured():
+    # a wrapper assigned on the instance (counting, logging) is never bypassed
+    sym = parse_fixture("mhilbert")
+    plain = assemble(sym, 16).entries
+    calls = []
+    original = sym.value
+    sym.value = lambda n: (calls.append(n), original(n))[1]
+    assert np.array_equal(assemble(sym, 16).entries, plain)
+    products = np.arange(1, 17)[:, None] * np.arange(1, 17)[None, :]
+    assert sorted(calls) == np.unique(products).tolist()
+    calls.clear()
+    dilated = DilatedSymbol(sym, 0.5)
+    assert symbol_values(dilated, [6, 2]).tolist() == [dilated.value(6), dilated.value(2)]
+    assert calls == [6, 2, 6, 2]
+
+
+def test_dilation_weight_arrays_match_scalar():
+    ns = np.arange(1, 2049)
+    got = dilation_weight(0.7, ns)
+    assert got.shape == ns.shape
+    assert got.tolist() == [0.7 ** weighted_degree(int(n)) for n in ns]
+    assert dilation_weight(0.7, 1) == 1.0
 
 
 def test_fixtures_reject_bad_indices():
