@@ -11,6 +11,12 @@ subgradient at c comes free from the certified leading singular pair
 is always an upper bound on the distance from M_N(alpha) to the convex
 hull of the family; nothing stronger than this grid-restricted bound is
 claimed.
+
+A real symbol (every value with zero imaginary part, as for mhilbert and
+power) gives real matrices, and so do its dilations.  best_convex_approx
+and compactness_diagnostic then cast to float64 once and run every inner
+norm, difference and subgradient in real arithmetic; a complex symbol
+keeps complex128 throughout.
 """
 
 import math
@@ -89,6 +95,11 @@ def dilation_family(symbol, r_grid, n_max, prime_budget=None):
     ]
 
 
+def _real_if_real(arr):
+    """arr as a float64 copy when its imaginary part is zero, else arr."""
+    return arr if arr.imag.any() else arr.real.copy()
+
+
 def simplex_project(w):
     """Euclidean projection onto the probability simplex (sorted threshold)."""
     w = np.asarray(w, dtype=np.float64)
@@ -134,13 +145,18 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     target = assemble(symbol, n_max, prime_budget)
     family = dilation_family(symbol, r_grid, n_max, prime_budget)
     grid = tuple(_rvalue(r) for r in r_grid)
-    a = target.entries
-    stack = np.stack([m_k.entries for m_k in family])
-    k_pts = len(family)
+    # target and family in one array, cast to float64 together when real
+    both = _real_if_real(np.stack([target.entries] + [m_k.entries for m_k in family]))
+    a = both[0]
+    k_pts, dim = len(family), a.shape[0]
+    flat = both[1:].reshape(k_pts, dim * dim)
+    rows = both[1:].reshape(k_pts * dim, dim)
     scale = max(float(np.linalg.norm(a)), 1.0)
 
     def difference(c):
-        return a - np.tensordot(c, stack, axes=1)
+        diff = c @ flat
+        np.subtract(a.ravel(), diff, out=diff)
+        return diff.reshape(dim, dim)
 
     def value_pair(c, start=None):
         """(sigma, u, v, certified); an uncertified sigma is the best estimate."""
@@ -180,9 +196,8 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         for t in range(1, cfg.iterations + 1):
             if best_val <= 1e-13 * scale:
                 break
-            grad = np.array(
-                [-np.real(u_t.conj() @ (b_k @ v_t)) for b_k in stack]
-            )
+            # -Re(u^H B_k v) for every k from one product with the stack
+            grad = -np.real((rows @ v_t).reshape(k_pts, dim) @ u_t.conj())
             c = simplex_project(c - (eta0 / math.sqrt(t)) * grad)
             # consecutive iterates are close, so start from the previous
             # right singular vector; where the two largest singular values
@@ -281,6 +296,7 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
         base = assemble(symbol, n_max, prime_budget)
         for r in grid:
             dilated = assemble(DilatedSymbol(symbol, r), n_max, prime_budget)
-            value = operator_norm(dilated.entries - base.entries, tol=tol).norm
+            diff = _real_if_real(dilated.entries - base.entries)
+            value = operator_norm(diff, tol=tol).norm
             rows.append((r, n_max, value))
     return DiagnosticTable(rows=tuple(rows))

@@ -39,10 +39,17 @@ class SpectralReport:
         }
 
 
+def _float_array(x):
+    """x as float64 when its dtype is real or integer, else as complex128."""
+    arr = np.asarray(x)
+    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128,
+                      copy=False)
+
+
 def _as_dense(matrix):
     if isinstance(matrix, HelsonMatrix):
         return matrix.entries
-    arr = np.asarray(matrix, dtype=np.complex128)
+    arr = _float_array(matrix)
     if arr.ndim != 2:
         raise DomainError(f"matrix must be 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -53,18 +60,18 @@ def _as_dense(matrix):
 def _power_pair(matvec, rmatvec, dim, tol, max_iter, start=None):
     """Leading singular triple of the operator behind matvec/rmatvec.
 
-    Iterates from the unit vector along start (all-ones when None).
-    Returns (sigma, u, v, iterations, residual, converged).  Stops when
-    the certificate residual ||A^H u - sigma v|| drops below tol*sigma,
+    Iterates from the unit vector along start (complex all-ones when
+    None), in the dtype of start.  Returns (sigma, u, v, iterations,
+    residual, converged).  Stops when the certificate residual
+    ||A^H u - sigma v|| drops below tol*sigma,
     or when three consecutive Aitken gap estimates of the Rayleigh
     quotient sit below tol^2*lambda while the residual is merely small
     (near-degenerate leading pair; the value is then converged even
     though the vectors are not).
     """
     if start is None:
-        v = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    else:
-        v = start / np.linalg.norm(start)
+        start = np.ones(dim, dtype=np.complex128)
+    v = start / np.linalg.norm(start)
     basis_tried = 0
     lam_prev2 = lam_prev = None
     aitken_hits = 0
@@ -77,10 +84,10 @@ def _power_pair(matvec, rmatvec, dim, tol, max_iter, start=None):
         if sigma == 0.0:
             # start vector in the kernel; walk the standard basis
             if basis_tried >= dim:
-                u = np.zeros(dim, dtype=np.complex128)
+                u = np.zeros(dim, dtype=v.dtype)
                 u[0] = 1.0
                 return 0.0, u, u.copy(), it, 0.0, True
-            v = np.zeros(dim, dtype=np.complex128)
+            v = np.zeros(dim, dtype=v.dtype)
             v[basis_tried] = 1.0
             basis_tried += 1
             continue
@@ -130,24 +137,39 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
     a start (nearly) orthogonal to the leading right singular vector can
     certify a smaller singular value.  Raises ConvergenceError with the
     best estimate attached when the iteration cap is hit.
+
+    The iteration runs in np.result_type(matrix, start): a real matrix
+    (integer or float entries, cast to float64) with a real or absent
+    start gives a float64 singular pair, anything complex gives
+    complex128.  A^H x is taken through a transposed view of the matrix
+    (x @ A, conjugated around it when complex), so no copy of A^H is
+    made.
     """
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
     arr = _as_dense(matrix)
     dim = arr.shape[0]
     if start is not None:
-        start = np.asarray(start, dtype=np.complex128)
+        start = _float_array(start)
         if start.shape != (dim,):
             raise DomainError(f"start must have shape ({dim},), got {start.shape}")
         if not np.all(np.isfinite(start)) or not start.any():
             raise DomainError("start must be a nonzero finite vector")
+    dtype = arr.dtype if start is None else np.result_type(arr, start)
+    arr = arr.astype(dtype, copy=False)
     if dim == 0 or not arr.any():
-        e0 = np.zeros(max(dim, 1), dtype=np.complex128)
+        e0 = np.zeros(max(dim, 1), dtype=dtype)
         e0[0] = 1.0
         return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
-    ah = arr.conj().T
+    if np.iscomplexobj(arr):
+        def rmatvec(x):
+            return (x.conj() @ arr).conj()
+    else:
+        def rmatvec(x):
+            return x @ arr
+    start = np.ones(dim, dtype) if start is None else start.astype(dtype, copy=False)
     sigma, u, v, its, res, ok = _power_pair(
-        lambda x: arr @ x, lambda x: ah @ x, dim, tol, max_iter, start
+        lambda x: arr @ x, rmatvec, dim, tol, max_iter, start
     )
     report = SpectralReport(sigma, (u, v), its, res)
     if not ok:

@@ -15,6 +15,7 @@ from helson import (
     dilation_family,
     operator_norm,
     simplex_project,
+    symbol_values,
 )
 
 
@@ -203,6 +204,52 @@ def test_approx_line_searches_start_cold(monkeypatch):
     assert len(starts) > 22 and not any(starts[21:])
 
 
+MIXED_SIGNS = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})
+
+
+def rotated(sym, n_max, theta=0.7):
+    """e^{i theta} alpha on every product n*m of the window, as a Sequence."""
+    ns = np.arange(1, n_max * n_max + 1)
+    vals = np.exp(1j * theta) * symbol_values(sym, ns)
+    return Sequence({int(n): complex(v) for n, v in zip(ns, vals)})
+
+
+@pytest.fixture
+def norm_dtypes(monkeypatch):
+    """dtypes of the matrices helson.approx hands to operator_norm."""
+    dtypes = []
+
+    def recording_norm(matrix, tol=1e-10, max_iter=50000, start=None):
+        dtypes.append(np.asarray(matrix).dtype)
+        return operator_norm(matrix, tol, max_iter, start=start)
+
+    monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
+    return dtypes
+
+
+@pytest.mark.parametrize("sym, grid, n_max", [
+    (MHilbertSymbol(), (0.5, 0.8), 64),
+    (MHilbertSymbol(), (0.5, 0.8, 0.95), 64),
+    (MIXED_SIGNS, (0.4, 0.8), 8),
+    (MIXED_SIGNS, (0.3, 0.6, 0.9), 8),
+])
+def test_approx_complex_path_matches_real(norm_dtypes, sym, grid, n_max):
+    # M(e^{i theta} alpha) = e^{i theta} M(alpha): the same problem, with a
+    # real symbol on the float64 path and its rotation on the complex one
+    real = best_convex_approx(sym, grid, n_max)
+    assert norm_dtypes and set(norm_dtypes) == {np.dtype(np.float64)}
+    norm_dtypes.clear()
+    turned = rotated(sym, n_max)
+    cplx = best_convex_approx(turned, grid, n_max)
+    assert norm_dtypes and set(norm_dtypes) == {np.dtype(np.complex128)}
+    assert real.converged and cplx.converged
+    assert cplx.weights.weights == real.weights.weights
+    assert cplx.value == pytest.approx(real.value, rel=1e-12)
+    w = real.weights.weights
+    assert real.value == pytest.approx(objective(sym, w, grid, n_max), rel=1e-9)
+    assert cplx.value == pytest.approx(objective(turned, w, grid, n_max), rel=1e-9)
+
+
 # -------------------------------------------------- compactness_diagnostic
 
 
@@ -225,6 +272,18 @@ def test_diagnostic_power_monotone_in_r():
         assert col[0] >= col[1] >= col[2] - 1e-12
         # compact fixture: the diagnostic heads to zero as r rises
         assert col[2] <= 1e-9 + col[0] * 0.1
+
+
+def test_diagnostic_real_symbol_normed_in_float64(norm_dtypes):
+    real = compactness_diagnostic(MIXED_SIGNS, (0.5, 0.9), (4, 8))
+    assert set(norm_dtypes) == {np.dtype(np.float64)}
+    norm_dtypes.clear()
+    cplx = compactness_diagnostic(rotated(MIXED_SIGNS, 8), (0.5, 0.9), (4, 8))
+    assert set(norm_dtypes) == {np.dtype(np.complex128)}
+    for (r, n, want), (_, _, got) in zip(real.rows, cplx.rows):
+        dense = objective(MIXED_SIGNS, (1.0,), (r,), n)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(dense, rel=1e-9)
 
 
 def test_diagnostic_csv_and_lookup():

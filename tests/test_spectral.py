@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helson import (
     ConvergenceError,
@@ -89,6 +90,26 @@ def test_norm_warm_start_matches_svd():
             again = operator_norm(a, tol=1e-11, start=rep.leading_pair[1])
             assert again.norm == pytest.approx(top, rel=1e-8)
             assert again.iterations <= operator_norm(a, tol=1e-11).iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_norm_keeps_dtype_nonsymmetric(dim, seed, is_complex):
+    # Gaussian entries with no symmetry, so mixing up the transpose and the
+    # conjugate in A^H x gives a wrong value or no certificate
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    # tol well below the 1e-12 compared at the end: near-degenerate pairs
+    # stop on the Aitken rule, whose value error scales with tol
+    rep = operator_norm(a, tol=1e-12)
+    dtype = np.complex128 if is_complex else np.float64
+    assert all(vec.dtype == dtype for vec in rep.leading_pair)
+    assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
+    if not is_complex:
+        as_complex = operator_norm(a.astype(np.complex128), tol=1e-12)
+        assert rep.norm == pytest.approx(as_complex.norm, rel=1e-12)
 
 
 def test_norm_start_validation():
