@@ -57,20 +57,17 @@ def _as_dense(matrix):
     return arr
 
 
-def _power_pair(matvec, rmatvec, dim, tol, max_iter, start=None):
+def _power_pair(matvec, rmatvec, dim, tol, max_iter, start):
     """Leading singular triple of the operator behind matvec/rmatvec.
 
-    Iterates from the unit vector along start (complex all-ones when
-    None), in the dtype of start.  Returns (sigma, u, v, iterations,
-    residual, converged).  Stops when the certificate residual
-    ||A^H u - sigma v|| drops below tol*sigma,
+    Iterates from the unit vector along start, in the dtype of start.
+    Returns (sigma, u, v, iterations, residual, converged).  Stops when
+    the certificate residual ||A^H u - sigma v|| drops below tol*sigma,
     or when three consecutive Aitken gap estimates of the Rayleigh
     quotient sit below tol^2*lambda while the residual is merely small
     (near-degenerate leading pair; the value is then converged even
     though the vectors are not).
     """
-    if start is None:
-        start = np.ones(dim, dtype=np.complex128)
     v = start / np.linalg.norm(start)
     basis_tried = 0
     lam_prev2 = lam_prev = None
@@ -141,9 +138,7 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
     The iteration runs in np.result_type(matrix, start): a real matrix
     (integer or float entries, cast to float64) with a real or absent
     start gives a float64 singular pair, anything complex gives
-    complex128.  A^H x is taken through a transposed view of the matrix
-    (x @ A, conjugated around it when complex), so no copy of A^H is
-    made.
+    complex128.  For a real matrix A^H is a transposed view, not a copy.
     """
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
@@ -161,15 +156,10 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
         e0 = np.zeros(max(dim, 1), dtype=dtype)
         e0[0] = 1.0
         return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
-    if np.iscomplexobj(arr):
-        def rmatvec(x):
-            return (x.conj() @ arr).conj()
-    else:
-        def rmatvec(x):
-            return x @ arr
+    ah = arr.conj().T
     start = np.ones(dim, dtype) if start is None else start.astype(dtype, copy=False)
     sigma, u, v, its, res, ok = _power_pair(
-        lambda x: arr @ x, rmatvec, dim, tol, max_iter, start
+        lambda x: arr @ x, lambda x: ah @ x, dim, tol, max_iter, start
     )
     report = SpectralReport(sigma, (u, v), its, res)
     if not ok:
@@ -201,7 +191,8 @@ def operator_norm_symbol(symbol, n_max, prime_budget=None, tol=1e-10,
         # rows of A^H are conjugated rows of A by symmetry of M(alpha)
         return np.array([np.conj(entry_row(i)) @ x for i in range(dim)])
 
-    sigma, u, v, its, res, ok = _power_pair(matvec, rmatvec, dim, tol, max_iter)
+    start = np.ones(dim, dtype=np.complex128)
+    sigma, u, v, its, res, ok = _power_pair(matvec, rmatvec, dim, tol, max_iter, start)
     report = SpectralReport(sigma, (u, v), its, res)
     if not ok:
         raise ConvergenceError(
