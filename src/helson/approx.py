@@ -12,6 +12,10 @@ is always an upper bound on the distance from M_N(alpha) to the convex
 hull of the family; nothing stronger than this grid-restricted bound is
 claimed.
 
+The dilated matrices come from one assembly of M_N(alpha): since the
+weighted degree is additive over products, M_N(alpha_r) = D_r M_N(alpha) D_r
+with D_r = diag(r^omega(n)) on the window's indices.
+
 A real symbol (every value with zero imaginary part, as for mhilbert and
 power) gives real matrices, and so do its dilations.  best_convex_approx
 and compactness_diagnostic then cast to float64 once and run every inner
@@ -25,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .operator import DilatedSymbol, assemble
+from .operator import HelsonMatrix, assemble
 from .spectral import operator_norm
-from .core import _rvalue
+from .core import _rvalue, dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -83,15 +87,33 @@ class ApproxConfig:
             raise DomainError("tolerances and step scale must be positive")
 
 
-def dilation_family(symbol, r_grid, n_max, prime_budget=None):
-    """The matrices M_N(alpha_{r_k}) for a strictly increasing grid."""
-    grid = [_rvalue(r) for r in r_grid]
+def _grid(r_grid):
+    grid = tuple(_rvalue(r) for r in r_grid)
     if not grid:
         raise DomainError("r-grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"r-grid must be strictly increasing, got {grid}")
+    return grid
+
+
+def _dilated(entries, r, indices):
+    """D_r M D_r: entry (i, j) of M times r^omega(n_i) r^omega(n_j)."""
+    w = dilation_weight(r, indices)
+    return w[:, None] * entries * w[None, :]
+
+
+def dilation_family(symbol, r_grid, n_max, prime_budget=None):
+    """The matrices M_N(alpha_{r_k}) for a strictly increasing grid."""
+    grid = _grid(r_grid)
+    base = assemble(symbol, n_max, prime_budget)
     return [
-        assemble(DilatedSymbol(symbol, r), n_max, prime_budget) for r in grid
+        HelsonMatrix(
+            entries=_dilated(base.entries, r, base.indices),
+            indices=base.indices,
+            symbol_id=f"dilate({r:g})|{base.symbol_id}",
+            prime_budget=prime_budget,
+        )
+        for r in grid
     ]
 
 
@@ -142,15 +164,16 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     failed certificate flags the result instead of raising.
     """
     cfg = config or ApproxConfig()
+    grid = _grid(r_grid)
     target = assemble(symbol, n_max, prime_budget)
-    family = dilation_family(symbol, r_grid, n_max, prime_budget)
-    grid = tuple(_rvalue(r) for r in r_grid)
-    # target and family in one array, cast to float64 together when real
-    both = _real_if_real(np.stack([target.entries] + [m_k.entries for m_k in family]))
-    a = both[0]
-    k_pts, dim = len(family), a.shape[0]
-    flat = both[1:].reshape(k_pts, dim * dim)
-    rows = both[1:].reshape(k_pts * dim, dim)
+    # float64 when the symbol is real; its dilations are real with it
+    a = _real_if_real(target.entries)
+    k_pts, dim = len(grid), a.shape[0]
+    family = np.empty((k_pts, dim, dim), dtype=a.dtype)
+    for k, r in enumerate(grid):
+        family[k] = _dilated(a, r, target.indices)
+    flat = family.reshape(k_pts, dim * dim)
+    rows = family.reshape(k_pts * dim, dim)
     scale = max(float(np.linalg.norm(a)), 1.0)
 
     def difference(c):
@@ -294,9 +317,8 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     rows = []
     for n_max in sizes:
         base = assemble(symbol, n_max, prime_budget)
+        m = _real_if_real(base.entries)
         for r in grid:
-            dilated = assemble(DilatedSymbol(symbol, r), n_max, prime_budget)
-            diff = _real_if_real(dilated.entries - base.entries)
-            value = operator_norm(diff, tol=tol).norm
+            value = operator_norm(_dilated(m, r, base.indices) - m, tol=tol).norm
             rows.append((r, n_max, value))
     return DiagnosticTable(rows=tuple(rows))

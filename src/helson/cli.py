@@ -246,12 +246,10 @@ def cmd_essnorm(args):
         raise DomainError("essnorm needs --grid")
     symbol = parse_fixture(args.fixture)
     schedule = cfg.n_schedule or (cfg.n_max,)
-    if schedule == (None,):
-        raise DomainError("essnorm needs --N")
+    approx_cfg = ApproxConfig(iterations=cfg.iterations, final_tol=cfg.norm_tol)
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
     )
-    approx_cfg = ApproxConfig(iterations=cfg.iterations, final_tol=cfg.norm_tol)
     weights = {}
     for n_max in schedule:
         res = best_convex_approx(
@@ -371,17 +369,23 @@ def _resolve(args, command, inputs=()):
     elif command in ("norm", "essnorm", "xnorm", "duality"):
         raise DomainError(f"{command} needs --N")
     grid = getattr(args, "grid", None)
+
+    def given(attr, default):
+        # an explicit 0 is a value, not a request for the default
+        value = getattr(args, attr, None)
+        return default if value is None else value
+
     cfg = RunConfig(
         command=command,
         n_max=n_max,
         n_schedule=n_schedule,
         r_grid=parse_r_grid(grid) if grid is not None else None,
         prime_budget=getattr(args, "primes", None),
-        norm_tol=getattr(args, "norm_tol", None) or 1e-10,
-        solver_tol=getattr(args, "solver_tol", None) or 1e-8,
-        iterations=getattr(args, "iterations", None) or 2000,
-        max_iter=getattr(args, "max_iter", None) or 20000,
-        fmt=getattr(args, "fmt", None) or "json",
+        norm_tol=given("norm_tol", 1e-10),
+        solver_tol=given("solver_tol", 1e-8),
+        iterations=given("iterations", 2000),
+        max_iter=given("max_iter", 20000),
+        fmt=given("fmt", "json"),
         inputs=tuple(inputs),
     )
     if cfg.fmt not in ("json", "csv"):

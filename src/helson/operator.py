@@ -5,6 +5,11 @@ nm, which makes every assembled matrix symmetric (not Hermitian unless
 alpha is real).  Under a prime budget d the rows and columns run over
 the d-smooth integers <= N, in ascending order, with the index map kept
 on the matrix.
+
+assemble is the one route to matrix entries.  A dilated truncation needs
+no second one: the weighted degree is additive over products, so
+M_N(alpha_r) = D_r M_N(alpha) D_r with D_r = diag(r^omega(n)) on the
+index map, a diagonal scaling of the assembled M_N(alpha).
 """
 
 import json
@@ -14,10 +19,11 @@ import numpy as np
 
 from .errors import DomainError
 from . import sieve
-from .core import Sequence, DilationParam, _rvalue, dilation_weight
+from .core import Sequence, dilation_weight
 
-# dense assembly refuses above this many rows; past that only the
-# matrix-free apply() is meaningful (assembly is O(N^2) memory)
+# dense assembly refuses above this many rows (assembly is O(N^2) memory);
+# under the default sieve limit 2^20 the N^2 <= limit check stops at the
+# same N = 1024
 DENSE_CAP = 1024
 
 
@@ -25,11 +31,11 @@ def symbol_values(symbol, ns):
     """Evaluate a symbol source on an integer array; the one evaluation path.
 
     Returns a complex128 array shaped like ns.  Sequences and the
-    built-in symbols (fixtures, DilatedSymbol) expose ``values(ns)`` and
-    are evaluated in one vectorized call.  Any other object with a pure
-    ``value(n)`` method (e.g. GeometricDecay) is evaluated index by index,
-    and so is an instance whose ``value`` was replaced on the instance
-    (a counting or logging wrapper): the replacement is never bypassed.
+    built-in fixtures expose ``values(ns)`` and are evaluated in one
+    vectorized call.  Any other object with a pure ``value(n)`` method
+    (e.g. GeometricDecay) is evaluated index by index, and so is an
+    instance whose ``value`` was replaced on the instance (a counting or
+    logging wrapper): the replacement is never bypassed.
     """
     ns = np.asarray(ns, dtype=np.int64)
     values = getattr(symbol, "values", None)
@@ -149,8 +155,7 @@ def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
     indices = truncation_indices(n_max, prime_budget)
     if len(indices) > dense_cap:
         raise DomainError(
-            f"dense assembly capped at {dense_cap} rows, window has {len(indices)}; "
-            "use apply() for matrix-free products"
+            f"dense assembly capped at {dense_cap} rows, window has {len(indices)}"
         )
     classes = product_classes(indices)
     return HelsonMatrix(
@@ -159,29 +164,6 @@ def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
         symbol_id=symbol_label(symbol),
         prime_budget=prime_budget,
     )
-
-
-def apply(symbol, a, n_max, prime_budget=None):
-    """Matrix-free product: result(m) = sum_n alpha(nm) a(n), m in the window.
-
-    Never materializes the matrix, so it works beyond the dense cap.
-    """
-    indices = truncation_indices(n_max, prime_budget)
-    _check_products(indices)
-    allowed = set(indices)
-    bad = [n for n in a.support if n not in allowed]
-    if bad:
-        raise DomainError(
-            f"apply() needs supp(a) inside the window [1, {n_max}]"
-            + (f" ({prime_budget}-smooth)" if prime_budget else "")
-            + f"; offending indices {bad[:5]}"
-        )
-    support = np.array(a.support, dtype=np.int64)
-    coeffs = a.values(support)
-    out = {}
-    for m in indices:
-        out[m] = symbol_values(symbol, m * support) @ coeffs
-    return Sequence(out)
 
 
 def form(symbol, a, b):
@@ -213,24 +195,13 @@ def form(symbol, a, b):
     return complex(total)
 
 
-class DilatedSymbol(ArraySymbol):
-    """Lazy view of alpha_r(n) = r^omega(n) alpha(n); avoids materializing."""
-
-    def __init__(self, base, r):
-        self.base = base
-        self.r = _rvalue(r)
-        self.spec = f"dilate({self.r:g})|{symbol_label(base)}"
-
-    def values(self, ns):
-        return dilation_weight(self.r, ns) * symbol_values(self.base, ns)
-
-
 def dilate_symbol(symbol, r, n_max):
     """alpha_r as a concrete Sequence on the window [1, N^2].
 
     Satisfies assemble(alpha_r, N) = D_r assemble(alpha, N) D_r with D_r
     the diagonal matrix of dilation weights, since the weighted degree is
-    additive over products.
+    additive over products.  This weights the symbol itself, so it is an
+    independent route to the scaled matrices that approx builds.
     """
     _check_products(truncation_indices(n_max))
     top = n_max * n_max
@@ -238,7 +209,7 @@ def dilate_symbol(symbol, r, n_max):
         space = np.array([n for n in symbol.support if n <= top], dtype=np.int64)
     else:
         space = np.arange(1, top + 1, dtype=np.int64)
-    values = symbol_values(DilatedSymbol(symbol, r), space)
+    values = dilation_weight(r, space) * symbol_values(symbol, space)
     return Sequence(zip(space.tolist(), values.tolist()))
 
 

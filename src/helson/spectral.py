@@ -1,10 +1,11 @@
-"""Operator norms of truncated matrices, with certifying singular pairs.
+"""Operator norms of dense truncated matrices, with certifying singular pairs.
 
-The workhorse is power iteration on the normal operator A^H A, from the
-fixed all-ones start unless the caller passes a warm start.  Each
-iterate carries a residual certificate ||A^H u - sigma v||; an Aitken
-extrapolation of the Rayleigh quotient handles near-degenerate leading
-pairs, where the value converges long before the vectors settle.
+The one norm routine, operator_norm, is power iteration on the normal
+operator A^H A of an assembled matrix, from the fixed all-ones start
+unless the caller passes a warm start.  Each iterate carries a residual
+certificate ||A^H u - sigma v||; an Aitken extrapolation of the Rayleigh
+quotient handles near-degenerate leading pairs, where the value
+converges long before the vectors settle.
 """
 
 from dataclasses import dataclass
@@ -57,74 +58,6 @@ def _as_dense(matrix):
     return arr
 
 
-def _power_pair(matvec, rmatvec, dim, tol, max_iter, start):
-    """Leading singular triple of the operator behind matvec/rmatvec.
-
-    Iterates from the unit vector along start, in the dtype of start.
-    Returns (sigma, u, v, iterations, residual, converged).  Stops when
-    the certificate residual ||A^H u - sigma v|| drops below tol*sigma,
-    or when three consecutive Aitken gap estimates of the Rayleigh
-    quotient sit below tol^2*lambda while the residual is merely small
-    (near-degenerate leading pair; the value is then converged even
-    though the vectors are not).
-    """
-    v = start / np.linalg.norm(start)
-    basis_tried = 0
-    lam_prev2 = lam_prev = None
-    aitken_hits = 0
-    sigma = 0.0
-    u = v.copy()
-    residual = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            # start vector in the kernel; walk the standard basis
-            if basis_tried >= dim:
-                u = np.zeros(dim, dtype=v.dtype)
-                u[0] = 1.0
-                return 0.0, u, u.copy(), it, 0.0, True
-            v = np.zeros(dim, dtype=v.dtype)
-            v[basis_tried] = 1.0
-            basis_tried += 1
-            continue
-        u = w / sigma
-        z = rmatvec(u)
-        residual = float(np.linalg.norm(z - sigma * v))
-        if residual <= tol * sigma:
-            return sigma, u, v, it, residual, True
-        lam = sigma * sigma
-        if lam_prev2 is not None:
-            # Rayleigh quotients of A^H A are nondecreasing up to roundoff;
-            # the Aitken gap estimates how much of lambda is still to come
-            noise = 1e-15 * lam
-            d1 = lam - lam_prev
-            d0 = lam_prev - lam_prev2
-            if d1 >= -noise and d0 >= d1 - noise:
-                d1 = max(d1, 0.0)
-                d0 = max(d0, d1)
-                gap = 0.0 if d1 == 0.0 else (
-                    d1 * d1 / (d0 - d1) if d0 > d1 else np.inf
-                )
-                # certified bound on the value error, with a roundoff floor
-                value_err = gap / (2.0 * sigma) + 1e-15 * sigma
-                if value_err <= 0.5 * tol * sigma:
-                    aitken_hits += 1
-                    if aitken_hits >= 3 and residual <= _DEGENERATE_RESIDUAL * sigma:
-                        return sigma, u, v, it, value_err, True
-                else:
-                    aitken_hits = 0
-            else:
-                aitken_hits = 0
-        lam_prev2, lam_prev = lam_prev, lam
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            # u - v pair is exact up to roundoff
-            return sigma, u, v, it, residual, True
-        v = z / nz
-    return sigma, u, v, max_iter, residual, False
-
-
 def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
     """Largest singular value of a dense matrix, with certificate.
 
@@ -132,8 +65,15 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
     vector of length dim), e.g. the right singular vector of a nearby
     matrix.  The residual certifies a singular pair, not the largest one:
     a start (nearly) orthogonal to the leading right singular vector can
-    certify a smaller singular value.  Raises ConvergenceError with the
-    best estimate attached when the iteration cap is hit.
+    certify a smaller singular value.
+
+    Stops when the residual ||A^H u - sigma v|| drops below tol*sigma, or
+    when three consecutive Aitken gap estimates of the Rayleigh quotient
+    sit below tol^2*lambda while the residual is merely small
+    (near-degenerate leading pair: the value has converged though the
+    vectors have not; the reported residual is then the value bound).
+    Raises ConvergenceError with the best estimate attached when the
+    iteration cap is hit.
 
     The iteration runs in np.result_type(matrix, start): a real matrix
     (integer or float entries, cast to float64) with a real or absent
@@ -157,50 +97,67 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
         e0[0] = 1.0
         return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
     ah = arr.conj().T
-    start = np.ones(dim, dtype) if start is None else start.astype(dtype, copy=False)
-    sigma, u, v, its, res, ok = _power_pair(
-        lambda x: arr @ x, lambda x: ah @ x, dim, tol, max_iter, start
+    v = np.ones(dim, dtype) if start is None else start.astype(dtype, copy=False)
+    v = v / np.linalg.norm(v)
+    basis_tried = 0
+    lam_prev2 = lam_prev = None
+    aitken_hits = 0
+    sigma = 0.0
+    u = v.copy()
+    residual = 0.0
+    for it in range(1, max_iter + 1):
+        w = arr @ v
+        sigma = float(np.linalg.norm(w))
+        if sigma == 0.0:
+            # start vector in the kernel; walk the standard basis
+            if basis_tried >= dim:
+                u = np.zeros(dim, dtype=dtype)
+                u[0] = 1.0
+                return SpectralReport(0.0, (u, u.copy()), it, 0.0)
+            v = np.zeros(dim, dtype=dtype)
+            v[basis_tried] = 1.0
+            basis_tried += 1
+            continue
+        u = w / sigma
+        z = ah @ u
+        residual = float(np.linalg.norm(z - sigma * v))
+        if residual <= tol * sigma:
+            return SpectralReport(sigma, (u, v), it, residual)
+        lam = sigma * sigma
+        if lam_prev2 is not None:
+            # Rayleigh quotients of A^H A are nondecreasing up to roundoff;
+            # the Aitken gap estimates how much of lambda is still to come
+            noise = 1e-15 * lam
+            d1 = lam - lam_prev
+            d0 = lam_prev - lam_prev2
+            if d1 >= -noise and d0 >= d1 - noise:
+                d1 = max(d1, 0.0)
+                d0 = max(d0, d1)
+                gap = 0.0 if d1 == 0.0 else (
+                    d1 * d1 / (d0 - d1) if d0 > d1 else np.inf
+                )
+                # certified bound on the value error, with a roundoff floor
+                value_err = gap / (2.0 * sigma) + 1e-15 * sigma
+                if value_err <= 0.5 * tol * sigma:
+                    aitken_hits += 1
+                    if aitken_hits >= 3 and residual <= _DEGENERATE_RESIDUAL * sigma:
+                        return SpectralReport(sigma, (u, v), it, value_err)
+                else:
+                    aitken_hits = 0
+            else:
+                aitken_hits = 0
+        lam_prev2, lam_prev = lam_prev, lam
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            # u - v pair is exact up to roundoff
+            return SpectralReport(sigma, (u, v), it, residual)
+        v = z / nz
+    raise ConvergenceError(
+        f"operator norm did not certify within {max_iter} iterations "
+        f"(residual {residual:.3e})",
+        best=SpectralReport(sigma, (u, v), max_iter, residual),
+        iterations=max_iter,
     )
-    report = SpectralReport(sigma, (u, v), its, res)
-    if not ok:
-        raise ConvergenceError(
-            f"operator norm did not certify within {max_iter} iterations "
-            f"(residual {res:.3e})",
-            best=report,
-            iterations=its,
-        )
-    return report
-
-
-def operator_norm_symbol(symbol, n_max, prime_budget=None, tol=1e-10,
-                         max_iter=NORM_MAX_ITER):
-    """Matrix-free operator norm, one symbol_values call per row per matvec."""
-    if not (0.0 < tol <= 1e-4):
-        raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
-    indices = truncation_indices(n_max, prime_budget)
-    dim = len(indices)
-    idx = np.asarray(indices, dtype=np.int64)
-
-    def entry_row(i):
-        return symbol_values(symbol, idx[i] * idx)
-
-    def matvec(x):
-        return np.array([entry_row(i) @ x for i in range(dim)])
-
-    def rmatvec(x):
-        # rows of A^H are conjugated rows of A by symmetry of M(alpha)
-        return np.array([np.conj(entry_row(i)) @ x for i in range(dim)])
-
-    start = np.ones(dim, dtype=np.complex128)
-    sigma, u, v, its, res, ok = _power_pair(matvec, rmatvec, dim, tol, max_iter, start)
-    report = SpectralReport(sigma, (u, v), its, res)
-    if not ok:
-        raise ConvergenceError(
-            f"matrix-free norm did not certify within {max_iter} iterations",
-            best=report,
-            iterations=its,
-        )
-    return report
 
 
 def singular_values(matrix, dense_cap=SVD_DENSE_CAP):

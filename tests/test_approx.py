@@ -286,6 +286,26 @@ def test_diagnostic_real_symbol_normed_in_float64(norm_dtypes):
         assert want == pytest.approx(dense, rel=1e-9)
 
 
+def test_each_window_is_assembled_once(monkeypatch):
+    # the dilated matrices are D_r M D_r of the one assembled M
+    sizes = []
+
+    def counting(symbol, n_max, *args, **kwargs):
+        sizes.append(n_max)
+        return assemble(symbol, n_max, *args, **kwargs)
+
+    monkeypatch.setattr("helson.approx.assemble", counting)
+    best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 8,
+                       config=ApproxConfig(iterations=5))
+    assert sizes == [8]
+    sizes.clear()
+    compactness_diagnostic(MHilbertSymbol(), (0.5, 0.8, 0.95), (4, 8), prime_budget=2)
+    assert sizes == [4, 8]
+    sizes.clear()
+    dilation_family(MHilbertSymbol(), (0.5, 0.8, 0.95), 8)
+    assert sizes == [8]
+
+
 def test_diagnostic_csv_and_lookup():
     table = compactness_diagnostic(Sequence.delta(2), (0.5,), (2,))
     text = table.to_csv()

@@ -354,6 +354,27 @@ def test_cli_flags_beat_config(tmp_path, capsys):
     assert json.loads(out)["N"] == 8
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("norm", "mhilbert", "--N", "4"), "norm_tol"),
+    (("xnorm", "delta:1", "--N", "4"), "solver_tol"),
+    (("xnorm", "delta:1", "--N", "4"), "max_iter"),
+    (("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "4"), "iterations"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_explicit_zero_is_rejected(tmp_path, capsys, argv, key, source):
+    # a 0 is a value like -1, not a request for the default
+    if source == "flag":
+        extra = ("--" + key.replace("_", "-"), "0")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        extra = ("--config", str(cfg))
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frobnicate = 1\n")
@@ -381,10 +402,20 @@ def test_prime_budget_flag(capsys):
 
 
 def test_console_script_installed():
+    import os
+    import pathlib
+
+    import helson
+
+    # the child interpreter imports the same helson as this one, installed or not
+    env = dict(os.environ)
+    home = str(pathlib.Path(helson.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (home, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "helson.cli", "factor", "12"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12 = 2^2 · 3, kappa=(2,1)"

@@ -8,7 +8,6 @@ from helson import (
     DomainError,
     PowerSymbol,
     Sequence,
-    apply,
     assemble,
     bilinear_pair,
     dilate_symbol,
@@ -17,6 +16,7 @@ from helson import (
     dirichlet_convolve,
     form,
     matrix_to_csv,
+    parse_fixture,
     product_classes,
     save_matrix,
     smooth_indices,
@@ -110,50 +110,6 @@ def test_symbol_value_dispatch():
     assert symbol_value(Sequence.delta(3), 3) == 1.0
 
 
-# --------------------------------------------------------------------- apply
-
-
-def test_apply_delta1():
-    rng = np.random.default_rng(22)
-    a = random_sequence(rng, max_index=8, size=4)
-    out = apply(Sequence.delta(1), a, 8)
-    assert out == Sequence({1: a[1]}) if a[1] else not out
-
-
-def test_apply_zero():
-    assert not apply(PowerSymbol(1.0), Sequence(), 5)
-
-
-def test_apply_power_column():
-    out = apply(PowerSymbol(1.0), Sequence.delta(1), 3)
-    assert out[1] == pytest.approx(1.0)
-    assert out[2] == pytest.approx(0.5)
-    assert out[3] == pytest.approx(1.0 / 3.0)
-
-
-def test_apply_matches_dense():
-    rng = np.random.default_rng(23)
-    for budget in (None, 2):
-        for _ in range(10):
-            alpha = random_sequence(rng, max_index=100, size=12)
-            a = random_sequence(rng, max_index=10, size=5)
-            if budget is not None:
-                from helson import filter_smooth
-
-                a = filter_smooth(a, budget)
-            m = assemble(alpha, 10, prime_budget=budget)
-            vec = np.array([a[n] for n in m.indices])
-            dense = m.entries @ vec
-            out = apply(alpha, a, 10, prime_budget=budget)
-            got = np.array([out[n] for n in m.indices])
-            assert np.allclose(got, dense, rtol=1e-12, atol=1e-12)
-
-
-def test_apply_support_violation():
-    with pytest.raises(DomainError):
-        apply(PowerSymbol(1.0), Sequence.delta(9), 8)
-
-
 # ---------------------------------------------------------------------- form
 
 
@@ -229,6 +185,20 @@ def test_dilation_family():
     assert len(single) == 1
     with pytest.raises(DomainError):
         dilation_family(PowerSymbol(1.0), (0.9, 0.5), 4)
+    # the family scales one assembled matrix; dilate_symbol weights the
+    # symbol itself, an independent route to the same entries
+    grid = (0.3, 0.7, 0.95)
+    for alpha, label in ((parse_fixture("random-decay:7,0.5"), "random-decay:7,0.5"),
+                         (Sequence({1: 1.0, 2: -1.5, 3: 0.8, 6: -0.4, 12: 0.25}),
+                          "sequence:5")):
+        for budget in (None, 2):
+            fam = dilation_family(alpha, grid, 16, budget)
+            for r, m in zip(grid, fam):
+                want = assemble(dilate_symbol(alpha, r, 16), 16, budget)
+                np.testing.assert_allclose(m.entries, want.entries, rtol=1e-14, atol=0)
+                assert m.indices == want.indices
+                assert m.prime_budget == want.prime_budget == budget
+                assert m.symbol_id == f"dilate({r:g})|{label}"
 
 
 # -------------------------------------------------------------------- export

@@ -14,7 +14,6 @@ from helson import (
     dilate_symbol,
     l2_lower_bound_check,
     operator_norm,
-    operator_norm_symbol,
     singular_values,
 )
 
@@ -120,15 +119,6 @@ def test_norm_start_validation():
     # checked before the zero-matrix shortcut too
     with pytest.raises(DomainError):
         operator_norm(np.zeros((3, 3)), start=np.zeros(3))
-
-
-def test_norm_symbol_matches_dense():
-    rng = np.random.default_rng(32)
-    for n_max in (16, 64):
-        alpha = random_sequence(rng, max_index=n_max * n_max, size=25)
-        dense = operator_norm(assemble(alpha, n_max), tol=1e-11).norm
-        free = operator_norm_symbol(alpha, n_max, tol=1e-11).norm
-        assert free == pytest.approx(dense, rel=1e-8)
 
 
 def test_norm_tolerance_domain():

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helson import (
-    DilatedSymbol,
     DomainError,
     GeometricDecay,
     RandomDecaySymbol,
     Sequence,
     assemble,
+    dilate_symbol,
     dilation_weight,
     parse_fixture,
     save_sequence,
@@ -35,8 +35,6 @@ def all_symbols(tmp_path):
     symbols.append(parse_fixture(f"file:{path}"))
     symbols.append(Sequence({2: 1.5, 3: -1j, 36: 0.25, 4999: 2.0}))
     symbols.append(Sequence())
-    symbols.append(DilatedSymbol(parse_fixture("random-decay:5,0.5"), 0.7))
-    symbols.append(DilatedSymbol(Sequence({1: 1.0, 8: 2.0, 30: -1.0}), 0.3))
     return symbols
 
 
@@ -130,9 +128,8 @@ def test_instance_value_override_is_honoured():
     products = np.arange(1, 17)[:, None] * np.arange(1, 17)[None, :]
     assert sorted(calls) == np.unique(products).tolist()
     calls.clear()
-    dilated = DilatedSymbol(sym, 0.5)
-    assert symbol_values(dilated, [6, 2]).tolist() == [dilated.value(6), dilated.value(2)]
-    assert calls == [6, 2, 6, 2]
+    assert dilate_symbol(sym, 0.5, 4) == dilate_symbol(parse_fixture("mhilbert"), 0.5, 4)
+    assert calls == list(range(1, 17))
 
 
 def test_dilation_weight_arrays_match_scalar():
