@@ -17,10 +17,10 @@ weighted degree is additive over products, M_N(alpha_r) = D_r M_N(alpha) D_r
 with D_r = diag(r^omega(n)) on the window's indices.
 
 A real symbol (every value with zero imaginary part, as for mhilbert and
-power) gives real matrices, and so do its dilations.  best_convex_approx
-and compactness_diagnostic then cast to float64 once and run every inner
-norm, difference and subgradient in real arithmetic; a complex symbol
-keeps complex128 throughout.
+power) assembles to a float64 matrix, and its dilations stay float64.
+best_convex_approx and compactness_diagnostic then run every inner norm,
+difference and subgradient in real arithmetic; a complex symbol keeps
+complex128 throughout.
 """
 
 import math
@@ -117,11 +117,6 @@ def dilation_family(symbol, r_grid, n_max, prime_budget=None):
     ]
 
 
-def _real_if_real(arr):
-    """arr as a float64 copy when its imaginary part is zero, else arr."""
-    return arr if arr.imag.any() else arr.real.copy()
-
-
 def simplex_project(w):
     """Euclidean projection onto the probability simplex (sorted threshold)."""
     w = np.asarray(w, dtype=np.float64)
@@ -166,8 +161,7 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     cfg = config or ApproxConfig()
     grid = _grid(r_grid)
     target = assemble(symbol, n_max, prime_budget)
-    # float64 when the symbol is real; its dilations are real with it
-    a = _real_if_real(target.entries)
+    a = target.entries
     k_pts, dim = len(grid), a.shape[0]
     family = np.empty((k_pts, dim, dim), dtype=a.dtype)
     for k, r in enumerate(grid):
@@ -317,7 +311,7 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     rows = []
     for n_max in sizes:
         base = assemble(symbol, n_max, prime_budget)
-        m = _real_if_real(base.entries)
+        m = base.entries
         for r in grid:
             value = operator_norm(_dilated(m, r, base.indices) - m, tol=tol).norm
             rows.append((r, n_max, value))

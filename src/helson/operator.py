@@ -4,7 +4,8 @@ The entry at row index n and column index m depends only on the product
 nm, which makes every assembled matrix symmetric (not Hermitian unless
 alpha is real).  Under a prime budget d the rows and columns run over
 the d-smooth integers <= N, in ascending order, with the index map kept
-on the matrix.
+on the matrix.  Entries are float64 when every value alpha takes on the
+window's products is real and complex128 otherwise.
 
 assemble is the one route to matrix entries.  A dilated truncation needs
 no second one: the weighted degree is additive over products, so
@@ -78,9 +79,20 @@ def symbol_label(symbol):
     return type(symbol).__name__
 
 
+def _float_array(x):
+    """x as float64 when its dtype is real or integer, else as complex128."""
+    arr = np.asarray(x)
+    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128,
+                      copy=False)
+
+
 @dataclass(frozen=True)
 class HelsonMatrix:
-    """Dense truncation of M(alpha) with its index map and provenance."""
+    """Dense truncation of M(alpha) with its index map and provenance.
+
+    Entries are float64 for a real symbol (integer or real input is cast
+    to float64) and complex128 otherwise.
+    """
 
     entries: np.ndarray
     indices: tuple
@@ -88,7 +100,7 @@ class HelsonMatrix:
     prime_budget: object = None
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
+        entries = _float_array(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DomainError(f"matrix must be square, got shape {entries.shape}")
         if entries.shape[0] != len(self.indices):
@@ -138,19 +150,41 @@ class ProductClasses:
     labels: np.ndarray
 
 
+# a window whose largest product n_max^2 is at most this many times its
+# dim^2 products is ranked through a table over [0, n_max^2]
+_TABLE_FACTOR = 4
+
+
 def product_classes(indices):
     """ProductClasses of a window; refuses products past the sieve limit."""
     _check_products(indices)
     idx = np.asarray(indices, dtype=np.int64)
-    uniq, labels = np.unique(idx[:, None] * idx[None, :], return_inverse=True)
-    return ProductClasses(tuple(indices), uniq, labels.reshape(len(idx), len(idx)))
+    prod = idx[:, None] * idx[None, :]
+    top = int(idx.max()) ** 2
+    # The table ranks without a sort (4-6x faster than np.unique on 1..N
+    # for N = 256..1024) but spans [0, n_max^2]; prime-budget windows are
+    # sparse there (n_max^2 / dim^2 from 58 to ~29000 at N = 2048), so
+    # they keep np.unique.  The benchmark's norm-ladder runs the table,
+    # approx-smooth both paths.
+    if top <= _TABLE_FACTOR * prod.size:
+        mark = np.zeros(top + 1, dtype=bool)
+        mark[prod] = True
+        uniq = np.flatnonzero(mark)
+        rank = np.empty(top + 1, dtype=np.intp)
+        rank[uniq] = np.arange(uniq.size)
+        labels = rank[prod]
+    else:
+        uniq, labels = np.unique(prod, return_inverse=True)
+        labels = labels.reshape(prod.shape)
+    return ProductClasses(tuple(indices), uniq, labels)
 
 
 def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
     """Dense truncated matrix with entry (n, m) = alpha(nm).
 
     Each distinct product nm is evaluated once; the result is symmetric
-    by construction because the entry depends only on the product.
+    by construction because the entry depends only on the product.  The
+    entries are float64 when every distinct value is real.
     """
     indices = truncation_indices(n_max, prime_budget)
     if len(indices) > dense_cap:
@@ -158,8 +192,11 @@ def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
             f"dense assembly capped at {dense_cap} rows, window has {len(indices)}"
         )
     classes = product_classes(indices)
+    vals = symbol_values(symbol, classes.uniq)
+    if not vals.imag.any():
+        vals = vals.real
     return HelsonMatrix(
-        entries=symbol_values(symbol, classes.uniq)[classes.labels],
+        entries=vals[classes.labels],
         indices=indices,
         symbol_id=symbol_label(symbol),
         prime_budget=prime_budget,
@@ -211,11 +248,6 @@ def dilate_symbol(symbol, r, n_max):
         space = np.arange(1, top + 1, dtype=np.int64)
     values = dilation_weight(r, space) * symbol_values(symbol, space)
     return Sequence(zip(space.tolist(), values.tolist()))
-
-
-def dilation_matrix(r, indices):
-    """Diagonal matrix of dilation weights aligned with a truncation index map."""
-    return np.diag(dilation_weight(r, indices))
 
 
 def matrix_header(matrix):

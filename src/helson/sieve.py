@@ -129,11 +129,6 @@ def prime_index(p):
     return j
 
 
-def prime_count():
-    """Number of primes available under the current sieve limit."""
-    return len(_ensure()[2])
-
-
 def weighted_degree(n):
     """omega(n) = sum_j j*kappa_j over the factorization n = prod p_j^kappa_j.
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .operator import HelsonMatrix, assemble, symbol_values, truncation_indices
+from .operator import (
+    HelsonMatrix,
+    _float_array,
+    assemble,
+    symbol_values,
+    truncation_indices,
+)
 
 SVD_DENSE_CAP = 512
 NORM_MAX_ITER = 50000
@@ -38,13 +44,6 @@ class SpectralReport:
             "residual": self.residual,
             "iterations": self.iterations,
         }
-
-
-def _float_array(x):
-    """x as float64 when its dtype is real or integer, else as complex128."""
-    arr = np.asarray(x)
-    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128,
-                      copy=False)
 
 
 def _as_dense(matrix):

@@ -149,11 +149,15 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     flat = labels.ravel()
     counts = np.bincount(flat)
     target = c.values(classes.uniq)
+    # class n collects the real and imaginary parts of a matrix, read as
+    # interleaved float64 pairs, in slots 2n and 2n + 1
+    pair_labels = (2 * flat[:, None] + np.arange(2)).ravel()
 
     def class_sums(mat):
-        # every label occurs, so each bincount has one slot per class
-        re = np.bincount(flat, mat.real.ravel())
-        return re + 1j * np.bincount(flat, mat.imag.ravel())
+        # every label occurs, so the bincount has one (re, im) pair per
+        # class; each class is summed in the same order as per component
+        sums = np.bincount(pair_labels, mat.view(np.float64).ravel())
+        return sums.view(np.complex128)
 
     def project_affine(mat):
         return mat + ((target - class_sums(mat)) / counts)[labels]
@@ -170,9 +174,10 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         s = np.maximum(s - 1.0 / rho, 0.0)
         z_new = (uu * s) @ vh
         dual_res = rho * float(np.linalg.norm(z_new - z))
-        primal_res = float(np.linalg.norm(x - z_new))
+        r = x - z_new
+        primal_res = float(np.linalg.norm(r))
         z = z_new
-        u = u + (x - z)
+        u += r
         if dual_res < cfg.tol and primal_res < cfg.tol:
             converged = True
             iterations = it

@@ -23,7 +23,7 @@ from helson import (
     compactness_diagnostic,
     dilate,
     dilate_symbol,
-    dilation_matrix,
+    dilation_weight,
     dirichlet_convolve,
     duality_gap,
     filter_smooth,
@@ -83,7 +83,7 @@ def test_02_intertwining_and_compression():
             alpha = random_sequence(rng, n_max * n_max, 20)
             m = assemble(alpha, n_max)
             mr = assemble(dilate_symbol(alpha, r, n_max), n_max)
-            d = dilation_matrix(r, m.indices)
+            d = np.diag(dilation_weight(r, m.indices))
             err = np.max(np.abs(mr.entries - d @ m.entries @ d))
             assert err <= 1e-12
     elapsed = time.perf_counter() - t0
@@ -257,7 +257,7 @@ def test_11_prime_budget():
         alpha = random_sequence(rng, 256, 12, smooth=1)
         m = assemble(alpha, 16, prime_budget=1)
         mr = assemble(dilate_symbol(alpha, r, 16), 16, prime_budget=1)
-        d = dilation_matrix(r, m.indices)
+        d = np.diag(dilation_weight(r, m.indices))
         assert np.max(np.abs(mr.entries - d @ m.entries @ d)) <= 1e-12
     # invariant 3: contraction chain under the budget
     for spec in ("delta:2", "power:1"):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helson import (
     DomainError,
@@ -12,7 +12,7 @@ from helson import (
     bilinear_pair,
     dilate_symbol,
     dilation_family,
-    dilation_matrix,
+    dilation_weight,
     dirichlet_convolve,
     form,
     matrix_to_csv,
@@ -21,6 +21,7 @@ from helson import (
     save_matrix,
     smooth_indices,
     symbol_value,
+    symbol_values,
     truncation_indices,
 )
 
@@ -90,12 +91,34 @@ def test_assemble_prime_budget():
     assert m.n_max == 8
 
 
+@pytest.mark.parametrize("spec, dtype", [
+    ("power:1", np.float64),
+    ("mhilbert", np.float64),
+    pytest.param({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}, np.float64, id="real-sequence"),
+    ("random-decay:3,0.5", np.complex128),
+    pytest.param({1: 1, 2: -1.5j, 6: 0.4 + 0.2j}, np.complex128, id="complex-sequence"),
+])
+def test_assemble_keeps_the_symbol_dtype(spec, dtype):
+    symbol = Sequence(spec) if isinstance(spec, dict) else parse_fixture(spec)
+    m = assemble(symbol, 16)
+    assert m.entries.dtype == dtype
+    classes = product_classes(m.indices)
+    gathered = symbol_values(symbol, classes.uniq)[classes.labels]
+    if dtype is np.float64:
+        gathered = gathered.real
+    assert m.entries.tobytes() == gathered.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 60), st.sampled_from([None, 1, 2, 3]))
+@example(1, None)
+@example(8, 1)  # n_max^2 = 4 dim^2: the largest ratio ranked by table
+@example(24, 2)  # n_max^2 = 4.76 dim^2: the smallest sorted by np.unique
 def test_product_classes_partition(n_max, budget):
     idx = np.array(smooth_indices(n_max, budget), dtype=np.int64)
     classes = product_classes(idx.tolist())
     assert np.all(np.diff(classes.uniq) > 0)
+    assert np.array_equal(classes.uniq, np.unique(np.outer(idx, idx)))
     assert np.array_equal(classes.uniq[classes.labels], np.outer(idx, idx))
     assert np.array_equal(classes.labels, classes.labels.T)
 
@@ -170,7 +193,7 @@ def test_compression_identity():
             alpha = random_sequence(rng, max_index=n_max * n_max, size=12)
             m = assemble(alpha, n_max)
             mr = assemble(dilate_symbol(alpha, r, n_max), n_max)
-            d = dilation_matrix(r, m.indices)
+            d = np.diag(dilation_weight(r, m.indices))
             diff = mr.entries - d @ m.entries @ d
             assert np.max(np.abs(diff)) <= 1e-12
 
