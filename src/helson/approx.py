@@ -44,12 +44,10 @@ class ConvexWeights:
     weights: tuple
 
     def __post_init__(self):
-        grid = tuple(_rvalue(r) for r in self.r_grid)
+        grid = _grid(self.r_grid)
         w = tuple(float(x) for x in self.weights)
-        if len(grid) != len(w) or not grid:
-            raise DomainError("weights and r-grid must have equal nonzero length")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError(f"r-grid must be strictly increasing, got {grid}")
+        if len(grid) != len(w):
+            raise DomainError("weights and r-grid must have equal length")
         if any(x < -1e-12 for x in w):
             raise DomainError(f"weights must be nonnegative, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
@@ -300,12 +298,10 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     For each fixed N the column is nonincreasing in r up to certificate
     tolerance; decay to 0 as r grows toward 1 is the compactness signal.
     """
-    grid = [_rvalue(r) for r in r_schedule]
+    grid = _grid(r_schedule)
     sizes = [int(n) for n in n_schedule]
-    if not grid or not sizes:
-        raise DomainError("schedules must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"r-schedule must be strictly increasing, got {grid}")
+    if not sizes:
+        raise DomainError("N-schedule must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError(f"N-schedule must be strictly increasing, got {sizes}")
     rows = []

@@ -11,6 +11,7 @@ dilation semigroup acting by the diagonal weights r^omega(n) where
 omega(n) = sum_j j*kappa_j is the weighted degree of the factorization.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -209,9 +210,8 @@ def filter_smooth(a, prime_budget):
     """Drop entries whose index is not d-smooth."""
     if prime_budget is None:
         return a
-    return Sequence(
-        {n: v for n, v in a.items() if sieve.is_smooth(n, prime_budget)}
-    )
+    keep = sieve.is_smooth(np.array(a.support, dtype=np.int64), prime_budget)
+    return Sequence(itertools.compress(a.items(), keep))
 
 
 def dirichlet_convolve(a, b, window=None):
@@ -267,7 +267,7 @@ def dilation_weight(r, n):
     n may be an integer or an integer array; the result has its shape.
     """
     r = _rvalue(r)
-    omega = sieve.weighted_degrees(n)
+    omega = np.asarray(sieve.weighted_degree(n))
     # one Python power per distinct degree, gathered, so each weight is
     # bit for bit r ** weighted_degree(n)
     powers = np.array([r**k for k in range(int(omega.max(initial=0)) + 1)])

@@ -31,14 +31,15 @@ DENSE_CAP = 1024
 def symbol_values(symbol, ns):
     """Evaluate a symbol source on an integer array; the one evaluation path.
 
-    Returns a complex128 array shaped like ns.  Sequences and the
+    Returns a complex128 array shaped like ns; a non-empty ns whose dtype
+    is not integer raises DomainError.  Sequences and the
     built-in fixtures expose ``values(ns)`` and are evaluated in one
     vectorized call.  Any other object with a pure ``value(n)`` method
     (e.g. GeometricDecay) is evaluated index by index, and so is an
     instance whose ``value`` was replaced on the instance (a counting or
     logging wrapper): the replacement is never bypassed.
     """
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = sieve._integer_array(ns)
     values = getattr(symbol, "values", None)
     if values is not None and "value" not in getattr(symbol, "__dict__", ()):
         return np.asarray(values(ns), dtype=np.complex128)

@@ -1,8 +1,12 @@
 """Smallest-prime-factor sieve and multiplicative index bookkeeping.
 
 Positive integers are identified with prime-exponent tuples through
-n = prod_j p_j^(kappa_j).  Everything downstream (weighted degrees,
-divisor sums, smoothness filters) routes through one cached sieve.
+n = prod_j p_j^(kappa_j).  One cached sieve holds the smallest-prime-factor
+table spf and the ascending array of primes; the index j of a prime is
+its position in that array.  Every multiplicative query on indices
+(weighted degree, largest prime index, smoothness) is one lockstep walk
+over spf that strips the smallest prime factor from every entry still
+above 1, so an integer and an integer array take the same route.
 
 The cap defaults to 2**20.  It can be overridden by the environment
 variable HELSON_SIEVE_LIMIT or programmatically via set_sieve_limit();
@@ -25,7 +29,7 @@ _MIN_LIMIT = 16
 _MAX_LIMIT = 1 << 28
 
 _explicit_limit = None
-_state = None  # (limit, spf, primes, prime_index)
+_state = None  # (limit, spf, primes)
 
 
 def _requested_limit():
@@ -60,8 +64,7 @@ def _build(limit):
     spf[1] = 1
     candidates = np.arange(2, limit + 1, dtype=np.int32)
     primes = candidates[spf[2:] == candidates]
-    index = {int(p): j + 1 for j, p in enumerate(primes)}
-    return limit, spf, primes, index
+    return limit, spf, primes
 
 
 def _ensure():
@@ -88,7 +91,7 @@ def sieve_limit():
 
 
 def _check_index(n):
-    limit, _, _, _ = _ensure()
+    limit, _, _ = _ensure()
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"index must be an integer, got {type(n).__name__}")
     n = int(n)
@@ -97,10 +100,52 @@ def _check_index(n):
     return n
 
 
+def _integer_array(ns):
+    """ns as an int64 array; DomainError unless its dtype is integer.
+
+    An empty input passes whatever its dtype, so () and [] are valid.
+    """
+    arr = np.asarray(ns)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(f"indices must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _indices(n):
+    """Validated indices as a flat int64 copy, and the shape of n."""
+    limit = _ensure()[0]
+    arr = _integer_array(n)
+    if arr.size and (arr.min() < 1 or arr.max() > limit):
+        raise DomainError(f"indices must lie in [1, sieve limit {limit}]")
+    return arr.flatten(), arr.shape
+
+
+def _prime_walk(rest):
+    """Yield (positions, j) once per pass of the lockstep walk over spf.
+
+    Each pass strips the smallest prime factor p_j from every entry of
+    rest still above 1, in place, so a position sees the primes of its
+    factorization in ascending order, repeated by multiplicity, and the
+    number of passes is the largest Omega(n) in rest.
+    """
+    _, spf, primes = _state
+    live = np.flatnonzero(rest > 1)
+    while live.size:
+        p = spf[rest[live]]
+        yield live, np.searchsorted(primes, p) + 1
+        rest[live] //= p
+        live = live[rest[live] > 1]
+
+
+def _shaped(flat, shape):
+    """flat in the caller's shape; an integer in gives a Python scalar out."""
+    return flat.reshape(shape) if shape else flat.item()
+
+
 def factor_pairs(n):
     """Prime factorization of n as ((p, e), ...) with p ascending."""
     n = _check_index(n)
-    _, spf, _, _ = _state
+    _, spf, _ = _state
     out = []
     while n > 1:
         p = int(spf[n])
@@ -114,7 +159,7 @@ def factor_pairs(n):
 
 def nth_prime(j):
     """The j-th prime, 1-based: nth_prime(1) = 2."""
-    _, _, primes, _ = _ensure()
+    _, _, primes = _ensure()
     if not (1 <= j <= len(primes)):
         raise DomainError(f"prime index {j} outside [1, {len(primes)}]")
     return int(primes[j - 1])
@@ -122,70 +167,48 @@ def nth_prime(j):
 
 def prime_index(p):
     """Position of the prime p in the ascending prime list (1-based)."""
-    _, _, _, index = _ensure()
-    j = index.get(int(p))
-    if j is None:
+    _, _, primes = _ensure()
+    j = int(np.searchsorted(primes, p))
+    if j == len(primes) or primes[j] != p:
         raise DomainError(f"{p} is not a prime below the sieve limit")
-    return j
+    return j + 1
 
 
 def weighted_degree(n):
     """omega(n) = sum_j j*kappa_j over the factorization n = prod p_j^kappa_j.
 
-    Completely additive: weighted_degree(a*b) equals the sum of the parts.
+    n is an integer or an integer array; the result has its shape (an
+    int for an integer).  Completely additive: weighted_degree(a*b)
+    equals the sum of the parts.
     """
-    total = 0
-    for p, e in factor_pairs(n):
-        total += prime_index(p) * e
-    return total
-
-
-def weighted_degrees(ns):
-    """omega over an integer array, by walking the spf table in lockstep.
-
-    Each pass strips one prime factor from every entry still above 1, so
-    the number of passes is the largest Omega(n) in the array.
-    """
-    limit, spf, primes, _ = _ensure()
-    rest = np.array(ns, dtype=np.int64)
-    if rest.size and (rest.min() < 1 or rest.max() > limit):
-        raise DomainError(f"indices must lie in [1, sieve limit {limit}]")
-    total = np.zeros(rest.shape, dtype=np.int64)
-    flat_rest, flat_total = rest.reshape(-1), total.reshape(-1)
-    live = np.flatnonzero(flat_rest > 1)
-    while live.size:
-        p = spf[flat_rest[live]]
-        flat_total[live] += np.searchsorted(primes, p) + 1
-        flat_rest[live] //= p
-        live = live[flat_rest[live] > 1]
-    return total
-
-
-def divisors(n):
-    """All divisors of n, ascending."""
-    divs = [1]
-    for p, e in factor_pairs(n):
-        powers = [p**k for k in range(1, e + 1)]
-        divs += [d * q for d in divs for q in powers]
-    return sorted(divs)
+    rest, shape = _indices(n)
+    total = np.zeros(rest.size, dtype=np.int64)
+    for live, j in _prime_walk(rest):
+        total[live] += j
+    return _shaped(total, shape)
 
 
 def max_prime_index(n):
-    """Index of the largest prime factor of n; 0 for n = 1."""
-    pairs = factor_pairs(n)
-    if not pairs:
-        return 0
-    return prime_index(pairs[-1][0])
+    """Index j of the largest prime factor p_j of n; 0 for n = 1.
+
+    Elementwise on an integer array, like weighted_degree.
+    """
+    rest, shape = _indices(n)
+    top = np.zeros(rest.size, dtype=np.int64)
+    for live, j in _prime_walk(rest):
+        top[live] = j  # primes arrive ascending: the last one is the largest
+    return _shaped(top, shape)
 
 
 def is_smooth(n, d):
-    """True when every prime factor of n is among the first d primes."""
-    if d is None:
-        _check_index(n)
-        return True
-    if d < 1:
+    """True where every prime factor of n is among the first d primes.
+
+    d = None admits every index in range.  Elementwise on an integer
+    array, like weighted_degree.
+    """
+    if d is not None and d < 1:
         raise DomainError(f"prime budget must be >= 1, got {d}")
-    return max_prime_index(n) <= d
+    return max_prime_index(n) <= (math.inf if d is None else d)
 
 
 def smooth_indices(n_max, prime_budget=None):
@@ -193,6 +216,5 @@ def smooth_indices(n_max, prime_budget=None):
     n_max = _check_index(n_max)
     if prime_budget is None:
         return list(range(1, n_max + 1))
-    if prime_budget < 1:
-        raise DomainError(f"prime budget must be >= 1, got {prime_budget}")
-    return [n for n in range(1, n_max + 1) if max_prime_index(n) <= prime_budget]
+    ns = np.arange(1, n_max + 1)
+    return ns[is_smooth(ns, prime_budget)].tolist()

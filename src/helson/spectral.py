@@ -21,7 +21,6 @@ from .operator import (
     truncation_indices,
 )
 
-SVD_DENSE_CAP = 512
 NORM_MAX_ITER = 50000
 
 # residual slack accepted when the Aitken gap says the value has
@@ -157,16 +156,6 @@ def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
         best=SpectralReport(sigma, (u, v), max_iter, residual),
         iterations=max_iter,
     )
-
-
-def singular_values(matrix, dense_cap=SVD_DENSE_CAP):
-    """All singular values, descending; dense LAPACK route below the cap."""
-    arr = _as_dense(matrix)
-    if arr.shape[0] > dense_cap:
-        raise DomainError(
-            f"singular_values capped at {dense_cap} rows, got {arr.shape[0]}"
-        )
-    return np.linalg.svd(arr, compute_uv=False)
 
 
 @dataclass

@@ -9,9 +9,15 @@ genuine cross-check:
   the best representation cost over random restarts.
 * simplex_grid_search: dense sweep of the weight simplex at a fixed
   resolution, evaluating the objective with numpy's SVD.
+* primes_upto, trial_factor, weighted_degree_reference,
+  max_prime_index_reference: scalar multiplicative bookkeeping by a
+  sieve of Eratosthenes and trial division, with no smallest-prime-factor
+  table and no array walk.
 """
 
+import bisect
 import itertools
+import math
 
 import numpy as np
 
@@ -111,3 +117,44 @@ def simplex_grid_search(target, family, resolution=0.01):
             best_val = val
             best_w = weights
     return best_val, best_w
+
+
+def primes_upto(n_max):
+    """Ascending list of the primes <= n_max (sieve of Eratosthenes)."""
+    flags = bytearray([1]) * (n_max + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n_max) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n_max + 1, p)))
+    return list(itertools.compress(range(n_max + 1), flags))
+
+
+def trial_factor(n, primes):
+    """[(j, e), ...] with n = prod primes[j-1]**e, j ascending.
+
+    Trial division by primes up to sqrt(n); primes must reach n.
+    """
+    out = []
+    for j, p in enumerate(primes, start=1):
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((j, e))
+    if n > 1:
+        out.append((bisect.bisect_left(primes, n) + 1, 1))
+    return out
+
+
+def weighted_degree_reference(n, primes):
+    """omega(n) = sum_j j*kappa_j by trial division."""
+    return sum(j * e for j, e in trial_factor(n, primes))
+
+
+def max_prime_index_reference(n, primes):
+    """Index j of the largest prime factor p_j of n; 0 for n = 1."""
+    factors = trial_factor(n, primes)
+    return factors[-1][0] if factors else 0

@@ -1,9 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import oracles
 from helson import DomainError, factorize, is_smooth, set_sieve_limit, sieve_limit
 from helson.sieve import (
-    divisors,
     factor_pairs,
     max_prime_index,
     nth_prime,
@@ -64,22 +68,6 @@ def test_weighted_degree_values():
         assert weighted_degree(a * b) == weighted_degree(a) + weighted_degree(b)
 
 
-def test_divisors_examples():
-    assert divisors(1) == [1]
-    assert divisors(6) == [1, 2, 3, 6]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-
-
-def test_divisors_random():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        n = int(rng.integers(1, 5000))
-        ds = divisors(n)
-        assert ds == sorted(set(ds))
-        assert all(n % d == 0 for d in ds)
-        assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0)
-
-
 def test_is_smooth():
     assert is_smooth(8, 1)
     assert not is_smooth(3, 1)
@@ -107,6 +95,87 @@ def test_max_prime_index():
     assert max_prime_index(1) == 0
     assert max_prime_index(8) == 1
     assert max_prime_index(15) == 3
+
+
+@functools.lru_cache(maxsize=1)
+def reference_primes(limit):
+    return oracles.primes_upto(limit)
+
+
+def test_prime_index_on_every_prime_below_2_16():
+    primes = reference_primes(sieve_limit())
+    small = primes[: np.searchsorted(primes, 1 << 16, side="right")]
+    assert [prime_index(p) for p in small] == list(range(1, len(small) + 1))
+    for bad in (0, 1, 4, 91, 65535, 1 << 16, sieve_limit() + 1):
+        with pytest.raises(DomainError):
+            prime_index(bad)
+
+
+def _index_arrays(data, limit):
+    # shapes (), (k,) and (a, b); 1 and the sieve limit are drawn often
+    shape = data.draw(array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=6))
+    entries = st.one_of(st.sampled_from([1, limit]), st.integers(1, limit))
+    return data.draw(arrays(np.int64, shape, elements=entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_queries_match_trial_division(data):
+    limit = sieve_limit()
+    primes = reference_primes(limit)
+    ns = _index_arrays(data, limit)
+    d = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+    want_omega = [oracles.weighted_degree_reference(n, primes) for n in ns.ravel().tolist()]
+    want_top = [oracles.max_prime_index_reference(n, primes) for n in ns.ravel().tolist()]
+    want_smooth = [d is None or top <= d for top in want_top]
+    for got, want in ((weighted_degree(ns), want_omega),
+                      (max_prime_index(ns), want_top),
+                      (is_smooth(ns, d), want_smooth)):
+        assert np.shape(got) == ns.shape
+        assert np.ravel(got).tolist() == want
+    if ns.ndim == 0:
+        # an integer in gives a Python scalar out
+        n = int(ns)
+        assert weighted_degree(n) == want_omega[0] and type(weighted_degree(n)) is int
+        assert max_prime_index(n) == want_top[0] and type(max_prime_index(n)) is int
+        assert is_smooth(n, d) is want_smooth[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_walk_queries_reject_bad_indices(data):
+    limit = sieve_limit()
+    ns = _index_arrays(data, limit)
+    kind = data.draw(st.sampled_from(["low", "high", "float"]))
+    if kind == "float":
+        # integral values do not rescue a non-integer dtype
+        ns = ns.astype(np.float64) + data.draw(st.sampled_from([0.0, 0.5]))
+    else:
+        bad = data.draw(st.integers(-(1 << 40), 0) if kind == "low"
+                        else st.integers(limit + 1, 1 << 40))
+        ns.flat[data.draw(st.integers(0, ns.size - 1))] = bad
+    for query in (weighted_degree, max_prime_index, lambda x: is_smooth(x, 3)):
+        with pytest.raises(DomainError):
+            query(ns)
+
+
+def test_empty_index_arrays_are_valid():
+    for empty in ([], (), np.zeros(0), np.zeros((0, 3), dtype=np.int64)):
+        shape = np.shape(empty)
+        assert weighted_degree(empty).shape == shape
+        assert max_prime_index(empty).shape == shape
+        assert is_smooth(empty, 2).shape == shape
+
+
+@pytest.mark.parametrize("n_max", [1, 2048])
+def test_smooth_indices_match_trial_division(n_max):
+    primes = reference_primes(sieve_limit())
+    tops = [oracles.max_prime_index_reference(n, primes) for n in range(1, n_max + 1)]
+    for d in (1, 2, 3, 5):
+        want = [n for n, top in enumerate(tops, start=1) if top <= d]
+        assert smooth_indices(n_max, d) == want
+    # a budget above the prime count admits every index
+    assert smooth_indices(n_max, len(primes) + 1) == list(range(1, n_max + 1))
 
 
 def test_set_sieve_limit_override():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helson import (
     DomainError,
     GeometricDecay,
+    MHilbertSymbol,
     RandomDecaySymbol,
     Sequence,
     assemble,
@@ -20,7 +21,8 @@ from helson import (
     symbol_values,
 )
 from helson.fixtures import splitmix64
-from helson.sieve import weighted_degree, weighted_degrees
+from helson.sieve import weighted_degree
+from oracles import primes_upto, weighted_degree_reference
 
 FIXTURE_SPECS = ("delta:3", "power:0.75", "mhilbert", "random-decay:7,0.5",
                  "random-decay:-2,1.25")
@@ -99,14 +101,34 @@ def test_random_decay_is_standard_complex_gaussian():
 
 def test_weighted_degrees_match_scalar():
     ns = np.arange(1, (1 << 16) + 1)
-    want = [weighted_degree(int(n)) for n in ns]
-    assert weighted_degrees(ns).tolist() == want
-    square = weighted_degrees(ns[:64].reshape(8, 8))
+    primes = primes_upto(1 << 16)
+    want = [weighted_degree_reference(n, primes) for n in ns.tolist()]
+    assert weighted_degree(ns).tolist() == want
+    square = weighted_degree(ns[:64].reshape(8, 8))
     assert square.shape == (8, 8)
     assert square.ravel().tolist() == want[:64]
-    for bad in ([0, 2], [-3]):
+    for bad in ([0, 2], [-3], [2.5, 3.99]):
         with pytest.raises(DomainError):
-            weighted_degrees(bad)
+            weighted_degree(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dilation_weight(0.5, 2.5),
+    lambda: dilation_weight(0.5, np.array([2.0, 3.0])),
+    lambda: symbol_values(MHilbertSymbol(), [2.5]),
+    lambda: symbol_value(MHilbertSymbol(), 2.0),
+    lambda: symbol_values(Sequence({2: 1.0}), np.array([[2.0]])),
+], ids=["weight-scalar", "weight-array", "values", "value", "sequence"])
+def test_non_integer_indices_raise(call):
+    # a float index is rejected, never truncated (2.5 must not read as 2)
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_empty_index_input_stays_valid():
+    assert symbol_values(MHilbertSymbol(), ()).shape == (0,)
+    assert symbol_values(Sequence({2: 1.0}), []).shape == (0,)
+    assert dilation_weight(0.5, np.array([])).shape == (0,)
 
 
 def test_fallback_to_scalar_value():
