@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .operator import HelsonMatrix, assemble
-from .spectral import operator_norm
+from .spectral import NORM_TOL, operator_norm
 from .core import _rvalue, dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,17 +72,16 @@ class ApproxConfig:
     """Iteration and step-schedule bounds for best_convex_approx."""
 
     iterations: int = 2000
-    step_scale: float = 1.0
     polish_sweeps: int = 6
     inner_tol: float = 1e-9
-    final_tol: float = 1e-10
+    final_tol: float = NORM_TOL
     inner_max_iter: int = 20000
 
     def __post_init__(self):
         if self.iterations < 1 or self.polish_sweeps < 0:
             raise DomainError("iteration counts must be positive")
-        if min(self.step_scale, self.inner_tol, self.final_tol) <= 0:
-            raise DomainError("tolerances and step scale must be positive")
+        if min(self.inner_tol, self.final_tol) <= 0:
+            raise DomainError("tolerances must be positive")
 
 
 def _grid(r_grid):
@@ -204,7 +203,7 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         c = np.full(k_pts, 1.0 / k_pts)
         sigma0, u, v, ok = value_pair(c)
         all_certified &= ok
-        eta0 = cfg.step_scale * sigma0
+        eta0 = sigma0
         best_c, best_val = c.copy(), sigma0
         history.append(sigma0)
         sigma, u_t, v_t = sigma0, u, v
@@ -292,7 +291,7 @@ class DiagnosticTable:
 
 
 def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
-                           tol=1e-10):
+                           tol=NORM_TOL):
     """Table of ||M_N(alpha_r) - M_N(alpha)|| over both schedules.
 
     For each fixed N the column is nonincreasing in r up to certificate

@@ -8,9 +8,11 @@ codes: 0 success, 2 domain/parse error, 3 convergence failure; a result
 that did not converge (xnorm, essnorm weights, duality) is still written
 in full, marked "converged": false.
 
-Flags may also be preloaded from a config file of key=value lines via
---config; explicit flags win over the file, the file wins over defaults.
-The environment variable HELSON_SIEVE_LIMIT overrides the sieve cap.
+Every knob is one row of KNOBS: its config-file key, flag, type, library
+default and the commands that take the flag.  Flags may also be preloaded
+from a config file of key=value lines via --config; an explicit flag
+beats the file, and the file beats the default.  The environment
+variable HELSON_SIEVE_LIMIT is the only CLI route to the sieve cap.
 """
 
 import argparse
@@ -18,21 +20,20 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, HelsonError
 from . import sieve
 from .core import (
-    Sequence,
     dilate,
     dirichlet_convolve,
     factorize,
     filter_smooth,
     sequence_to_triples,
 )
-from .operator import assemble
-from .spectral import operator_norm
-from .approx import ApproxConfig, best_convex_approx, compactness_diagnostic
+from .operator import HelsonMatrix, assemble, matrix_to_csv, truncation_indices
+from .spectral import NORM_TOL, operator_norm
+from .approx import ApproxConfig, _grid, best_convex_approx, compactness_diagnostic
 from .weakprod import XNormConfig, duality_gap, xnorm
 from .fixtures import parse_fixture, parse_sequence_arg
 from . import __version__
@@ -44,72 +45,62 @@ class _Unconverged(Exception):
     """Raised with (payload, message) by a run whose result did not converge."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved knobs for one command invocation."""
+class Knob(NamedTuple):
+    """One CLI knob, declared once."""
 
-    command: str
-    n_max: int = None
-    n_schedule: tuple = None
-    r_grid: tuple = None
-    prime_budget: int = None
-    norm_tol: float = 1e-10
-    solver_tol: float = 1e-8
-    iterations: int = 2000
-    max_iter: int = 20000
-    fmt: str = "json"
-    inputs: tuple = ()
+    key: str  # config-file key
+    flag: str
+    dest: str  # attribute on the resolved config, and its config_hash key
+    type: type  # cast for the flag and for the config-file value
+    default: object
+    commands: tuple  # subcommands that take the flag
+    help: str
 
-    def hashable(self):
-        return {
-            "command": self.command,
-            "N": self.n_max,
-            "N_schedule": self.n_schedule,
-            "r_grid": self.r_grid,
-            "prime_budget": self.prime_budget,
-            "norm_tol": self.norm_tol,
-            "solver_tol": self.solver_tol,
-            "iterations": self.iterations,
-            "max_iter": self.max_iter,
-            "format": self.fmt,
-            "inputs": self.inputs,
-            "sieve_limit": sieve.sieve_limit(),
-            "version": __version__,
-        }
 
-    def digest(self):
-        blob = json.dumps(self.hashable(), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+_SEQUENCES = ("convolve", "dilate", "norm", "essnorm", "xnorm", "duality")
+_WINDOWS = ("norm", "essnorm", "xnorm", "duality")
+_ADMM = ("xnorm", "duality")
+
+KNOBS = (
+    Knob("N", "--N", "N", str, None, _WINDOWS,
+         "truncation size (comma list allowed for essnorm)"),
+    Knob("r_grid", "--grid", "r_grid", str, None, ("essnorm",),
+         'r-grid: "0.9,0.99,0.999" or "geometric(0.9,0.1,3)"'),
+    Knob("primes", "--primes", "prime_budget", int, None, _SEQUENCES,
+         "prime budget d: restrict indices to d-smooth integers"),
+    Knob("norm_tol", "--norm-tol", "norm_tol", float, NORM_TOL, _WINDOWS,
+         "relative residual that certifies an operator norm"),
+    Knob("solver_tol", "--solver-tol", "solver_tol", float, XNormConfig.tol, _ADMM,
+         "ADMM residual tolerance"),
+    Knob("iterations", "--iterations", "iterations", int, ApproxConfig.iterations,
+         ("essnorm",), "subgradient iterations"),
+    Knob("max_iter", "--max-iter", "max_iter", int, XNormConfig.max_iter, _ADMM,
+         "ADMM iteration cap"),
+    Knob("format", "--format", "format", str, "json", ("essnorm",),
+         "output format, json or csv"),
+)
 
 
 def parse_r_grid(text):
     """Comma list "0.9,0.99" or "geometric(r0, ratio, K)".
 
     The geometric form walks r toward 1: r_k = 1 - (1 - r0) * ratio^k
-    for k = 0..K-1.
+    for k = 0..K-1.  The grid is checked by the library's own rule:
+    nonempty, strictly increasing, inside (0, 1).
     """
     text = str(text).strip()
     match = re.fullmatch(
         r"geometric\(\s*([^,\s]+)\s*,\s*([^,\s]+)\s*,\s*(\d+)\s*\)", text
     )
-    if match:
-        r0, ratio, count = float(match[1]), float(match[2]), int(match[3])
-        if not (0.0 < r0 < 1.0) or not (0.0 < ratio < 1.0) or count < 1:
-            raise DomainError(
-                f"geometric grid needs 0 < r0, ratio < 1 and K >= 1, got {text!r}"
-            )
-        return tuple(1.0 - (1.0 - r0) * ratio**k for k in range(count))
     try:
-        grid = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
+        if match:
+            r0, ratio = float(match[1]), float(match[2])
+            values = [1.0 - (1.0 - r0) * ratio**k for k in range(int(match[3]))]
+        else:
+            values = [float(p) for p in text.split(",") if p.strip()]
+    except (ValueError, OverflowError):
         raise DomainError(f"bad r-grid {text!r}")
-    if not grid:
-        raise DomainError("r-grid must be nonempty")
-    if any(not (0.0 < r < 1.0) for r in grid):
-        raise DomainError(f"r-grid values must lie strictly in (0,1), got {text!r}")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"r-grid must be strictly increasing, got {text!r}")
-    return grid
+    return _grid(values)
 
 
 def _parse_int_list(text):
@@ -137,32 +128,69 @@ def read_config_file(path):
     return mapping
 
 
-_CONFIG_KEYS = {
-    "N": ("n_max", str),
-    "r_grid": ("grid", str),
-    "primes": ("primes", int),
-    "norm_tol": ("norm_tol", float),
-    "solver_tol": ("solver_tol", float),
-    "iterations": ("iterations", int),
-    "max_iter": ("max_iter", int),
-    "format": ("fmt", str),
-    "sieve_limit": ("sieve_limit", int),
-}
+def _resolve(args, inputs=()):
+    """The run's knobs: an explicit flag beats the config file beats the default.
+
+    A config file may set any knob, also one whose flag this command does
+    not take, so one file can serve every command.
+    """
+    from_file = {}
+    if args.config:
+        by_key = {knob.key: knob for knob in KNOBS}
+        for key, raw in read_config_file(args.config).items():
+            if key not in by_key:
+                raise DomainError(f"unknown config key {key!r} in {args.config}")
+            knob = by_key[key]
+            if getattr(args, knob.dest, None) is None:
+                try:
+                    from_file[knob.dest] = knob.type(raw)
+                except ValueError:
+                    raise DomainError(f"bad value for {key} in {args.config}: {raw!r}")
+    cfg = argparse.Namespace(command=args.command, inputs=tuple(inputs))
+    for knob in KNOBS:
+        # an explicit 0 is a value, not a request for the default
+        value = getattr(args, knob.dest, None)
+        setattr(cfg, knob.dest,
+                from_file.get(knob.dest, knob.default) if value is None else value)
+
+    cfg.N_schedule = None
+    if cfg.N is not None:
+        schedule = _parse_int_list(cfg.N)
+        if len(schedule) > 1:
+            if cfg.command != "essnorm":
+                raise DomainError(f"{cfg.command} takes a single --N, got {cfg.N!r}")
+            cfg.N_schedule = schedule
+        cfg.N = schedule[0]
+    elif cfg.command in _WINDOWS:
+        raise DomainError(f"{cfg.command} needs --N")
+    if cfg.r_grid is not None:
+        cfg.r_grid = parse_r_grid(cfg.r_grid)
+    if cfg.format not in ("json", "csv"):
+        raise DomainError(f"format must be json or csv, got {cfg.format!r}")
+    if cfg.N is not None and cfg.N < 1:
+        raise DomainError(f"N must be >= 1, got {cfg.N}")
+    if cfg.prime_budget is not None and cfg.prime_budget < 1:
+        raise DomainError(f"prime budget must be >= 1, got {cfg.prime_budget}")
+    if min(cfg.norm_tol, cfg.solver_tol) <= 0:
+        raise DomainError("tolerances must be positive")
+
+    stamped = {knob.dest: getattr(cfg, knob.dest) for knob in KNOBS}
+    stamped.update(command=cfg.command, N_schedule=cfg.N_schedule,
+                   inputs=cfg.inputs, sieve_limit=sieve.sieve_limit(),
+                   version=__version__)
+    blob = json.dumps(stamped, sort_keys=True, default=str)
+    cfg.config_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return cfg
 
 
-def _fill_from_config(args):
-    if not getattr(args, "config", None):
-        return
-    mapping = read_config_file(args.config)
-    for key, raw in mapping.items():
-        if key not in _CONFIG_KEYS:
-            raise DomainError(f"unknown config key {key!r} in {args.config}")
-        attr, cast = _CONFIG_KEYS[key]
-        if getattr(args, attr, None) is None:
-            try:
-                setattr(args, attr, cast(raw))
-            except ValueError:
-                raise DomainError(f"bad value for {key} in {args.config}: {raw!r}")
+def _stamp(cfg):
+    """The header every JSON payload opens with."""
+    return {"schema": SCHEMA, "config_hash": cfg.config_hash, "command": cfg.command}
+
+
+def _csv_stamp(cfg):
+    """The comment line every CSV output opens with."""
+    return f"# schema={SCHEMA} config_hash={cfg.config_hash}\n"
 
 
 def _emit(text, path):
@@ -196,42 +224,33 @@ def cmd_factor(args):
 
 
 def cmd_convolve(args):
-    cfg = _resolve(args, "convolve", inputs=(args.a, args.b))
+    cfg = _resolve(args, inputs=(args.a, args.b))
     a = _load_seq(args.a, cfg.prime_budget)
     b = _load_seq(args.b, cfg.prime_budget)
     result = dirichlet_convolve(a, b)
-    return _json_doc({
-        "schema": SCHEMA,
-        "config_hash": cfg.digest(),
-        "command": "convolve",
-        "sequence": sequence_to_triples(result),
-    })
+    return _json_doc({**_stamp(cfg), "sequence": sequence_to_triples(result)})
 
 
 def cmd_dilate(args):
-    cfg = _resolve(args, "dilate", inputs=(repr(args.r), args.a))
+    cfg = _resolve(args, inputs=(repr(args.r), args.a))
     a = _load_seq(args.a, cfg.prime_budget)
     result = dilate(args.r, a)
     return _json_doc({
-        "schema": SCHEMA,
-        "config_hash": cfg.digest(),
-        "command": "dilate",
+        **_stamp(cfg),
         "r": args.r,
         "sequence": sequence_to_triples(result),
     })
 
 
 def cmd_norm(args):
-    cfg = _resolve(args, "norm", inputs=(args.fixture,))
+    cfg = _resolve(args, inputs=(args.fixture,))
     symbol = parse_fixture(args.fixture)
-    matrix = assemble(symbol, cfg.n_max, cfg.prime_budget)
+    matrix = assemble(symbol, cfg.N, cfg.prime_budget)
     report = operator_norm(matrix, tol=cfg.norm_tol)
     return _json_doc({
-        "schema": SCHEMA,
-        "config_hash": cfg.digest(),
-        "command": "norm",
+        **_stamp(cfg),
         "fixture": symbol.spec,
-        "N": cfg.n_max,
+        "N": cfg.N,
         "prime_budget": cfg.prime_budget,
         "indices": list(matrix.indices),
         "norm": report.norm,
@@ -241,11 +260,11 @@ def cmd_norm(args):
 
 
 def cmd_essnorm(args):
-    cfg = _resolve(args, "essnorm", inputs=(args.fixture,))
+    cfg = _resolve(args, inputs=(args.fixture,))
     if cfg.r_grid is None:
         raise DomainError("essnorm needs --grid")
     symbol = parse_fixture(args.fixture)
-    schedule = cfg.n_schedule or (cfg.n_max,)
+    schedule = cfg.N_schedule or (cfg.N,)
     approx_cfg = ApproxConfig(iterations=cfg.iterations, final_tol=cfg.norm_tol)
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
@@ -262,9 +281,7 @@ def cmd_essnorm(args):
             "converged": res.converged,
         }
     manifest = {
-        "schema": SCHEMA,
-        "config_hash": cfg.digest(),
-        "command": "essnorm",
+        **_stamp(cfg),
         "fixture": symbol.spec,
         "grid": list(cfg.r_grid),
         "N_schedule": list(schedule),
@@ -275,9 +292,8 @@ def cmd_essnorm(args):
         "rows": [[r, n, v] for r, n, v in table.rows],
         "weights": weights,
     }
-    if cfg.fmt == "csv":
-        header = f"# schema={SCHEMA} config_hash={cfg.digest()}\n"
-        text = header + table.to_csv()
+    if cfg.format == "csv":
+        text = _csv_stamp(cfg) + table.to_csv()
         if args.output:
             with open(str(args.output) + ".manifest.json", "w") as fh:
                 fh.write(_json_doc(manifest))
@@ -292,23 +308,20 @@ def cmd_essnorm(args):
 
 
 def cmd_xnorm(args):
-    cfg = _resolve(args, "xnorm", inputs=(args.sequence,))
+    cfg = _resolve(args, inputs=(args.sequence,))
     c = _load_seq(args.sequence, cfg.prime_budget)
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter,
                          cert_tol=cfg.norm_tol)
-    result = xnorm(c, cfg.n_max, config=solver, prime_budget=cfg.prime_budget)
+    result = xnorm(c, cfg.N, config=solver, prime_budget=cfg.prime_budget)
     if args.matrix_out:
-        lines = [f"# schema={SCHEMA} config_hash={cfg.digest()}"]
-        for row in result.matrix:
-            lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
+        window = HelsonMatrix(result.matrix, truncation_indices(cfg.N, cfg.prime_budget),
+                              f"xnorm({args.sequence})", cfg.prime_budget)
         with open(args.matrix_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_csv_stamp(cfg) + matrix_to_csv(window))
     doc = {
-        "schema": SCHEMA,
-        "config_hash": cfg.digest(),
-        "command": "xnorm",
+        **_stamp(cfg),
         "input": args.sequence,
-        "N": cfg.n_max,
+        "N": cfg.N,
         "prime_budget": cfg.prime_budget,
     }
     doc.update(result.to_json())
@@ -324,20 +337,18 @@ def cmd_xnorm(args):
 
 
 def cmd_duality(args):
-    cfg = _resolve(args, "duality", inputs=(args.fixture, args.sequence))
+    cfg = _resolve(args, inputs=(args.fixture, args.sequence))
     symbol = parse_fixture(args.fixture)
     c = _load_seq(args.sequence, cfg.prime_budget)
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter,
                          cert_tol=cfg.norm_tol)
-    report = duality_gap(symbol, c, cfg.n_max, config=solver,
+    report = duality_gap(symbol, c, cfg.N, config=solver,
                          prime_budget=cfg.prime_budget)
     text = _json_doc({
-        "schema": SCHEMA,
-        "config_hash": cfg.digest(),
-        "command": "duality",
+        **_stamp(cfg),
         "fixture": symbol.spec,
         "input": args.sequence,
-        "N": cfg.n_max,
+        "N": cfg.N,
         "prime_budget": cfg.prime_budget,
         "pairing": report.pairing,
         "bound": report.bound,
@@ -352,71 +363,17 @@ def cmd_duality(args):
     return text
 
 
-def _resolve(args, command, inputs=()):
-    _fill_from_config(args)
-    if getattr(args, "sieve_limit", None) is not None:
-        sieve.set_sieve_limit(args.sieve_limit)
-    n_attr = getattr(args, "n_max", None)
-    n_schedule = None
-    n_max = None
-    if n_attr is not None:
-        n_schedule = _parse_int_list(n_attr)
-        n_max = n_schedule[0]
-        if len(n_schedule) == 1:
-            n_schedule = None
-        elif command != "essnorm":
-            raise DomainError(f"{command} takes a single --N, got {n_attr!r}")
-    elif command in ("norm", "essnorm", "xnorm", "duality"):
-        raise DomainError(f"{command} needs --N")
-    grid = getattr(args, "grid", None)
-
-    def given(attr, default):
-        # an explicit 0 is a value, not a request for the default
-        value = getattr(args, attr, None)
-        return default if value is None else value
-
-    cfg = RunConfig(
-        command=command,
-        n_max=n_max,
-        n_schedule=n_schedule,
-        r_grid=parse_r_grid(grid) if grid is not None else None,
-        prime_budget=getattr(args, "primes", None),
-        norm_tol=given("norm_tol", 1e-10),
-        solver_tol=given("solver_tol", 1e-8),
-        iterations=given("iterations", 2000),
-        max_iter=given("max_iter", 20000),
-        fmt=given("fmt", "json"),
-        inputs=tuple(inputs),
-    )
-    if cfg.fmt not in ("json", "csv"):
-        raise DomainError(f"format must be json or csv, got {cfg.fmt!r}")
-    if cfg.n_max is not None and cfg.n_max < 1:
-        raise DomainError(f"N must be >= 1, got {cfg.n_max}")
-    if cfg.prime_budget is not None and cfg.prime_budget < 1:
-        raise DomainError(f"prime budget must be >= 1, got {cfg.prime_budget}")
-    if min(cfg.norm_tol, cfg.solver_tol) <= 0:
-        raise DomainError("tolerances must be positive")
-    return cfg
-
-
-def _add_common(sub, *, n_flag=True, grid_flag=False, fmt_flag=False):
-    sub.add_argument("--primes", type=int, default=None, metavar="D",
-                     help="prime budget: restrict indices to D-smooth integers")
-    sub.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=None,
-                     help="override the factorization sieve cap")
+def _add_flags(sub, command):
+    """--config, --output and the flag of every knob the command takes."""
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="key=value file supplying defaults for these flags")
     sub.add_argument("--output", default=None, metavar="PATH",
                      help="write output here instead of stdout")
-    if n_flag:
-        sub.add_argument("--N", dest="n_max", default=None,
-                         help="truncation size (comma list allowed for essnorm)")
-    if grid_flag:
-        sub.add_argument("--grid", default=None,
-                         help='r-grid: "0.9,0.99,0.999" or "geometric(0.9,0.1,3)"')
-    if fmt_flag:
-        sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                         default=None, help="output format (default json)")
+    for knob in KNOBS:
+        if command in knob.commands:
+            default = "" if knob.default is None else f" (default {knob.default})"
+            sub.add_argument(knob.flag, dest=knob.dest, type=knob.type, default=None,
+                             help=knob.help + default)
 
 
 def build_parser():
@@ -434,37 +391,30 @@ def build_parser():
     p = subs.add_parser("convolve", help="Dirichlet convolution of two sequences")
     p.add_argument("a", help="finite sequence: file:path or delta:n")
     p.add_argument("b", help="finite sequence: file:path or delta:n")
-    _add_common(p, n_flag=False)
+    _add_flags(p, "convolve")
     p.set_defaults(handler=cmd_convolve)
 
     p = subs.add_parser("dilate", help="apply the dilation weights r^omega(n)")
     p.add_argument("r", type=float)
     p.add_argument("a", help="finite sequence: file:path or delta:n")
-    _add_common(p, n_flag=False)
+    _add_flags(p, "dilate")
     p.set_defaults(handler=cmd_dilate)
 
     p = subs.add_parser("norm", help="certified operator norm of M_N(alpha)")
     p.add_argument("fixture", help="delta:n | power:s | mhilbert | "
                                    "random-decay:seed,rate | file:path")
-    _add_common(p)
-    p.add_argument("--norm-tol", dest="norm_tol", type=float, default=None)
+    _add_flags(p, "norm")
     p.set_defaults(handler=cmd_norm)
 
     p = subs.add_parser("essnorm",
                         help="compactness diagnostic and best convex approximant")
     p.add_argument("fixture")
-    _add_common(p, grid_flag=True, fmt_flag=True)
-    p.add_argument("--norm-tol", dest="norm_tol", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None,
-                   help="subgradient iterations (default 2000)")
+    _add_flags(p, "essnorm")
     p.set_defaults(handler=cmd_essnorm)
 
     p = subs.add_parser("xnorm", help="weak-product norm with dual certificate")
     p.add_argument("sequence", help="finite sequence: file:path or delta:n")
-    _add_common(p)
-    p.add_argument("--norm-tol", dest="norm_tol", type=float, default=None)
-    p.add_argument("--solver-tol", dest="solver_tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    _add_flags(p, "xnorm")
     p.add_argument("--matrix-out", default=None, metavar="PATH",
                    help="also export the optimal window matrix as CSV")
     p.set_defaults(handler=cmd_xnorm)
@@ -473,10 +423,7 @@ def build_parser():
                         help="pairing against the norm product bound")
     p.add_argument("fixture")
     p.add_argument("sequence", help="finite sequence: file:path or delta:n")
-    _add_common(p)
-    p.add_argument("--norm-tol", dest="norm_tol", type=float, default=None)
-    p.add_argument("--solver-tol", dest="solver_tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    _add_flags(p, "duality")
     p.set_defaults(handler=cmd_duality)
 
     return parser

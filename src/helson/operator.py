@@ -180,7 +180,7 @@ def product_classes(indices):
     return ProductClasses(tuple(indices), uniq, labels)
 
 
-def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
+def assemble(symbol, n_max, prime_budget=None):
     """Dense truncated matrix with entry (n, m) = alpha(nm).
 
     Each distinct product nm is evaluated once; the result is symmetric
@@ -188,9 +188,9 @@ def assemble(symbol, n_max, prime_budget=None, dense_cap=DENSE_CAP):
     entries are float64 when every distinct value is real.
     """
     indices = truncation_indices(n_max, prime_budget)
-    if len(indices) > dense_cap:
+    if len(indices) > DENSE_CAP:
         raise DomainError(
-            f"dense assembly capped at {dense_cap} rows, window has {len(indices)}"
+            f"dense assembly capped at {DENSE_CAP} rows, window has {len(indices)}"
         )
     classes = product_classes(indices)
     vals = symbol_values(symbol, classes.uniq)

@@ -21,6 +21,8 @@ from .operator import (
     truncation_indices,
 )
 
+# operator_norm's defaults: relative residual tolerance and iteration cap
+NORM_TOL = 1e-10
 NORM_MAX_ITER = 50000
 
 # residual slack accepted when the Aitken gap says the value has
@@ -56,7 +58,7 @@ def _as_dense(matrix):
     return arr
 
 
-def operator_norm(matrix, tol=1e-10, max_iter=NORM_MAX_ITER, start=None):
+def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
     """Largest singular value of a dense matrix, with certificate.
 
     Deterministic: starts from all-ones, or from start (a nonzero finite
@@ -167,7 +169,7 @@ class LowerBoundCheck:
     ok: bool
 
 
-def l2_lower_bound_check(symbol, n_max, prime_budget=None, tol=1e-10):
+def l2_lower_bound_check(symbol, n_max, prime_budget=None):
     """Check ||M_N(alpha)|| >= ||alpha restricted to the window||.
 
     The witness pair is a = conj(alpha)/||alpha|| on the window and
@@ -175,7 +177,7 @@ def l2_lower_bound_check(symbol, n_max, prime_budget=None, tol=1e-10):
     """
     indices = truncation_indices(n_max, prime_budget)
     l2 = float(np.linalg.norm(symbol_values(symbol, indices)))
-    report = operator_norm(assemble(symbol, n_max, prime_budget), tol=tol)
+    report = operator_norm(assemble(symbol, n_max, prime_budget))
     return LowerBoundCheck(
         op_norm=report.norm,
         l2_norm=l2,

@@ -31,7 +31,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, InvariantViolation
 from .core import Sequence, bilinear_pair, dirichlet_convolve
 from .operator import assemble, product_classes, symbol_values, truncation_indices
-from .spectral import operator_norm
+from .spectral import NORM_TOL, operator_norm
+
+# ADMM penalty rho: each step shrinks singular values by 1/rho
+_RHO = 1.0
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,13 @@ def rep_cost(rep):
 class XNormConfig:
     """Alternating-direction solver knobs for xnorm."""
 
-    rho: float = 1.0
     tol: float = 1e-8
     max_iter: int = 20000
-    cert_tol: float = 1e-10
+    cert_tol: float = NORM_TOL
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol <= 0 or self.cert_tol <= 0:
-            raise DomainError("rho and tolerances must be positive")
+        if self.tol <= 0 or self.cert_tol <= 0:
+            raise DomainError("tolerances must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
 
@@ -162,7 +164,6 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     def project_affine(mat):
         return mat + ((target - class_sums(mat)) / counts)[labels]
 
-    rho = cfg.rho
     z = np.zeros((size, size), dtype=np.complex128)
     u = np.zeros_like(z)
     converged = False
@@ -171,9 +172,9 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         x = project_affine(z - u)
         w = x + u
         uu, s, vh = np.linalg.svd(w, full_matrices=False)
-        s = np.maximum(s - 1.0 / rho, 0.0)
+        s = np.maximum(s - 1.0 / _RHO, 0.0)
         z_new = (uu * s) @ vh
-        dual_res = rho * float(np.linalg.norm(z_new - z))
+        dual_res = _RHO * float(np.linalg.norm(z_new - z))
         r = x - z_new
         primal_res = float(np.linalg.norm(r))
         z = z_new
@@ -215,11 +216,12 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     )
 
 
-def representation_from_matrix(matrix, indices=None, rel_cutoff=1e-13):
+def representation_from_matrix(matrix, indices=None):
     """Representation read off an SVD: a_k = sqrt(s_k) u_k, b_k = sqrt(s_k) v_k.
 
     The cost of the result equals the nuclear norm of the matrix (up to
-    the rank cutoff), and its value reproduces the divisor-class sums.
+    the rank cutoff, which drops singular values at or below 1e-13 times
+    the largest), and its value reproduces the divisor-class sums.
     """
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -230,7 +232,7 @@ def representation_from_matrix(matrix, indices=None, rel_cutoff=1e-13):
         raise DomainError("index map length does not match matrix size")
     uu, s, vh = np.linalg.svd(mat, full_matrices=False)
     pairs = []
-    cutoff = rel_cutoff * s[0] if s.size and s[0] > 0 else 0.0
+    cutoff = 1e-13 * s[0] if s.size and s[0] > 0 else 0.0
     for k in range(len(s)):
         if s[k] <= cutoff:
             break
@@ -253,7 +255,7 @@ def xnorm_certificate_check(c, beta, claimed, n_max, tol=1e-6, prime_budget=None
                 f"certificate index {n} outside the window [1, {top}]"
             )
     if beta:
-        norm = operator_norm(assemble(beta, n_max, prime_budget), tol=1e-10).norm
+        norm = operator_norm(assemble(beta, n_max, prime_budget)).norm
     else:
         norm = 0.0
     if norm > 1.0 + tol:
@@ -283,7 +285,7 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     """
     alpha = Sequence(zip(c.support, symbol_values(symbol, c.support).tolist()))
     pairing = abs(bilinear_pair(alpha, c))
-    op = operator_norm(assemble(symbol, n_max, prime_budget), tol=1e-10).norm
+    op = operator_norm(assemble(symbol, n_max, prime_budget)).norm
     xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
     bound = op * xn.value
     if bound == 0.0:

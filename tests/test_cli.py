@@ -1,12 +1,21 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from helson import Sequence, best_convex_approx, save_sequence, sequence_from_triples
-from helson.cli import main, parse_r_grid
+from helson import (
+    Sequence,
+    best_convex_approx,
+    save_sequence,
+    sequence_from_triples,
+    sieve_limit,
+    xnorm,
+)
+from helson.cli import KNOBS, build_parser, main, parse_r_grid
 from helson.errors import ConvergenceError
 
 
@@ -174,7 +183,9 @@ def test_parse_r_grid():
     assert geo == pytest.approx((0.5, 0.75, 0.875))
     from helson import DomainError
 
-    for bad in ("", "1.5", "geometric(0.5,0.5,0)", "0.9,0.5"):
+    # geometric(0.9,0.1,20) reaches r = 1.0 in floating point at its 17th point
+    for bad in ("", "1.5", "geometric(0.5,0.5,0)", "0.9,0.5", "geometric(0.9,0.1,20)",
+                "geometric(abc,0.1,3)"):
         with pytest.raises(DomainError):
             parse_r_grid(bad)
 
@@ -201,8 +212,12 @@ def test_xnorm_matrix_out(capsys, tmp_path):
     code = main(["xnorm", "delta:1", "--N", "2", "--matrix-out", str(path)])
     assert code == 0
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# schema=1")
-    assert len(lines) == 3
+    assert lines[0].startswith("# schema=1 config_hash=")
+    assert lines[1] == "re0,im0,re1,im1"
+    assert len(lines) == 4
+    cells = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    expect = xnorm(Sequence.delta(1), 2).matrix
+    assert np.array_equal(cells[:, 0::2] + 1j * cells[:, 1::2], expect)
 
 
 def test_xnorm_unrepresentable(capsys):
@@ -335,15 +350,32 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# per knob (a KeyError for a new row): a command that takes its flag, and a
+# value other than the default
+KNOB_CASES = {
+    "N": (("norm", "delta:1"), "8"),
+    "r_grid": (("essnorm", "delta:2", "--N", "2"), "0.5,0.9"),
+    "primes": (("norm", "delta:1", "--N", "8"), "2"),
+    "norm_tol": (("norm", "delta:1", "--N", "8"), "1e-9"),
+    "solver_tol": (("xnorm", "delta:1", "--N", "2"), "1e-7"),
+    "iterations": (("essnorm", "delta:2", "--grid", "0.25,0.5,0.9", "--N", "2"), "5"),
+    "max_iter": (("xnorm", "delta:1", "--N", "2"), "300"),
+    "format": (("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "2"), "csv"),
+}
+
+
 def test_config_file_equivalence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("N = 8\nnorm_tol = 1e-9\n# comment\n")
-    code, out_file, _ = run(capsys, "norm", "delta:1", "--config", str(cfg))
-    code2, out_flags, _ = run(
-        capsys, "norm", "delta:1", "--N", "8", "--norm-tol", "1e-9"
-    )
-    assert code == code2 == 0
-    assert out_file == out_flags
+    for knob in KNOBS:
+        argv, value = KNOB_CASES[knob.key]
+        assert argv[0] in knob.commands
+        cfg.write_text(f"# comment\n{knob.key} = {value}\n")
+        code, out_file, _ = run(capsys, *argv, "--config", str(cfg))
+        code2, out_flags, _ = run(capsys, *argv, knob.flag, value)
+        assert code == code2 == 0, knob.key
+        assert out_file == out_flags, knob.key
+        _, out_plain, _ = run(capsys, *argv)
+        assert out_flags != out_plain, knob.key
 
 
 def test_cli_flags_beat_config(tmp_path, capsys):
@@ -375,12 +407,58 @@ def test_explicit_zero_is_rejected(tmp_path, capsys, argv, key, source):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_format_is_rejected(tmp_path, capsys, source):
+    # one check serves the flag and the config file
+    argv = ("essnorm", "delta:1", "--grid", "0.5,0.9", "--N", "2")
+    if source == "flag":
+        extra = ("--format", "xml")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        extra = ("--config", str(cfg))
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert "json or csv" in err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frobnicate = 1\n")
     code, _, err = run(capsys, "norm", "delta:1", "--config", str(cfg))
     assert code == 2
     assert "frobnicate" in err
+
+
+def test_sieve_limit_has_no_flag_or_config_key(tmp_path, capsys):
+    # the environment variable is the one CLI route to the sieve cap; a
+    # flag or key that reset it would leak into the calling process
+    before = sieve_limit()
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "delta:1", "--N", "4", "--sieve-limit", "100"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sieve_limit = 100\n")
+    code, out, err = run(capsys, "norm", "delta:1", "--N", "4", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "sieve_limit" in err
+    assert sieve_limit() == before
+
+
+def test_readme_lists_every_flag():
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for option in action.option_strings:
+                assert f"`{option}" in section, f"{name} {option}"
 
 
 def test_sieve_limit_env(tmp_path, capsys, monkeypatch):

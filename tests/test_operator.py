@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helson import (
+    DENSE_CAP,
     DomainError,
     PowerSymbol,
     Sequence,
@@ -80,8 +81,8 @@ def test_assemble_entries_read_only():
 
 
 def test_assemble_dense_cap():
-    with pytest.raises(DomainError):
-        assemble(Sequence.delta(1), 4, dense_cap=2)
+    with pytest.raises(DomainError, match="dense assembly capped"):
+        assemble(Sequence.delta(1), DENSE_CAP + 1)
 
 
 def test_assemble_prime_budget():
