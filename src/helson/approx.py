@@ -29,11 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .operator import HelsonMatrix, assemble
+from .operator import assemble
 from .spectral import NORM_TOL, operator_norm
 from .core import _rvalue, dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# golden-section polish sweeps after the subgradient phase, and the
+# tolerance and iteration cap of every inner norm before the final one
+POLISH_SWEEPS = 6
+INNER_TOL = 1e-9
+INNER_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -69,19 +75,16 @@ class ApproxResult:
 
 @dataclass
 class ApproxConfig:
-    """Iteration and step-schedule bounds for best_convex_approx."""
+    """best_convex_approx's subgradient steps and final-norm tolerance."""
 
     iterations: int = 2000
-    polish_sweeps: int = 6
-    inner_tol: float = 1e-9
     final_tol: float = NORM_TOL
-    inner_max_iter: int = 20000
 
     def __post_init__(self):
-        if self.iterations < 1 or self.polish_sweeps < 0:
-            raise DomainError("iteration counts must be positive")
-        if min(self.inner_tol, self.final_tol) <= 0:
-            raise DomainError("tolerances must be positive")
+        if self.iterations < 1:
+            raise DomainError(f"iterations must be >= 1, got {self.iterations}")
+        if self.final_tol <= 0:
+            raise DomainError(f"final_tol must be positive, got {self.final_tol}")
 
 
 def _grid(r_grid):
@@ -97,21 +100,6 @@ def _dilated(entries, r, indices):
     """D_r M D_r: entry (i, j) of M times r^omega(n_i) r^omega(n_j)."""
     w = dilation_weight(r, indices)
     return w[:, None] * entries * w[None, :]
-
-
-def dilation_family(symbol, r_grid, n_max, prime_budget=None):
-    """The matrices M_N(alpha_{r_k}) for a strictly increasing grid."""
-    grid = _grid(r_grid)
-    base = assemble(symbol, n_max, prime_budget)
-    return [
-        HelsonMatrix(
-            entries=_dilated(base.entries, r, base.indices),
-            indices=base.indices,
-            symbol_id=f"dilate({r:g})|{base.symbol_id}",
-            prime_budget=prime_budget,
-        )
-        for r in grid
-    ]
 
 
 def simplex_project(w):
@@ -175,7 +163,7 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     def value_pair(c, start=None):
         """(sigma, u, v, certified); an uncertified sigma is the best estimate."""
         try:
-            report = operator_norm(difference(c), cfg.inner_tol, cfg.inner_max_iter,
+            report = operator_norm(difference(c), INNER_TOL, INNER_MAX_ITER,
                                    start=start)
             ok = True
         except ConvergenceError as err:
@@ -228,7 +216,7 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
 
         # exact line minimization between coordinate pairs; convex along
         # each line, so golden section cannot miss
-        for _ in range(cfg.polish_sweeps):
+        for _ in range(POLISH_SWEEPS):
             improved = False
             for k in range(k_pts):
                 for l in range(k + 1, k_pts):
@@ -276,12 +264,6 @@ class DiagnosticTable:
     """Certified values ||M_N(alpha_r) - M_N(alpha)|| indexed by (r, N)."""
 
     rows: tuple  # ((r, N, value), ...) ordered by N then r
-
-    def value_at(self, r, n_max):
-        for row in self.rows:
-            if row[0] == r and row[1] == n_max:
-                return row[2]
-        raise DomainError(f"no diagnostic row at (r={r}, N={n_max})")
 
     def to_csv(self):
         lines = ["r,N,value"]

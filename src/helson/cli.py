@@ -6,7 +6,9 @@ with "schema": 1, and stamped with a hash of the resolved configuration
 so reruns with identical configs produce byte-identical files.  Exit
 codes: 0 success, 2 domain/parse error, 3 convergence failure; a result
 that did not converge (xnorm, essnorm weights, duality) is still written
-in full, marked "converged": false.
+in full, marked "converged": false.  essnorm --format csv without
+--output prints only the diagnostic table and computes no weights, so its
+exit code follows the diagnostic alone.
 
 Every knob is one row of KNOBS: its config-file key, flag, type, library
 default and the commands that take the flag.  Flags may also be preloaded
@@ -131,8 +133,9 @@ def read_config_file(path):
 def _resolve(args, inputs=()):
     """The run's knobs: an explicit flag beats the config file beats the default.
 
-    A config file may set any knob, also one whose flag this command does
-    not take, so one file can serve every command.
+    One config file can serve every command: a known key whose flag this
+    command does not take is skipped unparsed, so its knob keeps the
+    default.  An unknown key is an error.
     """
     from_file = {}
     if args.config:
@@ -141,7 +144,7 @@ def _resolve(args, inputs=()):
             if key not in by_key:
                 raise DomainError(f"unknown config key {key!r} in {args.config}")
             knob = by_key[key]
-            if getattr(args, knob.dest, None) is None:
+            if args.command in knob.commands and getattr(args, knob.dest) is None:
                 try:
                     from_file[knob.dest] = knob.type(raw)
                 except ValueError:
@@ -219,7 +222,7 @@ def cmd_factor(args):
         )
     else:
         prod = "1"
-    kappa = ",".join(str(e) for e in factorize(n).exponents)
+    kappa = ",".join(str(e) for e in factorize(n))
     return f"{n} = {prod}, kappa=({kappa})\n"
 
 
@@ -269,6 +272,10 @@ def cmd_essnorm(args):
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
     )
+    csv_text = _csv_stamp(cfg) + table.to_csv()
+    if cfg.format == "csv" and not args.output:
+        # no manifest to write, so the weights would reach no output
+        return csv_text
     weights = {}
     for n_max in schedule:
         res = best_convex_approx(
@@ -293,10 +300,9 @@ def cmd_essnorm(args):
         "weights": weights,
     }
     if cfg.format == "csv":
-        text = _csv_stamp(cfg) + table.to_csv()
-        if args.output:
-            with open(str(args.output) + ".manifest.json", "w") as fh:
-                fh.write(_json_doc(manifest))
+        text = csv_text
+        with open(str(args.output) + ".manifest.json", "w") as fh:
+            fh.write(_json_doc(manifest))
     else:
         text = _json_doc(manifest)
     unconverged = [n for n, w in weights.items() if not w["converged"]]

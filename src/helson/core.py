@@ -1,8 +1,8 @@
 """Sequences on the positive integers and their multiplicative calculus.
 
 A Sequence is a finitely supported map n -> complex, n >= 1.  The
-multiplicative structure enters through factorize/compose, Dirichlet
-convolution with a conjugated second factor,
+multiplicative structure enters through the exponent tuple kappa of
+factorize, Dirichlet convolution with a conjugated second factor,
 
     (a * b)(n) = sum_{k | n} a(k) conj(b(n/k)),
 
@@ -22,65 +22,19 @@ from .errors import ConvergenceError, DomainError
 from . import sieve
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent tuple kappa with n = prod_j p_j^(kappa_j).
-
-    Trailing zeros are trimmed on construction, so equal integers give
-    equal MultiIndex values.
-    """
-
-    exponents: tuple = ()
-
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise DomainError(f"exponents must be >= 0, got {exps}")
-        while exps and exps[-1] == 0:
-            exps = exps[:-1]
-        object.__setattr__(self, "exponents", exps)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    @property
-    def degree(self):
-        return sum(self.exponents)
-
-    @property
-    def weighted_degree(self):
-        """sum_j j*kappa_j with j counted from 1."""
-        return sum(j * e for j, e in enumerate(self.exponents, start=1))
-
-
 def factorize(n):
-    """MultiIndex of n; inverse of compose.  1 maps to the empty tuple."""
+    """Exponent tuple kappa with n = prod_j p_j^(kappa_j); () for 1.
+
+    The tuple ends at the index of the largest prime factor, so it has
+    no trailing zeros.
+    """
     pairs = sieve.factor_pairs(n)
     if not pairs:
-        return MultiIndex()
-    width = sieve.prime_index(pairs[-1][0])
-    exps = [0] * width
+        return ()
+    exps = [0] * sieve.prime_index(pairs[-1][0])
     for p, e in pairs:
         exps[sieve.prime_index(p) - 1] = e
-    return MultiIndex(tuple(exps))
-
-
-def compose(kappa):
-    """Integer prod_j p_j^(kappa_j); rejects results above the sieve limit."""
-    if not isinstance(kappa, MultiIndex):
-        kappa = MultiIndex(tuple(kappa))
-    limit = sieve.sieve_limit()
-    n = 1
-    for j, e in enumerate(kappa, start=1):
-        if e == 0:
-            continue
-        n *= sieve.nth_prime(j) ** e
-        if n > limit:
-            raise DomainError(f"compose({kappa.exponents}) exceeds sieve limit {limit}")
-    return n
+    return tuple(exps)
 
 
 def _as_complex(v):
@@ -242,23 +196,12 @@ def bilinear_pair(a, b):
     return complex(sum(v * large[n] for n, v in small.items()))
 
 
-@dataclass(frozen=True)
-class DilationParam:
-    """Dilation parameter r, strictly inside (0, 1)."""
-
-    r: float
-
-    def __post_init__(self):
-        r = float(self.r)
-        if not (0.0 < r < 1.0):
-            raise DomainError(f"dilation parameter must satisfy 0 < r < 1, got {r}")
-        object.__setattr__(self, "r", r)
-
-
 def _rvalue(r):
-    if isinstance(r, DilationParam):
-        return r.r
-    return DilationParam(float(r)).r
+    """The dilation parameter r as a float, strictly inside (0, 1)."""
+    r = float(r)
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"dilation parameter must satisfy 0 < r < 1, got {r}")
+    return r
 
 
 def dilation_weight(r, n):
@@ -289,6 +232,9 @@ class HSSum:
     terms_used: int
 
 
+# cap on the weighted-degree levels dilation_hs_sum may sum
+HS_MAX_TERMS = 50000
+
 _PARTITIONS = [1]
 
 
@@ -312,7 +258,7 @@ def _partition_counts(upto):
     return _PARTITIONS
 
 
-def dilation_hs_sum(r, tolerance, max_terms=50000):
+def dilation_hs_sum(r, tolerance):
     """Hilbert-Schmidt sum of D_r by two independent routes.
 
     partial_sum accumulates sum_kappa r^(2 omega) grouped by weighted
@@ -320,7 +266,8 @@ def dilation_hs_sum(r, tolerance, max_terms=50000):
     count), stopping once the remaining tail is below tolerance relative
     to the running sum.  product_form multiplies 1/(1 - r^(2j)) until the
     change still ahead of the partial product is below tolerance.
-    terms_used counts the weighted-degree levels consumed.
+    terms_used counts the weighted-degree levels consumed, at most
+    HS_MAX_TERMS.
     """
     r = _rvalue(r)
     tolerance = float(tolerance)
@@ -337,10 +284,10 @@ def dilation_hs_sum(r, tolerance, max_terms=50000):
     log_sum_est = (math.pi * math.pi / 6.0) / (1.0 - q)
     big_l = log_sum_est - math.log(tolerance * margin)
     s = (b + math.sqrt(b * b + 4.0 * a * big_l)) / (2.0 * a)
-    if s * s > max_terms:
+    if s * s > HS_MAX_TERMS:
         raise ConvergenceError(
             f"r={r} needs about {int(s * s)} weighted-degree levels, "
-            f"cap is {max_terms}",
+            f"cap is {HS_MAX_TERMS}",
             best=None,
         )
 
@@ -366,9 +313,9 @@ def dilation_hs_sum(r, tolerance, max_terms=50000):
         w += 1
         if w > 1 and term <= target * total:
             break
-        if w > max_terms:
+        if w > HS_MAX_TERMS:
             raise ConvergenceError(
-                f"dilation HS sum did not stabilize within {max_terms} levels",
+                f"dilation HS sum did not stabilize within {HS_MAX_TERMS} levels",
                 best=HSSum(total, product, w),
             )
     return HSSum(partial_sum=total, product_form=product, terms_used=w)

@@ -77,9 +77,10 @@ class PowerSymbol(ArraySymbol):
 class MHilbertSymbol(ArraySymbol):
     """alpha(1) = 0, alpha(n) = 1/(sqrt(n) log n) for n >= 2.
 
-    The multiplicative analogue of a Hilbert-type symbol: bounded-looking
-    with slow decay.  Tests assert only monotone growth across N, never a
-    literature value.
+    The compression of M(alpha) to n, m >= 2 is the multiplicative
+    Hilbert matrix, of norm pi (Brevig, Perfekt, Seip, Siskakis and
+    Vukotic, Adv. Math. 2016); tests assert that its truncations grow
+    with N and stay below pi.
     """
 
     spec = "mhilbert"

@@ -54,11 +54,6 @@ def symbol_values(symbol, ns):
     return out.reshape(ns.shape)
 
 
-def symbol_value(symbol, n):
-    """Evaluate a symbol source at one index: symbol_values on [n]."""
-    return complex(symbol_values(symbol, [n])[0])
-
-
 class ArraySymbol:
     """Base of the built-in symbols: subclasses define ``values(ns)``.
 
@@ -270,12 +265,10 @@ def matrix_to_csv(matrix):
     return "\n".join(lines) + "\n"
 
 
-def save_matrix(matrix, csv_path, header_path=None):
-    """Write the CSV body and its JSON header (default: csv_path + '.json')."""
-    if header_path is None:
-        header_path = str(csv_path) + ".json"
+def save_matrix(matrix, csv_path):
+    """Write the CSV body, and its JSON header to csv_path + '.json'."""
     with open(csv_path, "w") as fh:
         fh.write(matrix_to_csv(matrix))
-    with open(header_path, "w") as fh:
+    with open(str(csv_path) + ".json", "w") as fh:
         json.dump(matrix_header(matrix), fh, indent=2)
         fh.write("\n")

@@ -157,14 +157,6 @@ def factor_pairs(n):
     return tuple(out)
 
 
-def nth_prime(j):
-    """The j-th prime, 1-based: nth_prime(1) = 2."""
-    _, _, primes = _ensure()
-    if not (1 <= j <= len(primes)):
-        raise DomainError(f"prime index {j} outside [1, {len(primes)}]")
-    return int(primes[j - 1])
-
-
 def prime_index(p):
     """Position of the prime p in the ascending prime list (1-based)."""
     _, _, primes = _ensure()

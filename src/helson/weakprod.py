@@ -36,6 +36,9 @@ from .spectral import NORM_TOL, operator_norm
 # ADMM penalty rho: each step shrinks singular values by 1/rho
 _RHO = 1.0
 
+# slack xnorm_certificate_check grants on both of its inequalities
+CERT_CHECK_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -243,10 +246,11 @@ def representation_from_matrix(matrix, indices=None):
     return Representation(tuple(pairs))
 
 
-def xnorm_certificate_check(c, beta, claimed, n_max, tol=1e-6, prime_budget=None):
+def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
     """True iff beta certifies ||c||_X >= claimed - tol on the window.
 
-    Requires ||M_N(beta)|| <= 1 + tol and |(beta, c)| >= claimed - tol.
+    Requires ||M_N(beta)|| <= 1 + tol and |(beta, c)| >= claimed - tol,
+    with tol = CERT_CHECK_TOL.
     """
     top = n_max * n_max
     for n in beta.support:
@@ -258,9 +262,9 @@ def xnorm_certificate_check(c, beta, claimed, n_max, tol=1e-6, prime_budget=None
         norm = operator_norm(assemble(beta, n_max, prime_budget)).norm
     else:
         norm = 0.0
-    if norm > 1.0 + tol:
+    if norm > 1.0 + CERT_CHECK_TOL:
         return False
-    return abs(bilinear_pair(beta, c)) >= claimed - tol
+    return abs(bilinear_pair(beta, c)) >= claimed - CERT_CHECK_TOL
 
 
 @dataclass

@@ -30,55 +30,65 @@ def _classes(n_max):
     return classes
 
 
-def _phi_a(b_mat, classes, names, n_max, rank):
-    # class sums are linear in vec(A): row n collects conj(B[j]) onto A[i]
-    phi = np.zeros((len(names), n_max * rank), dtype=complex)
-    for row, n in enumerate(names):
-        for i, j in classes[n]:
-            phi[row, i * rank : (i + 1) * rank] += np.conj(b_mat[j, :])
-    return phi
+def _class_pairs(classes, names):
+    """Flat (row, i, j) arrays: window pair (i, j) lies in class names[row]."""
+    triples = [(row, i, j) for row, n in enumerate(names) for i, j in classes[n]]
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*triples))
 
 
-def _phi_b(a_mat, classes, names, n_max, rank):
+def _phi_a(b_mats, pairs, n_names, n_max, rank):
+    # class sums are linear in vec(A): row n collects conj(B[j]) onto A[i];
+    # one stacked matrix per restart, and no (row, i) pair repeats
+    rows, ii, jj = pairs
+    phi = np.zeros((len(b_mats), n_names, n_max, rank), dtype=complex)
+    phi[:, rows, ii, :] += np.conj(b_mats[:, jj, :])
+    return phi.reshape(len(b_mats), n_names, n_max * rank)
+
+
+def _phi_b(a_mats, pairs, n_names, n_max, rank):
     # same sums read as linear in vec(conj(B))
-    phi = np.zeros((len(names), n_max * rank), dtype=complex)
-    for row, n in enumerate(names):
-        for i, j in classes[n]:
-            phi[row, j * rank : (j + 1) * rank] += a_mat[i, :]
-    return phi
+    rows, ii, jj = pairs
+    phi = np.zeros((len(a_mats), n_names, n_max, rank), dtype=complex)
+    phi[:, rows, jj, :] += a_mats[:, ii, :]
+    return phi.reshape(len(a_mats), n_names, n_max * rank)
 
 
 def _ridge(phi, target, mu):
-    # min mu/2 ||phi x - target||^2 + 1/2 ||x||^2
-    gram = phi.conj().T @ phi + (1.0 / mu) * np.eye(phi.shape[1])
-    return np.linalg.solve(gram, phi.conj().T @ target)
+    # min mu/2 ||phi x - target||^2 + 1/2 ||x||^2, per stacked phi
+    phi_h = np.conj(phi).transpose(0, 2, 1)
+    gram = phi_h @ phi + (1.0 / mu) * np.eye(phi.shape[2])
+    return np.linalg.solve(gram, (phi_h @ target)[..., None])[..., 0]
 
 
 def xnorm_oracle(entries, n_max, rank=4, restarts=50, seed=0, sweeps=120):
     """Best cost sum ||a_k|| ||b_k|| over rank-limited representations.
 
     entries: dict n -> complex with every n a product of window indices.
+    The restarts run as one batch: the sweeps of every restart share the
+    penalty schedule, so each half-sweep is one stacked solve.
     """
     classes = _classes(n_max)
     names = sorted(classes)
+    pairs = _class_pairs(classes, names)
     target = np.array([complex(entries.get(n, 0.0)) for n in names])
     scale = max(1.0, float(np.abs(target).max()))
     rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        b_mat = rng.standard_normal((n_max, rank)) + 1j * rng.standard_normal(
+    b_mats = np.empty((restarts, n_max, rank), dtype=complex)
+    for b_mat in b_mats:
+        b_mat[:] = rng.standard_normal((n_max, rank)) + 1j * rng.standard_normal(
             (n_max, rank)
         )
         b_mat /= max(np.linalg.norm(b_mat), 1e-12)
-        mu = 1.0
-        for _ in range(sweeps):
-            a_vec = _ridge(_phi_a(b_mat, classes, names, n_max, rank), target, mu)
-            a_mat = a_vec.reshape(n_max, rank)
-            b_vec = _ridge(_phi_b(a_mat, classes, names, n_max, rank), target, mu)
-            b_mat = np.conj(b_vec.reshape(n_max, rank))
-            mu = min(mu * 1.35, 1e12)
+    mu = 1.0
+    for _ in range(sweeps):
+        a_vecs = _ridge(_phi_a(b_mats, pairs, len(names), n_max, rank), target, mu)
+        a_mats = a_vecs.reshape(restarts, n_max, rank)
+        b_vecs = _ridge(_phi_b(a_mats, pairs, len(names), n_max, rank), target, mu)
+        b_mats = np.conj(b_vecs.reshape(restarts, n_max, rank))
+        mu = min(mu * 1.35, 1e12)
+    best = np.inf
+    for phi, b_mat in zip(_phi_a(b_mats, pairs, len(names), n_max, rank), b_mats):
         # exact min-norm feasibility polish for A at the final B
-        phi = _phi_a(b_mat, classes, names, n_max, rank)
         a_vec, *_ = np.linalg.lstsq(phi, target, rcond=None)
         a_mat = a_vec.reshape(n_max, rank)
         x_mat = a_mat @ np.conj(b_mat.T)

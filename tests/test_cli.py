@@ -168,6 +168,27 @@ def test_essnorm_csv_and_manifest(capsys, tmp_path):
     assert "determinism" in manifest
 
 
+def test_essnorm_csv_to_stdout_skips_the_weights(capsys, tmp_path, monkeypatch):
+    # without --output there is no manifest, so no weights are computed
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return best_convex_approx(*args, **kwargs)
+
+    monkeypatch.setattr("helson.cli.best_convex_approx", counting)
+    argv = ("essnorm", "power:1", "--grid", "geometric(0.9,0.1,3)", "--N", "4,8",
+            "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and calls == []
+    assert out.splitlines()[1] == "r,N,value" and len(out.splitlines()) == 8
+    # the table is the one written next to the manifest
+    out_path = tmp_path / "table.csv"
+    code, _, _ = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0 and calls == [4, 8]
+    assert out_path.read_text() == out
+
+
 def test_essnorm_geometric_grid(capsys):
     code, out, _ = run(
         capsys, "essnorm", "delta:1", "--grid", "geometric(0.9,0.1,3)", "--N", "2"
@@ -376,6 +397,19 @@ def test_config_file_equivalence(tmp_path, capsys):
         assert out_file == out_flags, knob.key
         _, out_plain, _ = run(capsys, *argv)
         assert out_flags != out_plain, knob.key
+
+
+def test_config_keys_of_other_commands_are_ignored(tmp_path, capsys):
+    # keys a command does not take are neither parsed nor hashed
+    _, want, _ = run(capsys, "norm", "delta:1", "--N", "8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 8\niterations = 5\nr_grid = 0.5,0.9\nformat = csv\n")
+    code, out, _ = run(capsys, "norm", "delta:1", "--config", str(cfg))
+    assert code == 0 and out == want
+    # an r-grid norm never uses is not validated either
+    cfg.write_text("N = 8\nr_grid = 1.5\n")
+    code, out, _ = run(capsys, "norm", "delta:1", "--config", str(cfg))
+    assert code == 0 and out == want
 
 
 def test_cli_flags_beat_config(tmp_path, capsys):

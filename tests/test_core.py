@@ -5,12 +5,9 @@ import pytest
 
 from helson import (
     ConvergenceError,
-    DilationParam,
     DomainError,
-    MultiIndex,
     Sequence,
     bilinear_pair,
-    compose,
     dilate,
     dilation_hs_sum,
     dilation_weight,
@@ -22,7 +19,9 @@ from helson import (
     sequence_from_triples,
     sequence_to_triples,
     sieve_limit,
+    weighted_degree,
 )
+from oracles import primes_upto, trial_factor
 
 
 def random_sequence(rng, max_index=64, size=8):
@@ -35,36 +34,31 @@ def random_sequence(rng, max_index=64, size=8):
 
 
 def test_factorize_examples():
-    assert factorize(1) == MultiIndex(())
-    assert factorize(12) == MultiIndex((2, 1))
-    assert factorize(360) == MultiIndex((3, 2, 1))
+    assert factorize(1) == ()
+    assert factorize(12) == (2, 1)
+    assert factorize(360) == (3, 2, 1)
+    assert factorize(5) == (0, 0, 1)
 
 
-def test_compose_examples():
-    assert compose(MultiIndex(())) == 1
-    assert compose(MultiIndex((2, 1))) == 12
-    assert compose(MultiIndex((0, 0, 1))) == 5
-    assert compose((0, 0, 1)) == 5
-
-
-def test_factorize_compose_roundtrip():
+def test_factorize_matches_trial_factor():
     rng = np.random.default_rng(3)
+    primes = primes_upto(200000)
     for _ in range(400):
         n = int(rng.integers(1, 200000))
-        assert compose(factorize(n)) == n
-
-
-def test_compose_overflow():
-    with pytest.raises(DomainError):
-        compose((100,))
+        factors = trial_factor(n, primes)
+        kappa = [0] * (factors[-1][0] if factors else 0)
+        for j, e in factors:
+            kappa[j - 1] = e
+        assert factorize(n) == tuple(kappa)
 
 
 def test_multiindex_degrees():
-    kappa = MultiIndex((3, 0, 2))
-    assert kappa.degree == 5
-    assert kappa.weighted_degree == 3 + 6
-    # trailing zeros are normalized away
-    assert MultiIndex((1, 0, 0)) == MultiIndex((1,))
+    # 200 = 2^3 5^2: degree 5, weighted degree 1*3 + 3*2
+    kappa = factorize(200)
+    assert kappa == (3, 0, 2)
+    assert sum(kappa) == 5
+    assert sum(j * e for j, e in enumerate(kappa, start=1)) == 9
+    assert weighted_degree(200) == 9
 
 
 # ------------------------------------------------------------------ Sequence
@@ -222,10 +216,12 @@ def test_bilinear_pair_examples():
 
 
 def test_dilation_param_bounds():
-    DilationParam(0.5)
+    assert dilation_weight(0.5, 2) == 0.5
     for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(DomainError):
-            DilationParam(bad)
+        with pytest.raises(DomainError, match="0 < r < 1"):
+            dilation_weight(bad, 2)
+        with pytest.raises(DomainError, match="0 < r < 1"):
+            dilation_hs_sum(bad, 1e-6)
 
 
 def test_dilation_weight_examples():
@@ -332,9 +328,10 @@ def test_hs_sum_matches_product_truth():
         assert rec.product_form == pytest.approx(truth, rel=1e-10)
 
 
-def test_hs_sum_cap():
+def test_hs_sum_cap(monkeypatch):
+    monkeypatch.setattr("helson.core.HS_MAX_TERMS", 500)
     with pytest.raises(ConvergenceError):
-        dilation_hs_sum(0.999999, 1e-12, max_terms=500)
+        dilation_hs_sum(0.999999, 1e-12)
     with pytest.raises(DomainError):
         dilation_hs_sum(0.5, 2.0)
 

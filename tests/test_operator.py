@@ -12,7 +12,6 @@ from helson import (
     assemble,
     bilinear_pair,
     dilate_symbol,
-    dilation_family,
     dilation_weight,
     dirichlet_convolve,
     form,
@@ -21,10 +20,10 @@ from helson import (
     product_classes,
     save_matrix,
     smooth_indices,
-    symbol_value,
     symbol_values,
     truncation_indices,
 )
+from helson.approx import _dilated
 
 
 def random_sequence(rng, max_index=16, size=6):
@@ -130,8 +129,8 @@ def test_truncation_indices():
 
 
 def test_symbol_value_dispatch():
-    assert symbol_value(PowerSymbol(1.0), 4) == pytest.approx(0.25)
-    assert symbol_value(Sequence.delta(3), 3) == 1.0
+    assert symbol_values(PowerSymbol(1.0), [4])[0] == pytest.approx(0.25)
+    assert symbol_values(Sequence.delta(3), [3])[0] == 1.0
 
 
 # ---------------------------------------------------------------------- form
@@ -200,29 +199,19 @@ def test_compression_identity():
 
 
 def test_dilation_family():
-    fam = dilation_family(Sequence.delta(1), (0.5, 0.9), 4)
-    assert len(fam) == 2
-    base = assemble(Sequence.delta(1), 4)
-    for m in fam:
-        assert np.array_equal(m.entries, base.entries)
-    single = dilation_family(PowerSymbol(1.0), (0.5,), 4)
-    assert len(single) == 1
-    with pytest.raises(DomainError):
-        dilation_family(PowerSymbol(1.0), (0.9, 0.5), 4)
-    # the family scales one assembled matrix; dilate_symbol weights the
+    # approx scales one assembled matrix by D_r; dilate_symbol weights the
     # symbol itself, an independent route to the same entries
-    grid = (0.3, 0.7, 0.95)
-    for alpha, label in ((parse_fixture("random-decay:7,0.5"), "random-decay:7,0.5"),
-                         (Sequence({1: 1.0, 2: -1.5, 3: 0.8, 6: -0.4, 12: 0.25}),
-                          "sequence:5")):
+    base = assemble(Sequence.delta(1), 4)
+    assert np.array_equal(_dilated(base.entries, 0.5, base.indices), base.entries)
+    for alpha in (parse_fixture("random-decay:7,0.5"),
+                  Sequence({1: 1.0, 2: -1.5, 3: 0.8, 6: -0.4, 12: 0.25})):
         for budget in (None, 2):
-            fam = dilation_family(alpha, grid, 16, budget)
-            for r, m in zip(grid, fam):
+            base = assemble(alpha, 16, budget)
+            for r in (0.3, 0.7, 0.95):
                 want = assemble(dilate_symbol(alpha, r, 16), 16, budget)
-                np.testing.assert_allclose(m.entries, want.entries, rtol=1e-14, atol=0)
-                assert m.indices == want.indices
-                assert m.prime_budget == want.prime_budget == budget
-                assert m.symbol_id == f"dilate({r:g})|{label}"
+                assert want.indices == base.indices
+                np.testing.assert_allclose(_dilated(base.entries, r, base.indices),
+                                           want.entries, rtol=1e-14, atol=0)
 
 
 # -------------------------------------------------------------------- export

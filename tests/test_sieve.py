@@ -10,7 +10,6 @@ from helson import DomainError, factorize, is_smooth, set_sieve_limit, sieve_lim
 from helson.sieve import (
     factor_pairs,
     max_prime_index,
-    nth_prime,
     prime_index,
     smooth_indices,
     weighted_degree,
@@ -47,9 +46,8 @@ def test_factor_pairs_rejects_out_of_range():
 
 
 def test_nth_prime_and_index():
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    for j, p in enumerate(primes, start=1):
-        assert nth_prime(j) == p
+    # the j-th prime has prime_index j
+    for j, p in enumerate(oracles.primes_upto(1000), start=1):
         assert prime_index(p) == j
     with pytest.raises(DomainError):
         prime_index(4)

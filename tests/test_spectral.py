@@ -225,3 +225,16 @@ def test_l2_check_random():
 def test_l2_check_mhilbert():
     rec = l2_lower_bound_check(MHilbertSymbol(), 32)
     assert rec.ok
+
+
+def test_mhilbert_compression_below_pi():
+    # the multiplicative Hilbert matrix {1/(sqrt(nm) log(nm))}_{n,m>=2} has
+    # norm pi (Brevig, Perfekt, Seip, Siskakis and Vukotic, Adv. Math. 2016)
+    norms = []
+    for n_max in (64, 256, 1024):
+        a = assemble(MHilbertSymbol(), n_max).entries[1:, 1:]
+        norm = operator_norm(a).norm
+        assert norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=0)
+        norms.append(norm)
+    assert norms[0] < norms[1] < norms[2] < math.pi
+    assert norms == pytest.approx([1.02560, 1.13353, 1.21321], abs=1e-5)

@@ -17,7 +17,6 @@ from helson import (
     dilation_weight,
     parse_fixture,
     save_sequence,
-    symbol_value,
     symbol_values,
 )
 from helson.fixtures import splitmix64
@@ -55,7 +54,7 @@ def test_values_equal_value_exactly(tmp_path_factory, ns):
         want = [scalar(symbol, n) for n in ns]
         assert got.tolist() == want
         assert symbol_values(symbol, ns).tolist() == want
-        assert [symbol_value(symbol, n) for n in ns] == want
+        assert [symbol_values(symbol, [n])[0] for n in ns] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,7 +115,7 @@ def test_weighted_degrees_match_scalar():
     lambda: dilation_weight(0.5, 2.5),
     lambda: dilation_weight(0.5, np.array([2.0, 3.0])),
     lambda: symbol_values(MHilbertSymbol(), [2.5]),
-    lambda: symbol_value(MHilbertSymbol(), 2.0),
+    lambda: symbol_values(MHilbertSymbol(), [2.0]),
     lambda: symbol_values(Sequence({2: 1.0}), np.array([[2.0]])),
 ], ids=["weight-scalar", "weight-array", "values", "value", "sequence"])
 def test_non_integer_indices_raise(call):
