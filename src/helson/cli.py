@@ -70,10 +70,10 @@ KNOBS = (
          'r-grid: "0.9,0.99,0.999" or "geometric(0.9,0.1,3)"'),
     Knob("primes", "--primes", "prime_budget", int, None, _SEQUENCES,
          "prime budget d: restrict indices to d-smooth integers"),
-    Knob("norm_tol", "--norm-tol", "norm_tol", float, NORM_TOL, _WINDOWS,
+    Knob("norm_tol", "--norm-tol", "norm_tol", float, NORM_TOL, ("norm", "essnorm"),
          "relative residual that certifies an operator norm"),
     Knob("solver_tol", "--solver-tol", "solver_tol", float, XNormConfig.tol, _ADMM,
-         "ADMM residual tolerance"),
+         "ADMM stop: absolute width of the certified xnorm bracket"),
     Knob("iterations", "--iterations", "iterations", int, ApproxConfig.iterations,
          ("essnorm",), "subgradient iterations"),
     Knob("max_iter", "--max-iter", "max_iter", int, XNormConfig.max_iter, _ADMM,
@@ -316,8 +316,7 @@ def cmd_essnorm(args):
 def cmd_xnorm(args):
     cfg = _resolve(args, inputs=(args.sequence,))
     c = _load_seq(args.sequence, cfg.prime_budget)
-    solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter,
-                         cert_tol=cfg.norm_tol)
+    solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     result = xnorm(c, cfg.N, config=solver, prime_budget=cfg.prime_budget)
     if args.matrix_out:
         window = HelsonMatrix(result.matrix, truncation_indices(cfg.N, cfg.prime_budget),
@@ -334,10 +333,8 @@ def cmd_xnorm(args):
     text = _json_doc(doc)
     if not result.converged:
         raise _Unconverged(
-            text, f"xnorm did not converge: ADMM ran {result.iterations} of "
-                  f"{cfg.max_iter} iterations, certificate norm "
-                  f"{'certified' if result.certified else 'not certified'} "
-                  f"(gap {result.primal_dual_gap:.3e})"
+            text, f"xnorm did not converge: gap {result.primal_dual_gap:.3e}, "
+                  f"ADMM ran {result.iterations} of {cfg.max_iter} iterations"
         )
     return text
 
@@ -346,8 +343,7 @@ def cmd_duality(args):
     cfg = _resolve(args, inputs=(args.fixture, args.sequence))
     symbol = parse_fixture(args.fixture)
     c = _load_seq(args.sequence, cfg.prime_budget)
-    solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter,
-                         cert_tol=cfg.norm_tol)
+    solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     report = duality_gap(symbol, c, cfg.N, config=solver,
                          prime_budget=cfg.prime_budget)
     text = _json_doc({

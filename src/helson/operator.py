@@ -58,11 +58,11 @@ class ArraySymbol:
     """Base of the built-in symbols: subclasses define ``values(ns)``.
 
     The scalar ``value(n)`` is ``values`` on a one-element array, so the
-    two can never disagree.
+    two can never disagree: a non-integer n raises DomainError on both.
     """
 
     def value(self, n):
-        return complex(self.values(np.array([n], dtype=np.int64))[0])
+        return complex(self.values(sieve._integer_array([n]))[0])
 
 
 def symbol_label(symbol):

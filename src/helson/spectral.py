@@ -6,6 +6,10 @@ unless the caller passes a warm start.  Each iterate carries a residual
 certificate ||A^H u - sigma v||; an Aitken extrapolation of the Rayleigh
 quotient handles near-degenerate leading pairs, where the value
 converges long before the vectors settle.
+
+_norm_upper_bound is the other side: a proven upper bound on the norm
+of a dense matrix, for callers that scale by the norm and so need it
+never to come out low.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,9 @@ from .operator import (
 # operator_norm's defaults: relative residual tolerance and iteration cap
 NORM_TOL = 1e-10
 NORM_MAX_ITER = 50000
+
+# unit roundoff of float64
+_UNIT = 2.0**-53
 
 # residual slack accepted when the Aitken gap says the value has
 # converged but a near-degenerate pair keeps the vectors wandering
@@ -158,6 +165,62 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
         best=SpectralReport(sigma, (u, v), max_iter, residual),
         iterations=max_iter,
     )
+
+
+def _norm_upper_bound(matrix):
+    """Proven upper bound s >= ||A|| of a dense matrix (Rump, BIT 51, 2011).
+
+    ||A|| <= s exactly when s^2 I - A^H A is positive semidefinite.  A
+    floating-point Cholesky factorization of M = t I - fl(A^H A) that runs
+    to completion proves lambda_min(M) >= -g trace(M) with
+    g = gamma_{n+1} / (1 - gamma_{n+1}) (Demmel's backward error, as in
+    Rump, BIT 46, 2006), so ||A||^2 <= t plus that term plus the rounding
+    of the Gram product and of the diagonal shift.  The constants below
+    take twice the real-arithmetic index, which covers complex entries.
+    t starts just above the largest eigenvalue of fl(A^H A) and its
+    excess grows fourfold while the factorization fails.  A is first
+    scaled by a power of two (exact) so that its largest entry lies in
+    [1/2, 1).  The result exceeds the dense-SVD norm by a relative
+    O(n^2 u).
+    """
+    arr = _as_dense(matrix)
+    peak = float(np.abs(arr).max()) if arr.size else 0.0
+    if peak == 0.0:
+        return 0.0
+    exp = int(np.frexp(peak)[1])
+    a = np.ldexp(arr.real, -exp) if arr.dtype.kind == "f" else (
+        np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp)
+    )
+    rows, dim = a.shape
+
+    def gamma(k):
+        # the k-fold rounding factor k u / (1 - k u)
+        return k * _UNIT / (1.0 - k * _UNIT)
+
+    gram = a.conj().T @ a
+    diag = gram.diagonal().real
+    # ||fl(A^H A) - A^H A|| <= gamma ||A||_F^2, and ||A||_F^2 <= 2 trace
+    gram_err = gamma(2 * rows + 4) * 2.0 * float(diag.sum())
+    chol_g = gamma(2 * dim + 4)
+    chol_g /= 1.0 - chol_g
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    # error terms relative to t, and an absolute floor for underflow
+    rel = chol_g * dim + 4.0 * _UNIT
+    excess = 2.0 * (rel * top + gram_err) + dim * 1e-290
+    while True:
+        t = top + excess
+        shifted = -gram
+        shifted[np.diag_indices(dim)] = t - diag
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            excess *= 4.0
+            continue
+        # trace(M) <= dim t; the shift rounds each diagonal entry by at
+        # most u (t + diag_i); the Gram product errs by gram_err
+        bound2 = t + rel * t + _UNIT * float(diag.max()) + gram_err + dim * 1e-290
+        s = float(np.sqrt(bound2 * (1.0 + 4.0 * _UNIT))) * (1.0 + 4.0 * _UNIT)
+        return float(np.ldexp(s, exp))
 
 
 @dataclass

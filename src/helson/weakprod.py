@@ -19,8 +19,10 @@ alternating-direction scheme the natural solver at desk scale.
 
 The scaled dual variable of that scheme lives in the range of the
 constraint adjoint, i.e. it is constant on divisor classes; reading it
-off and rescaling to operator norm 1 yields the dual certificate beta
-with |(beta, c)| = value at the optimum.
+off and dividing by a proven upper bound on its operator norm yields the
+dual certificate beta, ||M_N(beta)|| <= 1, with |(beta, c)| -> value at
+the optimum.  So every iterate brackets the value, and the solver stops
+on the width of that bracket.
 """
 
 import math
@@ -28,13 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation
 from .core import Sequence, bilinear_pair, dirichlet_convolve
 from .operator import assemble, product_classes, symbol_values, truncation_indices
-from .spectral import NORM_TOL, operator_norm
+from .spectral import _norm_upper_bound
 
-# ADMM penalty rho: each step shrinks singular values by 1/rho
+# starting ADMM penalty rho: each step shrinks singular values by 1/rho
 _RHO = 1.0
+
+# xnorm brackets its value every _CHECK_EVERY iterations; each check
+# costs two small SVD-sized factorizations, about two iterations
+_CHECK_EVERY = 50
+
+# residual balancing: every _BALANCE_EVERY iterations rho is scaled by
+# _BALANCE_TAU when one residual exceeds _BALANCE_MU times the other
+_BALANCE_EVERY = 10
+_BALANCE_MU = 10.0
+_BALANCE_TAU = 2.0
 
 # slack xnorm_certificate_check grants on both of its inequalities
 CERT_CHECK_TOL = 1e-6
@@ -77,14 +89,17 @@ def rep_cost(rep):
 
 @dataclass
 class XNormConfig:
-    """Alternating-direction solver knobs for xnorm."""
+    """Alternating-direction solver knobs for xnorm.
 
-    tol: float = 1e-8
+    tol is the absolute certified gap at which the solver stops:
+    ||X||_* - |(beta, c)| / ||M_N(beta)|| <= tol.
+    """
+
+    tol: float = 1e-6
     max_iter: int = 20000
-    cert_tol: float = NORM_TOL
 
     def __post_init__(self):
-        if self.tol <= 0 or self.cert_tol <= 0:
+        if self.tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
@@ -94,11 +109,11 @@ class XNormConfig:
 class XNormResult:
     """Primal value with the optimal window matrix and dual certificate.
 
-    converged is False when ADMM stopped at its iteration cap or when the
-    certificate's operator norm did not certify (certified is False).  In
-    the second case the certificate is scaled by the power iteration's
-    best estimate, which may lie below its norm, so the certificate may
-    be infeasible and pairing and gap rest on it.
+    value is the nuclear norm of the exactly feasible matrix, an upper
+    bound; value - primal_dual_gap = |(certificate, c)| is a lower bound,
+    since the certificate is scaled by a proven upper bound on its
+    operator norm.  converged is False when ADMM stopped at its
+    iteration cap before the gap reached the tolerance.
     """
 
     value: float
@@ -107,7 +122,6 @@ class XNormResult:
     primal_dual_gap: float
     iterations: int
     converged: bool = True
-    certified: bool = True
 
     def to_json(self):
         return {
@@ -115,7 +129,6 @@ class XNormResult:
             "gap": self.primal_dual_gap,
             "iterations": self.iterations,
             "converged": self.converged,
-            "certified": self.certified,
             "certificate": [[n, v.real, v.imag] for n, v in self.certificate.items()],
         }
 
@@ -128,6 +141,14 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     up to N^2, as long as every support point is a product of two window
     indices.  Larger windows only add decompositions, so the value is
     nonincreasing in N.
+
+    Every _CHECK_EVERY iterations, and at the cap, the solver brackets
+    the value: the projected iterate X is exactly feasible, so ||X||_*
+    is an upper bound, and the class means beta of the scaled dual give
+    the lower bound |(beta, c)| / ||M_N(beta)|| with a proven upper bound
+    in the denominator (M_0* = X).  It stops once the bracket is at most
+    config.tol wide.  The penalty rho starts at _RHO and is rebalanced
+    every _BALANCE_EVERY iterations (Boyd et al., FnTML 2011, 3.4.1).
     """
     cfg = config or XNormConfig()
     classes = product_classes(truncation_indices(n_max, prime_budget))
@@ -167,55 +188,52 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     def project_affine(mat):
         return mat + ((target - class_sums(mat)) / counts)[labels]
 
+    def bracket(x, u):
+        # the scaled dual is constant on product classes; read it off, flip
+        # the conjugation to match the bilinear pairing, and divide by a
+        # proven bound so that ||M_N(beta)|| <= 1
+        means = class_sums(u.conj()) / counts
+        bound = _norm_upper_bound(means[labels])
+        beta = means / bound if bound > 0.0 else means
+        upper = float(np.linalg.svd(x, compute_uv=False).sum())
+        return upper, float(abs(np.dot(beta, target))), beta
+
+    rho = _RHO
     z = np.zeros((size, size), dtype=np.complex128)
     u = np.zeros_like(z)
     converged = False
-    iterations = cfg.max_iter
     for it in range(1, cfg.max_iter + 1):
         x = project_affine(z - u)
-        w = x + u
-        uu, s, vh = np.linalg.svd(w, full_matrices=False)
-        s = np.maximum(s - 1.0 / _RHO, 0.0)
+        uu, s, vh = np.linalg.svd(x + u, full_matrices=False)
+        s = np.maximum(s - 1.0 / rho, 0.0)
         z_new = (uu * s) @ vh
-        dual_res = _RHO * float(np.linalg.norm(z_new - z))
         r = x - z_new
-        primal_res = float(np.linalg.norm(r))
-        z = z_new
         u += r
-        if dual_res < cfg.tol and primal_res < cfg.tol:
-            converged = True
-            iterations = it
-            break
+        if it % _BALANCE_EVERY == 0:
+            # the scaled dual u = y / rho follows rho
+            primal_res = np.linalg.norm(r)
+            dual_res = rho * np.linalg.norm(z_new - z)
+            if primal_res > _BALANCE_MU * dual_res:
+                rho *= _BALANCE_TAU
+                u /= _BALANCE_TAU
+            elif dual_res > _BALANCE_MU * primal_res:
+                rho /= _BALANCE_TAU
+                u *= _BALANCE_TAU
+        z = z_new
+        if it % _CHECK_EVERY == 0 or it == cfg.max_iter:
+            upper, lower, beta = bracket(x, u)
+            if upper - lower <= cfg.tol:
+                converged = True
+                break
 
-    x = project_affine(z - u)  # exactly feasible by construction
-    value = float(np.linalg.svd(x, compute_uv=False).sum())
     x.setflags(write=False)
-
-    # the scaled dual is constant on product classes; read it off, flip
-    # the conjugation to match the bilinear pairing, renormalize
-    means = class_sums(u.conj()) / counts
-    beta_raw = Sequence(zip(classes.uniq.tolist(), means))
-    certificate = Sequence()
-    certified = True
-    if beta_raw:
-        try:
-            cert_norm = operator_norm(means[labels], tol=cfg.cert_tol).norm
-        except ConvergenceError as err:
-            # keep the result: scale by the best estimate, flag it unconverged
-            cert_norm = err.best.norm
-            certified = converged = False
-        if cert_norm > 1e-300:
-            certificate = (1.0 / (cert_norm * (1.0 + 1e-9))) * beta_raw
-    pairing = abs(bilinear_pair(certificate, c))
-    gap = abs(value - pairing)
     return XNormResult(
-        value=value,
+        value=upper,
         matrix=x,
-        certificate=certificate,
-        primal_dual_gap=gap,
-        iterations=iterations,
+        certificate=Sequence(zip(classes.uniq.tolist(), beta)),
+        primal_dual_gap=max(upper - lower, 0.0),
+        iterations=it,
         converged=converged,
-        certified=certified,
     )
 
 
@@ -249,8 +267,8 @@ def representation_from_matrix(matrix, indices=None):
 def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
     """True iff beta certifies ||c||_X >= claimed - tol on the window.
 
-    Requires ||M_N(beta)|| <= 1 + tol and |(beta, c)| >= claimed - tol,
-    with tol = CERT_CHECK_TOL.
+    Requires ||M_N(beta)|| <= 1 + tol, checked on a proven upper bound of
+    the norm, and |(beta, c)| >= claimed - tol, with tol = CERT_CHECK_TOL.
     """
     top = n_max * n_max
     for n in beta.support:
@@ -259,7 +277,7 @@ def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
                 f"certificate index {n} outside the window [1, {top}]"
             )
     if beta:
-        norm = operator_norm(assemble(beta, n_max, prime_budget)).norm
+        norm = _norm_upper_bound(assemble(beta, n_max, prime_budget).entries)
     else:
         norm = 0.0
     if norm > 1.0 + CERT_CHECK_TOL:
@@ -284,12 +302,14 @@ class DualityReport:
 def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     """Check |(alpha, c)| <= ||M_N(alpha)|| * xnorm_N(c).
 
-    ratio = pairing/bound is 0 when the pairing vanishes and must never
-    exceed 1 beyond certificate tolerance.
+    bound multiplies a proven upper bound on ||M_N(alpha)|| by the xnorm
+    value, itself an upper bound, so it is an upper bound.  ratio =
+    pairing/bound is 0 when the pairing vanishes and must never exceed 1
+    beyond certificate tolerance.
     """
     alpha = Sequence(zip(c.support, symbol_values(symbol, c.support).tolist()))
     pairing = abs(bilinear_pair(alpha, c))
-    op = operator_norm(assemble(symbol, n_max, prime_budget)).norm
+    op = _norm_upper_bound(assemble(symbol, n_max, prime_budget).entries)
     xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
     bound = op * xn.value
     if bound == 0.0:

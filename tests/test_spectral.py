@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helson import (
     ConvergenceError,
@@ -15,6 +15,7 @@ from helson import (
     l2_lower_bound_check,
     operator_norm,
 )
+from helson.spectral import _norm_upper_bound
 
 
 def random_sequence(rng, max_index=64, size=10):
@@ -108,6 +109,38 @@ def test_norm_keeps_dtype_nonsymmetric(dim, seed, is_complex):
     if not is_complex:
         as_complex = operator_norm(a.astype(np.complex128), tol=1e-12)
         assert rep.norm == pytest.approx(as_complex.norm, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+@example(2, 2, 0, False, True)
+@example(2, 2, 0, True, True)
+def test_norm_upper_bound_brackets_svd(rows, cols, seed, is_complex, signed):
+    # signed: D S D with S >= 0 symmetric and D = diag(+-1) alternating, so
+    # the leading singular vector alternates in sign as in the N=2 trap
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols))
+    if signed:
+        s = np.abs(rng.standard_normal((cols, cols)))
+        d = np.where(np.arange(cols) % 2, -1.0, 1.0)
+        a = d[:, None] * (s + s.T) * d[None, :]
+    if is_complex:
+        a = a * np.exp(1j * rng.uniform(0, 2 * np.pi, a.shape))
+    top = np.linalg.svd(a, compute_uv=False)[0]
+    bound = _norm_upper_bound(a)
+    assert top <= bound <= top * (1 + 1e-9)
+
+
+def test_norm_upper_bound_trap_and_scale():
+    trap = assemble(Sequence({1: 1.0, 2: -0.5, 4: 1.0}), 2)
+    bound = _norm_upper_bound(trap.entries)
+    assert 1.5 <= bound <= 1.5 * (1 + 1e-12)
+    assert _norm_upper_bound(np.zeros((3, 3))) == 0.0
+    # the power-of-two scaling is exact at both ends of the float range
+    for scale in (1e-300, 1e300):
+        assert _norm_upper_bound(scale * trap.entries) == pytest.approx(
+            scale * bound, rel=1e-15)
 
 
 def test_norm_start_validation():

@@ -10,6 +10,7 @@ from helson import (
     DomainError,
     GeometricDecay,
     MHilbertSymbol,
+    PowerSymbol,
     RandomDecaySymbol,
     Sequence,
     assemble,
@@ -117,7 +118,11 @@ def test_weighted_degrees_match_scalar():
     lambda: symbol_values(MHilbertSymbol(), [2.5]),
     lambda: symbol_values(MHilbertSymbol(), [2.0]),
     lambda: symbol_values(Sequence({2: 1.0}), np.array([[2.0]])),
-], ids=["weight-scalar", "weight-array", "values", "value", "sequence"])
+    lambda: MHilbertSymbol().value(2.5),
+    lambda: PowerSymbol(1.0).value(2.0),
+    lambda: RandomDecaySymbol(3, 0.5).value(np.float64(4.0)),
+], ids=["weight-scalar", "weight-array", "values", "value", "sequence",
+        "scalar-mhilbert", "scalar-power", "scalar-random-decay"])
 def test_non_integer_indices_raise(call):
     # a float index is rejected, never truncated (2.5 must not read as 2)
     with pytest.raises(DomainError):

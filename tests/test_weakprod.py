@@ -188,6 +188,11 @@ def test_representation_from_matrix_rank_one():
 # ------------------------------------------------------- certificate checks
 
 
+# M_2 of this alpha is [[1, -0.5], [-0.5, 1]], of norm 1.5; the all-ones
+# start of power iteration sees only its other eigenvalue, 0.5
+TRAP_ALPHA = Sequence({1: 1.0, 2: -0.5, 4: 1.0})
+
+
 def test_certificate_check_examples():
     d1 = Sequence.delta(1)
     assert xnorm_certificate_check(d1, d1, 1.0, 4)
@@ -195,9 +200,19 @@ def test_certificate_check_examples():
     assert not xnorm_certificate_check(d1, 2 * d1, 2.0, 4)
     # overclaiming fails even with a valid certificate
     assert not xnorm_certificate_check(d1, d1, 1.5, 4)
+    # ||M_2((4/3) alpha)|| = 2: no certificate, though a power-iteration
+    # norm of 2/3 once let it "certify" ||delta_1||_X >= 1.3
+    assert not xnorm_certificate_check(d1, (4 / 3) * TRAP_ALPHA, 1.3, 2)
+    assert xnorm_certificate_check(d1, (1 / 1.5) * TRAP_ALPHA, 2 / 3, 2)
 
 
 # ----------------------------------------------------------------- duality
+
+
+def test_duality_bound_uses_proven_norm():
+    # ||delta_1||_X = 1, so the bound is ||M_2(alpha)|| = 1.5, never 0.5
+    rep = duality_gap(TRAP_ALPHA, Sequence.delta(1), 2)
+    assert 1.5 - 1e-12 <= rep.bound <= 1.5 + 1e-5
 
 
 def test_duality_equality_case():
