@@ -203,6 +203,20 @@ def is_smooth(n, d):
     return max_prime_index(n) <= (math.inf if d is None else d)
 
 
+def is_smooth_over(n, primes):
+    """True where every prime factor of n lies in the collection primes.
+
+    1 has no prime factor, so it is smooth over any set, the empty one
+    included.  Elementwise on an integer array, like weighted_degree.
+    """
+    rest, shape = _indices(n)
+    allowed = list(primes)
+    keep = np.ones(rest.size, dtype=bool)
+    for live, j in _prime_walk(rest):
+        keep[live] &= np.isin(_state[2][j - 1], allowed)
+    return _shaped(keep, shape)
+
+
 def smooth_indices(n_max, prime_budget=None):
     """Indices 1..n_max, filtered to d-smooth values when a budget is set."""
     n_max = _check_index(n_max)

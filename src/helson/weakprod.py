@@ -23,6 +23,14 @@ off and dividing by a proven upper bound on its operator norm yields the
 dual certificate beta, ||M_N(beta)|| <= 1, with |(beta, c)| -> value at
 the optimum.  So every iterate brackets the value, and the solver stops
 on the width of that bracket.
+
+The solver works on the window indices S whose prime factors all divide
+some point of supp(c).  The paper notes that its results hold for small
+Hankel operators on the polydisk H^2(D^d); on a window this makes the
+program exact on S, because ij has its primes in that set exactly when i
+and j do.  The iteration is over-relaxed by the constant _RELAX = 1.6
+(Boyd et al., FnTML 2011, 3.4.3), which cuts the iteration count by a
+fifth to a third on the seed-7 test vector.
 """
 
 import math
@@ -32,7 +40,14 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .core import Sequence, bilinear_pair, dirichlet_convolve
-from .operator import assemble, product_classes, symbol_values, truncation_indices
+from .operator import (
+    _check_products,
+    assemble,
+    product_classes,
+    symbol_values,
+    truncation_indices,
+)
+from .sieve import factor_pairs, is_smooth_over, sieve_limit
 from .spectral import _norm_upper_bound
 
 # starting ADMM penalty rho: each step shrinks singular values by 1/rho
@@ -41,6 +56,9 @@ _RHO = 1.0
 # xnorm brackets its value every _CHECK_EVERY iterations; each check
 # costs two small SVD-sized factorizations, about two iterations
 _CHECK_EVERY = 50
+
+# over-relaxation: the Z-step reads _RELAX x + (1 - _RELAX) z in place of x
+_RELAX = 1.6
 
 # residual balancing: every _BALANCE_EVERY iterations rho is scaled by
 # _BALANCE_TAU when one residual exceeds _BALANCE_MU times the other
@@ -133,6 +151,17 @@ class XNormResult:
         }
 
 
+def _check_representable(seq, classes, n_max, name):
+    """DomainError unless every support point of seq is a class of the window."""
+    support = np.array(seq.support, dtype=np.int64)
+    outside = support[~np.isin(support, classes.uniq, assume_unique=True)]
+    if outside.size:
+        raise DomainError(
+            f"{name}({outside[0]}) is not representable as a product of two "
+            f"window indices <= {n_max}"
+        )
+
+
 def xnorm(c, n_max, config=None, prime_budget=None):
     """Window X-norm of c with matrix, certificate, and gap.
 
@@ -142,29 +171,43 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     indices.  Larger windows only add decompositions, so the value is
     nonincreasing in N.
 
+    The program is solved on the window indices S whose primes all lie
+    in the set P of primes dividing supp(c), and the matrix is padded
+    with exact zeros back to N x N.  This reduction is exact (the
+    polydisk remark of the paper): ij is P-smooth exactly when i and j
+    are, so every class of a P-smooth n lies in S x S and no other class
+    meets it; compressing a feasible X to S x S keeps it feasible without
+    raising ||X||_*, and M_N(beta) for beta on S-products is M_S(beta)
+    padded with zeros.
+
     Every _CHECK_EVERY iterations, and at the cap, the solver brackets
     the value: the projected iterate X is exactly feasible, so ||X||_*
     is an upper bound, and the class means beta of the scaled dual give
     the lower bound |(beta, c)| / ||M_N(beta)|| with a proven upper bound
     in the denominator (M_0* = X).  It stops once the bracket is at most
     config.tol wide.  The penalty rho starts at _RHO and is rebalanced
-    every _BALANCE_EVERY iterations (Boyd et al., FnTML 2011, 3.4.1).
+    every _BALANCE_EVERY iterations (Boyd et al., FnTML 2011, 3.4.1);
+    the Z-step reads the iterate over-relaxed by _RELAX (ibid., 3.4.3).
     """
     cfg = config or XNormConfig()
-    classes = product_classes(truncation_indices(n_max, prime_budget))
-    size = len(classes.indices)
-    support = np.array(c.support, dtype=np.int64)
-    outside = support[~np.isin(support, classes.uniq)]
-    if outside.size:
-        raise DomainError(
-            f"c({outside[0]}) is not representable as a product of two window "
-            f"indices <= {n_max}"
-        )
+    window = np.array(truncation_indices(n_max, prime_budget), dtype=np.int64)
+    # the matrix is returned on the full window, which must fit the sieve
+    _check_products(window)
+    size = window.size
+    # a support point past the sieve is no window product: the
+    # representability check below refuses it
+    limit = sieve_limit()
+    primes = {p for n in c.support if n <= limit for p, _ in factor_pairs(n)}
+    rows = np.flatnonzero(is_smooth_over(window, primes))
+    classes = product_classes(window[rows].tolist())
+    _check_representable(c, classes, n_max, "c")
 
+    matrix = np.zeros((size, size), dtype=np.complex128)
     if not c:
+        matrix.setflags(write=False)
         return XNormResult(
             value=0.0,
-            matrix=np.zeros((size, size), dtype=np.complex128),
+            matrix=matrix,
             certificate=Sequence(),
             primal_dual_gap=0.0,
             iterations=0,
@@ -199,19 +242,19 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         return upper, float(abs(np.dot(beta, target))), beta
 
     rho = _RHO
-    z = np.zeros((size, size), dtype=np.complex128)
+    z = np.zeros(labels.shape, dtype=np.complex128)
     u = np.zeros_like(z)
     converged = False
     for it in range(1, cfg.max_iter + 1):
         x = project_affine(z - u)
-        uu, s, vh = np.linalg.svd(x + u, full_matrices=False)
+        x_hat = _RELAX * x + (1.0 - _RELAX) * z
+        uu, s, vh = np.linalg.svd(x_hat + u, full_matrices=False)
         s = np.maximum(s - 1.0 / rho, 0.0)
         z_new = (uu * s) @ vh
-        r = x - z_new
-        u += r
+        u += x_hat - z_new
         if it % _BALANCE_EVERY == 0:
             # the scaled dual u = y / rho follows rho
-            primal_res = np.linalg.norm(r)
+            primal_res = np.linalg.norm(x - z_new)
             dual_res = rho * np.linalg.norm(z_new - z)
             if primal_res > _BALANCE_MU * dual_res:
                 rho *= _BALANCE_TAU
@@ -226,10 +269,11 @@ def xnorm(c, n_max, config=None, prime_budget=None):
                 converged = True
                 break
 
-    x.setflags(write=False)
+    matrix[np.ix_(rows, rows)] = x
+    matrix.setflags(write=False)
     return XNormResult(
         value=upper,
-        matrix=x,
+        matrix=matrix,
         certificate=Sequence(zip(classes.uniq.tolist(), beta)),
         primal_dual_gap=max(upper - lower, 0.0),
         iterations=it,
@@ -269,17 +313,13 @@ def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
 
     Requires ||M_N(beta)|| <= 1 + tol, checked on a proven upper bound of
     the norm, and |(beta, c)| >= claimed - tol, with tol = CERT_CHECK_TOL.
+    The supports of c and beta must lie in the product set of the window
+    (DomainError otherwise): the window program knows no other index.
     """
-    top = n_max * n_max
-    for n in beta.support:
-        if n > top:
-            raise DomainError(
-                f"certificate index {n} outside the window [1, {top}]"
-            )
-    if beta:
-        norm = _norm_upper_bound(assemble(beta, n_max, prime_budget).entries)
-    else:
-        norm = 0.0
+    classes = product_classes(truncation_indices(n_max, prime_budget))
+    _check_representable(c, classes, n_max, "c")
+    _check_representable(beta, classes, n_max, "beta")
+    norm = _norm_upper_bound(beta.values(classes.uniq)[classes.labels])
     if norm > 1.0 + CERT_CHECK_TOL:
         return False
     return abs(bilinear_pair(beta, c)) >= claimed - CERT_CHECK_TOL

@@ -292,7 +292,7 @@ def test_xnorm_uncertified_certificate_keeps_payload(capsys, tmp_path):
     assert f"gap {doc['gap']:.3e}" in err
 
 
-@pytest.mark.parametrize("n_max", [12, 16])
+@pytest.mark.parametrize("n_max", [12, 16, 32, 64])
 def test_stalled_c_converges_under_default_cap(n_max):
     c = sequence_from_triples(STALLED_C)
     res = xnorm(c, n_max)

@@ -9,6 +9,7 @@ import oracles
 from helson import DomainError, factorize, is_smooth, set_sieve_limit, sieve_limit
 from helson.sieve import (
     factor_pairs,
+    is_smooth_over,
     max_prime_index,
     prime_index,
     smooth_indices,
@@ -75,6 +76,23 @@ def test_is_smooth():
     assert all(is_smooth(n, None) for n in range(1, 50))
     with pytest.raises(DomainError):
         is_smooth(8, 0)
+
+
+@pytest.mark.parametrize("primes", [(), (2,), (3,), (2, 3), (3, 5, 7), (2, 11, 13),
+                                    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29), (4093,)])
+def test_is_smooth_over_matches_trial_division(primes):
+    ref = reference_primes(1 << 12)
+    ns = np.arange(1, (1 << 12) + 1)
+    expect = [all(ref[j - 1] in primes for j, _ in oracles.trial_factor(int(n), ref))
+              for n in ns]
+    assert is_smooth_over(ns, primes).tolist() == expect
+    assert is_smooth_over(ns.reshape(64, 64), set(primes)).ravel().tolist() == expect
+    assert is_smooth_over(4096, primes) is expect[-1]
+
+
+def test_is_smooth_over_the_empty_set_keeps_only_1():
+    assert np.flatnonzero(is_smooth_over(np.arange(1, 1025), ())).tolist() == [0]
+    assert is_smooth_over(1, ()) is True
 
 
 def test_smooth_indices():

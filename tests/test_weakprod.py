@@ -17,11 +17,14 @@ from helson import (
     refine_representation,
     rep_cost,
     representation_from_matrix,
+    sequence_from_triples,
+    set_sieve_limit,
     split_sequence,
     xnorm,
     xnorm_certificate_check,
 )
 from oracles import _classes
+from test_cli import STALLED_C
 
 
 def random_sequence(rng, max_index=8, size=3):
@@ -99,6 +102,18 @@ def test_xnorm_unrepresentable_support():
         xnorm(Sequence.delta(5), 4)
 
 
+def test_xnorm_window_must_fit_the_sieve():
+    # 40^2 exceeds the sieve, though the reduced window {1, 2, 4, ..., 32}
+    # of delta_2 would fit: the N x N result needs the full window
+    set_sieve_limit(1024)
+    try:
+        with pytest.raises(DomainError):
+            xnorm(Sequence.delta(2), 40)
+        assert xnorm(Sequence.delta(2), 32).matrix.shape == (32, 32)
+    finally:
+        set_sieve_limit(None)
+
+
 def test_xnorm_matrix_feasibility():
     rng = np.random.default_rng(52)
     for _ in range(5):
@@ -156,6 +171,55 @@ def test_xnorm_window_monotone():
         assert r8.value <= r6.value + slack68
 
 
+def _smooth_over(n, primes):
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+# xnorm of STALLED_C solved on the whole N x N window, before the
+# reduction to the primes of supp(c): (value, iterations), gap <= 1e-6
+FULL_WINDOW = {8: (2.138171763661, 950), 12: (2.123477868013, 12300),
+               16: (2.123390865640, 11200)}
+
+
+@pytest.mark.parametrize("n_max", sorted(FULL_WINDOW))
+def test_stalled_c_reduced_window_matches_full_window(n_max):
+    c = sequence_from_triples(STALLED_C)
+    res = xnorm(c, n_max)
+    value, iterations = FULL_WINDOW[n_max]
+    assert res.converged and res.primal_dual_gap <= 1e-6
+    assert abs(res.value - value) <= 2e-6
+    # the over-relaxed iteration needs fewer steps, not a pinned count
+    assert res.iterations < iterations
+    # supp(c) = {1, 2, 3, 4, 6}: the program lives on the {2, 3}-smooth rows
+    assert res.matrix.shape == (n_max, n_max)
+    off = [i for i in range(n_max) if not _smooth_over(i + 1, (2, 3))]
+    assert off and not res.matrix[off, :].any() and not res.matrix[:, off].any()
+    for n, positions in _classes(n_max).items():
+        got = sum(res.matrix[i, j] for i, j in positions)
+        assert abs(got - c[n]) <= 1e-9
+    assert all(_smooth_over(n, (2, 3)) for n in res.certificate.support)
+    assert xnorm_certificate_check(c, res.certificate, res.value - res.primal_dual_gap,
+                                   n_max)
+
+
+def test_xnorm_prime_budget_invariance():
+    # with every prime of supp(c) among the first d, the budget window
+    # reduces to the same indices, so the solver runs the same arithmetic
+    rng = np.random.default_rng(60)
+    for d, n_max in ((1, 8), (2, 8), (2, 9), (3, 10)):
+        window = [n for n in range(1, n_max + 1) if _smooth_over(n, (2, 3, 5)[:d])]
+        idx = rng.choice(window, size=3, replace=False)
+        vals = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        c = Sequence({int(n): complex(v) for n, v in zip(idx, vals)})
+        budget = xnorm(c, n_max, prime_budget=d)
+        full = xnorm(c, n_max)
+        assert (budget.value, budget.iterations) == (full.value, full.iterations)
+        assert budget.certificate == full.certificate
+
+
 def test_xnorm_to_json():
     res = xnorm(Sequence.delta(1), 2)
     doc = res.to_json()
@@ -204,6 +268,19 @@ def test_certificate_check_examples():
     # norm of 2/3 once let it "certify" ||delta_1||_X >= 1.3
     assert not xnorm_certificate_check(d1, (4 / 3) * TRAP_ALPHA, 1.3, 2)
     assert xnorm_certificate_check(d1, (1 / 1.5) * TRAP_ALPHA, 2 / 3, 2)
+
+
+def test_certificate_check_refuses_indices_off_the_window():
+    # neither 5 nor 3 is a product of two indices of {1, 2, 4} (budget 1)
+    # or of 1..4 (for 5), so no claim about them means anything there
+    d1, d3, d5 = Sequence.delta(1), Sequence.delta(3), Sequence.delta(5)
+    with pytest.raises(DomainError):
+        xnorm_certificate_check(d5, 1e6 * d5, 1e5, 4)
+    with pytest.raises(DomainError):
+        xnorm_certificate_check(d3, 1e6 * d3, 1e5, 4, prime_budget=1)
+    with pytest.raises(DomainError):
+        xnorm_certificate_check(d1, d1 + d5, 1.0, 4)
+    assert xnorm_certificate_check(d3, d3, 1.0, 4)
 
 
 # ----------------------------------------------------------------- duality
