@@ -43,10 +43,8 @@ from .operator import (
     assemble,
     dilate_symbol,
     form,
-    matrix_header,
     matrix_to_csv,
     product_classes,
-    save_matrix,
     symbol_values,
     truncation_indices,
 )
@@ -63,7 +61,6 @@ from .approx import (
     DiagnosticTable,
     best_convex_approx,
     compactness_diagnostic,
-    simplex_project,
 )
 from .weakprod import (
     DualityReport,
@@ -134,7 +131,6 @@ __all__ = [
     "is_smooth",
     "l2_lower_bound_check",
     "load_sequence",
-    "matrix_header",
     "matrix_to_csv",
     "operator_norm",
     "parse_fixture",
@@ -143,13 +139,11 @@ __all__ = [
     "refine_representation",
     "rep_cost",
     "representation_from_matrix",
-    "save_matrix",
     "save_sequence",
     "sequence_from_triples",
     "sequence_to_triples",
     "set_sieve_limit",
     "sieve_limit",
-    "simplex_project",
     "smooth_indices",
     "split_sequence",
     "symbol_values",

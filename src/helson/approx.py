@@ -7,10 +7,20 @@ solver minimizes
 
 over the probability simplex.  f is a max-type convex function, and a
 subgradient at c comes free from the certified leading singular pair
-(u, v) of the difference: df/dc_k ∋ -Re(u^H B_k v).  The reported value
-is always an upper bound on the distance from M_N(alpha) to the convex
-hull of the family; nothing stronger than this grid-restricted bound is
-claimed.
+(u, v) of the difference: df/dc_k ∋ -G_k with G_k = Re(u^H B_k v).  The
+reported value, f at the returned weights, bounds the distance from
+M_N(alpha) to the convex hull of the family from above, up to the
+tolerance of the power-iteration norm that computes it; nothing stronger
+than this grid-restricted bound is claimed.
+
+The same pair bounds f from below on the whole simplex: for unit u, v
+and every c', f(c') >= Re u^H (A - sum_k c'_k B_k) v >= a - max_k G_k
+with a = Re(u^H A v).  This is the subgradient inequality, the dual side
+of Nesterov's primal-dual subgradient method (Math. Program. 120, 2009)
+and the Frank-Wolfe duality gap (Jaggi, ICML 2013).  The solver's lower
+is the largest such bound over every pair it evaluates, less a rounding
+margin, so lower <= min f is certified whether or not the pair's norm
+certified.
 
 The dilated matrices come from one assembly of M_N(alpha): since the
 weighted degree is additive over products, M_N(alpha_r) = D_r M_N(alpha) D_r
@@ -30,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .operator import assemble
-from .spectral import NORM_TOL, operator_norm
+from .spectral import NORM_TOL, _gamma, operator_norm
 from .core import _rvalue, dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,6 +50,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 POLISH_SWEEPS = 6
 INNER_TOL = 1e-9
 INNER_MAX_ITER = 20000
+
+# best_convex_approx stops once upper - lower <= BRACKET_TOL * upper
+BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,17 +78,22 @@ class ConvexWeights:
 
 @dataclass
 class ApproxResult:
-    """Outcome of the simplex minimization."""
+    """Outcome of the simplex minimization.
+
+    value is the certified power-iteration norm f(c) at the weights;
+    lower is a certified lower bound on min f over the simplex.
+    """
 
     weights: ConvexWeights
     value: float
+    lower: float
     history: list = field(default_factory=list)
     converged: bool = True
 
 
 @dataclass
 class ApproxConfig:
-    """best_convex_approx's subgradient steps and final-norm tolerance."""
+    """best_convex_approx's cap on subgradient steps and final-norm tolerance."""
 
     iterations: int = 2000
     final_tol: float = NORM_TOL
@@ -102,7 +120,7 @@ def _dilated(entries, r, indices):
     return w[:, None] * entries * w[None, :]
 
 
-def simplex_project(w):
+def _simplex_project(w):
     """Euclidean projection onto the probability simplex (sorted threshold)."""
     w = np.asarray(w, dtype=np.float64)
     srt = np.sort(w)[::-1]
@@ -112,13 +130,17 @@ def simplex_project(w):
     return np.maximum(w - theta, 0.0)
 
 
-def _golden_min(fun, lo, hi, tol=1e-12):
-    """Golden-section minimum of a unimodal fun on [lo, hi]."""
+def _golden_search(fun, lo, hi, stop, tol=1e-12):
+    """Golden-section search of a unimodal fun on [lo, hi].
+
+    fun keeps its own record of the best point; stop() ends the search
+    early.
+    """
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
+    while b - a > tol and not stop():
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -127,21 +149,32 @@ def _golden_min(fun, lo, hi, tol=1e-12):
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = fun(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     """Minimize ||M_N(alpha) - sum_k c_k M_N(alpha_{r_k})|| over the simplex.
 
-    Projected subgradient with step eta0/sqrt(t), eta0 = f(uniform),
-    followed by pairwise golden-section sweeps along mass-transfer lines
-    (f stays convex on every line, so each sweep is exact).  K = 1 is
-    immediate and K = 2 is solved by golden section alone.  Subgradient
-    steps warm-start their inner norms from the previous right singular
-    vector; golden section, the value it is compared against, and the
-    returned value start cold from all-ones.  The returned value is
-    recomputed by the certified operator norm at the final weights; a
-    failed certificate flags the result instead of raising.
+    Evaluates the uniform point, then its Frank-Wolfe vertex e_k with
+    k = argmax_k G_k.  Where the optimum is that vertex, its own pair
+    closes the bracket at once.  Otherwise projected subgradient steps
+    with step eta0/sqrt(t), eta0 = f(uniform), at most config.iterations
+    of them, run from the uniform point (K >= 3), followed by pairwise
+    golden-section sweeps along mass-transfer lines (f stays convex on
+    every line, so each sweep is exact; at K = 2 one line is the whole
+    simplex).  Every phase stops as soon as upper - lower <= BRACKET_TOL *
+    upper, or once upper <= 1e-13 max(||A||_F, 1) (f = 0 on the window).
+
+    lower is the certified bound of the module docstring.  upper is the
+    smallest certified inner value from a cold all-ones start, and its
+    point becomes the returned weights.  Subgradient steps warm-start
+    their inner norms from the previous right singular vector; where the
+    two largest singular values cross, that start can certify the
+    smaller one, so a warm value that would close the bracket is first
+    confirmed by a cold norm at the same point.  The returned value is
+    recomputed by the certified operator norm at the final weights.
+    converged means that this and every inner norm certified; a failed
+    certificate flags the result instead of raising.  history lists
+    every inner value in order, then the returned value.
     """
     cfg = config or ApproxConfig()
     grid = _grid(r_grid)
@@ -153,96 +186,102 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         family[k] = _dilated(a, r, target.indices)
     flat = family.reshape(k_pts, dim * dim)
     rows = family.reshape(k_pts * dim, dim)
-    scale = max(float(np.linalg.norm(a)), 1.0)
+    a_fro = float(np.linalg.norm(a))
+    scale = max(a_fro, 1.0)
+    # rounding margin of a pair's bound: Re u^H A v and each G_k are two
+    # chained dot products of length dim (complex entries count twice), so
+    # each errs by at most gamma_{4 dim + 4} |u| |v| times the Frobenius
+    # norm of its matrix; doubling covers their difference and the
+    # division by |u| |v|
+    margin = 2.0 * _gamma(4 * dim + 8) * (a_fro + float(np.linalg.norm(flat, axis=1).max()))
 
     def difference(c):
         diff = c @ flat
         np.subtract(a.ravel(), diff, out=diff)
         return diff.reshape(dim, dim)
 
-    def value_pair(c, start=None):
-        """(sigma, u, v, certified); an uncertified sigma is the best estimate."""
+    history = []
+    # f >= 0, so 0 is the first lower bound
+    lower, all_certified = 0.0, True
+    best_c, best_sigma, best_ok = None, math.inf, False
+
+    def evaluate(c, start=None):
+        """Inner norm at c: (sigma, G, v); raises lower, tracks upper."""
+        nonlocal lower, all_certified, best_c, best_sigma, best_ok
         try:
             report = operator_norm(difference(c), INNER_TOL, INNER_MAX_ITER,
                                    start=start)
             ok = True
         except ConvergenceError as err:
             report, ok = err.best, False
+        sigma = report.norm
         u, v = report.leading_pair
-        return report.norm, u, v, ok
-
-    history = []
-    all_certified = True
-
-    if k_pts == 1:
-        c = np.array([1.0])
-        sigma, _, _, ok = value_pair(c)
+        # G_k = Re(u^H B_k v) for every k from one product with the stack
+        g = np.real((rows @ v).reshape(k_pts, dim) @ u.conj())
+        a_uv = float(np.real(u.conj() @ (a @ v)))
+        bound = (a_uv - float(g.max())) / float(np.linalg.norm(u) * np.linalg.norm(v))
+        lower = max(lower, bound - margin)
+        all_certified &= ok
         history.append(sigma)
-        all_certified &= ok
-    elif k_pts == 2:
-        def along(s):
-            sigma, _, _, ok = value_pair(np.array([1.0 - s, s]))
-            history.append(sigma)
-            return sigma
+        # a cold value competes for upper, a certified one beats any other
+        if start is None and (ok, -sigma) > (best_ok, -best_sigma):
+            best_c, best_sigma, best_ok = c, sigma, ok
+        return sigma, g, v
 
-        s_best, _ = _golden_min(along, 0.0, 1.0)
-        c = np.array([1.0 - s_best, s_best])
-    else:
-        c = np.full(k_pts, 1.0 / k_pts)
-        sigma0, u, v, ok = value_pair(c)
-        all_certified &= ok
-        eta0 = sigma0
-        best_c, best_val = c.copy(), sigma0
-        history.append(sigma0)
-        sigma, u_t, v_t = sigma0, u, v
+    def tight(sigma):
+        # f = 0 on the window ends at the absolute floor
+        return sigma <= 1e-13 * scale or sigma - lower <= BRACKET_TOL * sigma
+
+    def closed():
+        return best_ok and tight(best_sigma)
+
+    c = np.full(k_pts, 1.0 / k_pts)
+    sigma, g, v = evaluate(c)
+    if k_pts > 1 and not closed():
+        evaluate(np.eye(k_pts)[int(np.argmax(g))])
+
+    if k_pts > 2 and not closed():
+        eta0, loop_c, loop_sigma = sigma, c, sigma
         for t in range(1, cfg.iterations + 1):
-            if best_val <= 1e-13 * scale:
-                break
-            # -Re(u^H B_k v) for every k from one product with the stack
-            grad = -np.real((rows @ v_t).reshape(k_pts, dim) @ u_t.conj())
-            c = simplex_project(c - (eta0 / math.sqrt(t)) * grad)
+            c = _simplex_project(c + (eta0 / math.sqrt(t)) * g)
             # consecutive iterates are close, so start from the previous
-            # right singular vector; where the two largest singular values
-            # cross, that start can certify the smaller one
-            sigma, u_t, v_t, ok = value_pair(c, start=v_t)
-            all_certified &= ok
-            history.append(sigma)
-            if sigma < best_val:
-                best_val, best_c = sigma, c.copy()
-        c = best_c
-        # so the line searches below compare against a cold value
-        best_val, _, _, ok = value_pair(c)
-        all_certified &= ok
-
-        # exact line minimization between coordinate pairs; convex along
-        # each line, so golden section cannot miss
-        for _ in range(POLISH_SWEEPS):
-            improved = False
-            for k in range(k_pts):
-                for l in range(k + 1, k_pts):
-                    span = c[k] + c[l]
-                    if span <= 0.0:
-                        continue
-
-                    def along(s, k=k, l=l, span=span):
-                        trial = c.copy()
-                        trial[k] = span - s
-                        trial[l] = s
-                        sig, _, _, _ = value_pair(trial)
-                        return sig
-
-                    s_best, f_best = _golden_min(along, 0.0, span)
-                    if f_best < best_val - 1e-15 * scale:
-                        c = c.copy()
-                        c[k] = span - s_best
-                        c[l] = s_best
-                        best_val = f_best
-                        history.append(f_best)
-                        improved = True
-            if not improved:
+            # right singular vector
+            sigma, g, v = evaluate(c, start=v)
+            if sigma < loop_sigma:
+                loop_sigma, loop_c = sigma, c
+            if not closed() and tight(sigma):
+                evaluate(c)
+            if closed():
                 break
+        if not closed():
+            # so the line searches below compare against a cold value
+            evaluate(loop_c)
+
+    # exact line minimization between coordinate pairs through the best
+    # point; convex along each line, so golden section cannot miss
+    pairs = [(k, l) for k in range(k_pts) for l in range(k + 1, k_pts)]
+    for _ in range(POLISH_SWEEPS if k_pts > 2 else 1):
+        before = best_sigma
+        for k, l in pairs:
+            if closed():
+                break
+            base = best_c
+            span = base[k] + base[l]
+            if span <= 0.0:
+                continue
+
+            def along(s, base=base, k=k, l=l, span=span):
+                trial = base.copy()
+                trial[k] = span - s
+                trial[l] = s
+                return evaluate(trial)[0]
+
+            _golden_search(along, 0.0, span, closed)
+        if closed() or best_sigma >= before - 1e-15 * scale:
+            break
 
     # certify the reported value at the final weights
+    c = best_c
     try:
         value = operator_norm(difference(c), tol=cfg.final_tol).norm
         certified = True
@@ -254,6 +293,7 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     return ApproxResult(
         weights=weights,
         value=float(value),
+        lower=float(lower),
         history=history,
         converged=bool(certified and all_certified),
     )

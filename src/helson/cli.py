@@ -75,7 +75,8 @@ KNOBS = (
     Knob("solver_tol", "--solver-tol", "solver_tol", float, XNormConfig.tol, _ADMM,
          "ADMM stop: absolute width of the certified xnorm bracket"),
     Knob("iterations", "--iterations", "iterations", int, ApproxConfig.iterations,
-         ("essnorm",), "subgradient iterations"),
+         ("essnorm",), "cap on subgradient steps; the solver stops earlier "
+         "once its bracket on the distance closes"),
     Knob("max_iter", "--max-iter", "max_iter", int, XNormConfig.max_iter, _ADMM,
          "ADMM iteration cap"),
     Knob("format", "--format", "format", str, "json", ("essnorm",),
@@ -284,6 +285,7 @@ def cmd_essnorm(args):
         )
         weights[str(n_max)] = {
             "value": res.value,
+            "lower": res.lower,
             "weights": list(res.weights.weights),
             "converged": res.converged,
         }

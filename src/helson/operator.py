@@ -13,7 +13,6 @@ M_N(alpha_r) = D_r M_N(alpha) D_r with D_r = diag(r^omega(n)) on the
 index map, a diagonal scaling of the assembled M_N(alpha).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,16 +245,6 @@ def dilate_symbol(symbol, r, n_max):
     return Sequence(zip(space.tolist(), values.tolist()))
 
 
-def matrix_header(matrix):
-    """JSON-ready truncation metadata carried next to CSV exports."""
-    return {
-        "N": matrix.n_max,
-        "symbol_id": matrix.symbol_id,
-        "prime_budget": matrix.prime_budget,
-        "indices": list(matrix.indices),
-    }
-
-
 def matrix_to_csv(matrix):
     """Row-major CSV with "re,im" per cell (flattened to re<j>,im<j> columns)."""
     size = matrix.size
@@ -263,12 +252,3 @@ def matrix_to_csv(matrix):
     for row in matrix.entries:
         lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
     return "\n".join(lines) + "\n"
-
-
-def save_matrix(matrix, csv_path):
-    """Write the CSV body, and its JSON header to csv_path + '.json'."""
-    with open(csv_path, "w") as fh:
-        fh.write(matrix_to_csv(matrix))
-    with open(str(csv_path) + ".json", "w") as fh:
-        json.dump(matrix_header(matrix), fh, indent=2)
-        fh.write("\n")

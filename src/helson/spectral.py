@@ -32,6 +32,11 @@ NORM_MAX_ITER = 50000
 # unit roundoff of float64
 _UNIT = 2.0**-53
 
+
+def _gamma(k):
+    """The k-fold rounding factor k u / (1 - k u)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
 # residual slack accepted when the Aitken gap says the value has
 # converged but a near-degenerate pair keeps the vectors wandering
 _DEGENERATE_RESIDUAL = 1e-6
@@ -192,16 +197,11 @@ def _norm_upper_bound(matrix):
         np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp)
     )
     rows, dim = a.shape
-
-    def gamma(k):
-        # the k-fold rounding factor k u / (1 - k u)
-        return k * _UNIT / (1.0 - k * _UNIT)
-
     gram = a.conj().T @ a
     diag = gram.diagonal().real
     # ||fl(A^H A) - A^H A|| <= gamma ||A||_F^2, and ||A||_F^2 <= 2 trace
-    gram_err = gamma(2 * rows + 4) * 2.0 * float(diag.sum())
-    chol_g = gamma(2 * dim + 4)
+    gram_err = _gamma(2 * rows + 4) * 2.0 * float(diag.sum())
+    chol_g = _gamma(2 * dim + 4)
     chol_g /= 1.0 - chol_g
     top = float(np.linalg.eigvalsh(gram)[-1])
     # error terms relative to t, and an absolute floor for underflow

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helson import (
     ApproxConfig,
@@ -14,9 +15,11 @@ from helson import (
     compactness_diagnostic,
     dilate_symbol,
     operator_norm,
-    simplex_project,
+    parse_fixture,
     symbol_values,
 )
+from helson.approx import _simplex_project
+from oracles import simplex_grid_search
 
 
 def random_sequence(rng, max_index=64, size=10):
@@ -52,7 +55,7 @@ def test_simplex_project():
     rng = np.random.default_rng(40)
     for _ in range(50):
         y = rng.standard_normal(5)
-        x = simplex_project(y)
+        x = _simplex_project(y)
         assert np.all(x >= -1e-15)
         assert np.sum(x) == pytest.approx(1.0, abs=1e-12)
         # projection is the closest simplex point; compare against random candidates
@@ -69,6 +72,7 @@ def test_approx_delta1_is_exact():
     res = best_convex_approx(Sequence.delta(1), (0.3, 0.7), 4)
     assert res.value <= 1e-10
     assert res.converged
+    assert res.lower == 0.0
 
 
 def test_approx_single_point_grid():
@@ -112,6 +116,53 @@ def test_approx_upper_bound_sandwich(monkeypatch):
             for k in range(3)
         )
         assert res.value <= vertex + 1e-6
+        # the optimum of these cases is a vertex, so on the sweep's lattice;
+        # the value is a power-iteration norm, which may sit below the
+        # dense-SVD one by its relative tolerance
+        target = assemble(alpha, 6).entries
+        family = [assemble(dilate_symbol(alpha, r, 6), 6).entries for r in grid]
+        grid_val, _ = simplex_grid_search(target, family, resolution=0.01)
+        assert res.converged
+        assert res.lower <= grid_val <= res.value * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(2, 4), st.integers(2, 6))
+def test_approx_lower_bounds_dense_objective(seed, is_complex, k_pts, n_max):
+    # lower must sit below f everywhere, the returned weights and the
+    # vertices included, with no tolerance: the rounding margin has to
+    # cover the arithmetic of the bound
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(np.arange(1, n_max * n_max + 1), size=min(8, n_max * n_max),
+                     replace=False)
+    vals = rng.standard_normal(len(idx))
+    if is_complex:
+        vals = vals + 1j * rng.standard_normal(len(idx))
+    alpha = Sequence({int(n): complex(v) for n, v in zip(idx, vals)})
+    grid = tuple(np.sort(rng.choice(np.arange(5, 100), size=k_pts, replace=False)) / 100.0)
+    res = best_convex_approx(alpha, grid, n_max, config=ApproxConfig(iterations=50))
+    points = [res.weights.weights] + list(np.eye(k_pts)) + list(
+        rng.dirichlet(np.ones(k_pts), size=10))
+    for c in points:
+        assert res.lower <= objective(alpha, c, grid, n_max)
+
+
+@pytest.mark.parametrize("spec", ["mhilbert", "random-decay:7,0.5"])
+def test_approx_vertex_probe_closes_bracket(monkeypatch, spec):
+    # the optimum is e_K: the uniform point, its Frank-Wolfe vertex and the
+    # final norm are all the work there is
+    calls = []
+
+    def counting_norm(matrix, tol=1e-10, max_iter=50000, start=None):
+        calls.append(start)
+        return operator_norm(matrix, tol, max_iter, start=start)
+
+    monkeypatch.setattr("helson.approx.operator_norm", counting_norm)
+    res = best_convex_approx(parse_fixture(spec), (0.9, 0.99, 0.999), 64)
+    assert res.weights.weights == (0.0, 0.0, 1.0)
+    assert len(calls) <= 3
+    assert res.converged
+    assert res.value - res.lower <= 1e-9 * res.value
 
 
 def test_approx_history_tracks_best():
@@ -134,8 +185,8 @@ def test_approx_convexity_probe():
     sym = PowerSymbol(1.0)
     grid = (0.5, 0.8, 0.95)
     for _ in range(20):
-        c = simplex_project(rng.standard_normal(3))
-        c2 = simplex_project(rng.standard_normal(3))
+        c = _simplex_project(rng.standard_normal(3))
+        c2 = _simplex_project(rng.standard_normal(3))
         t = float(rng.uniform())
         mid = t * c + (1 - t) * c2
         f_mid = objective(sym, mid, grid, 8)
@@ -150,6 +201,14 @@ def test_approx_nonconvergence_flag(monkeypatch):
     monkeypatch.setattr("helson.approx.INNER_MAX_ITER", 3)
     cfg = ApproxConfig(iterations=5, final_tol=1e-10)
     res = best_convex_approx(sym, (0.5, 0.8, 0.95), 8, config=cfg)
+    assert not res.converged
+    assert res.value >= 0
+
+
+def test_approx_two_point_nonconvergence_flag(monkeypatch):
+    # the K = 2 line search must fold every inner certificate into the flag
+    monkeypatch.setattr("helson.approx.INNER_MAX_ITER", 3)
+    res = best_convex_approx(PowerSymbol(1.0), (0.5, 0.8), 8)
     assert not res.converged
     assert res.value >= 0
 
@@ -175,6 +234,10 @@ def test_approx_certification_does_not_hide_bugs(monkeypatch):
     (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.3, 0.6, 0.9), 8),
 ])
 def test_approx_warm_start_matches_cold(monkeypatch, sym, grid, n_max):
+    # a cold power value may sit below lower by up to the inner tolerance,
+    # so only a negative tolerance keeps the bracket open and runs the warm
+    # subgradient steps and the line searches in full
+    monkeypatch.setattr("helson.approx.BRACKET_TOL", -1.0)
     warm = best_convex_approx(sym, grid, n_max)
 
     def cold_norm(matrix, tol=1e-10, max_iter=50000, start=None):
@@ -197,15 +260,20 @@ def test_approx_line_searches_start_cold(monkeypatch):
         return operator_norm(matrix, tol, max_iter, start=start)
 
     monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
+    # a cold power value may sit below lower by up to the inner tolerance,
+    # so only a negative tolerance keeps the bracket open and runs the warm
+    # subgradient steps and the line searches in full
+    monkeypatch.setattr("helson.approx.BRACKET_TOL", -1.0)
     sym = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})
     best_convex_approx(sym, (0.4, 0.8), 8)
     assert starts and not any(starts)
     starts.clear()
     cfg = ApproxConfig(iterations=20)
     best_convex_approx(sym, (0.3, 0.6, 0.9), 8, config=cfg)
-    # uniform start, 20 warm subgradient steps, then everything cold
-    assert starts[:21] == [False] + [True] * 20
-    assert len(starts) > 22 and not any(starts[21:])
+    # uniform point and vertex probe, 20 warm subgradient steps, then
+    # everything cold
+    assert starts[:22] == [False, False] + [True] * 20
+    assert len(starts) > 23 and not any(starts[22:])
 
 
 MIXED_SIGNS = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})

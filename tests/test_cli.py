@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helson import (
+    MHilbertSymbol,
     Sequence,
     XNormConfig,
     assemble,
@@ -137,6 +138,17 @@ def test_essnorm_delta1_zeros(capsys):
     for block in doc["weights"].values():
         assert block["value"] <= 1e-9
     assert doc["determinism"].startswith("seed-free")
+
+
+def test_essnorm_prints_lower_next_to_value(capsys):
+    grid = (0.9, 0.99, 0.999)
+    code, out, _ = run(capsys, "essnorm", "mhilbert", "--grid", "0.9,0.99,0.999",
+                       "--N", "16")
+    assert code == 0
+    block = json.loads(out)["weights"]["16"]
+    res = best_convex_approx(MHilbertSymbol(), grid, 16)
+    assert (block["lower"], block["value"]) == (res.lower, res.value)
+    assert 0.0 < block["lower"] <= block["value"]
 
 
 def test_essnorm_csv_and_manifest(capsys, tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +16,6 @@ from helson import (
     matrix_to_csv,
     parse_fixture,
     product_classes,
-    save_matrix,
     smooth_indices,
     symbol_values,
     truncation_indices,
@@ -217,15 +214,8 @@ def test_dilation_family():
 # -------------------------------------------------------------------- export
 
 
-def test_matrix_csv_and_header(tmp_path):
+def test_matrix_csv():
     m = assemble(Sequence.delta(1), 2)
     text = matrix_to_csv(m)
     assert text.splitlines()[0] == "re0,im0,re1,im1"
     assert text.splitlines()[1] == "1.0,0.0,0.0,0.0"
-    csv_path = tmp_path / "m.csv"
-    save_matrix(m, csv_path)
-    header = json.loads((tmp_path / "m.csv.json").read_text())
-    assert header["N"] == 2
-    assert header["symbol_id"].startswith("sequence:")
-    assert header["prime_budget"] is None
-    assert (tmp_path / "m.csv").read_text() == text
