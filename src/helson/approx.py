@@ -10,7 +10,7 @@ subgradient at c comes free from the certified leading singular pair
 (u, v) of the difference: df/dc_k ∋ -G_k with G_k = Re(u^H B_k v).  The
 reported value, f at the returned weights, bounds the distance from
 M_N(alpha) to the convex hull of the family from above, up to the
-tolerance of the power-iteration norm that computes it; nothing stronger
+tolerance of the Lanczos norm that computes it; nothing stronger
 than this grid-restricted bound is claimed.
 
 The same pair bounds f from below on the whole simplex: for unit u, v
@@ -80,7 +80,7 @@ class ConvexWeights:
 class ApproxResult:
     """Outcome of the simplex minimization.
 
-    value is the certified power-iteration norm f(c) at the weights;
+    value is the certified Lanczos norm f(c) at the weights;
     lower is a certified lower bound on min f over the simplex.
     """
 

@@ -1,11 +1,11 @@
 """Operator norms of dense truncated matrices, with certifying singular pairs.
 
-The one norm routine, operator_norm, is power iteration on the normal
-operator A^H A of an assembled matrix, from the fixed all-ones start
-unless the caller passes a warm start.  Each iterate carries a residual
-certificate ||A^H u - sigma v||; an Aitken extrapolation of the Rayleigh
-quotient handles near-degenerate leading pairs, where the value
-converges long before the vectors settle.
+The one norm routine, operator_norm, is restarted Lanczos on the normal
+operator A^H A of an assembled matrix (Golub and Kahan, SIAM J. Numer.
+Anal. B 2, 1965), from the fixed all-ones start unless the caller passes
+a warm start.  A Ritz estimate only says when to look: the value is
+returned with the explicit residual certificate ||A^H u - sigma v|| of
+its pair, never on an estimate.
 
 _norm_upper_bound is the other side: a proven upper bound on the norm
 of a dense matrix, for callers that scale by the norm and so need it
@@ -37,9 +37,8 @@ def _gamma(k):
     """The k-fold rounding factor k u / (1 - k u)."""
     return k * _UNIT / (1.0 - k * _UNIT)
 
-# residual slack accepted when the Aitken gap says the value has
-# converged but a near-degenerate pair keeps the vectors wandering
-_DEGENERATE_RESIDUAL = 1e-6
+# Lanczos basis size; a full basis restarts from the top Ritz vector
+_KRYLOV = 32
 
 
 @dataclass
@@ -73,24 +72,31 @@ def _as_dense(matrix):
 def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
     """Largest singular value of a dense matrix, with certificate.
 
+    Restarted Lanczos on A^H A with full reorthogonalization (classical
+    Gram-Schmidt, run twice), at most _KRYLOV basis vectors at a time.
     Deterministic: starts from all-ones, or from start (a nonzero finite
     vector of length dim), e.g. the right singular vector of a nearby
     matrix.  The residual certifies a singular pair, not the largest one:
     a start (nearly) orthogonal to the leading right singular vector can
     certify a smaller singular value.
 
-    Stops when the residual ||A^H u - sigma v|| drops below tol*sigma, or
-    when three consecutive Aitken gap estimates of the Rayleigh quotient
-    sit below tol^2*lambda while the residual is merely small
-    (near-degenerate leading pair: the value has converged though the
-    vectors have not; the reported residual is then the value bound).
-    Raises ConvergenceError with the best estimate attached when the
-    iteration cap is hit.
+    Every cycle opens on its start vector v with the explicit pair
+    u = Av/sigma, sigma = ||Av||, and returns when the residual
+    ||A^H u - sigma v|| is at most tol*sigma; that residual is the one
+    reported.  Otherwise the cycle extends its Krylov basis until the
+    Ritz estimate beta_k |y_k| of the top Ritz pair drops to
+    tol*theta/2, or the basis is full, or one product is left, and the
+    next cycle opens on the top Ritz vector.  iterations counts the
+    products with A^H A, at most max_iter; when the cap is hit a
+    ConvergenceError carries the last cycle's pair as its best estimate.
+    A start in the kernel is replaced by the standard basis vectors in
+    turn.
 
     The iteration runs in np.result_type(matrix, start): a real matrix
     (integer or float entries, cast to float64) with a real or absent
     start gives a float64 singular pair, anything complex gives
-    complex128.  For a real matrix A^H is a transposed view, not a copy.
+    complex128.  A^H x is formed through the transposed view, with no
+    copy of the matrix.
     """
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
@@ -108,17 +114,22 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
         e0 = np.zeros(max(dim, 1), dtype=dtype)
         e0[0] = 1.0
         return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
-    ah = arr.conj().T
+
+    def adjoint(y):
+        # A^H y through the transposed view, with no conjugated copy of A
+        return np.conj(arr.T @ np.conj(y))
+
     v = np.ones(dim, dtype) if start is None else start.astype(dtype, copy=False)
     v = v / np.linalg.norm(v)
-    basis_tried = 0
-    lam_prev2 = lam_prev = None
-    aitken_hits = 0
-    sigma = 0.0
-    u = v.copy()
-    residual = 0.0
-    for it in range(1, max_iter + 1):
+    cap = min(_KRYLOV, dim)
+    basis = np.empty((cap, dim), dtype=dtype)
+    tri = np.zeros((cap, cap))
+    basis_tried = it = 0
+    sigma, u, residual = 0.0, v, 0.0
+    while it < max_iter:
+        # cycle start: the explicit pair of v, whose product opens the basis
         w = arr @ v
+        it += 1
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             # start vector in the kernel; walk the standard basis
@@ -131,39 +142,35 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
             basis_tried += 1
             continue
         u = w / sigma
-        z = ah @ u
+        z = adjoint(u)
         residual = float(np.linalg.norm(z - sigma * v))
         if residual <= tol * sigma:
             return SpectralReport(sigma, (u, v), it, residual)
-        lam = sigma * sigma
-        if lam_prev2 is not None:
-            # Rayleigh quotients of A^H A are nondecreasing up to roundoff;
-            # the Aitken gap estimates how much of lambda is still to come
-            noise = 1e-15 * lam
-            d1 = lam - lam_prev
-            d0 = lam_prev - lam_prev2
-            if d1 >= -noise and d0 >= d1 - noise:
-                d1 = max(d1, 0.0)
-                d0 = max(d0, d1)
-                gap = 0.0 if d1 == 0.0 else (
-                    d1 * d1 / (d0 - d1) if d0 > d1 else np.inf
-                )
-                # certified bound on the value error, with a roundoff floor
-                value_err = gap / (2.0 * sigma) + 1e-15 * sigma
-                if value_err <= 0.5 * tol * sigma:
-                    aitken_hits += 1
-                    if aitken_hits >= 3 and residual <= _DEGENERATE_RESIDUAL * sigma:
-                        return SpectralReport(sigma, (u, v), it, value_err)
-                else:
-                    aitken_hits = 0
-            else:
-                aitken_hits = 0
-        lam_prev2, lam_prev = lam_prev, lam
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            # u - v pair is exact up to roundoff
-            return SpectralReport(sigma, (u, v), it, residual)
-        v = z / nz
+        if it == max_iter:
+            break
+        z *= sigma
+        basis[0] = v
+        for k in range(1, cap + 1):
+            if k > 1:
+                z = adjoint(arr @ basis[k - 1])
+                it += 1
+            # z = A^H A v_k, orthogonalized against the basis twice
+            head = basis[:k]
+            for _ in range(2):
+                h = np.conj(head @ np.conj(z))
+                z -= h @ head
+                tri[k - 1, k - 1] += h[-1].real
+            beta = float(np.linalg.norm(z))
+            theta, y = np.linalg.eigh(tri[:k, :k])
+            # the last product of the cap goes to the next cycle's pair
+            if (beta * abs(y[-1, -1]) <= 0.5 * tol * theta[-1]
+                    or k == cap or it == max_iter - 1):
+                break
+            basis[k] = z / beta
+            tri[k - 1, k] = tri[k, k - 1] = beta
+        v = y[:, -1] @ basis[:k]
+        v /= np.linalg.norm(v)
+        tri[:k, :k] = 0.0
     raise ConvergenceError(
         f"operator norm did not certify within {max_iter} iterations "
         f"(residual {residual:.3e})",
@@ -172,7 +179,7 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
     )
 
 
-def _norm_upper_bound(matrix):
+def _norm_upper_bound(matrix, estimate=None):
     """Proven upper bound s >= ||A|| of a dense matrix (Rump, BIT 51, 2011).
 
     ||A|| <= s exactly when s^2 I - A^H A is positive semidefinite.  A
@@ -182,11 +189,17 @@ def _norm_upper_bound(matrix):
     Rump, BIT 46, 2006), so ||A||^2 <= t plus that term plus the rounding
     of the Gram product and of the diagonal shift.  The constants below
     take twice the real-arithmetic index, which covers complex entries.
-    t starts just above the largest eigenvalue of fl(A^H A) and its
-    excess grows fourfold while the factorization fails.  A is first
-    scaled by a power of two (exact) so that its largest entry lies in
-    [1/2, 1).  The result exceeds the dense-SVD norm by a relative
+    A is first scaled by a power of two (exact) so that its largest entry
+    lies in [1/2, 1).  The result exceeds the dense-SVD norm by a relative
     O(n^2 u).
+
+    Given an estimate of ||A|| (operator_norm's value, say), one
+    factorization is tried at t = estimate^2 plus the excess below.
+    Without one, or when that factorization fails, t starts just above
+    the largest eigenvalue of fl(A^H A) and its excess grows fourfold
+    while the factorization fails.  Any t that factors proves the bound:
+    the estimate decides only the cost (one too low costs the eigenvalue
+    pass) and, when too high, the tightness.
     """
     arr = _as_dense(matrix)
     peak = float(np.abs(arr).max()) if arr.size else 0.0
@@ -203,24 +216,35 @@ def _norm_upper_bound(matrix):
     gram_err = _gamma(2 * rows + 4) * 2.0 * float(diag.sum())
     chol_g = _gamma(2 * dim + 4)
     chol_g /= 1.0 - chol_g
-    top = float(np.linalg.eigvalsh(gram)[-1])
     # error terms relative to t, and an absolute floor for underflow
     rel = chol_g * dim + 4.0 * _UNIT
-    excess = 2.0 * (rel * top + gram_err) + dim * 1e-290
-    while True:
-        t = top + excess
+
+    def excess(top):
+        return 2.0 * (rel * top + gram_err) + dim * 1e-290
+
+    def factors(t):
         shifted = -gram
         shifted[np.diag_indices(dim)] = t - diag
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            excess *= 4.0
-            continue
-        # trace(M) <= dim t; the shift rounds each diagonal entry by at
-        # most u (t + diag_i); the Gram product errs by gram_err
-        bound2 = t + rel * t + _UNIT * float(diag.max()) + gram_err + dim * 1e-290
-        s = float(np.sqrt(bound2 * (1.0 + 4.0 * _UNIT))) * (1.0 + 4.0 * _UNIT)
-        return float(np.ldexp(s, exp))
+            return False
+        return True
+
+    if estimate is not None:
+        top = float(np.ldexp(estimate, -exp)) ** 2
+        t = top + excess(top)
+    if estimate is None or not factors(t):
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        step = excess(top)
+        while not factors(top + step):
+            step *= 4.0
+        t = top + step
+    # trace(M) <= dim t; the shift rounds each diagonal entry by at
+    # most u (t + diag_i); the Gram product errs by gram_err
+    bound2 = t + rel * t + _UNIT * float(diag.max()) + gram_err + dim * 1e-290
+    s = float(np.sqrt(bound2 * (1.0 + 4.0 * _UNIT))) * (1.0 + 4.0 * _UNIT)
+    return float(np.ldexp(s, exp))
 
 
 @dataclass

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import ConvergenceError, DomainError, InvariantViolation
 from .core import Sequence, bilinear_pair, dirichlet_convolve
 from .operator import (
     _check_products,
@@ -48,7 +48,7 @@ from .operator import (
     truncation_indices,
 )
 from .sieve import factor_pairs, is_smooth_over, sieve_limit
-from .spectral import _norm_upper_bound
+from .spectral import _norm_upper_bound, operator_norm
 
 # starting ADMM penalty rho: each step shrinks singular values by 1/rho
 _RHO = 1.0
@@ -349,7 +349,13 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     """
     alpha = Sequence(zip(c.support, symbol_values(symbol, c.support).tolist()))
     pairing = abs(bilinear_pair(alpha, c))
-    op = _norm_upper_bound(assemble(symbol, n_max, prime_budget).entries)
+    matrix = assemble(symbol, n_max, prime_budget).entries
+    # the Lanczos value places the bound's one Cholesky shift
+    try:
+        estimate = operator_norm(matrix).norm
+    except ConvergenceError as err:
+        estimate = err.best.norm
+    op = _norm_upper_bound(matrix, estimate)
     xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
     bound = op * xn.value
     if bound == 0.0:

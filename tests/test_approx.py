@@ -116,9 +116,11 @@ def test_approx_upper_bound_sandwich(monkeypatch):
             for k in range(3)
         )
         assert res.value <= vertex + 1e-6
-        # the optimum of these cases is a vertex, so on the sweep's lattice;
-        # the value is a power-iteration norm, which may sit below the
-        # dense-SVD one by its relative tolerance
+        # the value is the Lanczos norm at the returned weights, which
+        # agrees with the dense-SVD one to rounding
+        f_svd = objective(alpha, res.weights.weights, grid, 6)
+        assert abs(res.value - f_svd) <= 1e-13 * f_svd
+        # the optimum of these cases is a vertex, so on the sweep's lattice
         target = assemble(alpha, 6).entries
         family = [assemble(dilate_symbol(alpha, r, 6), 6).entries for r in grid]
         grid_val, _ = simplex_grid_search(target, family, resolution=0.01)

@@ -9,13 +9,15 @@ from helson import (
     DomainError,
     MHilbertSymbol,
     PowerSymbol,
+    RandomDecaySymbol,
     Sequence,
     assemble,
     dilate_symbol,
     l2_lower_bound_check,
     operator_norm,
+    parse_fixture,
 )
-from helson.spectral import _norm_upper_bound
+from helson.spectral import _KRYLOV, _norm_upper_bound
 
 
 def random_sequence(rng, max_index=64, size=10):
@@ -100,8 +102,6 @@ def test_norm_keeps_dtype_nonsymmetric(dim, seed, is_complex):
     a = rng.standard_normal((dim, dim))
     if is_complex:
         a = a + 1j * rng.standard_normal((dim, dim))
-    # tol well below the 1e-12 compared at the end: near-degenerate pairs
-    # stop on the Aitken rule, whose value error scales with tol
     rep = operator_norm(a, tol=1e-12)
     dtype = np.complex128 if is_complex else np.float64
     assert all(vec.dtype == dtype for vec in rep.leading_pair)
@@ -130,17 +130,38 @@ def test_norm_upper_bound_brackets_svd(rows, cols, seed, is_complex, signed):
     top = np.linalg.svd(a, compute_uv=False)[0]
     bound = _norm_upper_bound(a)
     assert top <= bound <= top * (1 + 1e-9)
+    # the one-factorization path from an accurate estimate, and the
+    # fallback from a far-too-low one
+    for estimate in (top, 0.5 * top):
+        assert top <= _norm_upper_bound(a, estimate) <= top * (1 + 1e-9)
 
 
 def test_norm_upper_bound_trap_and_scale():
     trap = assemble(Sequence({1: 1.0, 2: -0.5, 4: 1.0}), 2)
     bound = _norm_upper_bound(trap.entries)
     assert 1.5 <= bound <= 1.5 * (1 + 1e-12)
+    # the all-ones start's value 0.5 is far too low: the bound falls back
+    assert _norm_upper_bound(trap.entries, 0.5) == bound
     assert _norm_upper_bound(np.zeros((3, 3))) == 0.0
     # the power-of-two scaling is exact at both ends of the float range
     for scale in (1e-300, 1e300):
         assert _norm_upper_bound(scale * trap.entries) == pytest.approx(
             scale * bound, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", ["mhilbert", "random-decay:7,0.5"])
+def test_norm_upper_bound_from_estimate_skips_eigvalsh(spec, monkeypatch):
+    a = assemble(parse_fixture(spec), 128).entries
+    estimate = operator_norm(a).norm
+    expect = _norm_upper_bound(a)
+
+    def refuse(_):
+        raise AssertionError("an accurate estimate needs no eigenvalue pass")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    bound = _norm_upper_bound(a, estimate)
+    assert bound == pytest.approx(expect, rel=1e-12)
+    assert np.linalg.norm(a, 2) <= bound
 
 
 def test_norm_start_validation():
@@ -163,10 +184,60 @@ def test_norm_tolerance_domain():
 def test_norm_nonconvergence_carries_best():
     m = assemble(Sequence.delta(1) + Sequence.delta(2), 2)
     with pytest.raises(ConvergenceError) as exc:
-        operator_norm(m, tol=1e-12, max_iter=2)
+        operator_norm(m, tol=1e-12, max_iter=1)
     best = exc.value.best
     assert best is not None
     assert best.norm > 0
+    assert best.iterations == 1
+
+
+def _with_top_pair(gap, seed=5, dim=40):
+    # complex dim x dim matrix with singular values 1, 1 - gap, then a
+    # spread from 0.9 down to 0.1, between random unitary factors
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return np.linalg.qr(g)[0]
+
+    left, right = unitary(), unitary()
+    s = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.9, 0.1, dim - 2)])
+    return (left * s) @ right.conj().T
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 0.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_norm_near_degenerate_pair(gap, tol):
+    # a value that converges long before its vectors must still come back
+    # with the explicit residual of its own pair, and accurate
+    a = _with_top_pair(gap)
+    rep = operator_norm(a, tol=tol)
+    top = np.linalg.svd(a, compute_uv=False)[0]
+    assert abs(rep.norm - top) <= 1e-12 * top
+    u, v = rep.leading_pair
+    explicit = np.linalg.norm(a.conj().T @ u - rep.norm * v)
+    assert rep.residual == pytest.approx(explicit, rel=1e-3, abs=1e-15)
+    assert rep.residual <= tol * rep.norm
+
+
+@pytest.mark.parametrize("seed", [1, 7, 17])
+def test_norm_random_decay_products(seed):
+    m = assemble(RandomDecaySymbol(seed, 0.5), 256)
+    rep = operator_norm(m)
+    assert rep.iterations <= 20
+    top = np.linalg.svd(m.entries, compute_uv=False)[0]
+    assert rep.norm == pytest.approx(top, rel=1e-12)
+
+
+def test_norm_restarts_past_full_basis():
+    # sigma_k = 1 - 1e-4 k: a crowded top that no single basis resolves
+    rng = np.random.default_rng(37)
+    q = np.linalg.qr(rng.standard_normal((300, 300)))[0]
+    a = (q * (1.0 - 1e-4 * np.arange(300))) @ q.T
+    a = (a + a.T) / 2
+    rep = operator_norm(a, tol=1e-10)
+    assert rep.iterations > _KRYLOV
+    assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
 
 
 def test_report_to_json():

@@ -253,7 +253,7 @@ def test_representation_from_matrix_rank_one():
 
 
 # M_2 of this alpha is [[1, -0.5], [-0.5, 1]], of norm 1.5; the all-ones
-# start of power iteration sees only its other eigenvalue, 0.5
+# start of a Krylov norm sees only its other eigenvalue, 0.5
 TRAP_ALPHA = Sequence({1: 1.0, 2: -0.5, 4: 1.0})
 
 
@@ -264,7 +264,7 @@ def test_certificate_check_examples():
     assert not xnorm_certificate_check(d1, 2 * d1, 2.0, 4)
     # overclaiming fails even with a valid certificate
     assert not xnorm_certificate_check(d1, d1, 1.5, 4)
-    # ||M_2((4/3) alpha)|| = 2: no certificate, though a power-iteration
+    # ||M_2((4/3) alpha)|| = 2: no certificate, though an all-ones-start
     # norm of 2/3 once let it "certify" ||delta_1||_X >= 1.3
     assert not xnorm_certificate_check(d1, (4 / 3) * TRAP_ALPHA, 1.3, 2)
     assert xnorm_certificate_check(d1, (1 / 1.5) * TRAP_ALPHA, 2 / 3, 2)
