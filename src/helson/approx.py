@@ -8,10 +8,10 @@ solver minimizes
 over the probability simplex.  f is a max-type convex function, and a
 subgradient at c comes free from the certified leading singular pair
 (u, v) of the difference: df/dc_k ∋ -G_k with G_k = Re(u^H B_k v).  The
-reported value, f at the returned weights, bounds the distance from
-M_N(alpha) to the convex hull of the family from above, up to the
-tolerance of the Lanczos norm that computes it; nothing stronger
-than this grid-restricted bound is claimed.
+reported value, the Lanczos norm f at the returned weights, bounds the
+distance from M_N(alpha) to the convex hull of the family from above, up
+to the tolerance of that norm; nothing stronger than this
+grid-restricted bound is claimed.
 
 The same pair bounds f from below on the whole simplex: for unit u, v
 and every c', f(c') >= Re u^H (A - sum_k c'_k B_k) v >= a - max_k G_k
@@ -45,11 +45,8 @@ from .core import _rvalue, dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# golden-section polish sweeps after the subgradient phase, and the
-# tolerance and iteration cap of every inner norm before the final one
+# golden-section polish sweeps after the subgradient phase
 POLISH_SWEEPS = 6
-INNER_TOL = 1e-9
-INNER_MAX_ITER = 20000
 
 # best_convex_approx stops once upper - lower <= BRACKET_TOL * upper
 BRACKET_TOL = 1e-9
@@ -80,8 +77,10 @@ class ConvexWeights:
 class ApproxResult:
     """Outcome of the simplex minimization.
 
-    value is the certified Lanczos norm f(c) at the weights;
-    lower is a certified lower bound on min f over the simplex.
+    value is the certified Lanczos norm f(c) at the weights, the
+    smallest inner value from a cold start; lower is a certified lower
+    bound on min f over the simplex.  history lists every inner value in
+    order.
     """
 
     weights: ConvexWeights
@@ -93,16 +92,17 @@ class ApproxResult:
 
 @dataclass
 class ApproxConfig:
-    """best_convex_approx's cap on subgradient steps and final-norm tolerance."""
+    """best_convex_approx's cap on subgradient steps and the tolerance of
+    every inner norm."""
 
     iterations: int = 2000
-    final_tol: float = NORM_TOL
+    tol: float = NORM_TOL
 
     def __post_init__(self):
         if self.iterations < 1:
             raise DomainError(f"iterations must be >= 1, got {self.iterations}")
-        if self.final_tol <= 0:
-            raise DomainError(f"final_tol must be positive, got {self.final_tol}")
+        if self.tol <= 0:
+            raise DomainError(f"tol must be positive, got {self.tol}")
 
 
 def _grid(r_grid):
@@ -164,17 +164,17 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     simplex).  Every phase stops as soon as upper - lower <= BRACKET_TOL *
     upper, or once upper <= 1e-13 max(||A||_F, 1) (f = 0 on the window).
 
-    lower is the certified bound of the module docstring.  upper is the
-    smallest certified inner value from a cold all-ones start, and its
-    point becomes the returned weights.  Subgradient steps warm-start
-    their inner norms from the previous right singular vector; where the
-    two largest singular values cross, that start can certify the
-    smaller one, so a warm value that would close the bracket is first
-    confirmed by a cold norm at the same point.  The returned value is
-    recomputed by the certified operator norm at the final weights.
-    converged means that this and every inner norm certified; a failed
-    certificate flags the result instead of raising.  history lists
-    every inner value in order, then the returned value.
+    Every inner norm runs at config.tol.  lower is the certified bound of
+    the module docstring.  upper is the smallest certified inner value
+    from a cold all-ones start; it is the returned value, and its point
+    the returned weights.  Subgradient steps warm-start their inner norms
+    from the previous right singular vector; where the two largest
+    singular values cross, that start can certify the smaller one, so a
+    warm value that would close the bracket is first confirmed by a cold
+    norm at the same point.  converged means that every inner norm
+    certified; the first one that does not ends the search, and the
+    result is flagged instead of raising.  history lists every inner
+    value in order.
     """
     cfg = config or ApproxConfig()
     grid = _grid(r_grid)
@@ -209,8 +209,7 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         """Inner norm at c: (sigma, G, v); raises lower, tracks upper."""
         nonlocal lower, all_certified, best_c, best_sigma, best_ok
         try:
-            report = operator_norm(difference(c), INNER_TOL, INNER_MAX_ITER,
-                                   start=start)
+            report = operator_norm(difference(c), cfg.tol, start=start)
             ok = True
         except ConvergenceError as err:
             report, ok = err.best, False
@@ -233,7 +232,9 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         return sigma <= 1e-13 * scale or sigma - lower <= BRACKET_TOL * sigma
 
     def closed():
-        return best_ok and tight(best_sigma)
+        # a norm that did not certify ends the search; until then the
+        # best value is certified
+        return not all_certified or tight(best_sigma)
 
     c = np.full(k_pts, 1.0 / k_pts)
     sigma, g, v = evaluate(c)
@@ -280,22 +281,12 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         if closed() or best_sigma >= before - 1e-15 * scale:
             break
 
-    # certify the reported value at the final weights
-    c = best_c
-    try:
-        value = operator_norm(difference(c), tol=cfg.final_tol).norm
-        certified = True
-    except ConvergenceError as err:
-        value = err.best.norm
-        certified = False
-    history.append(value)
-    weights = ConvexWeights(r_grid=grid, weights=tuple(c))
     return ApproxResult(
-        weights=weights,
-        value=float(value),
+        weights=ConvexWeights(r_grid=grid, weights=tuple(best_c)),
+        value=float(best_sigma),
         lower=float(lower),
         history=history,
-        converged=bool(certified and all_certified),
+        converged=all_certified,
     )
 
 

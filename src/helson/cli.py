@@ -269,7 +269,7 @@ def cmd_essnorm(args):
         raise DomainError("essnorm needs --grid")
     symbol = parse_fixture(args.fixture)
     schedule = cfg.N_schedule or (cfg.N,)
-    approx_cfg = ApproxConfig(iterations=cfg.iterations, final_tol=cfg.norm_tol)
+    approx_cfg = ApproxConfig(iterations=cfg.iterations, tol=cfg.norm_tol)
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
     )

@@ -25,7 +25,8 @@ from .operator import (
     truncation_indices,
 )
 
-# operator_norm's defaults: relative residual tolerance and iteration cap
+# operator_norm's default relative residual tolerance, and its iteration
+# cap (read at call time)
 NORM_TOL = 1e-10
 NORM_MAX_ITER = 50000
 
@@ -50,13 +51,6 @@ class SpectralReport:
     iterations: int
     residual: float
 
-    def to_json(self):
-        return {
-            "value": self.norm,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-
 
 def _as_dense(matrix):
     if isinstance(matrix, HelsonMatrix):
@@ -69,8 +63,8 @@ def _as_dense(matrix):
     return arr
 
 
-def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
-    """Largest singular value of a dense matrix, with certificate.
+def operator_norm(matrix, tol=NORM_TOL, start=None):
+    """Largest singular value of a dense square matrix, with certificate.
 
     Restarted Lanczos on A^H A with full reorthogonalization (classical
     Gram-Schmidt, run twice), at most _KRYLOV basis vectors at a time.
@@ -87,7 +81,7 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
     Ritz estimate beta_k |y_k| of the top Ritz pair drops to
     tol*theta/2, or the basis is full, or one product is left, and the
     next cycle opens on the top Ritz vector.  iterations counts the
-    products with A^H A, at most max_iter; when the cap is hit a
+    products with A^H A, at most NORM_MAX_ITER; when the cap is hit a
     ConvergenceError carries the last cycle's pair as its best estimate.
     A start in the kernel is replaced by the standard basis vectors in
     turn.
@@ -102,6 +96,8 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
     arr = _as_dense(matrix)
     dim = arr.shape[0]
+    if arr.shape != (dim, dim):
+        raise DomainError(f"matrix must be square, got shape {arr.shape}")
     if start is not None:
         start = _float_array(start)
         if start.shape != (dim,):
@@ -124,6 +120,7 @@ def operator_norm(matrix, tol=NORM_TOL, max_iter=NORM_MAX_ITER, start=None):
     cap = min(_KRYLOV, dim)
     basis = np.empty((cap, dim), dtype=dtype)
     tri = np.zeros((cap, cap))
+    max_iter = NORM_MAX_ITER
     basis_tried = it = 0
     sigma, u, residual = 0.0, v, 0.0
     while it < max_iter:

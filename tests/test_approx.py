@@ -19,6 +19,7 @@ from helson import (
     symbol_values,
 )
 from helson.approx import _simplex_project
+from helson.spectral import NORM_TOL
 from oracles import simplex_grid_search
 
 
@@ -26,6 +27,31 @@ def random_sequence(rng, max_index=64, size=10):
     idx = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
     vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return Sequence({int(n): complex(v) for n, v in zip(idx, vals)})
+
+
+class NormCalls(list):
+    """(tol, start, dtype) of every operator_norm call from helson.approx.
+
+    With cold set, each call drops its warm start.
+    """
+
+    cold = False
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    calls = NormCalls()
+
+    def recording_norm(matrix, tol=NORM_TOL, start=None):
+        calls.append((tol, start, np.asarray(matrix).dtype))
+        return operator_norm(matrix, tol, start=None if calls.cold else start)
+
+    monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
+    return calls
+
+
+def dtypes(calls):
+    return {dtype for _, _, dtype in calls}
 
 
 def objective(symbol, weights, r_grid, n_max):
@@ -106,8 +132,7 @@ def test_approx_upper_bound_sandwich(monkeypatch):
     rng = np.random.default_rng(42)
     grid = (0.4, 0.7, 0.95)
     monkeypatch.setattr("helson.approx.POLISH_SWEEPS", 2)
-    monkeypatch.setattr("helson.approx.INNER_TOL", 1e-8)
-    cfg = ApproxConfig(iterations=200)
+    cfg = ApproxConfig(iterations=200, tol=1e-8)
     for _ in range(5):
         alpha = random_sequence(rng, max_index=36, size=8)
         res = best_convex_approx(alpha, grid, 6, config=cfg)
@@ -150,19 +175,15 @@ def test_approx_lower_bounds_dense_objective(seed, is_complex, k_pts, n_max):
 
 
 @pytest.mark.parametrize("spec", ["mhilbert", "random-decay:7,0.5"])
-def test_approx_vertex_probe_closes_bracket(monkeypatch, spec):
-    # the optimum is e_K: the uniform point, its Frank-Wolfe vertex and the
-    # final norm are all the work there is
-    calls = []
-
-    def counting_norm(matrix, tol=1e-10, max_iter=50000, start=None):
-        calls.append(start)
-        return operator_norm(matrix, tol, max_iter, start=start)
-
-    monkeypatch.setattr("helson.approx.operator_norm", counting_norm)
-    res = best_convex_approx(parse_fixture(spec), (0.9, 0.99, 0.999), 64)
+def test_approx_vertex_probe_closes_bracket(norm_calls, spec):
+    # the optimum is e_K: the uniform point and its Frank-Wolfe vertex are
+    # all the work there is, both cold and at the caller's tolerance
+    cfg = ApproxConfig(tol=1e-11)
+    res = best_convex_approx(parse_fixture(spec), (0.9, 0.99, 0.999), 64,
+                             config=cfg)
     assert res.weights.weights == (0.0, 0.0, 1.0)
-    assert len(calls) <= 3
+    assert [(tol, start) for tol, start, _ in norm_calls] == [(1e-11, None)] * 2
+    assert res.history == [res.history[0], res.value]
     assert res.converged
     assert res.value - res.lower <= 1e-9 * res.value
 
@@ -198,10 +219,10 @@ def test_approx_convexity_probe():
 
 
 def test_approx_nonconvergence_flag(monkeypatch):
-    # an unreachable certification tolerance must flag, not raise
+    # a norm that cannot certify within the cap must flag, not raise
     sym = PowerSymbol(1.0)
-    monkeypatch.setattr("helson.approx.INNER_MAX_ITER", 3)
-    cfg = ApproxConfig(iterations=5, final_tol=1e-10)
+    monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
+    cfg = ApproxConfig(iterations=5)
     res = best_convex_approx(sym, (0.5, 0.8, 0.95), 8, config=cfg)
     assert not res.converged
     assert res.value >= 0
@@ -209,23 +230,32 @@ def test_approx_nonconvergence_flag(monkeypatch):
 
 def test_approx_two_point_nonconvergence_flag(monkeypatch):
     # the K = 2 line search must fold every inner certificate into the flag
-    monkeypatch.setattr("helson.approx.INNER_MAX_ITER", 3)
+    monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
     res = best_convex_approx(PowerSymbol(1.0), (0.5, 0.8), 8)
     assert not res.converged
     assert res.value >= 0
 
 
-def test_approx_certification_does_not_hide_bugs(monkeypatch):
-    cfg = ApproxConfig(iterations=5, final_tol=1e-11)
+def test_approx_unreachable_tol_stops_at_first_norm(monkeypatch, norm_calls):
+    # an uncertified norm ends the search: an unreachable tolerance must not
+    # spend the iteration cap on every point of the subgradient phase
+    monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
+    cfg = ApproxConfig(tol=1e-30)
+    res = best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 16, config=cfg)
+    assert not res.converged
+    assert len(norm_calls) == 1 and norm_calls[0][0] == 1e-30
+    assert res.weights.weights == pytest.approx((1 / 3,) * 3)
+    assert res.history == [res.value] and res.value > 0
 
-    def norm_with_bug(matrix, tol=1e-10, max_iter=50000, start=None):
-        if tol == cfg.final_tol:
-            raise InvariantViolation("planted")
-        return operator_norm(matrix, tol, max_iter, start=start)
+
+def test_approx_certification_does_not_hide_bugs(monkeypatch):
+    def norm_with_bug(*args, **kwargs):
+        raise InvariantViolation("planted")
 
     monkeypatch.setattr("helson.approx.operator_norm", norm_with_bug)
     with pytest.raises(InvariantViolation, match="planted"):
-        best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8, config=cfg)
+        best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8,
+                           config=ApproxConfig(iterations=5))
 
 
 @pytest.mark.parametrize("sym, grid, n_max", [
@@ -235,45 +265,38 @@ def test_approx_certification_does_not_hide_bugs(monkeypatch):
     (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.4, 0.8), 8),
     (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.3, 0.6, 0.9), 8),
 ])
-def test_approx_warm_start_matches_cold(monkeypatch, sym, grid, n_max):
-    # a cold power value may sit below lower by up to the inner tolerance,
-    # so only a negative tolerance keeps the bracket open and runs the warm
+def test_approx_warm_start_matches_cold(monkeypatch, norm_calls, sym, grid, n_max):
+    # the optimum of these cases is a vertex, where one pair closes the
+    # bracket, so only a negative tolerance keeps it open and runs the warm
     # subgradient steps and the line searches in full
     monkeypatch.setattr("helson.approx.BRACKET_TOL", -1.0)
     warm = best_convex_approx(sym, grid, n_max)
-
-    def cold_norm(matrix, tol=1e-10, max_iter=50000, start=None):
-        return operator_norm(matrix, tol, max_iter)
-
-    monkeypatch.setattr("helson.approx.operator_norm", cold_norm)
+    norm_calls.cold = True
     cold = best_convex_approx(sym, grid, n_max)
     assert warm.converged and cold.converged
     assert warm.value == pytest.approx(cold.value, rel=1e-9)
     assert np.allclose(warm.weights.weights, cold.weights.weights, atol=1e-6)
 
 
-def test_approx_line_searches_start_cold(monkeypatch):
+def test_approx_line_searches_start_cold(monkeypatch, norm_calls):
     # a warm start can certify a smaller singular value where the two
     # largest cross, so only subgradient steps may pass one
-    starts = []
+    def warm():
+        return [start is not None for _, start, _ in norm_calls]
 
-    def recording_norm(matrix, tol=1e-10, max_iter=50000, start=None):
-        starts.append(start is not None)
-        return operator_norm(matrix, tol, max_iter, start=start)
-
-    monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
-    # a cold power value may sit below lower by up to the inner tolerance,
-    # so only a negative tolerance keeps the bracket open and runs the warm
+    # the optimum of these cases is a vertex, where one pair closes the
+    # bracket, so only a negative tolerance keeps it open and runs the warm
     # subgradient steps and the line searches in full
     monkeypatch.setattr("helson.approx.BRACKET_TOL", -1.0)
     sym = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})
     best_convex_approx(sym, (0.4, 0.8), 8)
-    assert starts and not any(starts)
-    starts.clear()
+    assert norm_calls and not any(warm())
+    norm_calls.clear()
     cfg = ApproxConfig(iterations=20)
     best_convex_approx(sym, (0.3, 0.6, 0.9), 8, config=cfg)
     # uniform point and vertex probe, 20 warm subgradient steps, then
     # everything cold
+    starts = warm()
     assert starts[:22] == [False, False] + [True] * 20
     assert len(starts) > 23 and not any(starts[22:])
 
@@ -288,34 +311,21 @@ def rotated(sym, n_max, theta=0.7):
     return Sequence({int(n): complex(v) for n, v in zip(ns, vals)})
 
 
-@pytest.fixture
-def norm_dtypes(monkeypatch):
-    """dtypes of the matrices helson.approx hands to operator_norm."""
-    dtypes = []
-
-    def recording_norm(matrix, tol=1e-10, max_iter=50000, start=None):
-        dtypes.append(np.asarray(matrix).dtype)
-        return operator_norm(matrix, tol, max_iter, start=start)
-
-    monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
-    return dtypes
-
-
 @pytest.mark.parametrize("sym, grid, n_max", [
     (MHilbertSymbol(), (0.5, 0.8), 64),
     (MHilbertSymbol(), (0.5, 0.8, 0.95), 64),
     (MIXED_SIGNS, (0.4, 0.8), 8),
     (MIXED_SIGNS, (0.3, 0.6, 0.9), 8),
 ])
-def test_approx_complex_path_matches_real(norm_dtypes, sym, grid, n_max):
+def test_approx_complex_path_matches_real(norm_calls, sym, grid, n_max):
     # M(e^{i theta} alpha) = e^{i theta} M(alpha): the same problem, with a
     # real symbol on the float64 path and its rotation on the complex one
     real = best_convex_approx(sym, grid, n_max)
-    assert norm_dtypes and set(norm_dtypes) == {np.dtype(np.float64)}
-    norm_dtypes.clear()
+    assert norm_calls and dtypes(norm_calls) == {np.dtype(np.float64)}
+    norm_calls.clear()
     turned = rotated(sym, n_max)
     cplx = best_convex_approx(turned, grid, n_max)
-    assert norm_dtypes and set(norm_dtypes) == {np.dtype(np.complex128)}
+    assert norm_calls and dtypes(norm_calls) == {np.dtype(np.complex128)}
     assert real.converged and cplx.converged
     assert cplx.weights.weights == real.weights.weights
     assert cplx.value == pytest.approx(real.value, rel=1e-12)
@@ -348,12 +358,12 @@ def test_diagnostic_power_monotone_in_r():
         assert col[2] <= 1e-9 + col[0] * 0.1
 
 
-def test_diagnostic_real_symbol_normed_in_float64(norm_dtypes):
+def test_diagnostic_real_symbol_normed_in_float64(norm_calls):
     real = compactness_diagnostic(MIXED_SIGNS, (0.5, 0.9), (4, 8))
-    assert set(norm_dtypes) == {np.dtype(np.float64)}
-    norm_dtypes.clear()
+    assert dtypes(norm_calls) == {np.dtype(np.float64)}
+    norm_calls.clear()
     cplx = compactness_diagnostic(rotated(MIXED_SIGNS, 8), (0.5, 0.9), (4, 8))
-    assert set(norm_dtypes) == {np.dtype(np.complex128)}
+    assert dtypes(norm_calls) == {np.dtype(np.complex128)}
     for (r, n, want), (_, _, got) in zip(real.rows, cplx.rows):
         dense = objective(MIXED_SIGNS, (1.0,), (r,), n)
         assert got == pytest.approx(want, rel=1e-12)
