@@ -55,7 +55,6 @@ from .spectral import (
     operator_norm,
 )
 from .approx import (
-    ApproxConfig,
     ApproxResult,
     ConvexWeights,
     DiagnosticTable,
@@ -89,7 +88,6 @@ from .fixtures import (
 __version__ = "0.2.0"
 
 __all__ = [
-    "ApproxConfig",
     "ApproxResult",
     "ConvergenceError",
     "ConvexWeights",

@@ -45,7 +45,7 @@ from .core import _rvalue, dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# golden-section polish sweeps after the subgradient phase
+# pairwise golden-section sweeps after the vertex probe
 POLISH_SWEEPS = 6
 
 # best_convex_approx stops once upper - lower <= BRACKET_TOL * upper
@@ -78,9 +78,8 @@ class ApproxResult:
     """Outcome of the simplex minimization.
 
     value is the certified Lanczos norm f(c) at the weights, the
-    smallest inner value from a cold start; lower is a certified lower
-    bound on min f over the simplex.  history lists every inner value in
-    order.
+    smallest inner value; lower is a certified lower bound on min f over
+    the simplex.  history lists every inner value in order.
     """
 
     weights: ConvexWeights
@@ -88,21 +87,6 @@ class ApproxResult:
     lower: float
     history: list = field(default_factory=list)
     converged: bool = True
-
-
-@dataclass
-class ApproxConfig:
-    """best_convex_approx's cap on subgradient steps and the tolerance of
-    every inner norm."""
-
-    iterations: int = 2000
-    tol: float = NORM_TOL
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise DomainError(f"iterations must be >= 1, got {self.iterations}")
-        if self.tol <= 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
 
 
 def _grid(r_grid):
@@ -118,16 +102,6 @@ def _dilated(entries, r, indices):
     """D_r M D_r: entry (i, j) of M times r^omega(n_i) r^omega(n_j)."""
     w = dilation_weight(r, indices)
     return w[:, None] * entries * w[None, :]
-
-
-def _simplex_project(w):
-    """Euclidean projection onto the probability simplex (sorted threshold)."""
-    w = np.asarray(w, dtype=np.float64)
-    srt = np.sort(w)[::-1]
-    cumulative = np.cumsum(srt) - 1.0
-    rho = np.nonzero(srt * np.arange(1, len(w) + 1) > cumulative)[0][-1]
-    theta = cumulative[rho] / (rho + 1.0)
-    return np.maximum(w - theta, 0.0)
 
 
 def _golden_search(fun, lo, hi, stop, tol=1e-12):
@@ -151,32 +125,26 @@ def _golden_search(fun, lo, hi, stop, tol=1e-12):
             f2 = fun(x2)
 
 
-def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
+def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     """Minimize ||M_N(alpha) - sum_k c_k M_N(alpha_{r_k})|| over the simplex.
 
     Evaluates the uniform point, then its Frank-Wolfe vertex e_k with
     k = argmax_k G_k.  Where the optimum is that vertex, its own pair
-    closes the bracket at once.  Otherwise projected subgradient steps
-    with step eta0/sqrt(t), eta0 = f(uniform), at most config.iterations
-    of them, run from the uniform point (K >= 3), followed by pairwise
-    golden-section sweeps along mass-transfer lines (f stays convex on
-    every line, so each sweep is exact; at K = 2 one line is the whole
-    simplex).  Every phase stops as soon as upper - lower <= BRACKET_TOL *
-    upper, or once upper <= 1e-13 max(||A||_F, 1) (f = 0 on the window).
+    closes the bracket at once.  Otherwise pairwise golden-section sweeps
+    along mass-transfer lines through the best point follow (f stays
+    convex on every line, so each sweep is exact; at K = 2 one line is
+    the whole simplex).  The search stops as soon as upper - lower <=
+    BRACKET_TOL * upper, or once upper <= 1e-13 max(||A||_F, 1) (f = 0 on
+    the window).
 
-    Every inner norm runs at config.tol.  lower is the certified bound of
-    the module docstring.  upper is the smallest certified inner value
-    from a cold all-ones start; it is the returned value, and its point
-    the returned weights.  Subgradient steps warm-start their inner norms
-    from the previous right singular vector; where the two largest
-    singular values cross, that start can certify the smaller one, so a
-    warm value that would close the bracket is first confirmed by a cold
-    norm at the same point.  converged means that every inner norm
-    certified; the first one that does not ends the search, and the
+    Every inner norm runs at tol from operator_norm's cold all-ones
+    start.  lower is the certified bound of the module docstring.  upper
+    is the smallest certified inner value; it is the returned value, and
+    its point the returned weights.  converged means that every inner
+    norm certified; the first one that does not ends the search, and the
     result is flagged instead of raising.  history lists every inner
     value in order.
     """
-    cfg = config or ApproxConfig()
     grid = _grid(r_grid)
     target = assemble(symbol, n_max, prime_budget)
     a = target.entries
@@ -205,11 +173,11 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
     lower, all_certified = 0.0, True
     best_c, best_sigma, best_ok = None, math.inf, False
 
-    def evaluate(c, start=None):
-        """Inner norm at c: (sigma, G, v); raises lower, tracks upper."""
+    def evaluate(c):
+        """Inner norm at c: (sigma, G); raises lower, tracks upper."""
         nonlocal lower, all_certified, best_c, best_sigma, best_ok
         try:
-            report = operator_norm(difference(c), cfg.tol, start=start)
+            report = operator_norm(difference(c), tol)
             ok = True
         except ConvergenceError as err:
             report, ok = err.best, False
@@ -222,41 +190,21 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
         lower = max(lower, bound - margin)
         all_certified &= ok
         history.append(sigma)
-        # a cold value competes for upper, a certified one beats any other
-        if start is None and (ok, -sigma) > (best_ok, -best_sigma):
+        # a certified value beats any other
+        if (ok, -sigma) > (best_ok, -best_sigma):
             best_c, best_sigma, best_ok = c, sigma, ok
-        return sigma, g, v
-
-    def tight(sigma):
-        # f = 0 on the window ends at the absolute floor
-        return sigma <= 1e-13 * scale or sigma - lower <= BRACKET_TOL * sigma
+        return sigma, g
 
     def closed():
         # a norm that did not certify ends the search; until then the
-        # best value is certified
-        return not all_certified or tight(best_sigma)
+        # best value is certified.  f = 0 on the window ends at the
+        # absolute floor
+        return (not all_certified or best_sigma <= 1e-13 * scale
+                or best_sigma - lower <= BRACKET_TOL * best_sigma)
 
-    c = np.full(k_pts, 1.0 / k_pts)
-    sigma, g, v = evaluate(c)
+    _, g = evaluate(np.full(k_pts, 1.0 / k_pts))
     if k_pts > 1 and not closed():
         evaluate(np.eye(k_pts)[int(np.argmax(g))])
-
-    if k_pts > 2 and not closed():
-        eta0, loop_c, loop_sigma = sigma, c, sigma
-        for t in range(1, cfg.iterations + 1):
-            c = _simplex_project(c + (eta0 / math.sqrt(t)) * g)
-            # consecutive iterates are close, so start from the previous
-            # right singular vector
-            sigma, g, v = evaluate(c, start=v)
-            if sigma < loop_sigma:
-                loop_sigma, loop_c = sigma, c
-            if not closed() and tight(sigma):
-                evaluate(c)
-            if closed():
-                break
-        if not closed():
-            # so the line searches below compare against a cold value
-            evaluate(loop_c)
 
     # exact line minimization between coordinate pairs through the best
     # point; convex along each line, so golden section cannot miss
@@ -292,9 +240,13 @@ def best_convex_approx(symbol, r_grid, n_max, config=None, prime_budget=None):
 
 @dataclass(frozen=True)
 class DiagnosticTable:
-    """Certified values ||M_N(alpha_r) - M_N(alpha)|| indexed by (r, N)."""
+    """Certified values ||M_N(alpha_r) - M_N(alpha)|| indexed by (r, N).
+
+    converged means that every value certified.
+    """
 
     rows: tuple  # ((r, N, value), ...) ordered by N then r
+    converged: bool = True
 
     def to_csv(self):
         lines = ["r,N,value"]
@@ -309,6 +261,9 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
 
     For each fixed N the column is nonincreasing in r up to certificate
     tolerance; decay to 0 as r grows toward 1 is the compactness signal.
+    A norm that does not certify at tol is reported by its best estimate
+    and flags the table, as best_convex_approx flags its result, instead
+    of raising.
     """
     grid = _grid(r_schedule)
     sizes = [int(n) for n in n_schedule]
@@ -316,11 +271,14 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
         raise DomainError("N-schedule must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError(f"N-schedule must be strictly increasing, got {sizes}")
-    rows = []
+    rows, converged = [], True
     for n_max in sizes:
         base = assemble(symbol, n_max, prime_budget)
         m = base.entries
         for r in grid:
-            value = operator_norm(_dilated(m, r, base.indices) - m, tol=tol).norm
-            rows.append((r, n_max, value))
-    return DiagnosticTable(rows=tuple(rows))
+            try:
+                report = operator_norm(_dilated(m, r, base.indices) - m, tol)
+            except ConvergenceError as err:
+                report, converged = err.best, False
+            rows.append((r, n_max, report.norm))
+    return DiagnosticTable(rows=tuple(rows), converged=converged)

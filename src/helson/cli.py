@@ -6,9 +6,10 @@ with "schema": 1, and stamped with a hash of the resolved configuration
 so reruns with identical configs produce byte-identical files.  Exit
 codes: 0 success, 2 domain/parse error, 3 convergence failure; a result
 that did not converge (xnorm, essnorm weights, duality) is still written
-in full, marked "converged": false.  essnorm --format csv without
---output prints only the diagnostic table and computes no weights, so its
-exit code follows the diagnostic alone.
+in full, marked "converged": false, and an essnorm table with an
+uncertified norm is marked "rows_converged": false.  essnorm --format csv
+without --output prints only the diagnostic table and computes no
+weights, so its exit code follows the diagnostic alone.
 
 Every knob is one row of KNOBS: its config-file key, flag, type, library
 default and the commands that take the flag.  Flags may also be preloaded
@@ -35,7 +36,7 @@ from .core import (
 )
 from .operator import HelsonMatrix, assemble, matrix_to_csv, truncation_indices
 from .spectral import NORM_TOL, operator_norm
-from .approx import ApproxConfig, _grid, best_convex_approx, compactness_diagnostic
+from .approx import _grid, best_convex_approx, compactness_diagnostic
 from .weakprod import XNormConfig, duality_gap, xnorm
 from .fixtures import parse_fixture, parse_sequence_arg
 from . import __version__
@@ -74,9 +75,6 @@ KNOBS = (
          "relative residual that certifies an operator norm"),
     Knob("solver_tol", "--solver-tol", "solver_tol", float, XNormConfig.tol, _ADMM,
          "ADMM stop: absolute width of the certified xnorm bracket"),
-    Knob("iterations", "--iterations", "iterations", int, ApproxConfig.iterations,
-         ("essnorm",), "cap on subgradient steps; the solver stops earlier "
-         "once its bracket on the distance closes"),
     Knob("max_iter", "--max-iter", "max_iter", int, XNormConfig.max_iter, _ADMM,
          "ADMM iteration cap"),
     Knob("format", "--format", "format", str, "json", ("essnorm",),
@@ -120,7 +118,7 @@ def read_config_file(path):
     """key=value lines; blank lines and # comments ignored."""
     mapping = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -269,19 +267,20 @@ def cmd_essnorm(args):
         raise DomainError("essnorm needs --grid")
     symbol = parse_fixture(args.fixture)
     schedule = cfg.N_schedule or (cfg.N,)
-    approx_cfg = ApproxConfig(iterations=cfg.iterations, tol=cfg.norm_tol)
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
     )
     csv_text = _csv_stamp(cfg) + table.to_csv()
+    failed = [] if table.converged else ["compactness diagnostic not certified"]
     if cfg.format == "csv" and not args.output:
         # no manifest to write, so the weights would reach no output
+        if failed:
+            raise _Unconverged(csv_text, failed[0])
         return csv_text
     weights = {}
     for n_max in schedule:
         res = best_convex_approx(
-            symbol, cfg.r_grid, n_max, config=approx_cfg,
-            prime_budget=cfg.prime_budget,
+            symbol, cfg.r_grid, n_max, cfg.prime_budget, tol=cfg.norm_tol
         )
         weights[str(n_max)] = {
             "value": res.value,
@@ -296,9 +295,10 @@ def cmd_essnorm(args):
         "N_schedule": list(schedule),
         "prime_budget": cfg.prime_budget,
         "norm_tol": cfg.norm_tol,
-        "iterations": cfg.iterations,
-        "determinism": "seed-free: uniform start, fixed step schedule",
+        "determinism": "seed-free: uniform point, Frank-Wolfe vertex, "
+                       "golden-section sweeps, all-ones norm starts",
         "rows": [[r, n, v] for r, n, v in table.rows],
+        "rows_converged": table.converged,
         "weights": weights,
     }
     if cfg.format == "csv":
@@ -309,9 +309,9 @@ def cmd_essnorm(args):
         text = _json_doc(manifest)
     unconverged = [n for n, w in weights.items() if not w["converged"]]
     if unconverged:
-        raise _Unconverged(
-            text, f"best convex approximant not certified at N={','.join(unconverged)}"
-        )
+        failed.append(f"best convex approximant not certified at N={','.join(unconverged)}")
+    if failed:
+        raise _Unconverged(text, "; ".join(failed))
     return text
 
 

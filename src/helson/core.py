@@ -97,7 +97,7 @@ class Sequence:
                                count=len(self._data))
             self._arrays = (keys, vals)
         keys, vals = self._arrays
-        ns = np.asarray(ns, dtype=np.int64)
+        ns = sieve._integer_array(ns)
         out = np.zeros(ns.shape, dtype=np.complex128)
         if keys.size:
             pos = np.minimum(np.searchsorted(keys, ns), keys.size - 1)

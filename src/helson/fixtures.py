@@ -20,6 +20,7 @@ reports are reproducible byte for byte.  random-decay values changed in
 import numpy as np
 
 from .errors import DomainError
+from . import sieve
 from .core import Sequence, load_sequence
 from .operator import ArraySymbol
 
@@ -32,7 +33,7 @@ _PAIR = np.array([[0], [1]], dtype=np.uint64)
 
 
 def _indices(ns):
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = sieve._integer_array(ns)
     if ns.size and ns.min() < 1:
         raise DomainError(f"index must be >= 1, got {ns.min()}")
     return ns

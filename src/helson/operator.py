@@ -61,7 +61,7 @@ class ArraySymbol:
     """
 
     def value(self, n):
-        return complex(self.values(sieve._integer_array([n]))[0])
+        return complex(self.values([n])[0])
 
 
 def symbol_label(symbol):

@@ -2,10 +2,9 @@
 
 The one norm routine, operator_norm, is restarted Lanczos on the normal
 operator A^H A of an assembled matrix (Golub and Kahan, SIAM J. Numer.
-Anal. B 2, 1965), from the fixed all-ones start unless the caller passes
-a warm start.  A Ritz estimate only says when to look: the value is
-returned with the explicit residual certificate ||A^H u - sigma v|| of
-its pair, never on an estimate.
+Anal. B 2, 1965), from the fixed all-ones start.  A Ritz estimate only
+says when to look: the value is returned with the explicit residual
+certificate ||A^H u - sigma v|| of its pair, never on an estimate.
 
 _norm_upper_bound is the other side: a proven upper bound on the norm
 of a dense matrix, for callers that scale by the norm and so need it
@@ -63,16 +62,15 @@ def _as_dense(matrix):
     return arr
 
 
-def operator_norm(matrix, tol=NORM_TOL, start=None):
+def operator_norm(matrix, tol=NORM_TOL):
     """Largest singular value of a dense square matrix, with certificate.
 
     Restarted Lanczos on A^H A with full reorthogonalization (classical
     Gram-Schmidt, run twice), at most _KRYLOV basis vectors at a time.
-    Deterministic: starts from all-ones, or from start (a nonzero finite
-    vector of length dim), e.g. the right singular vector of a nearby
-    matrix.  The residual certifies a singular pair, not the largest one:
-    a start (nearly) orthogonal to the leading right singular vector can
-    certify a smaller singular value.
+    Deterministic: starts from all-ones.  The residual certifies a
+    singular pair, not the largest one: where all-ones is (nearly)
+    orthogonal to the leading right singular vector, a smaller singular
+    value can certify.
 
     Every cycle opens on its start vector v with the explicit pair
     u = Av/sigma, sigma = ||Av||, and returns when the residual
@@ -86,11 +84,10 @@ def operator_norm(matrix, tol=NORM_TOL, start=None):
     A start in the kernel is replaced by the standard basis vectors in
     turn.
 
-    The iteration runs in np.result_type(matrix, start): a real matrix
-    (integer or float entries, cast to float64) with a real or absent
-    start gives a float64 singular pair, anything complex gives
-    complex128.  A^H x is formed through the transposed view, with no
-    copy of the matrix.
+    The iteration runs in the matrix's own dtype: a real matrix (integer
+    or float entries, cast to float64) gives a float64 singular pair, a
+    complex one complex128.  A^H x is formed through the transposed view,
+    with no copy of the matrix.
     """
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
@@ -98,14 +95,7 @@ def operator_norm(matrix, tol=NORM_TOL, start=None):
     dim = arr.shape[0]
     if arr.shape != (dim, dim):
         raise DomainError(f"matrix must be square, got shape {arr.shape}")
-    if start is not None:
-        start = _float_array(start)
-        if start.shape != (dim,):
-            raise DomainError(f"start must have shape ({dim},), got {start.shape}")
-        if not np.all(np.isfinite(start)) or not start.any():
-            raise DomainError("start must be a nonzero finite vector")
-    dtype = arr.dtype if start is None else np.result_type(arr, start)
-    arr = arr.astype(dtype, copy=False)
+    dtype = arr.dtype
     if dim == 0 or not arr.any():
         e0 = np.zeros(max(dim, 1), dtype=dtype)
         e0[0] = 1.0
@@ -115,8 +105,7 @@ def operator_norm(matrix, tol=NORM_TOL, start=None):
         # A^H y through the transposed view, with no conjugated copy of A
         return np.conj(arr.T @ np.conj(y))
 
-    v = np.ones(dim, dtype) if start is None else start.astype(dtype, copy=False)
-    v = v / np.linalg.norm(v)
+    v = np.ones(dim, dtype) / np.sqrt(dim)
     cap = min(_KRYLOV, dim)
     basis = np.empty((cap, dim), dtype=dtype)
     tri = np.zeros((cap, cap))

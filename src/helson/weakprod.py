@@ -496,7 +496,7 @@ def refine_representation(rep, eps, window):
         raise DomainError(f"window must be >= 1, got {window}")
 
     out = []
-    for k, (a_k, b_k) in enumerate(pairs, start=1):
+    for k, (a_k, b_k) in enumerate(pairs, 1):
         if not (hasattr(a_k, "norm") and hasattr(b_k, "norm")):
             raise DomainError(f"pair {k} has no computable cost bound")
         weight = a_k.norm() + b_k.norm() + 1.0

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helson import (
-    ApproxConfig,
     ConvexWeights,
     DomainError,
     InvariantViolation,
@@ -18,7 +17,7 @@ from helson import (
     parse_fixture,
     symbol_values,
 )
-from helson.approx import _simplex_project
+from helson.approx import POLISH_SWEEPS
 from helson.spectral import NORM_TOL
 from oracles import simplex_grid_search
 
@@ -29,29 +28,21 @@ def random_sequence(rng, max_index=64, size=10):
     return Sequence({int(n): complex(v) for n, v in zip(idx, vals)})
 
 
-class NormCalls(list):
-    """(tol, start, dtype) of every operator_norm call from helson.approx.
-
-    With cold set, each call drops its warm start.
-    """
-
-    cold = False
-
-
 @pytest.fixture
 def norm_calls(monkeypatch):
-    calls = NormCalls()
+    """(tol, dtype) of every operator_norm call from helson.approx."""
+    calls = []
 
-    def recording_norm(matrix, tol=NORM_TOL, start=None):
-        calls.append((tol, start, np.asarray(matrix).dtype))
-        return operator_norm(matrix, tol, start=None if calls.cold else start)
+    def recording_norm(matrix, tol=NORM_TOL):
+        calls.append((tol, np.asarray(matrix).dtype))
+        return operator_norm(matrix, tol)
 
     monkeypatch.setattr("helson.approx.operator_norm", recording_norm)
     return calls
 
 
 def dtypes(calls):
-    return {dtype for _, _, dtype in calls}
+    return {dtype for _, dtype in calls}
 
 
 def objective(symbol, weights, r_grid, n_max):
@@ -75,20 +66,6 @@ def test_weights_validation():
         ConvexWeights((0.5, 0.9), (0.7, 0.7))
     with pytest.raises(DomainError):
         ConvexWeights((0.5, 0.9), (-0.2, 1.2))
-
-
-def test_simplex_project():
-    rng = np.random.default_rng(40)
-    for _ in range(50):
-        y = rng.standard_normal(5)
-        x = _simplex_project(y)
-        assert np.all(x >= -1e-15)
-        assert np.sum(x) == pytest.approx(1.0, abs=1e-12)
-        # projection is the closest simplex point; compare against random candidates
-        for _ in range(20):
-            z = np.abs(rng.standard_normal(5))
-            z /= z.sum()
-            assert np.linalg.norm(y - x) <= np.linalg.norm(y - z) + 1e-12
 
 
 # --------------------------------------------------------- best_convex_approx
@@ -132,10 +109,9 @@ def test_approx_upper_bound_sandwich(monkeypatch):
     rng = np.random.default_rng(42)
     grid = (0.4, 0.7, 0.95)
     monkeypatch.setattr("helson.approx.POLISH_SWEEPS", 2)
-    cfg = ApproxConfig(iterations=200, tol=1e-8)
     for _ in range(5):
         alpha = random_sequence(rng, max_index=36, size=8)
-        res = best_convex_approx(alpha, grid, 6, config=cfg)
+        res = best_convex_approx(alpha, grid, 6, tol=1e-8)
         vertex = min(
             objective(alpha, tuple(int(i == k) for i in range(3)), grid, 6)
             for k in range(3)
@@ -167,7 +143,7 @@ def test_approx_lower_bounds_dense_objective(seed, is_complex, k_pts, n_max):
         vals = vals + 1j * rng.standard_normal(len(idx))
     alpha = Sequence({int(n): complex(v) for n, v in zip(idx, vals)})
     grid = tuple(np.sort(rng.choice(np.arange(5, 100), size=k_pts, replace=False)) / 100.0)
-    res = best_convex_approx(alpha, grid, n_max, config=ApproxConfig(iterations=50))
+    res = best_convex_approx(alpha, grid, n_max)
     points = [res.weights.weights] + list(np.eye(k_pts)) + list(
         rng.dirichlet(np.ones(k_pts), size=10))
     for c in points:
@@ -177,12 +153,10 @@ def test_approx_lower_bounds_dense_objective(seed, is_complex, k_pts, n_max):
 @pytest.mark.parametrize("spec", ["mhilbert", "random-decay:7,0.5"])
 def test_approx_vertex_probe_closes_bracket(norm_calls, spec):
     # the optimum is e_K: the uniform point and its Frank-Wolfe vertex are
-    # all the work there is, both cold and at the caller's tolerance
-    cfg = ApproxConfig(tol=1e-11)
-    res = best_convex_approx(parse_fixture(spec), (0.9, 0.99, 0.999), 64,
-                             config=cfg)
+    # all the work there is, both at the caller's tolerance
+    res = best_convex_approx(parse_fixture(spec), (0.9, 0.99, 0.999), 64, tol=1e-11)
     assert res.weights.weights == (0.0, 0.0, 1.0)
-    assert [(tol, start) for tol, start, _ in norm_calls] == [(1e-11, None)] * 2
+    assert [tol for tol, _ in norm_calls] == [1e-11] * 2
     assert res.history == [res.history[0], res.value]
     assert res.converged
     assert res.value - res.lower <= 1e-9 * res.value
@@ -208,8 +182,7 @@ def test_approx_convexity_probe():
     sym = PowerSymbol(1.0)
     grid = (0.5, 0.8, 0.95)
     for _ in range(20):
-        c = _simplex_project(rng.standard_normal(3))
-        c2 = _simplex_project(rng.standard_normal(3))
+        c, c2 = rng.dirichlet(np.ones(3), size=2)
         t = float(rng.uniform())
         mid = t * c + (1 - t) * c2
         f_mid = objective(sym, mid, grid, 8)
@@ -222,8 +195,7 @@ def test_approx_nonconvergence_flag(monkeypatch):
     # a norm that cannot certify within the cap must flag, not raise
     sym = PowerSymbol(1.0)
     monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
-    cfg = ApproxConfig(iterations=5)
-    res = best_convex_approx(sym, (0.5, 0.8, 0.95), 8, config=cfg)
+    res = best_convex_approx(sym, (0.5, 0.8, 0.95), 8)
     assert not res.converged
     assert res.value >= 0
 
@@ -238,10 +210,9 @@ def test_approx_two_point_nonconvergence_flag(monkeypatch):
 
 def test_approx_unreachable_tol_stops_at_first_norm(monkeypatch, norm_calls):
     # an uncertified norm ends the search: an unreachable tolerance must not
-    # spend the iteration cap on every point of the subgradient phase
+    # spend the iteration cap on every point of the search
     monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
-    cfg = ApproxConfig(tol=1e-30)
-    res = best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 16, config=cfg)
+    res = best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 16, tol=1e-30)
     assert not res.converged
     assert len(norm_calls) == 1 and norm_calls[0][0] == 1e-30
     assert res.weights.weights == pytest.approx((1 / 3,) * 3)
@@ -254,51 +225,28 @@ def test_approx_certification_does_not_hide_bugs(monkeypatch):
 
     monkeypatch.setattr("helson.approx.operator_norm", norm_with_bug)
     with pytest.raises(InvariantViolation, match="planted"):
-        best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8,
-                           config=ApproxConfig(iterations=5))
+        best_convex_approx(PowerSymbol(1.0), (0.5, 0.8, 0.95), 8)
 
 
-@pytest.mark.parametrize("sym, grid, n_max", [
-    (MHilbertSymbol(), (0.5, 0.8, 0.95), 16),
+@pytest.mark.parametrize("sym, grid, n_max, value", [
+    (MHilbertSymbol(), (0.5, 0.8, 0.95), 16, 0.2468483261190313),
     # real with mixed signs: the leading singular value can switch between
     # the largest and the most negative eigenvalue along the search
-    (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.4, 0.8), 8),
-    (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.3, 0.6, 0.9), 8),
-])
-def test_approx_warm_start_matches_cold(monkeypatch, norm_calls, sym, grid, n_max):
-    # the optimum of these cases is a vertex, where one pair closes the
-    # bracket, so only a negative tolerance keeps it open and runs the warm
-    # subgradient steps and the line searches in full
+    (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.4, 0.8), 8, 0.5526572715647717),
+    (Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4}), (0.3, 0.6, 0.9), 8, 0.29065012095362414),
+], ids=["mhilbert-K3", "mixed-signs-K2", "mixed-signs-K3"])
+def test_approx_open_bracket_runs_only_line_searches(monkeypatch, norm_calls, sym, grid,
+                                                    n_max, value):
+    # the optimum of these cases is e_K, where one pair closes the bracket,
+    # so only a negative tolerance keeps it open and runs every sweep; each
+    # golden-section line costs at most 60 norms
     monkeypatch.setattr("helson.approx.BRACKET_TOL", -1.0)
-    warm = best_convex_approx(sym, grid, n_max)
-    norm_calls.cold = True
-    cold = best_convex_approx(sym, grid, n_max)
-    assert warm.converged and cold.converged
-    assert warm.value == pytest.approx(cold.value, rel=1e-9)
-    assert np.allclose(warm.weights.weights, cold.weights.weights, atol=1e-6)
-
-
-def test_approx_line_searches_start_cold(monkeypatch, norm_calls):
-    # a warm start can certify a smaller singular value where the two
-    # largest cross, so only subgradient steps may pass one
-    def warm():
-        return [start is not None for _, start, _ in norm_calls]
-
-    # the optimum of these cases is a vertex, where one pair closes the
-    # bracket, so only a negative tolerance keeps it open and runs the warm
-    # subgradient steps and the line searches in full
-    monkeypatch.setattr("helson.approx.BRACKET_TOL", -1.0)
-    sym = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})
-    best_convex_approx(sym, (0.4, 0.8), 8)
-    assert norm_calls and not any(warm())
-    norm_calls.clear()
-    cfg = ApproxConfig(iterations=20)
-    best_convex_approx(sym, (0.3, 0.6, 0.9), 8, config=cfg)
-    # uniform point and vertex probe, 20 warm subgradient steps, then
-    # everything cold
-    starts = warm()
-    assert starts[:22] == [False, False] + [True] * 20
-    assert len(starts) > 23 and not any(starts[22:])
+    res = best_convex_approx(sym, grid, n_max)
+    k_pts = len(grid)
+    assert len(norm_calls) <= 2 + POLISH_SWEEPS * k_pts * (k_pts - 1) // 2 * 60
+    assert res.converged
+    assert res.weights.weights == tuple(float(k == k_pts - 1) for k in range(k_pts))
+    assert res.value == pytest.approx(value, rel=1e-12)
 
 
 MIXED_SIGNS = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})
@@ -379,12 +327,26 @@ def test_each_window_is_assembled_once(monkeypatch):
         return assemble(symbol, n_max, *args, **kwargs)
 
     monkeypatch.setattr("helson.approx.assemble", counting)
-    best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 8,
-                       config=ApproxConfig(iterations=5))
+    best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 8)
     assert sizes == [8]
     sizes.clear()
     compactness_diagnostic(MHilbertSymbol(), (0.5, 0.8, 0.95), (4, 8), prime_budget=2)
     assert sizes == [4, 8]
+
+
+def test_diagnostic_flags_uncertified_norms(monkeypatch, norm_calls):
+    # an uncertified row keeps its best estimate and flags the table, as
+    # best_convex_approx flags its result, instead of raising
+    table = compactness_diagnostic(MHilbertSymbol(), (0.5, 0.9), (8,))
+    assert table.converged
+    monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 5)
+    norm_calls.clear()
+    rough = compactness_diagnostic(MHilbertSymbol(), (0.5, 0.9), (8,), tol=1e-17)
+    assert not rough.converged
+    assert len(norm_calls) == 2
+    for (r, n, want), (r2, n2, got) in zip(table.rows, rough.rows):
+        assert (r2, n2) == (r, n)
+        assert 0.0 < got <= want * (1 + 1e-9)
 
 
 def test_diagnostic_csv_and_lookup():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -333,6 +334,27 @@ def test_essnorm_unconverged_exits_3(capsys, tmp_path, monkeypatch):
     assert "N=4" in err
 
 
+def test_essnorm_uncertified_diagnostic_keeps_the_payload(capsys, monkeypatch):
+    # an unreachable --norm-tol flags the rows and the weights; the whole
+    # payload is still written, and the exit code is 3
+    monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 5)
+    code, out, err = run(capsys, "essnorm", "mhilbert", "--grid", "0.5,0.9",
+                         "--N", "8", "--norm-tol", "1e-17")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["rows_converged"] is False
+    assert [row[:2] for row in doc["rows"]] == [[0.5, 8], [0.9, 8]]
+    assert all(row[2] > 0 for row in doc["rows"])
+    assert doc["weights"]["8"]["converged"] is False
+    assert "diagnostic" in err and "N=8" in err
+    # csv to stdout has no manifest, and still prints the table
+    code, out, err = run(capsys, "essnorm", "mhilbert", "--grid", "0.5,0.9",
+                         "--N", "8", "--norm-tol", "1e-17", "--format", "csv")
+    assert code == 3
+    assert out.splitlines()[1] == "r,N,value" and len(out.splitlines()) == 4
+    assert "diagnostic" in err
+
+
 # ------------------------------------------------------------------- duality
 
 
@@ -388,7 +410,6 @@ KNOB_CASES = {
     "primes": (("norm", "delta:1", "--N", "8"), "2"),
     "norm_tol": (("norm", "delta:1", "--N", "8"), "1e-9"),
     "solver_tol": (("xnorm", "delta:1", "--N", "2"), "1e-7"),
-    "iterations": (("essnorm", "delta:2", "--grid", "0.25,0.5,0.9", "--N", "2"), "5"),
     "max_iter": (("xnorm", "delta:1", "--N", "2"), "300"),
     "format": (("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "2"), "csv"),
 }
@@ -412,7 +433,7 @@ def test_config_keys_of_other_commands_are_ignored(tmp_path, capsys):
     # keys a command does not take are neither parsed nor hashed
     _, want, _ = run(capsys, "norm", "delta:1", "--N", "8")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("N = 8\niterations = 5\nr_grid = 0.5,0.9\nformat = csv\n")
+    cfg.write_text("N = 8\nmax_iter = 5\nr_grid = 0.5,0.9\nformat = csv\n")
     code, out, _ = run(capsys, "norm", "delta:1", "--config", str(cfg))
     assert code == 0 and out == want
     # an r-grid norm never uses is not validated either
@@ -433,7 +454,6 @@ def test_cli_flags_beat_config(tmp_path, capsys):
     (("norm", "mhilbert", "--N", "4"), "norm_tol"),
     (("xnorm", "delta:1", "--N", "4"), "solver_tol"),
     (("xnorm", "delta:1", "--N", "4"), "max_iter"),
-    (("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "4"), "iterations"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_explicit_zero_is_rejected(tmp_path, capsys, argv, key, source):
@@ -474,6 +494,19 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+def test_iterations_has_no_flag_or_config_key(tmp_path, capsys):
+    # best_convex_approx has no step cap left to set
+    argv = ("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "2")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--iterations", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations = 5\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "iterations" in err
+
+
 def test_sieve_limit_has_no_flag_or_config_key(tmp_path, capsys):
     # the environment variable is the one CLI route to the sieve cap; a
     # flag or key that reset it would leak into the calling process
@@ -505,12 +538,20 @@ def test_readme_lists_every_flag():
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
+    taken = set()
     for name, sub in subs.choices.items():
         for action in sub._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
             for option in action.option_strings:
                 assert f"`{option}" in section, f"{name} {option}"
+                taken.add(option)
+    # and back: no flag or config key that the CLI lacks lingers in the docs
+    for option in re.findall(r"`(--[\w-]+)", section):
+        assert option in taken, option
+    sentence = section.split("--config", 1)[1].split(".", 1)[0]
+    keys = re.findall(r"`(\w+)`", sentence.split("the keys", 1)[1])
+    assert keys and set(keys) <= {knob.key for knob in KNOBS}, keys
 
 
 def test_sieve_limit_env(tmp_path, capsys, monkeypatch):

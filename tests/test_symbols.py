@@ -121,8 +121,12 @@ def test_weighted_degrees_match_scalar():
     lambda: MHilbertSymbol().value(2.5),
     lambda: PowerSymbol(1.0).value(2.0),
     lambda: RandomDecaySymbol(3, 0.5).value(np.float64(4.0)),
+    lambda: MHilbertSymbol().values([2.5]),
+    lambda: PowerSymbol(1).values([2.5]),
+    lambda: Sequence({2: 1}).values([2.5]),
 ], ids=["weight-scalar", "weight-array", "values", "value", "sequence",
-        "scalar-mhilbert", "scalar-power", "scalar-random-decay"])
+        "scalar-mhilbert", "scalar-power", "scalar-random-decay",
+        "method-mhilbert", "method-power", "method-sequence"])
 def test_non_integer_indices_raise(call):
     # a float index is rejected, never truncated (2.5 must not read as 2)
     with pytest.raises(DomainError):
