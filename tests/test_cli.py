@@ -454,12 +454,22 @@ def test_cli_flags_beat_config(tmp_path, capsys):
     (("norm", "mhilbert", "--N", "4"), "norm_tol"),
     (("xnorm", "delta:1", "--N", "4"), "solver_tol"),
     (("xnorm", "delta:1", "--N", "4"), "max_iter"),
+    # best_convex_approx has no step cap left: argparse refuses the flag,
+    # the config reader the key
+    (("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "4"), "iterations"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_explicit_zero_is_rejected(tmp_path, capsys, argv, key, source):
     # a 0 is a value like -1, not a request for the default
+    knob = key in {k.key for k in KNOBS}
     if source == "flag":
         extra = ("--" + key.replace("_", "-"), "0")
+        if not knob:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *extra])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {extra[0]} 0" in capsys.readouterr().err
+            return
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 0\n")
@@ -468,6 +478,7 @@ def test_explicit_zero_is_rejected(tmp_path, capsys, argv, key, source):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert knob or key in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -492,19 +503,6 @@ def test_unknown_config_key(tmp_path, capsys):
     code, _, err = run(capsys, "norm", "delta:1", "--config", str(cfg))
     assert code == 2
     assert "frobnicate" in err
-
-
-def test_iterations_has_no_flag_or_config_key(tmp_path, capsys):
-    # best_convex_approx has no step cap left to set
-    argv = ("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "2")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--iterations", "5"])
-    assert exc.value.code == 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("iterations = 5\n")
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert "iterations" in err
 
 
 def test_sieve_limit_has_no_flag_or_config_key(tmp_path, capsys):
