@@ -73,7 +73,6 @@ from .weakprod import (
     representation_from_matrix,
     split_sequence,
     xnorm,
-    xnorm_certificate_check,
 )
 from .fixtures import (
     DeltaSymbol,
@@ -148,5 +147,4 @@ __all__ = [
     "truncation_indices",
     "weighted_degree",
     "xnorm",
-    "xnorm_certificate_check",
 ]

@@ -62,7 +62,7 @@ class Knob(NamedTuple):
 
 _SEQUENCES = ("convolve", "dilate", "norm", "essnorm", "xnorm", "duality")
 _WINDOWS = ("norm", "essnorm", "xnorm", "duality")
-_ADMM = ("xnorm", "duality")
+_XNORM = ("xnorm", "duality")
 
 KNOBS = (
     Knob("N", "--N", "N", str, None, _WINDOWS,
@@ -73,10 +73,10 @@ KNOBS = (
          "prime budget d: restrict indices to d-smooth integers"),
     Knob("norm_tol", "--norm-tol", "norm_tol", float, NORM_TOL, ("norm", "essnorm"),
          "relative residual that certifies an operator norm"),
-    Knob("solver_tol", "--solver-tol", "solver_tol", float, XNormConfig.tol, _ADMM,
-         "ADMM stop: absolute width of the certified xnorm bracket"),
-    Knob("max_iter", "--max-iter", "max_iter", int, XNormConfig.max_iter, _ADMM,
-         "ADMM iteration cap"),
+    Knob("solver_tol", "--solver-tol", "solver_tol", float, XNormConfig.tol, _XNORM,
+         "xnorm stop: absolute width of the certified bracket"),
+    Knob("max_iter", "--max-iter", "max_iter", int, XNormConfig.max_iter, _XNORM,
+         "xnorm Newton step cap"),
     Knob("format", "--format", "format", str, "json", ("essnorm",),
          "output format, json or csv"),
 )
@@ -321,8 +321,7 @@ def cmd_xnorm(args):
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     result = xnorm(c, cfg.N, config=solver, prime_budget=cfg.prime_budget)
     if args.matrix_out:
-        window = HelsonMatrix(result.matrix, truncation_indices(cfg.N, cfg.prime_budget),
-                              f"xnorm({args.sequence})", cfg.prime_budget)
+        window = HelsonMatrix(result.matrix, truncation_indices(cfg.N, cfg.prime_budget))
         with open(args.matrix_out, "w") as fh:
             fh.write(_csv_stamp(cfg) + matrix_to_csv(window))
     doc = {
@@ -336,7 +335,7 @@ def cmd_xnorm(args):
     if not result.converged:
         raise _Unconverged(
             text, f"xnorm did not converge: gap {result.primal_dual_gap:.3e}, "
-                  f"ADMM ran {result.iterations} of {cfg.max_iter} iterations"
+                  f"ran {result.iterations} of {cfg.max_iter} Newton steps"
         )
     return text
 
@@ -362,7 +361,7 @@ def cmd_duality(args):
     if not report.converged:
         raise _Unconverged(
             text, f"xnorm inside the duality bound did not converge within "
-                  f"{cfg.max_iter} iterations"
+                  f"{cfg.max_iter} Newton steps"
         )
     return text
 

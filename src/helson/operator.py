@@ -64,16 +64,6 @@ class ArraySymbol:
         return complex(self.values([n])[0])
 
 
-def symbol_label(symbol):
-    """Provenance tag recorded on assembled matrices."""
-    spec = getattr(symbol, "spec", None)
-    if spec is not None:
-        return str(spec)
-    if isinstance(symbol, Sequence):
-        return f"sequence:{len(symbol)}"
-    return type(symbol).__name__
-
-
 def _float_array(x):
     """x as float64 when its dtype is real or integer, else as complex128."""
     arr = np.asarray(x)
@@ -83,7 +73,7 @@ def _float_array(x):
 
 @dataclass(frozen=True)
 class HelsonMatrix:
-    """Dense truncation of M(alpha) with its index map and provenance.
+    """Dense truncation of M(alpha) with its index map.
 
     Entries are float64 for a real symbol (integer or real input is cast
     to float64) and complex128 otherwise.
@@ -91,8 +81,6 @@ class HelsonMatrix:
 
     entries: np.ndarray
     indices: tuple
-    symbol_id: str
-    prime_budget: object = None
 
     def __post_init__(self):
         entries = _float_array(self.entries)
@@ -190,12 +178,7 @@ def assemble(symbol, n_max, prime_budget=None):
     vals = symbol_values(symbol, classes.uniq)
     if not vals.imag.any():
         vals = vals.real
-    return HelsonMatrix(
-        entries=vals[classes.labels],
-        indices=indices,
-        symbol_id=symbol_label(symbol),
-        prime_budget=prime_budget,
-    )
+    return HelsonMatrix(entries=vals[classes.labels], indices=indices)
 
 
 def form(symbol, a, b):

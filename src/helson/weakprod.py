@@ -13,24 +13,22 @@ divisor-class sums of X reproduce the convolution.  So
 one constraint per product class n, with c read as 0 off its support.
 The classes partition the matrix entries, so the program is always
 feasible, and any SVD of the optimal X converts back into a
-representation of equal cost.  The X-step (affine projection) and the
-Z-step (singular-value soft-thresholding) are both exact, which makes an
-alternating-direction scheme the natural solver at desk scale.
+representation of equal cost.
 
-The scaled dual variable of that scheme lives in the range of the
-constraint adjoint, i.e. it is constant on divisor classes; reading it
-off and dividing by a proven upper bound on its operator norm yields the
-dual certificate beta, ||M_N(beta)|| <= 1, with |(beta, c)| -> value at
-the optimum.  So every iterate brackets the value, and the solver stops
-on the width of that bracket.
+Its dual is M_0* = X on the window: max Re (beta, c) subject to
+||M_N(beta)|| <= 1, a small semidefinite program in the class values
+beta.  xnorm solves it by the barrier method (Boyd and Vandenberghe,
+Convex Optimization, 11.3), with damped Newton steps on the
+self-concordant barrier log det [[I, B], [B^H, I]] (ibid., 9.6), and
+reads a primal X off each Newton direction (dual scaling: Benson, Ye
+and Zhang, SIAM J. Optim. 10, 2000).  Every step brackets the value
+from both sides, and the solver stops on the width of that bracket.
 
 The solver works on the window indices S whose prime factors all divide
 some point of supp(c).  The paper notes that its results hold for small
 Hankel operators on the polydisk H^2(D^d); on a window this makes the
 program exact on S, because ij has its primes in that set exactly when i
-and j do.  The iteration is over-relaxed by the constant _RELAX = 1.6
-(Boyd et al., FnTML 2011, 3.4.3), which cuts the iteration count by a
-fifth to a third on the seed-7 test vector.
+and j do.
 """
 
 import math
@@ -50,24 +48,10 @@ from .operator import (
 from .sieve import factor_pairs, is_smooth_over, sieve_limit
 from .spectral import _norm_upper_bound, operator_norm
 
-# starting ADMM penalty rho: each step shrinks singular values by 1/rho
-_RHO = 1.0
-
-# xnorm brackets its value every _CHECK_EVERY iterations; each check
-# costs two small SVD-sized factorizations, about two iterations
-_CHECK_EVERY = 50
-
-# over-relaxation: the Z-step reads _RELAX x + (1 - _RELAX) z in place of x
-_RELAX = 1.6
-
-# residual balancing: every _BALANCE_EVERY iterations rho is scaled by
-# _BALANCE_TAU when one residual exceeds _BALANCE_MU times the other
-_BALANCE_EVERY = 10
-_BALANCE_MU = 10.0
-_BALANCE_TAU = 2.0
-
-# slack xnorm_certificate_check grants on both of its inequalities
-CERT_CHECK_TOL = 1e-6
+# the barrier weight t grows by this factor once a Newton step is
+# centred, i.e. its Newton decrement is at most _CENTRED
+_T_GROWTH = 8.0
+_CENTRED = 0.25
 
 
 @dataclass(frozen=True)
@@ -107,14 +91,15 @@ def rep_cost(rep):
 
 @dataclass
 class XNormConfig:
-    """Alternating-direction solver knobs for xnorm.
+    """Stopping rule of xnorm.
 
     tol is the absolute certified gap at which the solver stops:
-    ||X||_* - |(beta, c)| / ||M_N(beta)|| <= tol.
+    ||X||_* - |(beta, c)| / ||M_N(beta)|| <= tol.  max_iter caps the
+    number of Newton steps.
     """
 
     tol: float = 1e-6
-    max_iter: int = 20000
+    max_iter: int = 200
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -130,8 +115,9 @@ class XNormResult:
     value is the nuclear norm of the exactly feasible matrix, an upper
     bound; value - primal_dual_gap = |(certificate, c)| is a lower bound,
     since the certificate is scaled by a proven upper bound on its
-    operator norm.  converged is False when ADMM stopped at its
-    iteration cap before the gap reached the tolerance.
+    operator norm.  iterations counts Newton steps.  converged is False
+    when the solver stopped before the gap reached the tolerance: at its
+    step cap, or on a step it could not factor.
     """
 
     value: float
@@ -149,17 +135,6 @@ class XNormResult:
             "converged": self.converged,
             "certificate": [[n, v.real, v.imag] for n, v in self.certificate.items()],
         }
-
-
-def _check_representable(seq, classes, n_max, name):
-    """DomainError unless every support point of seq is a class of the window."""
-    support = np.array(seq.support, dtype=np.int64)
-    outside = support[~np.isin(support, classes.uniq, assume_unique=True)]
-    if outside.size:
-        raise DomainError(
-            f"{name}({outside[0]}) is not representable as a product of two "
-            f"window indices <= {n_max}"
-        )
 
 
 def xnorm(c, n_max, config=None, prime_budget=None):
@@ -180,14 +155,26 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     raising ||X||_*, and M_N(beta) for beta on S-products is M_S(beta)
     padded with zeros.
 
-    Every _CHECK_EVERY iterations, and at the cap, the solver brackets
-    the value: the projected iterate X is exactly feasible, so ||X||_*
-    is an upper bound, and the class means beta of the scaled dual give
-    the lower bound |(beta, c)| / ||M_N(beta)|| with a proven upper bound
-    in the denominator (M_0* = X).  It stops once the bracket is at most
-    config.tol wide.  The penalty rho starts at _RHO and is rebalanced
-    every _BALANCE_EVERY iterations (Boyd et al., FnTML 2011, 3.4.1);
-    the Z-step reads the iterate over-relaxed by _RELAX (ibid., 3.4.3).
+    Each step maximizes t Re (beta, c) + log det F over the real and
+    imaginary parts y of beta, with F = [[I, B], [B^H, I]] and
+    B = beta[labels], which is positive definite exactly when ||B|| < 1.
+    It moves by the damped Newton step dy / (1 + lam), lam the Newton
+    decrement, which keeps F positive definite; t starts at 1 and grows
+    by _T_GROWTH whenever lam <= _CENTRED.  With W = F^-1 the gradient is
+    t (Re c, -Im c) + 2 (Re g, -Im g), g the class sums of W_21, and
+    minus the Hessian is the form 2 Re(d^T R d) + 2 d^H G^T d with
+
+        R[p, q] = sum_{(a,b) in p, (j,k) in q} W_21[j, a] W_21[b, k],
+        G[p, q] = sum_{(a,b) in p, (j,k) in q} W_11[j, a] W_22[b, k].
+
+    Each step also brackets the value.  X = -(2/t) (W - W dF W)_21, dF
+    the change of F along the full Newton step, has class sums c up to
+    rounding; projected onto them exactly, ||X||_* is an upper bound.
+    The current beta gives the lower bound |(beta, c)| / ||M_N(beta)||
+    with a proven upper bound in the denominator (M_0* = X).  The best
+    of each is kept, and the solver stops once they are at most
+    config.tol apart.  A singular Newton system, or an F that no longer
+    factors, ends the solve with the best bracket and converged False.
     """
     cfg = config or XNormConfig()
     window = np.array(truncation_indices(n_max, prime_budget), dtype=np.int64)
@@ -200,7 +187,13 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     primes = {p for n in c.support if n <= limit for p, _ in factor_pairs(n)}
     rows = np.flatnonzero(is_smooth_over(window, primes))
     classes = product_classes(window[rows].tolist())
-    _check_representable(c, classes, n_max, "c")
+    support = np.array(c.support, dtype=np.int64)
+    outside = support[~np.isin(support, classes.uniq, assume_unique=True)]
+    if outside.size:
+        raise DomainError(
+            f"c({outside[0]}) is not representable as a product of two "
+            f"window indices <= {n_max}"
+        )
 
     matrix = np.zeros((size, size), dtype=np.complex128)
     if not c:
@@ -215,71 +208,81 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         )
 
     labels = classes.labels
-    flat = labels.ravel()
-    counts = np.bincount(flat)
+    dim = rows.size
+    m = classes.uniq.size
+    counts = np.bincount(labels.ravel())
     target = c.values(classes.uniq)
     # class n collects the real and imaginary parts of a matrix, read as
-    # interleaved float64 pairs, in slots 2n and 2n + 1
-    pair_labels = (2 * flat[:, None] + np.arange(2)).ravel()
+    # interleaved float64 pairs, in slots 2n and 2n + 1; the class pair
+    # (p, q) of a tensor T[a, j, b, k] with (a, b) in p and (j, k) in q
+    # collects in slots 2(pm + q) and 2(pm + q) + 1
+    pair_labels = (2 * labels.reshape(-1, 1) + np.arange(2)).ravel()
+    quad_labels = 2 * m * labels[:, None, :, None] + 2 * labels[None, :, None, :]
+    quad_labels = (quad_labels.reshape(-1, 1) + np.arange(2)).ravel()
 
-    def class_sums(mat):
-        # every label occurs, so the bincount has one (re, im) pair per
-        # class; each class is summed in the same order as per component
-        sums = np.bincount(pair_labels, mat.view(np.float64).ravel())
-        return sums.view(np.complex128)
+    def sums(slots, mat):
+        # every class (pair) occurs, so the bincount misses no trailing slot
+        flat = np.ascontiguousarray(mat).view(np.float64).ravel()
+        return np.bincount(slots, flat).view(np.complex128)
 
-    def project_affine(mat):
-        return mat + ((target - class_sums(mat)) / counts)[labels]
-
-    def bracket(x, u):
-        # the scaled dual is constant on product classes; read it off, flip
-        # the conjugation to match the bilinear pairing, and divide by a
-        # proven bound so that ||M_N(beta)|| <= 1
-        means = class_sums(u.conj()) / counts
-        bound = _norm_upper_bound(means[labels])
-        beta = means / bound if bound > 0.0 else means
-        upper = float(np.linalg.svd(x, compute_uv=False).sum())
-        return upper, float(abs(np.dot(beta, target))), beta
-
-    rho = _RHO
-    z = np.zeros(labels.shape, dtype=np.complex128)
-    u = np.zeros_like(z)
+    beta = np.zeros(m, dtype=np.complex128)
+    f = np.eye(2 * dim, dtype=np.complex128)
+    t = 1.0
+    upper, lower = math.inf, -math.inf
     converged = False
-    for it in range(1, cfg.max_iter + 1):
-        x = project_affine(z - u)
-        x_hat = _RELAX * x + (1.0 - _RELAX) * z
-        uu, s, vh = np.linalg.svd(x_hat + u, full_matrices=False)
-        s = np.maximum(s - 1.0 / rho, 0.0)
-        z_new = (uu * s) @ vh
-        u += x_hat - z_new
-        if it % _BALANCE_EVERY == 0:
-            # the scaled dual u = y / rho follows rho
-            primal_res = np.linalg.norm(x - z_new)
-            dual_res = rho * np.linalg.norm(z_new - z)
-            if primal_res > _BALANCE_MU * dual_res:
-                rho *= _BALANCE_TAU
-                u /= _BALANCE_TAU
-            elif dual_res > _BALANCE_MU * primal_res:
-                rho /= _BALANCE_TAU
-                u *= _BALANCE_TAU
-        z = z_new
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iter:
-            upper, lower, beta = bracket(x, u)
-            if upper - lower <= cfg.tol:
-                converged = True
-                break
+    it = 0
+    while it < cfg.max_iter:
+        try:
+            inv_chol = np.linalg.inv(np.linalg.cholesky(f))
+            w = inv_chol.conj().T @ inv_chol
+            w11, w21, w22 = w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
+            r = sums(quad_labels, np.multiply.outer(w21.T, w21)).reshape(m, m)
+            g = sums(quad_labels, np.multiply.outer(w11.T, w22)).reshape(m, m)
+            # minus the Hessian in the real coordinates (Re d, Im d)
+            r, q = r + r.T, 2.0 * g.T
+            off = -(r.imag + q.imag)
+            hess = np.block([[r.real + q.real, off], [off.T, q.real - r.real]])
+            v = t * target + 2.0 * sums(pair_labels, w21)
+            grad = np.concatenate([v.real, -v.imag])
+            dy = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break
+        lam2 = float(grad @ dy)
+        if not (0.0 <= lam2 < math.inf):
+            break
+        it += 1
+        step = dy[:m] + 1j * dy[m:]
+        d_b = step[labels]
+        x = (-2.0 / t) * (w21 - w22 @ d_b.conj().T @ w11 - w21 @ d_b @ w21)
+        x += ((target - sums(pair_labels, x)) / counts)[labels]
+        nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
+        if nuclear < upper:
+            upper, best_x = nuclear, x
+        bound = _norm_upper_bound(f[:dim, dim:])
+        cert = beta / bound if bound > 0.0 else beta
+        pairing = float(abs(np.dot(cert, target)))
+        if pairing > lower:
+            lower, best_cert = pairing, cert
+        if upper - lower <= cfg.tol:
+            converged = True
+            break
+        lam = math.sqrt(lam2)
+        if lam <= _CENTRED:
+            t *= _T_GROWTH
+        beta = beta + step / (1.0 + lam)
+        f[:dim, dim:] = beta[labels]
+        f[dim:, :dim] = f[:dim, dim:].conj().T
 
-    matrix[np.ix_(rows, rows)] = x
+    matrix[np.ix_(rows, rows)] = best_x
     matrix.setflags(write=False)
     return XNormResult(
         value=upper,
         matrix=matrix,
-        certificate=Sequence(zip(classes.uniq.tolist(), beta)),
+        certificate=Sequence(zip(classes.uniq.tolist(), best_cert)),
         primal_dual_gap=max(upper - lower, 0.0),
         iterations=it,
         converged=converged,
     )
-
 
 def representation_from_matrix(matrix, indices=None):
     """Representation read off an SVD: a_k = sqrt(s_k) u_k, b_k = sqrt(s_k) v_k.
@@ -306,23 +309,6 @@ def representation_from_matrix(matrix, indices=None):
         b_k = Sequence({n: root * np.conj(vh[k, i]) for i, n in enumerate(indices)})
         pairs.append((a_k, b_k))
     return Representation(tuple(pairs))
-
-
-def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
-    """True iff beta certifies ||c||_X >= claimed - tol on the window.
-
-    Requires ||M_N(beta)|| <= 1 + tol, checked on a proven upper bound of
-    the norm, and |(beta, c)| >= claimed - tol, with tol = CERT_CHECK_TOL.
-    The supports of c and beta must lie in the product set of the window
-    (DomainError otherwise): the window program knows no other index.
-    """
-    classes = product_classes(truncation_indices(n_max, prime_budget))
-    _check_representable(c, classes, n_max, "c")
-    _check_representable(beta, classes, n_max, "beta")
-    norm = _norm_upper_bound(beta.values(classes.uniq)[classes.labels])
-    if norm > 1.0 + CERT_CHECK_TOL:
-        return False
-    return abs(bilinear_pair(beta, c)) >= claimed - CERT_CHECK_TOL
 
 
 @dataclass

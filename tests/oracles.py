@@ -13,6 +13,8 @@ genuine cross-check:
   max_prime_index_reference: scalar multiplicative bookkeeping by a
   sieve of Eratosthenes and trial division, with no smallest-prime-factor
   table and no array walk.
+* xnorm_certificate_check: the dual certificate of an xnorm value,
+  checked on the dense SVD of M_N(beta) built entry by entry.
 """
 
 import bisect
@@ -20,6 +22,11 @@ import itertools
 import math
 
 import numpy as np
+
+from helson import DomainError
+
+# slack xnorm_certificate_check grants on both of its inequalities
+CERT_CHECK_TOL = 1e-6
 
 
 def _classes(n_max):
@@ -168,3 +175,28 @@ def max_prime_index_reference(n, primes):
     """Index j of the largest prime factor p_j of n; 0 for n = 1."""
     factors = trial_factor(n, primes)
     return factors[-1][0] if factors else 0
+
+
+def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
+    """True iff beta certifies ||c||_X >= claimed - tol on the window.
+
+    Requires ||M_N(beta)|| <= 1 + tol, on the dense SVD, and
+    |(beta, c)| >= claimed - tol, with tol = CERT_CHECK_TOL.  The window
+    is 1..N, or its integers with every prime among the first d under a
+    budget d.  The supports of c and beta must lie in the product set of
+    the window (DomainError otherwise): the window program knows no
+    other index.
+    """
+    primes = primes_upto(n_max)
+    window = [n for n in range(1, n_max + 1)
+              if prime_budget is None or max_prime_index_reference(n, primes) <= prime_budget]
+    products = {i * j for i in window for j in window}
+    for seq in (c, beta):
+        outside = sorted(set(seq.support) - products)
+        if outside:
+            raise DomainError(f"{outside[0]} is no product of two window indices")
+    m = np.array([[beta[i * j] for j in window] for i in window], dtype=complex)
+    if np.linalg.svd(m, compute_uv=False)[0] > 1.0 + CERT_CHECK_TOL:
+        return False
+    pairing = abs(sum(v * c[n] for n, v in beta.items()))
+    return pairing >= claimed - CERT_CHECK_TOL

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helson import (
     DomainError,
@@ -21,9 +22,9 @@ from helson import (
     set_sieve_limit,
     split_sequence,
     xnorm,
-    xnorm_certificate_check,
+    XNormConfig,
 )
-from oracles import _classes
+from oracles import _classes, xnorm_certificate_check
 from test_cli import STALLED_C
 
 
@@ -191,7 +192,7 @@ def test_stalled_c_reduced_window_matches_full_window(n_max):
     value, iterations = FULL_WINDOW[n_max]
     assert res.converged and res.primal_dual_gap <= 1e-6
     assert abs(res.value - value) <= 2e-6
-    # the over-relaxed iteration needs fewer steps, not a pinned count
+    # FULL_WINDOW's counts bound the steps from above; they pin nothing
     assert res.iterations < iterations
     # supp(c) = {1, 2, 3, 4, 6}: the program lives on the {2, 3}-smooth rows
     assert res.matrix.shape == (n_max, n_max)
@@ -218,6 +219,30 @@ def test_xnorm_prime_budget_invariance():
         full = xnorm(c, n_max)
         assert (budget.value, budget.iterations) == (full.value, full.iterations)
         assert budget.certificate == full.certificate
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.data())
+def test_xnorm_bracket_holds_at_every_cap(n_max, data):
+    # a run stopped at any cap, converged or not, keeps a feasible matrix
+    # and a valid certificate, and no factorization error escapes
+    classes = _classes(n_max)
+    support = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1,
+                                 max_size=4, unique=True))
+    part = st.floats(-2.0, 2.0)
+    c = Sequence({n: complex(data.draw(part), data.draw(part)) for n in support})
+    for cap in range(1, 61):
+        res = xnorm(c, n_max, XNormConfig(max_iter=cap))
+        for n, positions in classes.items():
+            got = sum(res.matrix[i, j] for i, j in positions)
+            assert abs(got - c[n]) <= 1e-9
+        nuc = float(np.linalg.svd(res.matrix, compute_uv=False).sum())
+        assert res.value == pytest.approx(nuc, rel=1e-12, abs=1e-12)
+        beta = res.certificate
+        cert = np.array([[beta[i * j] for j in range(1, n_max + 1)]
+                         for i in range(1, n_max + 1)], dtype=complex)
+        assert np.linalg.svd(cert, compute_uv=False)[0] <= 1.0
+        assert abs(bilinear_pair(beta, c)) >= res.value - res.primal_dual_gap - 1e-12
 
 
 def test_xnorm_to_json():
