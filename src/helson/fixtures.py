@@ -29,7 +29,6 @@ from .operator import ArraySymbol
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_PAIR = np.array([[0], [1]], dtype=np.uint64)
 
 
 def _indices(ns):
@@ -42,9 +41,12 @@ def _indices(ns):
 def splitmix64(x):
     """Output of splitmix64 from state x (uint64 array), wrapping mod 2^64."""
     z = x + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class DeltaSymbol(ArraySymbol):
@@ -115,17 +117,29 @@ class RandomDecaySymbol(ArraySymbol):
         ns = _indices(ns)
         # flattened so that 0-d input still wraps as an array, silently
         flat = ns.reshape(-1)
-        x = flat.astype(np.uint64) * np.uint64(2) + np.uint64(
-            (self.seed * _GAMMA) % (1 << 64)
-        )
-        # both words in one pass: rows splitmix64(x) and splitmix64(x + 1)
-        words = splitmix64(x + _PAIR) >> np.uint64(11)
-        radius = (words[0] + np.uint64(1)) * 2.0**-53
-        angle = words[1] * (2.0**-53 * 2.0 * np.pi)
-        scale = np.sqrt(-2.0 * np.log(radius)) * flat.astype(np.float64) ** -self.rate
+        # rows x and x + 1, hashed in one pass; every step below is the
+        # formula of the class docstring, in place
+        x = np.empty((2, flat.size), dtype=np.uint64)
+        x[0] = flat
+        x[0] *= np.uint64(2)
+        x[0] += np.uint64((self.seed * _GAMMA) % (1 << 64))
+        np.add(x[0], np.uint64(1), out=x[1])
+        words = splitmix64(x)
+        del x  # the buffers below are freed as soon as they are spent
+        words >>= np.uint64(11)
+        words[0] += np.uint64(1)
+        scale = np.multiply(words[0], 2.0**-53)
+        np.log(scale, out=scale)
+        scale *= -2.0
+        np.sqrt(scale, out=scale)
+        damp = flat.astype(np.float64)
+        damp **= -self.rate
+        scale *= damp
+        angle = np.multiply(words[1], 2.0**-53 * 2.0 * np.pi, out=damp)
+        del words
         out = np.empty(flat.shape, dtype=np.complex128)
-        out.real = scale * np.cos(angle)
-        out.imag = scale * np.sin(angle)
+        np.multiply(np.cos(angle), scale, out=out.real)
+        np.multiply(np.sin(angle, out=angle), scale, out=out.imag)
         return out.reshape(ns.shape)
 
 

@@ -7,6 +7,11 @@ the d-smooth integers <= N, in ascending order, with the index map kept
 on the matrix.  Entries are float64 when every value alpha takes on the
 window's products is real and complex128 otherwise.
 
+assemble evaluates alpha once per distinct product.  On a window 1..N
+row n is alpha at n, 2n, ..., Nn: a stride-n slice of one table over
+[0, N^2], with no N^2 index array.  A sparse prime-budget window sorts
+its products into classes and gathers the values through them.
+
 assemble is the one route to matrix entries.  A dilated truncation needs
 no second one: the weighted degree is additive over products, so
 M_N(alpha_r) = D_r M_N(alpha) D_r with D_r = diag(r^omega(n)) on the
@@ -133,33 +138,39 @@ class ProductClasses:
     labels: np.ndarray
 
 
-# a window whose largest product n_max^2 is at most this many times its
-# dim^2 products is ranked through a table over [0, n_max^2]
-_TABLE_FACTOR = 4
-
-
 def product_classes(indices):
     """ProductClasses of a window; refuses products past the sieve limit."""
     _check_products(indices)
     idx = np.asarray(indices, dtype=np.int64)
     prod = idx[:, None] * idx[None, :]
-    top = int(idx.max()) ** 2
-    # The table ranks without a sort (4-6x faster than np.unique on 1..N
-    # for N = 256..1024) but spans [0, n_max^2]; prime-budget windows are
-    # sparse there (n_max^2 / dim^2 from 58 to ~29000 at N = 2048), so
-    # they keep np.unique.  The benchmark's norm-ladder runs the table,
-    # approx-smooth both paths.
-    if top <= _TABLE_FACTOR * prod.size:
-        mark = np.zeros(top + 1, dtype=bool)
-        mark[prod] = True
-        uniq = np.flatnonzero(mark)
-        rank = np.empty(top + 1, dtype=np.intp)
-        rank[uniq] = np.arange(uniq.size)
-        labels = rank[prod]
-    else:
-        uniq, labels = np.unique(prod, return_inverse=True)
-        labels = labels.reshape(prod.shape)
-    return ProductClasses(tuple(indices), uniq, labels)
+    uniq, labels = np.unique(prod, return_inverse=True)
+    return ProductClasses(tuple(indices), uniq, labels.reshape(prod.shape))
+
+
+def _real_if_real(vals):
+    return vals.real if not vals.imag.any() else vals
+
+
+def _strided_rows(symbol, dim):
+    """Entries of M(alpha) on the window 1..dim, with no dim^2 index array.
+
+    Row n holds alpha at the products n, 2n, ..., dim*n, a stride-n slice
+    of a table over [0, dim^2]; the distinct products are marked by the
+    same slices, from n^2 on (the rest of each row is an earlier column),
+    and each is evaluated once.
+    """
+    top = dim * dim
+    mark = np.zeros(top + 1, dtype=bool)
+    for n in range(1, dim + 1):
+        mark[n * n : n * dim + 1 : n] = True
+    uniq = np.flatnonzero(mark)
+    vals = _real_if_real(symbol_values(symbol, uniq))
+    table = np.empty(top + 1, dtype=vals.dtype)
+    table[uniq] = vals
+    entries = np.empty((dim, dim), dtype=vals.dtype)
+    for n in range(1, dim + 1):
+        entries[n - 1] = table[n : n * dim + 1 : n]
+    return entries
 
 
 def assemble(symbol, n_max, prime_budget=None):
@@ -167,18 +178,23 @@ def assemble(symbol, n_max, prime_budget=None):
 
     Each distinct product nm is evaluated once; the result is symmetric
     by construction because the entry depends only on the product.  The
-    entries are float64 when every distinct value is real.
+    entries are float64 when every distinct value is real.  A window
+    1..N (no budget, or one covering every prime <= N) takes the strided
+    rows of the module docstring, a sparse one its product classes.
     """
     indices = truncation_indices(n_max, prime_budget)
-    if len(indices) > DENSE_CAP:
+    dim = len(indices)
+    if dim > DENSE_CAP:
         raise DomainError(
-            f"dense assembly capped at {DENSE_CAP} rows, window has {len(indices)}"
+            f"dense assembly capped at {DENSE_CAP} rows, window has {dim}"
         )
-    classes = product_classes(indices)
-    vals = symbol_values(symbol, classes.uniq)
-    if not vals.imag.any():
-        vals = vals.real
-    return HelsonMatrix(entries=vals[classes.labels], indices=indices)
+    if indices[-1] == dim:
+        _check_products(indices)
+        entries = _strided_rows(symbol, dim)
+    else:
+        classes = product_classes(indices)
+        entries = _real_if_real(symbol_values(symbol, classes.uniq))[classes.labels]
+    return HelsonMatrix(entries=entries, indices=indices)
 
 
 def form(symbol, a, b):

@@ -79,8 +79,10 @@ def operator_norm(matrix, tol=NORM_TOL):
     Ritz estimate beta_k |y_k| of the top Ritz pair drops to
     tol*theta/2, or the basis is full, or one product is left, and the
     next cycle opens on the top Ritz vector.  iterations counts the
-    products with A^H A, at most NORM_MAX_ITER; when the cap is hit a
-    ConvergenceError carries the last cycle's pair as its best estimate.
+    products with A^H A, at most NORM_MAX_ITER.  When the cap is hit, or
+    a cycle opens on a residual no smaller than the previous cycle's (a
+    tol below what rounding lets the pair reach), a ConvergenceError
+    carries that cycle's pair as its best estimate.
     A start in the kernel is replaced by the standard basis vectors in
     turn.
 
@@ -111,7 +113,7 @@ def operator_norm(matrix, tol=NORM_TOL):
     tri = np.zeros((cap, cap))
     max_iter = NORM_MAX_ITER
     basis_tried = it = 0
-    sigma, u, residual = 0.0, v, 0.0
+    sigma, u, residual, opened = 0.0, v, 0.0, np.inf
     while it < max_iter:
         # cycle start: the explicit pair of v, whose product opens the basis
         w = arr @ v
@@ -132,8 +134,10 @@ def operator_norm(matrix, tol=NORM_TOL):
         residual = float(np.linalg.norm(z - sigma * v))
         if residual <= tol * sigma:
             return SpectralReport(sigma, (u, v), it, residual)
-        if it == max_iter:
+        if it == max_iter or residual >= opened:
+            # at the cap, or stalled at rounding level short of tol
             break
+        opened = residual
         z *= sigma
         basis[0] = v
         for k in range(1, cap + 1):
@@ -157,11 +161,12 @@ def operator_norm(matrix, tol=NORM_TOL):
         v = y[:, -1] @ basis[:k]
         v /= np.linalg.norm(v)
         tri[:k, :k] = 0.0
+    stalled = ", stalled" if it < max_iter else ""
     raise ConvergenceError(
-        f"operator norm did not certify within {max_iter} iterations "
-        f"(residual {residual:.3e})",
-        best=SpectralReport(sigma, (u, v), max_iter, residual),
-        iterations=max_iter,
+        f"operator norm did not certify within {it} iterations "
+        f"(residual {residual:.3e}{stalled})",
+        best=SpectralReport(sigma, (u, v), it, residual),
+        iterations=it,
     )
 
 

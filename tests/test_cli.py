@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -355,6 +356,18 @@ def test_essnorm_uncertified_diagnostic_keeps_the_payload(capsys, monkeypatch):
     assert "diagnostic" in err
 
 
+def test_essnorm_unreachable_tol_stops_on_the_stalled_residual(capsys):
+    # below rounding level the residual stalls; every norm gives up on
+    # that, long before the iteration cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "essnorm", "mhilbert", "--grid", "0.5,0.9",
+                         "--N", "8", "--norm-tol", "1e-17")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out)["rows_converged"] is False
+    assert "diagnostic" in err
+
+
 # ------------------------------------------------------------------- duality
 
 
@@ -522,7 +535,7 @@ def test_sieve_limit_has_no_flag_or_config_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["xnorm", "duality"])
 def test_norm_tol_is_not_an_admm_flag(command):
-    # the ADMM commands scale by a proven norm bound, which has no tolerance
+    # xnorm and duality scale by a proven norm bound, which has no tolerance
     inputs = ["delta:1"] if command == "xnorm" else ["delta:1", "delta:1"]
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, "--N", "2", "--norm-tol", "1e-9"])

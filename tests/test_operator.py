@@ -16,11 +16,14 @@ from helson import (
     matrix_to_csv,
     parse_fixture,
     product_classes,
+    set_sieve_limit,
     smooth_indices,
     symbol_values,
     truncation_indices,
 )
 from helson.approx import _dilated
+
+import oracles
 
 
 def random_sequence(rng, max_index=16, size=6):
@@ -109,8 +112,8 @@ def test_assemble_keeps_the_symbol_dtype(spec, dtype):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 60), st.sampled_from([None, 1, 2, 3]))
 @example(1, None)
-@example(8, 1)  # n_max^2 = 4 dim^2: the largest ratio ranked by table
-@example(24, 2)  # n_max^2 = 4.76 dim^2: the smallest sorted by np.unique
+@example(8, 1)  # the powers of two up to 8: products 1..64 with gaps
+@example(24, 2)  # the 3-smooth window up to 24: classes of unequal sizes
 def test_product_classes_partition(n_max, budget):
     idx = np.array(smooth_indices(n_max, budget), dtype=np.int64)
     classes = product_classes(idx.tolist())
@@ -118,6 +121,47 @@ def test_product_classes_partition(n_max, budget):
     assert np.array_equal(classes.uniq, np.unique(np.outer(idx, idx)))
     assert np.array_equal(classes.uniq[classes.labels], np.outer(idx, idx))
     assert np.array_equal(classes.labels, classes.labels.T)
+
+
+BRUTE_SYMBOLS = {
+    "delta": "delta:6",
+    "power": "power:0.75",
+    "mhilbert": "mhilbert",
+    "random-decay": "random-decay:3,0.5",
+    "real-sequence": {1: 1.0, 2: -1.5, 6: 0.8, 35: -0.4, 720: 2.5, 6241: 0.125},
+    "complex-sequence": {1: 1.0, 4: -1.5j, 30: 0.4 + 0.2j, 1369: -2.0, 6400: 1j},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.sampled_from(sorted(BRUTE_SYMBOLS)))
+@example(1, "power")
+@example(80, "complex-sequence")
+@example(80, "random-decay")
+def test_dense_route_matches_brute_force(n_max, name):
+    # every entry of a 1..N window is alpha at its own product, bit for bit
+    spec = BRUTE_SYMBOLS[name]
+    symbol = Sequence(spec) if isinstance(spec, dict) else parse_fixture(spec)
+    idx = np.arange(1, n_max + 1)
+    brute = symbol_values(symbol, np.outer(idx, idx))
+    real = not brute.imag.any()
+    m = assemble(symbol, n_max)
+    assert m.entries.dtype == (np.float64 if real else np.complex128)
+    assert m.entries.tobytes() == (brute.real if real else brute).tobytes()
+    # a budget that admits every prime <= N leaves the window 1..N
+    budget = max(1, len(oracles.primes_upto(n_max)))
+    assert assemble(symbol, n_max, budget).entries.tobytes() == m.entries.tobytes()
+
+
+def test_dense_route_sieve_limit_edge():
+    set_sieve_limit(100)
+    try:
+        assert assemble(PowerSymbol(1.0), 10).size == 10  # 10^2 = limit
+        with pytest.raises(DomainError) as exc:
+            assemble(PowerSymbol(1.0), 11)
+        assert str(exc.value) == "matrix window needs index 121 = 11^2 above sieve limit 100"
+    finally:
+        set_sieve_limit(None)
 
 
 def test_truncation_indices():

@@ -175,6 +175,20 @@ def test_norm_nonconvergence_carries_best(monkeypatch):
     assert best.iterations == 1
 
 
+def test_norm_stalled_residual_raises_early():
+    # tol 1e-17 is below what rounding lets any pair reach: the run stops
+    # when a cycle opens no closer than the one before, with its pair
+    m = assemble(MHilbertSymbol(), 8)
+    with pytest.raises(ConvergenceError, match="stalled") as exc:
+        operator_norm(m, tol=1e-17)
+    best = exc.value.best
+    assert exc.value.iterations == best.iterations < 100
+    assert best.norm == pytest.approx(operator_norm(m).norm, rel=1e-12)
+    u, v = best.leading_pair
+    assert best.residual == pytest.approx(
+        np.linalg.norm(m.entries.T @ u - best.norm * v), rel=1e-3, abs=1e-15)
+
+
 def _with_top_pair(gap, seed=5, dim=40):
     # complex dim x dim matrix with singular values 1, 1 - gap, then a
     # spread from 0.9 down to 0.1, between random unitary factors
