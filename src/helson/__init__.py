@@ -16,7 +16,6 @@ from .errors import (
 from .sieve import (
     factor_pairs,
     is_smooth,
-    set_sieve_limit,
     sieve_limit,
     smooth_indices,
     weighted_degree,
@@ -139,7 +138,6 @@ __all__ = [
     "save_sequence",
     "sequence_from_triples",
     "sequence_to_triples",
-    "set_sieve_limit",
     "sieve_limit",
     "smooth_indices",
     "split_sequence",

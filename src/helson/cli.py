@@ -9,13 +9,14 @@ that did not converge (xnorm, essnorm weights, duality) is still written
 in full, marked "converged": false, and an essnorm table with an
 uncertified norm is marked "rows_converged": false.  essnorm --format csv
 without --output prints only the diagnostic table and computes no
-weights, so its exit code follows the diagnostic alone.
+weights, so its exit code follows the diagnostic alone.  An essnorm CSV
+whose table is uncertified ends its stamp line with rows_converged=false.
 
 Every knob is one row of KNOBS: its config-file key, flag, type, library
 default and the commands that take the flag.  Flags may also be preloaded
 from a config file of key=value lines via --config; an explicit flag
-beats the file, and the file beats the default.  The environment
-variable HELSON_SIEVE_LIMIT is the only CLI route to the sieve cap.
+beats the file, and the file beats the default.  The sieve's index
+range is a library constant, so no flag, key or variable sets it.
 """
 
 import argparse
@@ -190,9 +191,10 @@ def _stamp(cfg):
     return {"schema": SCHEMA, "config_hash": cfg.config_hash, "command": cfg.command}
 
 
-def _csv_stamp(cfg):
-    """The comment line every CSV output opens with."""
-    return f"# schema={SCHEMA} config_hash={cfg.config_hash}\n"
+def _csv_stamp(cfg, converged=True):
+    """The comment line every CSV output opens with, marking an uncertified table."""
+    mark = "" if converged else " rows_converged=false"
+    return f"# schema={SCHEMA} config_hash={cfg.config_hash}{mark}\n"
 
 
 def _emit(text, path):
@@ -270,7 +272,7 @@ def cmd_essnorm(args):
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
     )
-    csv_text = _csv_stamp(cfg) + table.to_csv()
+    csv_text = _csv_stamp(cfg, table.converged) + table.to_csv()
     failed = [] if table.converged else ["compactness diagnostic not certified"]
     if cfg.format == "csv" and not args.output:
         # no manifest to write, so the weights would reach no output

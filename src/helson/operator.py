@@ -27,8 +27,8 @@ from . import sieve
 from .core import Sequence, dilation_weight
 
 # dense assembly refuses above this many rows (assembly is O(N^2) memory);
-# under the default sieve limit 2^20 the N^2 <= limit check stops at the
-# same N = 1024
+# the products of a 1..N window are evaluated, never factored, and stay
+# at most DENSE_CAP^2 = sieve.MAX_INDEX
 DENSE_CAP = 1024
 
 
@@ -139,8 +139,7 @@ class ProductClasses:
 
 
 def product_classes(indices):
-    """ProductClasses of a window; refuses products past the sieve limit."""
-    _check_products(indices)
+    """ProductClasses of a window; its products are evaluated, never factored."""
     idx = np.asarray(indices, dtype=np.int64)
     prod = idx[:, None] * idx[None, :]
     uniq, labels = np.unique(prod, return_inverse=True)
@@ -189,7 +188,6 @@ def assemble(symbol, n_max, prime_budget=None):
             f"dense assembly capped at {DENSE_CAP} rows, window has {dim}"
         )
     if indices[-1] == dim:
-        _check_products(indices)
         entries = _strided_rows(symbol, dim)
     else:
         classes = product_classes(indices)

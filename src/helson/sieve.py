@@ -8,95 +8,59 @@ its position in that array.  Every multiplicative query on indices
 over spf that strips the smallest prime factor from every entry still
 above 1, so an integer and an integer array take the same route.
 
-The cap defaults to 2**20.  It can be overridden by the environment
-variable HELSON_SIEVE_LIMIT or programmatically via set_sieve_limit();
-an explicit set_sieve_limit() call wins over the environment.
+Every index query lies in [1, MAX_INDEX], checked before any table is
+touched.  The tables are built on demand: they cover the power of two
+at or above the largest index queried so far, and are rebuilt larger
+only when a later query needs it, so a process that factors nothing
+builds nothing.
 """
 
 import math
-import os
 
 import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_LIMIT = 1 << 20
-ENV_LIMIT = "HELSON_SIEVE_LIMIT"
+# the range of every index query, read at call time
+MAX_INDEX = 1 << 20
 
-# hard bounds on the configurable cap; above 2**28 the spf table alone
-# costs more than a gigabyte, which is past desk scale
-_MIN_LIMIT = 16
-_MAX_LIMIT = 1 << 28
-
-_explicit_limit = None
-_state = None  # (limit, spf, primes)
+_state = None  # (size, spf, primes): spf covers [0, size], size a power of two
 
 
-def _requested_limit():
-    if _explicit_limit is not None:
-        return _explicit_limit
-    raw = os.environ.get(ENV_LIMIT)
-    if raw is None:
-        return DEFAULT_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_LIMIT} must be an integer, got {raw!r}")
-    _check_limit(limit)
-    return limit
-
-
-def _check_limit(limit):
-    if not (_MIN_LIMIT <= limit <= _MAX_LIMIT):
-        raise DomainError(
-            f"sieve limit must lie in [{_MIN_LIMIT}, {_MAX_LIMIT}], got {limit}"
-        )
-
-
-def _build(limit):
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
+def _build(size):
+    spf = np.zeros(size + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(size) + 1):
         if spf[p] == 0:
             block = spf[p * p :: p]
             block[block == 0] = p
     unset = spf == 0
-    spf[unset] = np.arange(limit + 1, dtype=np.int32)[unset]
+    spf[unset] = np.arange(size + 1, dtype=np.int32)[unset]
     spf[1] = 1
-    candidates = np.arange(2, limit + 1, dtype=np.int32)
+    candidates = np.arange(2, size + 1, dtype=np.int32)
     primes = candidates[spf[2:] == candidates]
-    return limit, spf, primes
+    return size, spf, primes
 
 
-def _ensure():
+def _ensure(top):
+    """The tables, grown if needed to the power of two covering top."""
     global _state
-    want = _requested_limit()
-    if _state is None or _state[0] != want:
-        _state = _build(want)
+    if _state is None or _state[0] < top:
+        _state = _build(1 << (top - 1).bit_length())
     return _state
 
 
-def set_sieve_limit(limit):
-    """Set the sieve cap; pass None to fall back to the env var/default."""
-    global _explicit_limit, _state
-    if limit is not None:
-        limit = int(limit)
-        _check_limit(limit)
-    _explicit_limit = limit
-    _state = None
-
-
 def sieve_limit():
-    """Largest index the current sieve can factor."""
-    return _ensure()[0]
+    """Largest index the sieve factors: MAX_INDEX.  Builds nothing."""
+    return MAX_INDEX
 
 
 def _check_index(n):
-    limit, _, _ = _ensure()
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"index must be an integer, got {type(n).__name__}")
     n = int(n)
-    if n < 1 or n > limit:
-        raise DomainError(f"index {n} outside [1, sieve limit {limit}]")
+    if n < 1 or n > MAX_INDEX:
+        raise DomainError(f"index {n} outside [1, sieve limit {MAX_INDEX}]")
+    _ensure(n)
     return n
 
 
@@ -113,10 +77,11 @@ def _integer_array(ns):
 
 def _indices(n):
     """Validated indices as a flat int64 copy, and the shape of n."""
-    limit = _ensure()[0]
     arr = _integer_array(n)
-    if arr.size and (arr.min() < 1 or arr.max() > limit):
-        raise DomainError(f"indices must lie in [1, sieve limit {limit}]")
+    top = int(arr.max()) if arr.size else 1
+    if arr.size and (arr.min() < 1 or top > MAX_INDEX):
+        raise DomainError(f"indices must lie in [1, sieve limit {MAX_INDEX}]")
+    _ensure(top)
     return arr.flatten(), arr.shape
 
 
@@ -159,7 +124,8 @@ def factor_pairs(n):
 
 def prime_index(p):
     """Position of the prime p in the ascending prime list (1-based)."""
-    _, _, primes = _ensure()
+    p = _check_index(p)
+    primes = _state[2]
     j = int(np.searchsorted(primes, p))
     if j == len(primes) or primes[j] != p:
         raise DomainError(f"{p} is not a prime below the sieve limit")

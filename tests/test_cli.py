@@ -198,6 +198,7 @@ def test_essnorm_csv_to_stdout_skips_the_weights(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and calls == []
     assert out.splitlines()[1] == "r,N,value" and len(out.splitlines()) == 8
+    assert "rows_converged" not in out.splitlines()[0]
     # the table is the one written next to the manifest
     out_path = tmp_path / "table.csv"
     code, _, _ = run(capsys, *argv, "--output", str(out_path))
@@ -353,6 +354,7 @@ def test_essnorm_uncertified_diagnostic_keeps_the_payload(capsys, monkeypatch):
                          "--N", "8", "--norm-tol", "1e-17", "--format", "csv")
     assert code == 3
     assert out.splitlines()[1] == "r,N,value" and len(out.splitlines()) == 4
+    assert out.splitlines()[0].endswith(" rows_converged=false")
     assert "diagnostic" in err
 
 
@@ -519,8 +521,8 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 def test_sieve_limit_has_no_flag_or_config_key(tmp_path, capsys):
-    # the environment variable is the one CLI route to the sieve cap; a
-    # flag or key that reset it would leak into the calling process
+    # the sieve range is a library constant: no flag or config key sets
+    # it, and a refused one leaves it as it was
     before = sieve_limit()
     with pytest.raises(SystemExit) as exc:
         main(["norm", "delta:1", "--N", "4", "--sieve-limit", "100"])
@@ -563,17 +565,6 @@ def test_readme_lists_every_flag():
     sentence = section.split("--config", 1)[1].split(".", 1)[0]
     keys = re.findall(r"`(\w+)`", sentence.split("the keys", 1)[1])
     assert keys and set(keys) <= {knob.key for knob in KNOBS}, keys
-
-
-def test_sieve_limit_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HELSON_SIEVE_LIMIT", "30")
-    # N = 8 needs products up to 64 > 30
-    code, _, err = run(capsys, "norm", "delta:1", "--N", "8")
-    assert code == 2
-    assert "30" in err
-    monkeypatch.delenv("HELSON_SIEVE_LIMIT")
-    assert main(["norm", "delta:1", "--N", "8"]) == 0
-    capsys.readouterr()
 
 
 def test_prime_budget_flag(capsys):

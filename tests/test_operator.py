@@ -16,13 +16,13 @@ from helson import (
     matrix_to_csv,
     parse_fixture,
     product_classes,
-    set_sieve_limit,
     smooth_indices,
     symbol_values,
     truncation_indices,
 )
 from helson.approx import _dilated
 
+import helson
 import oracles
 
 
@@ -153,15 +153,22 @@ def test_dense_route_matches_brute_force(n_max, name):
     assert assemble(symbol, n_max, budget).entries.tobytes() == m.entries.tobytes()
 
 
-def test_dense_route_sieve_limit_edge():
-    set_sieve_limit(100)
-    try:
-        assert assemble(PowerSymbol(1.0), 10).size == 10  # 10^2 = limit
-        with pytest.raises(DomainError) as exc:
-            assemble(PowerSymbol(1.0), 11)
-        assert str(exc.value) == "matrix window needs index 121 = 11^2 above sieve limit 100"
-    finally:
-        set_sieve_limit(None)
+def test_dense_route_sieve_limit_edge(monkeypatch):
+    # products are evaluated, never factored: a window whose products
+    # pass the sieve range assembles entry for entry
+    with monkeypatch.context() as patch:
+        patch.setattr(helson.sieve, "MAX_INDEX", 100)
+        assert assemble(PowerSymbol(1.0), 10).size == 10  # 10^2 = range
+        assert assemble(PowerSymbol(1.0), 11).size == 11
+    symbol = parse_fixture("mhilbert")
+    for budget in (2, 5):
+        m = assemble(symbol, 2048, budget)
+        assert m.indices == tuple(smooth_indices(2048, budget))
+        idx = np.array(m.indices)
+        assert idx[-1] ** 2 > helson.sieve.MAX_INDEX
+        brute = symbol_values(symbol, np.outer(idx, idx))
+        assert not brute.imag.any()
+        assert m.entries.tobytes() == brute.real.tobytes()
 
 
 def test_truncation_indices():

@@ -1,3 +1,4 @@
+import bisect
 import functools
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
-from helson import DomainError, factorize, is_smooth, set_sieve_limit, sieve_limit
+from helson import DomainError, factorize, is_smooth, sieve, sieve_limit
+from helson.cli import main
 from helson.sieve import (
     factor_pairs,
     is_smooth_over,
@@ -15,10 +17,6 @@ from helson.sieve import (
     smooth_indices,
     weighted_degree,
 )
-
-
-def teardown_function(_fn):
-    set_sieve_limit(None)
 
 
 def test_factor_pairs_basics():
@@ -194,21 +192,93 @@ def test_smooth_indices_match_trial_division(n_max):
     assert smooth_indices(n_max, len(primes) + 1) == list(range(1, n_max + 1))
 
 
-def test_set_sieve_limit_override():
-    set_sieve_limit(100)
+def test_max_index_override(monkeypatch):
+    # the range is read at call time, so a lowered one refuses at once
+    monkeypatch.setattr(sieve, "MAX_INDEX", 100)
     assert sieve_limit() == 100
     with pytest.raises(DomainError):
         factorize(101)
-    set_sieve_limit(None)
-    assert sieve_limit() >= 1 << 20
+    monkeypatch.undo()
+    assert sieve_limit() == 1 << 20
 
 
-def test_env_override(monkeypatch):
-    set_sieve_limit(None)
-    monkeypatch.setenv("HELSON_SIEVE_LIMIT", "64")
-    assert sieve_limit() == 64
-    with pytest.raises(DomainError):
-        factor_pairs(65)
-    # explicit limit wins over the environment
-    set_sieve_limit(128)
-    assert sieve_limit() == 128
+def _reference_query(name, n, d, primes):
+    """The answer of one sieve query by trial division; DomainError if refused."""
+    if name == "factor_pairs":
+        return tuple((primes[j - 1], e) for j, e in oracles.trial_factor(n, primes))
+    if name == "weighted_degree":
+        return oracles.weighted_degree_reference(n, primes)
+    if name == "is_smooth":
+        return d is None or oracles.max_prime_index_reference(n, primes) <= d
+    j = bisect.bisect_left(primes, n)
+    return j + 1 if j < len(primes) and primes[j] == n else DomainError
+
+
+_QUERIES = {
+    "factor_pairs": lambda n, d: factor_pairs(n),
+    "weighted_degree": lambda n, d: weighted_degree(n),
+    "is_smooth": is_smooth,
+    "prime_index": lambda n, d: prime_index(n),
+}
+
+
+def _prime_at_most(n):
+    primes = reference_primes(sieve.MAX_INDEX)
+    return primes[bisect.bisect_right(primes, n) - 1]
+
+
+def _query_index():
+    # small indices grow the tables step by step; primes give prime_index hits
+    limit = sieve.MAX_INDEX
+    prime = st.integers(2, limit).map(_prime_at_most)
+    return st.one_of(st.integers(1, 64), st.integers(1, limit), st.just(limit), prime)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_QUERIES)), _query_index(),
+                          st.one_of(st.none(), st.integers(1, 8))),
+                min_size=1, max_size=8))
+def test_tables_grow_on_demand(queries):
+    primes = reference_primes(sieve.MAX_INDEX)
+    saved = sieve._state
+    sieve._state = None
+    try:
+        top = size = 0
+        for name, n, d in queries:
+            want = _reference_query(name, n, d, primes)
+            if want is DomainError:
+                with pytest.raises(DomainError):
+                    _QUERIES[name](n, d)
+            else:
+                assert _QUERIES[name](n, d) == want
+            # the tables never shrink and cover the largest query so far
+            # with the power of two at or above it
+            top = max(top, n)
+            grown = sieve._state[0]
+            assert grown >= size and grown & (grown - 1) == 0
+            assert grown >= top and (grown == 1 or grown // 2 < top)
+            assert len(sieve._state[1]) == grown + 1
+            size = grown
+    finally:
+        sieve._state = saved
+
+
+def test_past_max_index_is_refused_before_any_build(monkeypatch):
+    monkeypatch.setattr(sieve, "_state", None)
+    past = sieve.MAX_INDEX + 1
+    for query in (factor_pairs, prime_index, weighted_degree, max_prime_index,
+                  lambda n: is_smooth(n, 2), lambda n: is_smooth_over(n, (2,)),
+                  lambda n: weighted_degree([1, n]), smooth_indices):
+        with pytest.raises(DomainError):
+            query(past)
+    assert sieve._state is None
+
+
+def test_a_cli_run_builds_only_the_table_it_factors(monkeypatch, capsys):
+    monkeypatch.setattr(sieve, "_state", None)
+    assert sieve_limit() == sieve.MAX_INDEX
+    assert sieve._state is None
+    code = main(["essnorm", "mhilbert", "--grid", "0.9,0.99,0.999", "--N", "32,64"])
+    capsys.readouterr()
+    assert code == 0
+    assert sieve._state is not None and sieve._state[0] <= 4096

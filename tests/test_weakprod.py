@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helson
 from helson import (
     DomainError,
     GeometricDecay,
@@ -19,7 +20,6 @@ from helson import (
     rep_cost,
     representation_from_matrix,
     sequence_from_triples,
-    set_sieve_limit,
     split_sequence,
     xnorm,
     XNormConfig,
@@ -103,16 +103,13 @@ def test_xnorm_unrepresentable_support():
         xnorm(Sequence.delta(5), 4)
 
 
-def test_xnorm_window_must_fit_the_sieve():
+def test_xnorm_window_must_fit_the_sieve(monkeypatch):
     # 40^2 exceeds the sieve, though the reduced window {1, 2, 4, ..., 32}
     # of delta_2 would fit: the N x N result needs the full window
-    set_sieve_limit(1024)
-    try:
-        with pytest.raises(DomainError):
-            xnorm(Sequence.delta(2), 40)
-        assert xnorm(Sequence.delta(2), 32).matrix.shape == (32, 32)
-    finally:
-        set_sieve_limit(None)
+    monkeypatch.setattr(helson.sieve, "MAX_INDEX", 1024)
+    with pytest.raises(DomainError):
+        xnorm(Sequence.delta(2), 40)
+    assert xnorm(Sequence.delta(2), 32).matrix.shape == (32, 32)
 
 
 def test_xnorm_matrix_feasibility():
