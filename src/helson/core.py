@@ -1,7 +1,8 @@
 """Sequences on the positive integers and their multiplicative calculus.
 
-A Sequence is a finitely supported map n -> complex, n >= 1.  The
-multiplicative structure enters through the exponent tuple kappa of
+A Sequence is a finitely supported map n -> complex, n >= 1, stored as
+two arrays: its ascending int64 support and the nonzero values there.
+The multiplicative structure enters through the exponent tuple kappa of
 factorize, Dirichlet convolution with a conjugated second factor,
 
     (a * b)(n) = sum_{k | n} a(k) conj(b(n/k)),
@@ -9,9 +10,12 @@ factorize, Dirichlet convolution with a conjugated second factor,
 the bilinear pairing (a, b) = sum a(n) b(n) (no conjugation), and the
 dilation semigroup acting by the diagonal weights r^omega(n) where
 omega(n) = sum_j j*kappa_j is the weighted degree of the factorization.
+
+Every Sequence is built by one class sum (np.unique, then bincount), as
+are the product classes {(i, j): ij = n}; a convolution is that sum over
+the products of two supports.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -44,6 +48,42 @@ def _as_complex(v):
     return v
 
 
+def _index(n):
+    """n as an int in [1, 2^63), the range of an int64 index."""
+    try:
+        m = int(n)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m != n or isinstance(n, (float, complex)):
+        raise DomainError(f"sequence index must be an integer, got {n!r}")
+    if m < 1:
+        raise DomainError(f"sequence index must be >= 1, got {m}")
+    if m >= 1 << 63:
+        raise DomainError(f"sequence index must be below 2^63, got {m}")
+    return m
+
+
+def _normalised(keys, vals):
+    """Distinct keys ascending with their values summed in order, finite, nonzero."""
+    bad = vals[~np.isfinite(vals)]
+    if bad.size:
+        raise DomainError(f"sequence values must be finite, got {complex(bad[0])}")
+    keys, labels = np.unique(keys, return_inverse=True)
+    sums = np.bincount(labels, vals.real, keys.size) + 1j * np.bincount(
+        labels, vals.imag, keys.size)
+    return keys[sums != 0], sums[sums != 0]
+
+
+def _mul(x, y):
+    """x * y elementwise, rounded as Python's complex product (nothing fused)."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _dot(x, y):
+    """sum_n x(n) y(n) over aligned arrays, added one term at a time in order."""
+    return sum(_mul(x, y).tolist(), 0j)
+
+
 class Sequence:
     """Finitely supported complex sequence over integer indices n >= 1.
 
@@ -51,24 +91,27 @@ class Sequence:
     a Sequence is reproducible.  Exact zeros are not stored.
     """
 
-    __slots__ = ("_data", "_arrays")
+    __slots__ = ("_keys", "_vals")
 
     def __init__(self, entries=None):
-        data = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for n, v in items:
-                try:
-                    m = int(n)
-                except (TypeError, ValueError):
-                    raise DomainError(f"sequence index must be an integer, got {n!r}")
-                if m != n or isinstance(n, (float, complex)):
-                    raise DomainError(f"sequence index must be an integer, got {n!r}")
-                if m < 1:
-                    raise DomainError(f"sequence index must be >= 1, got {m}")
-                data[m] = data.get(m, 0j) + _as_complex(v)
-        self._data = {n: data[n] for n in sorted(data) if data[n] != 0}
-        self._arrays = None
+        pairs = list(entries.items() if isinstance(entries, dict) else entries or ())
+        self._keys, self._vals = _normalised(
+            np.array([_index(n) for n, _ in pairs], dtype=np.int64),
+            np.array([v for _, v in pairs], dtype=np.complex128))
+
+    @classmethod
+    def _from_arrays(cls, keys, vals):
+        """A Sequence from int64 indices >= 1, unchecked, and their values."""
+        seq = cls.__new__(cls)
+        seq._keys, seq._vals = _normalised(keys, vals)
+        return seq
+
+    @classmethod
+    def _sum(cls, parts):
+        """The sum of Sequences, as one class sum over their entries in order."""
+        parts = [cls(), *parts]
+        return cls._from_arrays(np.concatenate([p._keys for p in parts]),
+                                np.concatenate([p._vals for p in parts]))
 
     @classmethod
     def delta(cls, n, value=1.0):
@@ -77,55 +120,51 @@ class Sequence:
 
     @property
     def support(self):
-        return tuple(self._data)
+        return tuple(self._keys.tolist())
 
     @property
     def max_index(self):
-        return max(self._data) if self._data else 0
+        return int(self._keys[-1]) if self._keys.size else 0
 
     def items(self):
-        return self._data.items()
+        return list(zip(self._keys.tolist(), self._vals.tolist()))
 
     def __getitem__(self, n):
-        return self._data.get(n, 0j)
+        i = self._keys.searchsorted(n)
+        if i < self._keys.size and self._keys[i] == n:
+            return complex(self._vals[i])
+        return 0j
 
     def values(self, ns):
         """Entries at an integer array of indices; off the support they read 0."""
-        if self._arrays is None:
-            keys = np.fromiter(self._data, dtype=np.int64, count=len(self._data))
-            vals = np.fromiter(self._data.values(), dtype=np.complex128,
-                               count=len(self._data))
-            self._arrays = (keys, vals)
-        keys, vals = self._arrays
         ns = sieve._integer_array(ns)
         out = np.zeros(ns.shape, dtype=np.complex128)
-        if keys.size:
-            pos = np.minimum(np.searchsorted(keys, ns), keys.size - 1)
-            hit = keys[pos] == ns
-            out[hit] = vals[pos[hit]]
+        if self._keys.size:
+            pos = np.minimum(self._keys.searchsorted(ns), self._keys.size - 1)
+            hit = self._keys[pos] == ns
+            out[hit] = self._vals[pos[hit]]
         return out
 
     def __len__(self):
-        return len(self._data)
+        return self._keys.size
 
     def __bool__(self):
-        return bool(self._data)
+        return bool(self._keys.size)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self._data == other._data
+        return (np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._vals, other._vals))
 
     def __hash__(self):
-        return hash(tuple(self._data.items()))
+        # sums start from +0.0, so equal Sequences store equal bytes
+        return hash((self._keys.tobytes(), self._vals.tobytes()))
 
     def __add__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        out = dict(self._data)
-        for n, v in other.items():
-            out[n] = out.get(n, 0j) + v
-        return Sequence(out)
+        return Sequence._sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, Sequence):
@@ -136,27 +175,27 @@ class Sequence:
         return (-1.0) * self
 
     def __mul__(self, scalar):
-        s = _as_complex(scalar)
-        return Sequence({n: s * v for n, v in self._data.items()})
+        return Sequence._from_arrays(self._keys, _mul(_as_complex(scalar), self._vals))
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return Sequence({n: v.conjugate() for n, v in self._data.items()})
+        return Sequence._from_arrays(self._keys, self._vals.conj())
 
     def norm(self):
         """l2 norm over the support."""
-        return math.sqrt(sum((v * v.conjugate()).real for v in self._data.values()))
+        return math.sqrt(_dot(self._vals, self._vals.conj()).real)
 
     def restrict(self, window):
         """Entries with index <= window."""
         if window < 0:
             raise DomainError(f"window must be >= 0, got {window}")
-        return Sequence({n: v for n, v in self._data.items() if n <= window})
+        keep = self._keys <= window
+        return Sequence._from_arrays(self._keys[keep], self._vals[keep])
 
     def __repr__(self):
-        body = ", ".join(f"{n}: {v}" for n, v in list(self._data.items())[:6])
-        tail = ", ..." if len(self._data) > 6 else ""
+        body = ", ".join(f"{n}: {v}" for n, v in self.items()[:6])
+        tail = ", ..." if len(self) > 6 else ""
         return f"Sequence({{{body}{tail}}})"
 
 
@@ -164,36 +203,45 @@ def filter_smooth(a, prime_budget):
     """Drop entries whose index is not d-smooth."""
     if prime_budget is None:
         return a
-    keep = sieve.is_smooth(np.array(a.support, dtype=np.int64), prime_budget)
-    return Sequence(itertools.compress(a.items(), keep))
+    keep = sieve.is_smooth(a._keys, prime_budget)
+    return Sequence._from_arrays(a._keys[keep], a._vals[keep])
 
 
 def dirichlet_convolve(a, b, window=None):
     """(a * b)(n) = sum_{k|n} a(k) conj(b(n/k)).
 
-    Linear in a, conjugate-linear in b.  Product indices above the sieve
-    limit raise a domain error; passing a window keeps only products
-    <= window and then never touches the sieve cap.
+    Linear in a, conjugate-linear in b.  The coefficient at n is the sum
+    of a(i) conj(b(j)) over its product class {(i, j): ij = n}, taken in
+    the order (i, j) ascending.  A window keeps only products <= window;
+    a kept product above the sieve limit raises a domain error, with or
+    without a window.
     """
     limit = sieve.sieve_limit()
-    out = {}
-    for i, av in a.items():
-        for j, bv in b.items():
-            n = i * j
-            if window is not None and n > window:
-                continue
-            if n > limit:
-                raise DomainError(
-                    f"convolution index {i}*{j} exceeds sieve limit {limit}"
-                )
-            out[n] = out.get(n, 0j) + av * bv.conjugate()
-    return Sequence(out)
+    ak, av, bk, bv = a._keys, a._vals, b._keys, b._vals
+    if window is not None and a and b:
+        # a key with no partner inside the window is in no kept product
+        ka, kb = ak <= window // int(bk[0]), bk <= window // int(ak[0])
+        ak, av, bk, bv = ak[ka], av[ka], bk[kb], bv[kb]
+    if not (ak.size and bk.size):
+        return Sequence()
+    # each key left has a kept product with the smallest key opposite, so
+    # a key above the limit is refused before any int64 product is formed
+    top = max(int(ak[-1]) * int(bk[0]), int(ak[0]) * int(bk[-1]))
+    if top <= limit:
+        prod = np.multiply.outer(ak, bk).ravel()
+        terms = _mul(av[:, None], bv.conj()).ravel()
+        if window is not None:
+            keep = prod <= window
+            prod, terms = prod[keep], terms[keep]
+        top = int(prod.max())
+    if top > limit:
+        raise DomainError(f"convolution index {top} exceeds sieve limit {limit}")
+    return Sequence._from_arrays(prod, terms)
 
 
 def bilinear_pair(a, b):
     """(a, b) = sum_n a(n) b(n); bilinear, no conjugation on either slot."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    return complex(sum(v * large[n] for n, v in small.items()))
+    return _dot(a.values(b._keys), b._vals)
 
 
 def _rvalue(r):
@@ -219,8 +267,7 @@ def dilation_weight(r, n):
 
 def dilate(r, a):
     """(D_r a)(n) = r^omega(n) a(n); contractive, and D_r(a*b) = D_ra * D_rb."""
-    weights = dilation_weight(r, np.array(a.support, dtype=np.int64)).tolist()
-    return Sequence({n: w * v for (n, v), w in zip(a.items(), weights)})
+    return Sequence._from_arrays(a._keys, dilation_weight(r, a._keys) * a._vals)
 
 
 @dataclass(frozen=True)

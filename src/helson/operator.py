@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from . import sieve
-from .core import Sequence, dilation_weight
+from .core import Sequence, _dot, dilate, dirichlet_convolve
 
 # dense assembly refuses above this many rows (assembly is O(N^2) memory);
 # the products of a 1..N window are evaluated, never factored, and stay
@@ -101,10 +101,6 @@ class HelsonMatrix:
     def size(self):
         return len(self.indices)
 
-    @property
-    def n_max(self):
-        return self.indices[-1] if self.indices else 0
-
 
 def truncation_indices(n_max, prime_budget=None):
     """Row/column indices of the truncation window: 1..N, d-smooth under a budget."""
@@ -128,12 +124,11 @@ class ProductClasses:
     """The positions of a window grouped by product: {(i, j): n_i n_j = n}.
 
     ``uniq`` holds the distinct products in ascending order and
-    ``labels[i, j]`` is the position of indices[i] * indices[j] in it.
-    The entries of M(alpha) are constant on each class, and the
-    weak-product constraints are sums over the classes.
+    ``labels[i, j]`` is the position of n_i * n_j in it.  The entries of
+    M(alpha) are constant on each class, and the weak-product constraints
+    are sums over the classes.
     """
 
-    indices: tuple
     uniq: np.ndarray
     labels: np.ndarray
 
@@ -143,7 +138,7 @@ def product_classes(indices):
     idx = np.asarray(indices, dtype=np.int64)
     prod = idx[:, None] * idx[None, :]
     uniq, labels = np.unique(prod, return_inverse=True)
-    return ProductClasses(tuple(indices), uniq, labels.reshape(prod.shape))
+    return ProductClasses(uniq, labels.reshape(prod.shape))
 
 
 def _real_if_real(vals):
@@ -198,30 +193,12 @@ def assemble(symbol, n_max, prime_budget=None):
 def form(symbol, a, b):
     """Sesquilinear form <M(alpha) a, b> = sum a(n) conj(b(m)) alpha(nm).
 
-    Equals the bilinear pairing of alpha against a * b; with assertions
-    enabled the two routes are computed and compared.
+    Grouping the pairs (n, m) by their product turns the double sum into
+    the pairing (alpha, a * b), so alpha is evaluated once per distinct
+    product of the convolution's support.
     """
-    limit = sieve.sieve_limit()
-    products, weights = [], []
-    for n, av in a.items():
-        for m, bv in b.items():
-            p = n * m
-            if p > limit:
-                raise DomainError(f"form index {n}*{m} exceeds sieve limit {limit}")
-            products.append(p)
-            weights.append(av * bv.conjugate())
-    alpha = symbol_values(symbol, products).tolist()
-    total = sum((w * x for w, x in zip(weights, alpha)), 0j)
-    if __debug__ and a and b:
-        from .core import dirichlet_convolve, bilinear_pair
-
-        conv = dirichlet_convolve(a, b)
-        alpha = Sequence(zip(conv.support, symbol_values(symbol, conv.support).tolist()))
-        check = bilinear_pair(alpha, conv)
-        assert abs(total - check) <= 1e-9 * (1.0 + abs(total)), (
-            f"form/pairing mismatch: {total} vs {check}"
-        )
-    return complex(total)
+    conv = dirichlet_convolve(a, b)
+    return _dot(symbol_values(symbol, conv._keys), conv._vals)
 
 
 def dilate_symbol(symbol, r, n_max):
@@ -235,11 +212,9 @@ def dilate_symbol(symbol, r, n_max):
     _check_products(truncation_indices(n_max))
     top = n_max * n_max
     if isinstance(symbol, Sequence):
-        space = np.array([n for n in symbol.support if n <= top], dtype=np.int64)
-    else:
-        space = np.arange(1, top + 1, dtype=np.int64)
-    values = dilation_weight(r, space) * symbol_values(symbol, space)
-    return Sequence(zip(space.tolist(), values.tolist()))
+        return dilate(r, symbol.restrict(top))
+    space = np.arange(1, top + 1, dtype=np.int64)
+    return dilate(r, Sequence._from_arrays(space, symbol_values(symbol, space)))
 
 
 def matrix_to_csv(matrix):

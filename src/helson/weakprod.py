@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolation
-from .core import Sequence, bilinear_pair, dirichlet_convolve
+from .core import Sequence, _dot, _index, dirichlet_convolve, sequence_to_triples
 from .operator import (
     _check_products,
     assemble,
@@ -75,11 +75,8 @@ class Representation:
         return float(sum(a.norm() * b.norm() for a, b in self.pairs))
 
     def value(self, window=None):
-        """sum_k a_k * b_k, optionally truncated to [1, window]."""
-        total = Sequence()
-        for a, b in self.pairs:
-            total = total + dirichlet_convolve(a, b, window=window)
-        return total
+        """sum_k a_k * b_k, optionally truncated to [1, window]: one class sum."""
+        return Sequence._sum(dirichlet_convolve(a, b, window=window) for a, b in self.pairs)
 
 
 def rep_cost(rep):
@@ -133,7 +130,7 @@ class XNormResult:
             "gap": self.primal_dual_gap,
             "iterations": self.iterations,
             "converged": self.converged,
-            "certificate": [[n, v.real, v.imag] for n, v in self.certificate.items()],
+            "certificate": sequence_to_triples(self.certificate),
         }
 
 
@@ -187,8 +184,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     primes = {p for n in c.support if n <= limit for p, _ in factor_pairs(n)}
     rows = np.flatnonzero(is_smooth_over(window, primes))
     classes = product_classes(window[rows].tolist())
-    support = np.array(c.support, dtype=np.int64)
-    outside = support[~np.isin(support, classes.uniq, assume_unique=True)]
+    outside = c._keys[~np.isin(c._keys, classes.uniq, assume_unique=True)]
     if outside.size:
         raise DomainError(
             f"c({outside[0]}) is not representable as a product of two "
@@ -278,7 +274,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     return XNormResult(
         value=upper,
         matrix=matrix,
-        certificate=Sequence(zip(classes.uniq.tolist(), best_cert)),
+        certificate=Sequence._from_arrays(classes.uniq, best_cert),
         primal_dual_gap=max(upper - lower, 0.0),
         iterations=it,
         converged=converged,
@@ -298,17 +294,15 @@ def representation_from_matrix(matrix, indices=None):
         indices = tuple(range(1, mat.shape[0] + 1))
     if len(indices) != mat.shape[0]:
         raise DomainError("index map length does not match matrix size")
+    keys = np.array([_index(n) for n in indices], dtype=np.int64)
     uu, s, vh = np.linalg.svd(mat, full_matrices=False)
-    pairs = []
     cutoff = 1e-13 * s[0] if s.size and s[0] > 0 else 0.0
-    for k in range(len(s)):
-        if s[k] <= cutoff:
-            break
-        root = math.sqrt(s[k])
-        a_k = Sequence({n: root * uu[i, k] for i, n in enumerate(indices)})
-        b_k = Sequence({n: root * np.conj(vh[k, i]) for i, n in enumerate(indices)})
-        pairs.append((a_k, b_k))
-    return Representation(tuple(pairs))
+    roots = np.sqrt(s[s > cutoff])
+    return Representation(tuple(
+        (Sequence._from_arrays(keys, root * uu[:, k]),
+         Sequence._from_arrays(keys, root * vh[k].conj()))
+        for k, root in enumerate(roots.tolist())
+    ))
 
 
 @dataclass
@@ -333,8 +327,7 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     pairing/bound is 0 when the pairing vanishes and must never exceed 1
     beyond certificate tolerance.
     """
-    alpha = Sequence(zip(c.support, symbol_values(symbol, c.support).tolist()))
-    pairing = abs(bilinear_pair(alpha, c))
+    pairing = abs(_dot(symbol_values(symbol, c._keys), c._vals))
     matrix = assemble(symbol, n_max, prime_budget).entries
     # the Lanczos value places the bound's one Cholesky shift
     try:
@@ -449,9 +442,7 @@ def split_sequence(a, delta, window=None):
         k += 1
         m_next = _cut_point(tail_norm, 2.0**-k, m_prev)
         if m_next > m_prev:
-            piece = Sequence(
-                {n: v for n, v in prefix(m_next).items() if n > m_prev}
-            )
+            piece = prefix(m_next) - prefix(m_prev)
             if piece:
                 blocks.append(piece)
             m_prev = m_next

@@ -86,6 +86,16 @@ def test_dilate(capsys):
     assert doc["sequence"] == [[3, 0.25, 0.0]]
 
 
+@pytest.mark.parametrize("command", ["norm", "xnorm"])
+def test_index_beyond_int64_is_a_domain_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([[1, 1.0, 0.0], [2**63, 1.0, 0.0]]))
+    code, out, err = run(capsys, command, f"file:{path}", "--N", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2^63" in err
+
+
 # ---------------------------------------------------------------------- norm
 
 

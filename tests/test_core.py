@@ -203,6 +203,28 @@ def test_convolve_overflow():
         dirichlet_convolve(a, Sequence.delta(2))
 
 
+def test_convolve_window_keeps_the_sieve_check():
+    # a product in (sieve limit, window] is refused, not dropped
+    big = sieve_limit()
+    with pytest.raises(DomainError, match="exceeds sieve limit"):
+        dirichlet_convolve(Sequence.delta(big), Sequence.delta(2), window=4 * big)
+    assert dirichlet_convolve(Sequence.delta(big), Sequence.delta(2), window=big) == Sequence()
+
+
+def test_convolve_products_never_wrap_int64():
+    # 2^40 * 2^40 = 2^80 wraps to 0 in int64; it lies in the window and
+    # above the sieve limit, so it is refused
+    a = Sequence({2**40: 1.0})
+    with pytest.raises(DomainError, match="exceeds sieve limit"):
+        dirichlet_convolve(a, a, window=2**81)
+    with pytest.raises(DomainError, match="exceeds sieve limit"):
+        dirichlet_convolve(a, a)
+    # past the window the large pairs are dropped before any product
+    b = Sequence({1: 1.0, 2**40: 1.0, 2**62: 1j})
+    assert dirichlet_convolve(b, b, window=10) == Sequence.delta(1)
+    assert dirichlet_convolve(b, Sequence({3: 2.0}), window=10) == Sequence({3: 2.0})
+
+
 # ------------------------------------------------------------------ pairing
 
 

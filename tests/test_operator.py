@@ -88,7 +88,6 @@ def test_assemble_prime_budget():
     m = assemble(Sequence.delta(1), 10, prime_budget=1)
     assert m.indices == (1, 2, 4, 8)
     assert m.size == 4
-    assert m.n_max == 8
 
 
 @pytest.mark.parametrize("spec, dtype", [
@@ -211,6 +210,27 @@ def test_form_identity_random():
         lhs = form(alpha, a, b)
         rhs = bilinear_pair(alpha, dirichlet_convolve(a, b))
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+
+@pytest.mark.parametrize("spec", [
+    "random-decay:5,0.5",
+    "mhilbert",
+    pytest.param({1: 1.0, 2: -0.5j, 4: 0.25 + 1j, 6: 2.0, 9: -1j, 12: 0.5, 36: 3j},
+                 id="sequence"),
+])
+def test_form_matches_explicit_double_sum(spec):
+    # sum_n sum_m a(n) conj(b(m)) alpha(nm), pair by pair, with alpha read
+    # one index at a time: no product classes, no convolution
+    symbol = Sequence(spec) if isinstance(spec, dict) else parse_fixture(spec)
+    alpha = symbol.__getitem__ if isinstance(spec, dict) else symbol.value
+    rng = np.random.default_rng(27)
+    for _ in range(25):
+        a = random_sequence(rng, max_index=16, size=int(rng.integers(1, 7)))
+        b = random_sequence(rng, max_index=16, size=int(rng.integers(1, 7)))
+        want = sum(av * bv.conjugate() * alpha(n * m)
+                   for n, av in a.items() for m, bv in b.items())
+        assert form(symbol, a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert form(symbol, Sequence(), a) == 0
 
 
 # ------------------------------------------------------------ dilate_symbol

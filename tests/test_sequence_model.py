@@ -1,0 +1,153 @@
+"""Sequence against a plain-dict model of its semantics.
+
+The model stores n -> complex in ascending order, adds the values at a
+repeated index one at a time from 0j, and drops exact zeros; every
+operation rebuilds its result through that constructor.  Sequence keeps
+two arrays instead, and must agree with the model entry for entry, bit
+for bit.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from helson import DomainError, Sequence, dilate, filter_smooth, sequence_from_triples
+from oracles import primes_upto, trial_factor
+
+PRIMES = primes_upto(64)
+
+# small indices force repeats; the sampled values cancel one another exactly
+INDICES = st.integers(1, 40)
+VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1j, -1j, 0.25 - 2j, -0.25 + 2j]),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+ENTRIES = st.lists(st.tuples(INDICES, VALUES), max_size=12)
+SCALARS = st.one_of(
+    st.sampled_from([0, 0.0, 0j, 1, -1.0, 2.5, 1j, 0.3 - 0.7j]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def model(pairs):
+    data = {}
+    for n, v in pairs:
+        data[n] = data.get(n, 0j) + complex(v)
+    return {n: data[n] for n in sorted(data) if data[n] != 0}
+
+
+def model_add(x, y):
+    out = dict(x)
+    for n, v in y.items():
+        out[n] = out.get(n, 0j) + v
+    return model(out.items())
+
+
+def model_scale(s, x):
+    s = complex(s)
+    return model((n, s * v) for n, v in x.items())
+
+
+def model_degree(n):
+    return sum(j * e for j, e in trial_factor(n, PRIMES))
+
+
+def model_smooth(n, d):
+    return all(j <= d for j, _ in trial_factor(n, PRIMES))
+
+
+def agree(seq, ref):
+    assert list(seq.items()) == list(ref.items())
+    assert seq.support == tuple(ref)
+    assert len(seq) == len(ref) and bool(seq) == bool(ref)
+    assert seq.max_index == max(ref, default=0)
+    for n in range(0, 45):
+        assert seq[n] == ref.get(n, 0j)
+    ns = np.arange(1, 45)
+    assert seq.values(ns).tolist() == [ref.get(n, 0j) for n in ns.tolist()]
+    want = math.sqrt(sum((v * v.conjugate()).real for v in ref.values()))
+    assert seq.norm() == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENTRIES)
+@example([])
+@example([(3, 1.0), (3, -1.0)])
+@example([(5, 0.25 - 2j), (2, 1.0), (5, -0.25 + 2j), (2, 0.5)])
+def test_construction_matches_model(pairs):
+    agree(Sequence(pairs), model(pairs))
+    agree(Sequence(dict(pairs)), model(dict(pairs).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENTRIES, ENTRIES)
+@example([(2, 1.0)], [(2, 1.0)])
+@example([], [])
+def test_sum_and_difference_match_model(p, q):
+    a, b = Sequence(p), Sequence(q)
+    x, y = model(p), model(q)
+    agree(a + b, model_add(x, y))
+    agree(a - b, model_add(x, model_scale(-1.0, y)))
+    agree(-a, model_scale(-1.0, x))
+    agree(a - a, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENTRIES, SCALARS)
+@example([(4, 1.5j)], 0)
+def test_scalar_product_matches_model(p, s):
+    a, x = Sequence(p), model(p)
+    agree(s * a, model_scale(s, x))
+    agree(a * s, model_scale(s, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENTRIES, st.integers(0, 45), st.integers(1, 5), st.floats(0.05, 0.95))
+def test_unary_operations_match_model(p, window, budget, r):
+    a, x = Sequence(p), model(p)
+    agree(a.conjugate(), model((n, v.conjugate()) for n, v in x.items()))
+    agree(a.restrict(window), model((n, v) for n, v in x.items() if n <= window))
+    agree(filter_smooth(a, budget),
+          model((n, v) for n, v in x.items() if model_smooth(n, budget)))
+    assert filter_smooth(a, None) == a
+    agree(dilate(r, a), model((n, r ** model_degree(n) * v) for n, v in x.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENTRIES, ENTRIES)
+@example([(2, 1.0), (2, -1.0)], [])
+@example([(1, 1.0), (7, 2j)], [(7, 1j), (1, 0.5), (1, 0.5), (7, 1j)])
+def test_equality_and_hash_match_model(p, q):
+    a, b = Sequence(p), Sequence(q)
+    assert (a == b) == (model(p) == model(q))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a == Sequence(model(p)) and hash(a) == hash(Sequence(model(p)))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({2.5: 1.0}, "sequence index must be an integer, got 2.5"),
+    ({2.0: 1.0}, "sequence index must be an integer, got 2.0"),
+    ({"3": 1.0}, "sequence index must be an integer, got '3'"),
+    ({None: 1.0}, "sequence index must be an integer, got None"),
+    ({0: 1.0}, "sequence index must be >= 1, got 0"),
+    ({-3: 1.0}, "sequence index must be >= 1, got -3"),
+    ({2: float("inf")}, "sequence values must be finite, got (inf+0j)"),
+    ({2: complex(0.0, float("nan"))}, "sequence values must be finite, got nanj"),
+    ({2**63: 1.0}, "sequence index must be below 2^63, got 9223372036854775808"),
+    ({1: 1.0, 2**70: 1.0}, "sequence index must be below 2^63, got " + str(2**70)),
+])
+def test_constructor_refusals(entries, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Sequence(entries)
+
+
+def test_largest_int64_index_is_kept():
+    top = 2**63 - 1
+    a = Sequence({1: 1.0, top: 2.0})
+    assert a.max_index == top and a[top] == 2.0
+    with pytest.raises(DomainError, match="below 2\\^63"):
+        sequence_from_triples([[1, 1.0, 0.0], [2**63, 1.0, 0.0]])
