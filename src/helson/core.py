@@ -283,9 +283,13 @@ class HSSum:
 HS_MAX_TERMS = 50000
 
 _PARTITIONS = [1]
+# math.log of each cached partition count
+_LOG_PARTITIONS = np.zeros(1)
 
 
-def _partition_counts(upto):
+def _log_partition_counts(upto):
+    """log p(w) for w = 0..upto at least, from the exact counts p(w)."""
+    global _LOG_PARTITIONS
     # Euler's pentagonal-number recurrence, exact integers
     while len(_PARTITIONS) <= upto:
         w = len(_PARTITIONS)
@@ -302,7 +306,11 @@ def _partition_counts(upto):
                 total += sign * _PARTITIONS[w - g2]
             k += 1
         _PARTITIONS.append(total)
-    return _PARTITIONS
+    done = _LOG_PARTITIONS.size
+    if done < len(_PARTITIONS):
+        more = [math.log(count) for count in _PARTITIONS[done:]]
+        _LOG_PARTITIONS = np.concatenate((_LOG_PARTITIONS, more))
+    return _LOG_PARTITIONS
 
 
 def dilation_hs_sum(r, tolerance):
@@ -349,23 +357,31 @@ def dilation_hs_sum(r, tolerance):
             break
         j += 1
 
+    # the levels go in chunks: every level already counted, else about
+    # an eighth more, so no count is made far past the stop.  Each chunk
+    # is one np.exp and one running sum that restarts from the last
+    # total, so the terms add one by one in level order however the
+    # chunks fall
     total = 0.0
     w = 0
     log_q = math.log(q)
     target = tolerance * margin
-    while True:
-        counts = _partition_counts(w)
-        term = math.exp(math.log(counts[w]) + w * log_q) if w else 1.0
-        total += term
-        w += 1
-        if w > 1 and term <= target * total:
-            break
-        if w > HS_MAX_TERMS:
-            raise ConvergenceError(
-                f"dilation HS sum did not stabilize within {HS_MAX_TERMS} levels",
-                best=HSSum(total, product, w),
-            )
-    return HSSum(partial_sum=total, product_form=product, terms_used=w)
+    while w <= HS_MAX_TERMS:
+        stop = min(max(w + max(64, w // 8), _LOG_PARTITIONS.size), HS_MAX_TERMS + 1)
+        levels = np.arange(w, stop)
+        terms = np.exp(_log_partition_counts(stop - 1)[w:stop] + levels * log_q)
+        totals = np.cumsum(np.concatenate(([total], terms)))[1:]
+        met = np.flatnonzero((terms <= target * totals) & (levels >= 1))
+        if met.size:
+            k = met[0]
+            return HSSum(partial_sum=float(totals[k]), product_form=product,
+                         terms_used=w + k + 1)
+        total = float(totals[-1])
+        w = stop
+    raise ConvergenceError(
+        f"dilation HS sum did not stabilize within {HS_MAX_TERMS} levels",
+        best=HSSum(total, product, w),
+    )
 
 
 def sequence_to_triples(a):

@@ -2,20 +2,25 @@
 
 Positive integers are identified with prime-exponent tuples through
 n = prod_j p_j^(kappa_j).  One cached sieve holds the smallest-prime-factor
-table spf and the ascending array of primes; the index j of a prime is
-its position in that array.  Every multiplicative query on indices
-(weighted degree, largest prime index, smoothness) is one lockstep walk
-over spf that strips the smallest prime factor from every entry still
-above 1, so an integer and an integer array take the same route.
+table spf, the ascending array of primes (the index j of a prime is its
+position there), and two tables filled from spf by one recurrence over
+p = spf[n] (Gries and Misra, CACM 21(12), 1978): the weighted degree
+omega[n] = omega[n // p] + j(p) and the largest prime index
+gpi[n] = max(gpi[n // p], j(p)).  Since n // p <= n / 2, the dyadic block
+[2^k, 2^(k+1)) reads only earlier blocks, so each block is one vectorized
+step.  Every multiplicative query on indices (weighted degree, largest
+prime index, smoothness) is then one gather, so an integer and an
+integer array take the same route.
 
 Every index query lies in [1, MAX_INDEX], checked before any table is
 touched.  The tables are built on demand: they cover the power of two
-at or above the largest index queried so far, and are rebuilt larger
-only when a later query needs it, so a process that factors nothing
-builds nothing.
+at or above the largest index queried so far, and are rebuilt larger,
+all together, only when a later query needs it, so a process that
+factors nothing builds nothing.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +29,31 @@ from .errors import DomainError
 # the range of every index query, read at call time
 MAX_INDEX = 1 << 20
 
-_state = None  # (size, spf, primes): spf covers [0, size], size a power of two
+
+class _Tables(NamedTuple):
+    size: int  # a power of two; every table below but primes covers [0, size]
+    spf: np.ndarray
+    primes: np.ndarray
+    omega: np.ndarray
+    gpi: np.ndarray
+
+
+_state = None  # the _Tables, built on demand
+
+
+def _blocks(spf, top):
+    """Yield (lo, hi, p, rest) per dyadic block [lo, hi) of [2, top].
+
+    p = spf[lo:hi] and rest = n // p for n in the block.  rest <= n / 2 < lo,
+    so a table filled block by block from table[1] reads only finished
+    entries.
+    """
+    lo = 2
+    while lo <= top:
+        hi = min(2 * lo, top + 1)
+        p = spf[lo:hi]
+        yield lo, hi, p, np.arange(lo, hi, dtype=np.int32) // p
+        lo = hi
 
 
 def _build(size):
@@ -38,13 +67,22 @@ def _build(size):
     spf[1] = 1
     candidates = np.arange(2, size + 1, dtype=np.int32)
     primes = candidates[spf[2:] == candidates]
-    return size, spf, primes
+    omega = np.zeros(size + 1, dtype=np.int32)
+    gpi = np.zeros(size + 1, dtype=np.int32)
+    # a prime's entry is its index j(p) before the recurrence and after
+    # it, so gpi[spf] is j(spf) in every block
+    gpi[primes] = np.arange(1, primes.size + 1, dtype=np.int32)
+    for lo, hi, p, rest in _blocks(spf, size):
+        j = gpi[p]
+        np.add(omega[rest], j, out=omega[lo:hi])
+        np.maximum(gpi[rest], j, out=gpi[lo:hi])
+    return _Tables(size, spf, primes, omega, gpi)
 
 
 def _ensure(top):
     """The tables, grown if needed to the power of two covering top."""
     global _state
-    if _state is None or _state[0] < top:
+    if _state is None or _state.size < top:
         _state = _build(1 << (top - 1).bit_length())
     return _state
 
@@ -76,41 +114,24 @@ def _integer_array(ns):
 
 
 def _indices(n):
-    """Validated indices as a flat int64 copy, and the shape of n."""
+    """n as a validated int64 array of its shape, with the tables covering it."""
     arr = _integer_array(n)
-    top = int(arr.max()) if arr.size else 1
-    if arr.size and (arr.min() < 1 or top > MAX_INDEX):
+    top = int(arr.max(initial=1))
+    if arr.min(initial=1) < 1 or top > MAX_INDEX:
         raise DomainError(f"indices must lie in [1, sieve limit {MAX_INDEX}]")
-    _ensure(top)
-    return arr.flatten(), arr.shape
+    return arr, _ensure(top)
 
 
-def _prime_walk(rest):
-    """Yield (positions, j) once per pass of the lockstep walk over spf.
-
-    Each pass strips the smallest prime factor p_j from every entry of
-    rest still above 1, in place, so a position sees the primes of its
-    factorization in ascending order, repeated by multiplicity, and the
-    number of passes is the largest Omega(n) in rest.
-    """
-    _, spf, primes = _state
-    live = np.flatnonzero(rest > 1)
-    while live.size:
-        p = spf[rest[live]]
-        yield live, np.searchsorted(primes, p) + 1
-        rest[live] //= p
-        live = live[rest[live] > 1]
-
-
-def _shaped(flat, shape):
-    """flat in the caller's shape; an integer in gives a Python scalar out."""
-    return flat.reshape(shape) if shape else flat.item()
+def _gather(table, arr):
+    """table[arr] in arr's shape; a 0-d arr gives a Python scalar out."""
+    out = table[arr]
+    return out if arr.ndim else out.item()
 
 
 def factor_pairs(n):
     """Prime factorization of n as ((p, e), ...) with p ascending."""
     n = _check_index(n)
-    _, spf, _ = _state
+    spf = _state.spf
     out = []
     while n > 1:
         p = int(spf[n])
@@ -125,11 +146,9 @@ def factor_pairs(n):
 def prime_index(p):
     """Position of the prime p in the ascending prime list (1-based)."""
     p = _check_index(p)
-    primes = _state[2]
-    j = int(np.searchsorted(primes, p))
-    if j == len(primes) or primes[j] != p:
+    if p == 1 or _state.spf[p] != p:
         raise DomainError(f"{p} is not a prime below the sieve limit")
-    return j + 1
+    return int(_state.gpi[p])
 
 
 def weighted_degree(n):
@@ -139,11 +158,8 @@ def weighted_degree(n):
     int for an integer).  Completely additive: weighted_degree(a*b)
     equals the sum of the parts.
     """
-    rest, shape = _indices(n)
-    total = np.zeros(rest.size, dtype=np.int64)
-    for live, j in _prime_walk(rest):
-        total[live] += j
-    return _shaped(total, shape)
+    arr, tables = _indices(n)
+    return _gather(tables.omega, arr)
 
 
 def max_prime_index(n):
@@ -151,11 +167,8 @@ def max_prime_index(n):
 
     Elementwise on an integer array, like weighted_degree.
     """
-    rest, shape = _indices(n)
-    top = np.zeros(rest.size, dtype=np.int64)
-    for live, j in _prime_walk(rest):
-        top[live] = j  # primes arrive ascending: the last one is the largest
-    return _shaped(top, shape)
+    arr, tables = _indices(n)
+    return _gather(tables.gpi, arr)
 
 
 def is_smooth(n, d):
@@ -164,9 +177,17 @@ def is_smooth(n, d):
     d = None admits every index in range.  Elementwise on an integer
     array, like weighted_degree.
     """
-    if d is not None and d < 1:
+    bound = _budget(d)
+    return max_prime_index(n) <= bound
+
+
+def _budget(d):
+    """Largest prime index a d-smooth index may have; inf for d = None."""
+    if d is None:
+        return math.inf
+    if d < 1:
         raise DomainError(f"prime budget must be >= 1, got {d}")
-    return max_prime_index(n) <= (math.inf if d is None else d)
+    return d
 
 
 def is_smooth_over(n, primes):
@@ -175,12 +196,16 @@ def is_smooth_over(n, primes):
     1 has no prime factor, so it is smooth over any set, the empty one
     included.  Elementwise on an integer array, like weighted_degree.
     """
-    rest, shape = _indices(n)
-    allowed = list(primes)
-    keep = np.ones(rest.size, dtype=bool)
-    for live, j in _prime_walk(rest):
-        keep[live] &= np.isin(_state[2][j - 1], allowed)
-    return _shaped(keep, shape)
+    arr, tables = _indices(n)
+    top = int(arr.max(initial=1))
+    # primes past top divide no index here
+    allowed = np.zeros(top + 1, dtype=bool)
+    allowed[[p for p in primes if 1 < p <= top]] = True
+    smooth = np.zeros(top + 1, dtype=bool)
+    smooth[1] = True
+    for lo, hi, p, rest in _blocks(tables.spf, top):
+        np.logical_and(smooth[rest], allowed[p], out=smooth[lo:hi])
+    return _gather(smooth, arr)
 
 
 def smooth_indices(n_max, prime_budget=None):
@@ -188,5 +213,5 @@ def smooth_indices(n_max, prime_budget=None):
     n_max = _check_index(n_max)
     if prime_budget is None:
         return list(range(1, n_max + 1))
-    ns = np.arange(1, n_max + 1)
-    return ns[is_smooth(ns, prime_budget)].tolist()
+    keep = _state.gpi[1 : n_max + 1] <= _budget(prime_budget)
+    return (np.flatnonzero(keep) + 1).tolist()

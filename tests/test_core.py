@@ -350,6 +350,27 @@ def test_hs_sum_matches_product_truth():
         assert rec.product_form == pytest.approx(truth, rel=1e-10)
 
 
+# partial_sum, product_form and terms_used of the level-by-level loop
+# (one math.exp and one running sum per level) the vectorized sum replaced
+HS_PINNED = [
+    (0.5, 1e-10, 1.45235364244148, 1.4523536423368795, 24),
+    (0.5, 1e-12, 1.4523536424495225, 1.4523536424491565, 28),
+    (0.9, 1e-10, 445.80792941914393, 445.80792939598354, 254),
+    (0.9, 1e-12, 445.80792943314316, 445.80792943291516, 288),
+    (0.99, 1e-10, 1.9613063209728354e+34, 1.9613063209208278e+34, 9114),
+    (0.99, 1e-12, 1.9613063211132228e+34, 1.9613063211126818e+34, 9772),
+]
+
+
+@pytest.mark.parametrize("r, tolerance, partial, product, terms", HS_PINNED,
+                         ids=[f"r={row[0]}-tol={row[1]}" for row in HS_PINNED])
+def test_hs_sum_matches_the_level_loop(r, tolerance, partial, product, terms):
+    rec = dilation_hs_sum(r, tolerance)
+    assert rec.partial_sum == pytest.approx(partial, rel=1e-14, abs=0)
+    assert rec.product_form == product
+    assert rec.terms_used == terms
+
+
 def test_hs_sum_cap(monkeypatch):
     monkeypatch.setattr("helson.core.HS_MAX_TERMS", 500)
     with pytest.raises(ConvergenceError):

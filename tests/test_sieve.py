@@ -257,10 +257,50 @@ def test_tables_grow_on_demand(queries):
             grown = sieve._state[0]
             assert grown >= size and grown & (grown - 1) == 0
             assert grown >= top and (grown == 1 or grown // 2 < top)
-            assert len(sieve._state[1]) == grown + 1
+            # every table indexed by n is rebuilt with the others
+            tables = sieve._state
+            assert [len(t) for t in (tables.spf, tables.omega, tables.gpi)] == [grown + 1] * 3
+            assert len(tables.primes) == bisect.bisect_right(primes, grown)
             size = grown
     finally:
         sieve._state = saved
+
+
+# The omega and gpi tables are filled block by block over [2^k, 2^(k+1)),
+# each block reading n // spf[n] in earlier blocks, and is_smooth_over runs
+# the same recurrence up to its largest index: an off-by-one in the block
+# bounds or at the top shows first at 2^k - 1, 2^k and 2^k + 1.
+EXHAUSTIVE_TOP = 1 << 13
+BLOCK_EDGES = sorted({m for k in range(1, 14) for m in (2**k - 1, 2**k, 2**k + 1)}
+                     - {EXHAUSTIVE_TOP + 1})
+SMOOTH_OVER_SETS = [(), (2,), (3,), (2, 3), (3, 5, 7), (2, 11, 13), (8191,), (8209,)]
+
+
+def test_every_index_to_2_13_matches_trial_division(monkeypatch):
+    # built afresh at 2^13, so the last block ends at the table's end
+    monkeypatch.setattr(sieve, "_state", None)
+    primes = reference_primes(EXHAUSTIVE_TOP)
+    ns = np.arange(1, EXHAUSTIVE_TOP + 1)
+    factors = [oracles.trial_factor(n, primes) for n in ns.tolist()]
+    omega = [sum(j * e for j, e in f) for f in factors]
+    top = [f[-1][0] if f else 0 for f in factors]
+    assert weighted_degree(ns).tolist() == omega
+    assert sieve._state.size == EXHAUSTIVE_TOP
+    assert max_prime_index(ns).tolist() == top
+    for d in (1, 2, 3, 5, None):
+        want = [d is None or t <= d for t in top]
+        assert is_smooth(ns, d).tolist() == want
+        if d is not None:
+            assert smooth_indices(EXHAUSTIVE_TOP, d) == [n for n, ok in zip(ns, want) if ok]
+    for allowed in SMOOTH_OVER_SETS:
+        want = [all(primes[j - 1] in allowed for j, _ in f) for f in factors]
+        assert is_smooth_over(ns, allowed).tolist() == want
+        for m in BLOCK_EDGES:
+            # m is the largest index, so the recurrence stops at m
+            assert is_smooth_over(m, allowed) is want[m - 1], (allowed, m)
+    for m in BLOCK_EDGES:
+        assert weighted_degree(m) == omega[m - 1], m
+        assert max_prime_index(m) == top[m - 1], m
 
 
 def test_past_max_index_is_refused_before_any_build(monkeypatch):
