@@ -259,8 +259,14 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
                            tol=NORM_TOL):
     """Table of ||M_N(alpha_r) - M_N(alpha)|| over both schedules.
 
-    For each fixed N the column is nonincreasing in r up to certificate
-    tolerance; decay to 0 as r grows toward 1 is the compactness signal.
+    Decay to 0 as r grows toward 1 is the compactness signal.  For a
+    window with entrywise nonnegative entries each column is
+    nonincreasing in r, up to certificate tolerance: the difference has
+    entries alpha(n_i n_j) (1 - r^(omega_i + omega_j)) >= 0, which shrink
+    entrywise as r grows, and the norm is monotone on nonnegative
+    matrices.  A mixed-sign or complex symbol has no such order, and a
+    column can rise with r (a real N=5 example rises by 1% between
+    r = 0.02 and 0.22); the table reports the values as they are.
     A norm that does not certify at tol is reported by its best estimate
     and flags the table, as best_convex_approx flags its result, instead
     of raising.

@@ -37,6 +37,19 @@ def _gamma(k):
     """The k-fold rounding factor k u / (1 - k u)."""
     return k * _UNIT / (1.0 - k * _UNIT)
 
+
+def _cholesky_slack(order):
+    """g with lambda_min(M) >= -g trace(M) once Cholesky factors M.
+
+    A floating-point Cholesky factorization of a Hermitian M of this
+    order that runs to completion proves that bound with
+    g = gamma_{n+1} / (1 - gamma_{n+1}) (Demmel's backward error, as in
+    Rump, BIT 46, 2006); twice the real-arithmetic index covers complex
+    entries.
+    """
+    g = _gamma(2 * order + 4)
+    return g / (1.0 - g)
+
 # Lanczos basis size; a full basis restarts from the top Ritz vector
 _KRYLOV = 32
 
@@ -205,10 +218,8 @@ def _norm_upper_bound(matrix, estimate=None):
     diag = gram.diagonal().real
     # ||fl(A^H A) - A^H A|| <= gamma ||A||_F^2, and ||A||_F^2 <= 2 trace
     gram_err = _gamma(2 * rows + 4) * 2.0 * float(diag.sum())
-    chol_g = _gamma(2 * dim + 4)
-    chol_g /= 1.0 - chol_g
     # error terms relative to t, and an absolute floor for underflow
-    rel = chol_g * dim + 4.0 * _UNIT
+    rel = _cholesky_slack(dim) * dim + 4.0 * _UNIT
 
     def excess(top):
         return 2.0 * (rel * top + gram_err) + dim * 1e-290

@@ -22,7 +22,9 @@ Convex Optimization, 11.3), with damped Newton steps on the
 self-concordant barrier log det [[I, B], [B^H, I]] (ibid., 9.6), and
 reads a primal X off each Newton direction (dual scaling: Benson, Ye
 and Zhang, SIAM J. Optim. 10, 2000).  Every step brackets the value
-from both sides, and the solver stops on the width of that bracket.
+from both sides, and the solver stops on the width of that bracket; the
+lower end scales beta by a norm bound that the step's own Cholesky
+factorization of [[I, B], [B^H, I]] proves (Rump, BIT 46, 2006).
 
 The solver works on the window indices S whose prime factors all divide
 some point of supp(c).  The paper notes that its results hold for small
@@ -46,12 +48,57 @@ from .operator import (
     truncation_indices,
 )
 from .sieve import factor_pairs, is_smooth_over, sieve_limit
-from .spectral import _norm_upper_bound, operator_norm
+from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
-# centred, i.e. its Newton decrement is at most _CENTRED
-_T_GROWTH = 8.0
-_CENTRED = 0.25
+# centred, i.e. its Newton decrement is at most _CENTRED; over 42 random
+# programs, growth 8 to 128 and centring 0.25 to 1 took 1010 to 1584
+# Newton steps in all, fewest at (64, 1)
+_T_GROWTH = 64.0
+_CENTRED = 1.0
+
+
+@dataclass(frozen=True)
+class _ClassBlocks:
+    """The product classes of a window as padded index rows.
+
+    Class q holds the pairs (rows[q, l], cols[q, l]); a short class is
+    padded with the index dim, which pair_sums points at a zero row.
+    slots sends the real and imaginary parts of entry (i, j) of the
+    S x S matrix of class q, read as float64 pairs, to the two slots of
+    the class pair (q, labels[i, j]) in one bincount.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def of(cls, labels, counts):
+        dim, m = labels.shape[0], counts.size
+        flat = labels.ravel()
+        order = np.argsort(flat, kind="stable")
+        slot = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.full((m, int(counts.max())), dim)
+        cols = rows.copy()
+        members = flat[order]
+        rows[members, slot], cols[members, slot] = divmod(order, dim)
+        pairs = 2 * (m * np.arange(m)[:, None] + flat)
+        return cls(rows, cols, (pairs[..., None] + np.arange(2)).ravel())
+
+    def pair_sums(self, a, b):
+        """P[q, p] = sum over (x, y) in class p, (j, k) in class q of a[j, x] b[y, k].
+
+        Y_q = a[J_q, :]^T b[:, K_q]^T is one batched product over the
+        classes q, and row q of P is the class sum of Y_q: no S^4 array
+        is formed.
+        """
+        m = self.rows.shape[0]
+        zero = np.zeros((1, a.shape[1]), dtype=a.dtype)
+        left = np.concatenate((a, zero))[self.rows].transpose(0, 2, 1)
+        right = np.concatenate((b.T, zero))[self.cols]
+        y = (left @ right).view(np.float64).ravel()
+        return np.bincount(self.slots, y).view(np.complex128).reshape(m, m)
 
 
 @dataclass(frozen=True)
@@ -164,14 +211,23 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         R[p, q] = sum_{(a,b) in p, (j,k) in q} W_21[j, a] W_21[b, k],
         G[p, q] = sum_{(a,b) in p, (j,k) in q} W_11[j, a] W_22[b, k].
 
+    Column q of each is the class sum of one |S| x |S| matrix, for R
+    W_21[J_q, :]^T W_21[:, K_q]^T with (J_q, K_q) the pairs of class q:
+    one batched product over the classes and one bincount (_ClassBlocks),
+    in O(m |S| s_max + m |S|^2) memory for m classes of at most s_max
+    pairs.
+
     Each step also brackets the value.  X = -(2/t) (W - W dF W)_21, dF
     the change of F along the full Newton step, has class sums c up to
     rounding; projected onto them exactly, ||X||_* is an upper bound.
-    The current beta gives the lower bound |(beta, c)| / ||M_N(beta)||
-    with a proven upper bound in the denominator (M_0* = X).  The best
-    of each is kept, and the solver stops once they are at most
-    config.tol apart.  A singular Newton system, or an F that no longer
-    factors, ends the solve with the best bracket and converged False.
+    The lower bound is |(beta, c)| / s (M_0* = X), s a proven bound on
+    ||M_N(beta)|| = ||B|| read off the Cholesky factorization of F that
+    opens the step: one that runs to completion proves
+    1 - ||B|| = lambda_min(F) >= -g trace(F), so s = 1 + 2 |S| g rounded
+    up, one constant per solve.  The best of each is kept, and the
+    solver stops once they are at most config.tol apart.  A singular
+    Newton system, or an F that no longer factors, ends the solve with
+    the best bracket and converged False.
     """
     cfg = config or XNormConfig()
     window = np.array(truncation_indices(n_max, prime_budget), dtype=np.int64)
@@ -208,21 +264,24 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     m = classes.uniq.size
     counts = np.bincount(labels.ravel())
     target = c.values(classes.uniq)
+    blocks = _ClassBlocks.of(labels, counts)
     # class n collects the real and imaginary parts of a matrix, read as
-    # interleaved float64 pairs, in slots 2n and 2n + 1; the class pair
-    # (p, q) of a tensor T[a, j, b, k] with (a, b) in p and (j, k) in q
-    # collects in slots 2(pm + q) and 2(pm + q) + 1
+    # interleaved float64 pairs, in slots 2n and 2n + 1
     pair_labels = (2 * labels.reshape(-1, 1) + np.arange(2)).ravel()
-    quad_labels = 2 * m * labels[:, None, :, None] + 2 * labels[None, :, None, :]
-    quad_labels = (quad_labels.reshape(-1, 1) + np.arange(2)).ravel()
 
-    def sums(slots, mat):
-        # every class (pair) occurs, so the bincount misses no trailing slot
+    def sums(mat):
+        # every class occurs, so the bincount misses no trailing slot
         flat = np.ascontiguousarray(mat).view(np.float64).ravel()
-        return np.bincount(slots, flat).view(np.complex128)
+        return np.bincount(pair_labels, flat).view(np.complex128)
 
+    # a Cholesky factorization of F that runs to completion proves
+    # 1 - ||B|| = lambda_min(F) >= -g trace(F) = -2 dim g; (dim + 4) u
+    # more covers dividing beta by the bound (an entrywise relative u,
+    # at most sqrt(dim) u in norm) and the rounding of this sum
+    bound = 1.0 + 2 * dim * _cholesky_slack(2 * dim) + (dim + 4) * _UNIT
     beta = np.zeros(m, dtype=np.complex128)
     f = np.eye(2 * dim, dtype=np.complex128)
+    hess = np.empty((2 * m, 2 * m))
     t = 1.0
     upper, lower = math.inf, -math.inf
     converged = False
@@ -232,13 +291,17 @@ def xnorm(c, n_max, config=None, prime_budget=None):
             inv_chol = np.linalg.inv(np.linalg.cholesky(f))
             w = inv_chol.conj().T @ inv_chol
             w11, w21, w22 = w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
-            r = sums(quad_labels, np.multiply.outer(w21.T, w21)).reshape(m, m)
-            g = sums(quad_labels, np.multiply.outer(w11.T, w22)).reshape(m, m)
-            # minus the Hessian in the real coordinates (Re d, Im d)
-            r, q = r + r.T, 2.0 * g.T
-            off = -(r.imag + q.imag)
-            hess = np.block([[r.real + q.real, off], [off.T, q.real - r.real]])
-            v = t * target + 2.0 * sums(pair_labels, w21)
+            # R^T and G^T; minus the Hessian in the real coordinates
+            # (Re d, Im d), filled block by block
+            rt = blocks.pair_sums(w21, w21)
+            gt = blocks.pair_sums(w11, w22)
+            rt += rt.T
+            gt *= 2.0
+            hess[:m, :m] = rt.real + gt.real
+            hess[m:, m:] = gt.real - rt.real
+            hess[:m, m:] = -(rt.imag + gt.imag)
+            hess[m:, :m] = hess[:m, m:].T
+            v = t * target + 2.0 * sums(w21)
             grad = np.concatenate([v.real, -v.imag])
             dy = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -250,12 +313,11 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         step = dy[:m] + 1j * dy[m:]
         d_b = step[labels]
         x = (-2.0 / t) * (w21 - w22 @ d_b.conj().T @ w11 - w21 @ d_b @ w21)
-        x += ((target - sums(pair_labels, x)) / counts)[labels]
+        x += ((target - sums(x)) / counts)[labels]
         nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
         if nuclear < upper:
             upper, best_x = nuclear, x
-        bound = _norm_upper_bound(f[:dim, dim:])
-        cert = beta / bound if bound > 0.0 else beta
+        cert = beta / bound
         pairing = float(abs(np.dot(cert, target)))
         if pairing > lower:
             lower, best_cert = pairing, cert

@@ -15,6 +15,8 @@ genuine cross-check:
   table and no array walk.
 * xnorm_certificate_check: the dual certificate of an xnorm value,
   checked on the dense SVD of M_N(beta) built entry by entry.
+* hessian_reference: the class-pair sums R and G of xnorm's Newton
+  system, bincounted term by term from the S^4 products W[j, a] W[b, k].
 """
 
 import bisect
@@ -200,3 +202,27 @@ def xnorm_certificate_check(c, beta, claimed, n_max, prime_budget=None):
         return False
     pairing = abs(sum(v * c[n] for n, v in beta.items()))
     return pairing >= claimed - CERT_CHECK_TOL
+
+
+def hessian_reference(w11, w21, w22, labels):
+    """The class-pair sums (R, G) of xnorm's Newton system, term by term.
+
+    R[p, q] = sum over (a, b) in class p, (j, k) in class q of
+    W_21[j, a] W_21[b, k], and G[p, q] the same with W_11[j, a] W_22[b, k]:
+    every product of the S^4 tensor T[a, j, b, k] is bincounted into its
+    class pair (labels[a, b], labels[j, k]).  The tensor is formed one
+    index a at a time, so memory stays O(S^3).
+    """
+    m = int(labels.max()) + 1
+
+    def pair_sums(x, y):
+        out = np.zeros(m * m, dtype=complex)
+        for a in range(labels.shape[0]):
+            # tensor[j, b, k] = x[j, a] y[b, k], in slot labels[a, b] m + labels[j, k]
+            tensor = np.multiply.outer(x[:, a], y)
+            slots = (m * labels[a][None, :, None] + labels[:, None, :]).ravel()
+            out += np.bincount(slots, tensor.real.ravel(), minlength=m * m)
+            out += 1j * np.bincount(slots, tensor.imag.ravel(), minlength=m * m)
+        return out.reshape(m, m)
+
+    return pair_sums(w21, w21), pair_sums(w11, w22)

@@ -306,6 +306,26 @@ def test_diagnostic_power_monotone_in_r():
         assert col[2] <= 1e-9 + col[0] * 0.1
 
 
+# a real mixed-sign symbol on the products of the window 1..5, found by a
+# seeded search (numpy seed 2026, 3000 Gaussian symbols rounded to two
+# decimals, r on the grid 0.02, 0.04, ..., 0.98): the largest rise of a
+# diagnostic column, from r = 0.02 to r = 0.22
+RISING_COLUMN = {1: 0.42, 2: -1.16, 3: 0.35, 4: 0.32, 5: -2.45, 6: 0.3, 8: 1.54,
+                 9: -0.8, 10: -2.28, 12: -1.16, 15: 0.34, 16: 0.25, 20: 1.01, 25: 2.34}
+
+
+def test_diagnostic_column_can_rise_for_mixed_signs():
+    # monotonicity in r holds for nonnegative windows only; the table
+    # reports the rise as it is
+    alpha = Sequence(RISING_COLUMN)
+    table = compactness_diagnostic(alpha, (0.02, 0.22), (5,))
+    assert table.converged
+    (_, _, low), (_, _, high) = table.rows
+    assert high > low + 0.04
+    for r, n, value in table.rows:
+        assert value == pytest.approx(objective(alpha, (1.0,), (r,), n), rel=1e-9)
+
+
 def test_diagnostic_real_symbol_normed_in_float64(norm_calls):
     real = compactness_diagnostic(MIXED_SIGNS, (0.5, 0.9), (4, 8))
     assert dtypes(norm_calls) == {np.dtype(np.float64)}

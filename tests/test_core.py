@@ -259,6 +259,19 @@ def test_dilation_weight_examples():
         assert 0 < w < 1
 
 
+def test_dilation_weight_is_the_python_power():
+    # bit for bit r ** omega(n), on a dense range and on sparse indices
+    # whose largest prime has a large index (a degree far above the rest)
+    sparse = np.array([1, 6, 1048573, 2 * 524269, 1048576], dtype=np.int64)
+    for r in (0.3, 0.7, 0.999, float(np.nextafter(1.0, 0.0))):
+        for ns in (np.arange(1, 4097, dtype=np.int64), sparse):
+            got = dilation_weight(r, ns)
+            want = [r ** int(weighted_degree(int(n))) for n in ns]
+            assert got.tolist() == want
+        assert dilation_weight(r, 1048573) == r ** int(weighted_degree(1048573))
+    assert dilation_weight(0.5, np.array([], dtype=np.int64)).shape == (0,)
+
+
 def test_dilate_examples():
     a = Sequence.delta(2) + Sequence.delta(3)
     out = dilate(0.5, a)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,16 @@ from helson import (
     xnorm,
     XNormConfig,
 )
-from oracles import _classes, xnorm_certificate_check
+from helson.operator import product_classes
+from helson.sieve import factor_pairs, is_smooth_over
+from helson.weakprod import _ClassBlocks
+from oracles import _classes, hessian_reference, xnorm_certificate_check
 from test_cli import STALLED_C
+
+# the complex c of the numpy seed-5 Gaussian draw on 1..16: every prime
+# up to 13 divides its support, so the reduced window is large
+_RNG5_DRAW = np.random.default_rng(5).standard_normal((16, 2))
+RNG5_C = Sequence({n + 1: complex(re, im) for n, (re, im) in enumerate(_RNG5_DRAW)})
 
 
 def random_sequence(rng, max_index=8, size=3):
@@ -240,6 +249,72 @@ def test_xnorm_bracket_holds_at_every_cap(n_max, data):
                          for i in range(1, n_max + 1)], dtype=complex)
         assert np.linalg.svd(cert, compute_uv=False)[0] <= 1.0
         assert abs(bilinear_pair(beta, c)) >= res.value - res.primal_dual_gap - 1e-12
+
+
+def test_stalled_c_solves_in_few_newton_steps():
+    # a bound, not a pin: the barrier schedule took 42/38/38 steps
+    # before the re-measured constants
+    c = sequence_from_triples(STALLED_C)
+    for n_max in (8, 12, 16):
+        res = xnorm(c, n_max)
+        assert res.converged and res.iterations <= 32
+
+
+def test_xnorm_full_support_memory_is_bounded():
+    # the S^4 Hessian tensors of the former route peaked at 28.7 MB here
+    tracemalloc.start()
+    try:
+        res = xnorm(RNG5_C, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 16e6
+
+
+def _newton_w(classes, beta):
+    """W = F^-1 at the class values beta, F = [[I, B], [B^H, I]]."""
+    b = beta[classes.labels]
+    eye = np.eye(b.shape[0])
+    return np.linalg.inv(np.block([[eye, b], [b.conj().T, eye]]).astype(complex))
+
+
+def _assert_blocked_hessian(classes, w):
+    labels = classes.labels
+    dim = labels.shape[0]
+    w11, w21, w22 = w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
+    blocks = _ClassBlocks.of(labels, np.bincount(labels.ravel()))
+    refs = hessian_reference(w11, w21, w22, labels)
+    for got, ref in zip((blocks.pair_sums(w21, w21), blocks.pair_sums(w11, w22)), refs):
+        # pair_sums is indexed [q, p], the reference [p, q]
+        assert np.abs(got.T - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=10, unique=True),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_class_blocked_hessian_matches_reference(indices, real, seed):
+    rng = np.random.default_rng(seed)
+    classes = product_classes(sorted(indices))
+    m = classes.uniq.size
+    beta = rng.standard_normal(m) + (0.0 if real else 1j * rng.standard_normal(m))
+    # a strictly feasible point: ||B|| = 0.9
+    beta *= 0.9 / np.linalg.norm(beta[classes.labels], 2)
+    _assert_blocked_hessian(classes, _newton_w(classes, beta))
+
+
+@pytest.mark.parametrize("n_max", (16, 32, 64))
+@pytest.mark.parametrize("case", ("seed7", "rng5"))
+def test_class_blocked_hessian_on_newton_iterates(case, n_max):
+    # W at 0.9 times the certificate after five Newton steps, on the
+    # reduced window xnorm solves on
+    c = sequence_from_triples(STALLED_C) if case == "seed7" else RNG5_C
+    window = np.arange(1, n_max + 1)
+    primes = {p for n in c.support for p, _ in factor_pairs(n)}
+    classes = product_classes(window[is_smooth_over(window, primes)].tolist())
+    cert = xnorm(c, n_max, XNormConfig(max_iter=5)).certificate
+    beta = 0.9 * cert.values(classes.uniq)
+    _assert_blocked_hessian(classes, _newton_w(classes, beta))
 
 
 def test_xnorm_to_json():
