@@ -259,11 +259,9 @@ def dilation_weight(r, n):
     """
     r = _rvalue(r)
     omega = np.asarray(sieve.weighted_degree(n))
-    # one Python power per degree present, gathered, so each weight is
+    # one Python power per distinct degree, gathered, so each weight is
     # bit for bit r ** weighted_degree(n)
-    present = np.flatnonzero(np.bincount(omega.ravel()))
-    powers = np.empty(int(omega.max(initial=0)) + 1)
-    powers[present] = np.fromiter(map(r.__pow__, present.tolist()), float, present.size)
+    powers = np.array([r**k for k in range(int(omega.max(initial=0)) + 1)])
     return powers[omega]
 
 

@@ -64,41 +64,46 @@ class _ClassBlocks:
 
     Class q holds the pairs (rows[q, l], cols[q, l]); a short class is
     padded with the index dim, which pair_sums points at a zero row.
-    slots sends the real and imaginary parts of entry (i, j) of the
-    S x S matrix of class q, read as float64 pairs, to the two slots of
-    the class pair (q, labels[i, j]) in one bincount.
+    order lists the entries of an S x S matrix class by class, and class
+    q starts at starts[q] in that list.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    slots: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
 
     @classmethod
     def of(cls, labels, counts):
         dim, m = labels.shape[0], counts.size
         flat = labels.ravel()
         order = np.argsort(flat, kind="stable")
-        slot = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(order.size) - np.repeat(starts, counts)
         rows = np.full((m, int(counts.max())), dim)
         cols = rows.copy()
-        members = flat[order]
-        rows[members, slot], cols[members, slot] = divmod(order, dim)
-        pairs = 2 * (m * np.arange(m)[:, None] + flat)
-        return cls(rows, cols, (pairs[..., None] + np.arange(2)).ravel())
+        rows[flat[order], slot], cols[flat[order], slot] = divmod(order, dim)
+        return cls(rows, cols, order, starts)
+
+    def sums(self, mat):
+        """Class sums of an S x S matrix, or of each matrix in a stack.
+
+        Every class has a member, so no segment of the reduction is empty.
+        """
+        flat = mat.reshape(*mat.shape[:-2], -1)
+        return np.add.reduceat(np.take(flat, self.order, axis=-1), self.starts, axis=-1)
 
     def pair_sums(self, a, b):
         """P[q, p] = sum over (x, y) in class p, (j, k) in class q of a[j, x] b[y, k].
 
         Y_q = a[J_q, :]^T b[:, K_q]^T is one batched product over the
         classes q, and row q of P is the class sum of Y_q: no S^4 array
-        is formed.
+        is formed, and the m products Y_q take O(m S^2) memory.
         """
-        m = self.rows.shape[0]
         zero = np.zeros((1, a.shape[1]), dtype=a.dtype)
         left = np.concatenate((a, zero))[self.rows].transpose(0, 2, 1)
         right = np.concatenate((b.T, zero))[self.cols]
-        y = (left @ right).view(np.float64).ravel()
-        return np.bincount(self.slots, y).view(np.complex128).reshape(m, m)
+        return self.sums(left @ right)
 
 
 @dataclass(frozen=True)
@@ -213,9 +218,9 @@ def xnorm(c, n_max, config=None, prime_budget=None):
 
     Column q of each is the class sum of one |S| x |S| matrix, for R
     W_21[J_q, :]^T W_21[:, K_q]^T with (J_q, K_q) the pairs of class q:
-    one batched product over the classes and one bincount (_ClassBlocks),
-    in O(m |S| s_max + m |S|^2) memory for m classes of at most s_max
-    pairs.
+    one batched product over the classes and one segmented class sum
+    (_ClassBlocks), in O(m |S|^2) memory for m classes (a class has at
+    most |S| pairs).
 
     Each step also brackets the value.  X = -(2/t) (W - W dF W)_21, dF
     the change of F along the full Newton step, has class sums c up to
@@ -265,15 +270,6 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     counts = np.bincount(labels.ravel())
     target = c.values(classes.uniq)
     blocks = _ClassBlocks.of(labels, counts)
-    # class n collects the real and imaginary parts of a matrix, read as
-    # interleaved float64 pairs, in slots 2n and 2n + 1
-    pair_labels = (2 * labels.reshape(-1, 1) + np.arange(2)).ravel()
-
-    def sums(mat):
-        # every class occurs, so the bincount misses no trailing slot
-        flat = np.ascontiguousarray(mat).view(np.float64).ravel()
-        return np.bincount(pair_labels, flat).view(np.complex128)
-
     # a Cholesky factorization of F that runs to completion proves
     # 1 - ||B|| = lambda_min(F) >= -g trace(F) = -2 dim g; (dim + 4) u
     # more covers dividing beta by the bound (an entrywise relative u,
@@ -301,7 +297,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
             hess[m:, m:] = gt.real - rt.real
             hess[:m, m:] = -(rt.imag + gt.imag)
             hess[m:, :m] = hess[:m, m:].T
-            v = t * target + 2.0 * sums(w21)
+            v = t * target + 2.0 * blocks.sums(w21)
             grad = np.concatenate([v.real, -v.imag])
             dy = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -313,7 +309,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         step = dy[:m] + 1j * dy[m:]
         d_b = step[labels]
         x = (-2.0 / t) * (w21 - w22 @ d_b.conj().T @ w11 - w21 @ d_b @ w21)
-        x += ((target - sums(x)) / counts)[labels]
+        x += ((target - blocks.sums(x)) / counts)[labels]
         nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
         if nuclear < upper:
             upper, best_x = nuclear, x
