@@ -38,12 +38,10 @@ from .core import (
 from .operator import (
     DENSE_CAP,
     HelsonMatrix,
-    ProductClasses,
     assemble,
     dilate_symbol,
     form,
     matrix_to_csv,
-    product_classes,
     symbol_values,
     truncation_indices,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "LowerBoundCheck",
     "MHilbertSymbol",
     "PowerSymbol",
-    "ProductClasses",
     "RandomDecaySymbol",
     "Representation",
     "Sequence",
@@ -131,7 +128,6 @@ __all__ = [
     "operator_norm",
     "parse_fixture",
     "parse_sequence_arg",
-    "product_classes",
     "refine_representation",
     "rep_cost",
     "representation_from_matrix",

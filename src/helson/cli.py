@@ -4,7 +4,7 @@ Commands: factor, convolve, dilate, norm, essnorm, xnorm, duality.
 Outputs are machine-readable (JSON, or CSV tables for essnorm), versioned
 with "schema": 1, and stamped with a hash of the resolved configuration
 so reruns with identical configs produce byte-identical files.  Exit
-codes: 0 success, 2 domain/parse error, 3 convergence failure; a result
+codes: 0 success, 2 input or file error, 3 convergence failure; a result
 that did not converge (xnorm, essnorm weights, duality) is still written
 in full, marked "converged": false, and an essnorm table with an
 uncertified norm is marked "rows_converged": false.  essnorm --format csv
@@ -437,17 +437,19 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    output = getattr(args, "output", None)
     try:
-        text = args.handler(args)
-        _emit(text, getattr(args, "output", None))
-    except DomainError as err:
+        try:
+            text = args.handler(args)
+        except _Unconverged as err:
+            text, message = err.args
+            _emit(text, output)
+            print(f"convergence failure: {message}", file=sys.stderr)
+            return 3
+        _emit(text, output)
+    except (DomainError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _Unconverged as err:
-        text, message = err.args
-        _emit(text, getattr(args, "output", None))
-        print(f"convergence failure: {message}", file=sys.stderr)
-        return 3
     except ConvergenceError as err:
         print(f"convergence failure: {err}", file=sys.stderr)
         return 3

@@ -11,9 +11,10 @@ the bilinear pairing (a, b) = sum a(n) b(n) (no conjugation), and the
 dilation semigroup acting by the diagonal weights r^omega(n) where
 omega(n) = sum_j j*kappa_j is the weighted degree of the factorization.
 
-Every Sequence is built by one class sum (np.unique, then bincount), as
-are the product classes {(i, j): ij = n}; a convolution is that sum over
-the products of two supports.
+Every Sequence is built by one class sum (np.unique, then bincount); a
+convolution is that sum over the products of two supports.  The product
+classes {(i, j): n_i n_j = n} of a window, which assembly and xnorm
+share, are operator.ProductClasses.
 """
 
 import json

@@ -19,6 +19,7 @@ index map, a diagonal scaling of the assembled M_N(alpha).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,22 +124,63 @@ def _check_products(indices):
 class ProductClasses:
     """The positions of a window grouped by product: {(i, j): n_i n_j = n}.
 
-    ``uniq`` holds the distinct products in ascending order and
-    ``labels[i, j]`` is the position of n_i * n_j in it.  The entries of
-    M(alpha) are constant on each class, and the weak-product constraints
-    are sums over the classes.
+    ``uniq`` holds the distinct products in ascending order,
+    ``labels[i, j]`` the position of n_i * n_j in it and ``counts`` the
+    class sizes.  The entries of M(alpha) are constant on each class, and
+    the weak-product constraints and Newton system are class sums.
     """
 
     uniq: np.ndarray
     labels: np.ndarray
+    counts: np.ndarray
+
+    @cached_property
+    def _sorted(self):
+        """(order, starts, rows, cols), built on first use; assembly never does.
+
+        order lists the entries of an S x S matrix class by class,
+        row-major within a class, and class q starts at starts[q] in it;
+        class q holds the pairs (rows[q, l], cols[q, l]), padded with the
+        index S, which pair_sums points at a zero row.
+        """
+        dim, flat = self.labels.shape[0], self.labels.ravel()
+        order = np.argsort(flat, kind="stable")
+        starts = np.cumsum(self.counts) - self.counts
+        slot = np.arange(order.size) - np.repeat(starts, self.counts)
+        rows = np.full((self.uniq.size, int(self.counts.max())), dim)
+        cols = rows.copy()
+        rows[flat[order], slot], cols[flat[order], slot] = divmod(order, dim)
+        return order, starts, rows, cols
+
+    def sums(self, mat):
+        """Class sums of an S x S matrix, or of each matrix in a stack.
+
+        Every class has a member, so no segment of the reduction is empty.
+        """
+        order, starts, _, _ = self._sorted
+        flat = mat.reshape(*mat.shape[:-2], -1)
+        return np.add.reduceat(np.take(flat, order, axis=-1), starts, axis=-1)
+
+    def pair_sums(self, a, b):
+        """P[q, p] = sum over (x, y) in class p, (j, k) in class q of a[j, x] b[y, k].
+
+        Y_q = a[J_q, :]^T b[:, K_q]^T is one batched product over the
+        classes q, and row q of P is the class sum of Y_q: no S^4 array
+        is formed, and the m products Y_q take O(m S^2) memory.
+        """
+        _, _, rows, cols = self._sorted
+        zero = np.zeros((1, a.shape[1]), dtype=a.dtype)
+        left = np.concatenate((a, zero))[rows].transpose(0, 2, 1)
+        right = np.concatenate((b.T, zero))[cols]
+        return self.sums(left @ right)
 
 
 def product_classes(indices):
     """ProductClasses of a window; its products are evaluated, never factored."""
     idx = np.asarray(indices, dtype=np.int64)
     prod = idx[:, None] * idx[None, :]
-    uniq, labels = np.unique(prod, return_inverse=True)
-    return ProductClasses(uniq, labels.reshape(prod.shape))
+    uniq, labels, counts = np.unique(prod, return_inverse=True, return_counts=True)
+    return ProductClasses(uniq, labels.reshape(prod.shape), counts)
 
 
 def _real_if_real(vals):

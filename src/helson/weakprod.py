@@ -34,6 +34,7 @@ and j do.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,54 +57,6 @@ from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 # Newton steps in all, fewest at (64, 1)
 _T_GROWTH = 64.0
 _CENTRED = 1.0
-
-
-@dataclass(frozen=True)
-class _ClassBlocks:
-    """The product classes of a window as padded index rows.
-
-    Class q holds the pairs (rows[q, l], cols[q, l]); a short class is
-    padded with the index dim, which pair_sums points at a zero row.
-    order lists the entries of an S x S matrix class by class, and class
-    q starts at starts[q] in that list.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def of(cls, labels, counts):
-        dim, m = labels.shape[0], counts.size
-        flat = labels.ravel()
-        order = np.argsort(flat, kind="stable")
-        starts = np.cumsum(counts) - counts
-        slot = np.arange(order.size) - np.repeat(starts, counts)
-        rows = np.full((m, int(counts.max())), dim)
-        cols = rows.copy()
-        rows[flat[order], slot], cols[flat[order], slot] = divmod(order, dim)
-        return cls(rows, cols, order, starts)
-
-    def sums(self, mat):
-        """Class sums of an S x S matrix, or of each matrix in a stack.
-
-        Every class has a member, so no segment of the reduction is empty.
-        """
-        flat = mat.reshape(*mat.shape[:-2], -1)
-        return np.add.reduceat(np.take(flat, self.order, axis=-1), self.starts, axis=-1)
-
-    def pair_sums(self, a, b):
-        """P[q, p] = sum over (x, y) in class p, (j, k) in class q of a[j, x] b[y, k].
-
-        Y_q = a[J_q, :]^T b[:, K_q]^T is one batched product over the
-        classes q, and row q of P is the class sum of Y_q: no S^4 array
-        is formed, and the m products Y_q take O(m S^2) memory.
-        """
-        zero = np.zeros((1, a.shape[1]), dtype=a.dtype)
-        left = np.concatenate((a, zero))[self.rows].transpose(0, 2, 1)
-        right = np.concatenate((b.T, zero))[self.cols]
-        return self.sums(left @ right)
 
 
 @dataclass(frozen=True)
@@ -151,10 +104,10 @@ class XNormConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -219,8 +172,8 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     Column q of each is the class sum of one |S| x |S| matrix, for R
     W_21[J_q, :]^T W_21[:, K_q]^T with (J_q, K_q) the pairs of class q:
     one batched product over the classes and one segmented class sum
-    (_ClassBlocks), in O(m |S|^2) memory for m classes (a class has at
-    most |S| pairs).
+    (ProductClasses.pair_sums), in O(m |S|^2) memory for m classes (a
+    class has at most |S| pairs).
 
     Each step also brackets the value.  X = -(2/t) (W - W dF W)_21, dF
     the change of F along the full Newton step, has class sums c up to
@@ -267,9 +220,8 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     labels = classes.labels
     dim = rows.size
     m = classes.uniq.size
-    counts = np.bincount(labels.ravel())
+    counts = classes.counts
     target = c.values(classes.uniq)
-    blocks = _ClassBlocks.of(labels, counts)
     # a Cholesky factorization of F that runs to completion proves
     # 1 - ||B|| = lambda_min(F) >= -g trace(F) = -2 dim g; (dim + 4) u
     # more covers dividing beta by the bound (an entrywise relative u,
@@ -289,15 +241,15 @@ def xnorm(c, n_max, config=None, prime_budget=None):
             w11, w21, w22 = w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
             # R^T and G^T; minus the Hessian in the real coordinates
             # (Re d, Im d), filled block by block
-            rt = blocks.pair_sums(w21, w21)
-            gt = blocks.pair_sums(w11, w22)
+            rt = classes.pair_sums(w21, w21)
+            gt = classes.pair_sums(w11, w22)
             rt += rt.T
             gt *= 2.0
             hess[:m, :m] = rt.real + gt.real
             hess[m:, m:] = gt.real - rt.real
             hess[:m, m:] = -(rt.imag + gt.imag)
             hess[m:, :m] = hess[:m, m:].T
-            v = t * target + 2.0 * blocks.sums(w21)
+            v = t * target + 2.0 * classes.sums(w21)
             grad = np.concatenate([v.real, -v.imag])
             dy = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -309,7 +261,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         step = dy[:m] + 1j * dy[m:]
         d_b = step[labels]
         x = (-2.0 / t) * (w21 - w22 @ d_b.conj().T @ w11 - w21 @ d_b @ w21)
-        x += ((target - blocks.sums(x)) / counts)[labels]
+        x += ((target - classes.sums(x)) / counts)[labels]
         nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
         if nuclear < upper:
             upper, best_x = nuclear, x
@@ -473,7 +425,7 @@ def split_sequence(a, delta, window=None):
     2^(-K+1) <= delta/2, continued until the blocks cover [1, window].
     The block norms then sum to less than ||a|| + delta.
     """
-    if not (isinstance(delta, (int, float)) and delta > 0):
+    if not (isinstance(delta, (int, float)) and 0 < delta < math.inf):
         raise DomainError(f"delta must be a positive real, got {delta!r}")
     if isinstance(a, Sequence):
         return [a] if a else []

@@ -531,6 +531,41 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("norm", "mhilbert", "--N", "4", "--config", "{missing}/run.cfg"),
+    ("norm", "mhilbert", "--N", "4", "--output", "{missing}/out.json"),
+    ("xnorm", "delta:1", "--N", "2", "--matrix-out", "{missing}/x.csv"),
+    ("essnorm", "delta:1", "--grid", "0.5", "--N", "4", "--format", "csv",
+     "--output", "{missing}/ess.csv"),
+    # an unconverged result whose output cannot be written
+    ("xnorm", "delta:6", "--N", "8", "--max-iter", "1", "--output", "{missing}/x.json"),
+])
+def test_file_errors_exit_2(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_undecodable_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"N=4\n\xc2\x00\n")
+    code, out, err = run(capsys, "norm", "mhilbert", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_xnorm_tolerance_must_be_positive_and_finite(capsys, tol):
+    # --solver-tol inf once printed "converged": true after one step
+    code, out, err = run(capsys, "xnorm", "delta:6", "--N", "8", "--solver-tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_sieve_limit_has_no_flag_or_config_key(tmp_path, capsys):
     # the sieve range is a library constant: no flag or config key sets
     # it, and a refused one leaves it as it was

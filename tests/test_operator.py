@@ -15,12 +15,12 @@ from helson import (
     form,
     matrix_to_csv,
     parse_fixture,
-    product_classes,
     smooth_indices,
     symbol_values,
     truncation_indices,
 )
 from helson.approx import _dilated
+from helson.operator import product_classes
 
 import helson
 import oracles
@@ -120,6 +120,26 @@ def test_product_classes_partition(n_max, budget):
     assert np.array_equal(classes.uniq, np.unique(np.outer(idx, idx)))
     assert np.array_equal(classes.uniq[classes.labels], np.outer(idx, idx))
     assert np.array_equal(classes.labels, classes.labels.T)
+    flat = classes.labels.ravel()
+    assert np.array_equal(classes.counts, np.bincount(flat))
+    # class sums against a bincount, of a real matrix and a complex stack
+    rng = np.random.default_rng(n_max)
+    dim, m = idx.size, classes.uniq.size
+    real = rng.standard_normal((dim, dim))
+    stack = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    got = [classes.sums(real), *classes.sums(stack)]
+    for mat, sums in zip([real, *stack], got):
+        ref = np.bincount(flat, mat.real.ravel(), m)
+        ref = ref + 1j * np.bincount(flat, mat.imag.ravel(), m)
+        assert np.abs(sums - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the sorted view lists each class row-major, padded with dim
+    order, starts, rows, cols = classes._sorted
+    for q in range(m):
+        members = np.flatnonzero(flat == q)
+        size = classes.counts[q]
+        assert np.array_equal(order[starts[q] : starts[q] + size], members)
+        assert np.array_equal(rows[q, :size] * dim + cols[q, :size], members)
+        assert np.all(rows[q, size:] == dim) and np.all(cols[q, size:] == dim)
 
 
 BRUTE_SYMBOLS = {

@@ -27,7 +27,6 @@ from helson import (
 )
 from helson.operator import product_classes
 from helson.sieve import factor_pairs, is_smooth_over
-from helson.weakprod import _ClassBlocks
 from oracles import _classes, hessian_reference, xnorm_certificate_check
 from test_cli import STALLED_C
 
@@ -119,6 +118,17 @@ def test_xnorm_window_must_fit_the_sieve(monkeypatch):
     with pytest.raises(DomainError):
         xnorm(Sequence.delta(2), 40)
     assert xnorm(Sequence.delta(2), 32).matrix.shape == (32, 32)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1e-6}, {"tol": math.inf}, {"tol": math.nan},
+    {"max_iter": 0}, {"max_iter": 2.5},
+])
+def test_xnorm_config_rejects_bad_settings(kwargs):
+    # an infinite tolerance once stopped at once as "converged", and a
+    # nan one never stopped on the gap at all
+    with pytest.raises(DomainError):
+        XNormConfig(**kwargs)
 
 
 def test_xnorm_matrix_feasibility():
@@ -280,12 +290,10 @@ def _newton_w(classes, beta):
 
 
 def _assert_blocked_hessian(classes, w):
-    labels = classes.labels
-    dim = labels.shape[0]
+    dim = classes.labels.shape[0]
     w11, w21, w22 = w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
-    blocks = _ClassBlocks.of(labels, np.bincount(labels.ravel()))
-    refs = hessian_reference(w11, w21, w22, labels)
-    for got, ref in zip((blocks.pair_sums(w21, w21), blocks.pair_sums(w11, w22)), refs):
+    refs = hessian_reference(w11, w21, w22, classes.labels)
+    for got, ref in zip((classes.pair_sums(w21, w21), classes.pair_sums(w11, w22)), refs):
         # pair_sums is indexed [q, p], the reference [p, q]
         assert np.abs(got.T - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -461,8 +469,9 @@ def test_split_requires_tail_bound():
 
 
 def test_split_rejects_bad_delta():
-    with pytest.raises(DomainError):
-        split_sequence(GeometricDecay(0.5), 0.0, window=8)
+    for delta in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            split_sequence(GeometricDecay(0.5), delta, window=8)
 
 
 def test_geometric_decay_values():
