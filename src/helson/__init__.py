@@ -8,7 +8,6 @@ convolution with primal-dual certificates.
 """
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     HelsonError,
     InvariantViolation,
@@ -85,7 +84,6 @@ __version__ = "0.2.0"
 
 __all__ = [
     "ApproxResult",
-    "ConvergenceError",
     "ConvexWeights",
     "DENSE_CAP",
     "DeltaSymbol",

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .operator import assemble
 from .spectral import NORM_TOL, _gamma, operator_norm
 from .core import _rvalue, dilation_weight
@@ -141,9 +141,8 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     start.  lower is the certified bound of the module docstring.  upper
     is the smallest certified inner value; it is the returned value, and
     its point the returned weights.  converged means that every inner
-    norm certified; the first one that does not ends the search, and the
-    result is flagged instead of raising.  history lists every inner
-    value in order.
+    norm certified; the first one that does not ends the search and
+    flags the result.  history lists every inner value in order.
     """
     grid = _grid(r_grid)
     target = assemble(symbol, n_max, prime_budget)
@@ -176,11 +175,8 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     def evaluate(c):
         """Inner norm at c: (sigma, G); raises lower, tracks upper."""
         nonlocal lower, all_certified, best_c, best_sigma, best_ok
-        try:
-            report = operator_norm(difference(c), tol)
-            ok = True
-        except ConvergenceError as err:
-            report, ok = err.best, False
+        report = operator_norm(difference(c), tol)
+        ok = report.converged
         sigma = report.norm
         u, v = report.leading_pair
         # G_k = Re(u^H B_k v) for every k from one product with the stack
@@ -268,8 +264,7 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     column can rise with r (a real N=5 example rises by 1% between
     r = 0.02 and 0.22); the table reports the values as they are.
     A norm that does not certify at tol is reported by its best estimate
-    and flags the table, as best_convex_approx flags its result, instead
-    of raising.
+    and flags the table, as best_convex_approx flags its result.
     """
     grid = _grid(r_schedule)
     sizes = [int(n) for n in n_schedule]
@@ -282,9 +277,7 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
         base = assemble(symbol, n_max, prime_budget)
         m = base.entries
         for r in grid:
-            try:
-                report = operator_norm(_dilated(m, r, base.indices) - m, tol)
-            except ConvergenceError as err:
-                report, converged = err.best, False
+            report = operator_norm(_dilated(m, r, base.indices) - m, tol)
+            converged &= report.converged
             rows.append((r, n_max, report.norm))
     return DiagnosticTable(rows=tuple(rows), converged=converged)

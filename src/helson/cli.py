@@ -5,8 +5,8 @@ Outputs are machine-readable (JSON, or CSV tables for essnorm), versioned
 with "schema": 1, and stamped with a hash of the resolved configuration
 so reruns with identical configs produce byte-identical files.  Exit
 codes: 0 success, 2 input or file error, 3 convergence failure; a result
-that did not converge (xnorm, essnorm weights, duality) is still written
-in full, marked "converged": false, and an essnorm table with an
+that did not converge (norm, xnorm, essnorm weights, duality) is still
+written in full, marked "converged": false, and an essnorm table with an
 uncertified norm is marked "rows_converged": false.  essnorm --format csv
 without --output prints only the diagnostic table and computes no
 weights, so its exit code follows the diagnostic alone.  An essnorm CSV
@@ -26,7 +26,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, HelsonError
+from .errors import DomainError, HelsonError
 from . import sieve
 from .core import (
     dilate,
@@ -251,7 +251,7 @@ def cmd_norm(args):
     symbol = parse_fixture(args.fixture)
     matrix = assemble(symbol, cfg.N, cfg.prime_budget)
     report = operator_norm(matrix, tol=cfg.norm_tol)
-    return _json_doc({
+    text = _json_doc({
         **_stamp(cfg),
         "fixture": symbol.spec,
         "N": cfg.N,
@@ -260,7 +260,14 @@ def cmd_norm(args):
         "norm": report.norm,
         "residual": report.residual,
         "iterations": report.iterations,
+        "converged": report.converged,
     })
+    if not report.converged:
+        raise _Unconverged(
+            text, f"operator norm did not certify: residual {report.residual:.3e} "
+                  f"after {report.iterations} iterations"
+        )
+    return text
 
 
 def cmd_essnorm(args):
@@ -450,9 +457,6 @@ def main(argv=None):
     except (DomainError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ConvergenceError as err:
-        print(f"convergence failure: {err}", file=sys.stderr)
-        return 3
     except HelsonError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from . import sieve
 
 
@@ -280,7 +280,7 @@ class HSSum:
     terms_used: int
 
 
-# cap on the weighted-degree levels dilation_hs_sum may sum
+# dilation_hs_sum refuses an r whose estimated level count passes this
 HS_MAX_TERMS = 50000
 
 _PARTITIONS = [1]
@@ -322,8 +322,9 @@ def dilation_hs_sum(r, tolerance):
     count), stopping once the remaining tail is below tolerance relative
     to the running sum.  product_form multiplies 1/(1 - r^(2j)) until the
     change still ahead of the partial product is below tolerance.
-    terms_used counts the weighted-degree levels consumed, at most
-    HS_MAX_TERMS.
+    terms_used counts the weighted-degree levels consumed.  An r whose
+    estimated level count passes HS_MAX_TERMS is refused before any level
+    is summed.
     """
     r = _rvalue(r)
     tolerance = float(tolerance)
@@ -341,10 +342,9 @@ def dilation_hs_sum(r, tolerance):
     big_l = log_sum_est - math.log(tolerance * margin)
     s = (b + math.sqrt(b * b + 4.0 * a * big_l)) / (2.0 * a)
     if s * s > HS_MAX_TERMS:
-        raise ConvergenceError(
+        raise DomainError(
             f"r={r} needs about {int(s * s)} weighted-degree levels, "
-            f"cap is {HS_MAX_TERMS}",
-            best=None,
+            f"cap is {HS_MAX_TERMS}"
         )
 
     product = 1.0
@@ -367,8 +367,8 @@ def dilation_hs_sum(r, tolerance):
     w = 0
     log_q = math.log(q)
     target = tolerance * margin
-    while w <= HS_MAX_TERMS:
-        stop = min(max(w + max(64, w // 8), _LOG_PARTITIONS.size), HS_MAX_TERMS + 1)
+    while True:
+        stop = max(w + max(64, w // 8), _LOG_PARTITIONS.size)
         levels = np.arange(w, stop)
         terms = np.exp(_log_partition_counts(stop - 1)[w:stop] + levels * log_q)
         totals = np.cumsum(np.concatenate(([total], terms)))[1:]
@@ -379,10 +379,6 @@ def dilation_hs_sum(r, tolerance):
                          terms_used=w + k + 1)
         total = float(totals[-1])
         w = stop
-    raise ConvergenceError(
-        f"dilation HS sum did not stabilize within {HS_MAX_TERMS} levels",
-        best=HSSum(total, product, w),
-    )
 
 
 def sequence_to_triples(a):

@@ -9,18 +9,5 @@ class DomainError(HelsonError, ValueError):
     """Invalid argument, index out of range, or sieve overflow."""
 
 
-class ConvergenceError(HelsonError, RuntimeError):
-    """An iterative solver hit its cap before meeting its stopping rule.
-
-    The best estimate available at the point of failure is attached as
-    ``best`` so callers can still inspect how far the run got.
-    """
-
-    def __init__(self, message, best=None, iterations=None):
-        super().__init__(message)
-        self.best = best
-        self.iterations = iterations
-
-
 class InvariantViolation(HelsonError, RuntimeError):
     """A mathematical invariant failed.  Indicates a bug, not bad input."""

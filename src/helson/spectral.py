@@ -11,11 +11,12 @@ of a dense matrix, for callers that scale by the norm and so need it
 never to come out low.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .operator import (
     HelsonMatrix,
     _float_array,
@@ -53,15 +54,24 @@ def _cholesky_slack(order):
 # Lanczos basis size; a full basis restarts from the top Ritz vector
 _KRYLOV = 32
 
+# operator_norm squares twice (A^H A, then the squared norms numpy sums),
+# so a cycle's sigma outside this range can over- or underflow
+_SAFE = (2.0**-200, 2.0**200)
+
 
 @dataclass
 class SpectralReport:
-    """Largest singular value with its certifying pair."""
+    """Largest singular value with its certifying pair.
+
+    converged is False when the pair did not certify: norm is then
+    ||Av|| for the returned unit v, still a lower bound on ||A||.
+    """
 
     norm: float
     leading_pair: tuple
     iterations: int
     residual: float
+    converged: bool = True
 
 
 def _as_dense(matrix):
@@ -75,6 +85,23 @@ def _as_dense(matrix):
     return arr
 
 
+def _pow2_scaled(arr):
+    """(A 2^-e, e) with the largest entry of A 2^-e in [1/2, 1); exact.
+
+    A non-finite entry makes the largest modulus non-finite and is
+    refused.
+    """
+    peak = float(np.abs(arr).max())
+    if not math.isfinite(peak):
+        raise DomainError("matrix entries must be finite")
+    exp = int(np.frexp(peak)[1])
+    if arr.dtype.kind != "c":
+        return np.ldexp(arr, -exp), exp
+    return np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp), exp
+
+
+# overflow shows as a non-finite sigma or beta, which the loop handles
+@np.errstate(over="ignore", invalid="ignore")
 def operator_norm(matrix, tol=NORM_TOL):
     """Largest singular value of a dense square matrix, with certificate.
 
@@ -94,10 +121,19 @@ def operator_norm(matrix, tol=NORM_TOL):
     next cycle opens on the top Ritz vector.  iterations counts the
     products with A^H A, at most NORM_MAX_ITER.  When the cap is hit, or
     a cycle opens on a residual no smaller than the previous cycle's (a
-    tol below what rounding lets the pair reach), a ConvergenceError
-    carries that cycle's pair as its best estimate.
+    tol below what rounding lets the pair reach), that cycle's pair is
+    returned with converged False.
     A start in the kernel is replaced by the standard basis vectors in
     turn.
+
+    The result does not depend on the matrix's scale.  When a cycle's
+    sigma leaves _SAFE, or a Krylov beta is not finite, the iteration
+    moves for good to A scaled by an exact power of two (its largest
+    entry in [1/2, 1)), reopens the cycle there (the product that
+    repeats is not counted), and scales sigma and the residual back.  A
+    well-scaled matrix is neither scanned for its scale nor copied; a
+    non-finite entry, which the all-ones start always exposes, is
+    refused with a DomainError, as is a norm past the float range.
 
     The iteration runs in the matrix's own dtype: a real matrix (integer
     or float entries, cast to float64) gives a float64 singular pair, a
@@ -127,11 +163,24 @@ def operator_norm(matrix, tol=NORM_TOL):
     max_iter = NORM_MAX_ITER
     basis_tried = it = 0
     sigma, u, residual, opened = 0.0, v, 0.0, np.inf
+    exp = None  # arr is A 2^-exp once rescaled
+
+    def report(converged):
+        try:
+            norm, res = math.ldexp(sigma, exp or 0), math.ldexp(residual, exp or 0)
+        except OverflowError:
+            raise DomainError("operator norm exceeds the float64 range") from None
+        return SpectralReport(norm, (u, v), it, res, converged)
+
     while it < max_iter:
         # cycle start: the explicit pair of v, whose product opens the basis
         w = arr @ v
-        it += 1
         sigma = float(np.linalg.norm(w))
+        if exp is None and not _SAFE[0] <= sigma <= _SAFE[1] and (sigma or w.any()):
+            arr, exp = _pow2_scaled(arr)
+            w = arr @ v
+            sigma = float(np.linalg.norm(w))
+        it += 1
         if sigma == 0.0:
             # start vector in the kernel; walk the standard basis
             if basis_tried >= dim:
@@ -146,7 +195,7 @@ def operator_norm(matrix, tol=NORM_TOL):
         z = adjoint(u)
         residual = float(np.linalg.norm(z - sigma * v))
         if residual <= tol * sigma:
-            return SpectralReport(sigma, (u, v), it, residual)
+            return report(True)
         if it == max_iter or residual >= opened:
             # at the cap, or stalled at rounding level short of tol
             break
@@ -164,6 +213,8 @@ def operator_norm(matrix, tol=NORM_TOL):
                 z -= h @ head
                 tri[k - 1, k - 1] += h[-1].real
             beta = float(np.linalg.norm(z))
+            if not math.isfinite(beta):
+                break
             theta, y = np.linalg.eigh(tri[:k, :k])
             # the last product of the cap goes to the next cycle's pair
             if (beta * abs(y[-1, -1]) <= 0.5 * tol * theta[-1]
@@ -171,16 +222,18 @@ def operator_norm(matrix, tol=NORM_TOL):
                 break
             basis[k] = z / beta
             tri[k - 1, k] = tri[k, k - 1] = beta
+        tri[:k, :k] = 0.0
+        if not math.isfinite(beta):
+            # A^H A overflowed: go to A 2^-exp and reopen on its image
+            # of the last basis vector, which leans to the top pair
+            arr, exp = _pow2_scaled(arr)
+            v = adjoint(arr @ basis[k - 1])
+            v /= np.linalg.norm(v)
+            opened = np.inf
+            continue
         v = y[:, -1] @ basis[:k]
         v /= np.linalg.norm(v)
-        tri[:k, :k] = 0.0
-    stalled = ", stalled" if it < max_iter else ""
-    raise ConvergenceError(
-        f"operator norm did not certify within {it} iterations "
-        f"(residual {residual:.3e}{stalled})",
-        best=SpectralReport(sigma, (u, v), it, residual),
-        iterations=it,
-    )
+    return report(False)
 
 
 def _norm_upper_bound(matrix, estimate=None):
@@ -206,13 +259,9 @@ def _norm_upper_bound(matrix, estimate=None):
     pass) and, when too high, the tightness.
     """
     arr = _as_dense(matrix)
-    peak = float(np.abs(arr).max()) if arr.size else 0.0
-    if peak == 0.0:
+    if not arr.any():
         return 0.0
-    exp = int(np.frexp(peak)[1])
-    a = np.ldexp(arr.real, -exp) if arr.dtype.kind == "f" else (
-        np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp)
-    )
+    a, exp = _pow2_scaled(arr)
     rows, dim = a.shape
     gram = a.conj().T @ a
     diag = gram.diagonal().real
@@ -263,6 +312,8 @@ def l2_lower_bound_check(symbol, n_max, prime_budget=None):
 
     The witness pair is a = conj(alpha)/||alpha|| on the window and
     b = e_1: the form then evaluates to the restricted l2 norm.
+    op_norm is operator_norm's value, ||Av|| for a unit v, so it is a
+    lower bound on ||M_N(alpha)|| whether or not its pair certified.
     """
     indices = truncation_indices(n_max, prime_budget)
     l2 = float(np.linalg.norm(symbol_values(symbol, indices)))

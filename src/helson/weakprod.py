@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation
 from .core import Sequence, _dot, _index, dirichlet_convolve, sequence_to_triples
 from .operator import (
     _check_products,
@@ -183,9 +183,11 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     opens the step: one that runs to completion proves
     1 - ||B|| = lambda_min(F) >= -g trace(F), so s = 1 + 2 |S| g rounded
     up, one constant per solve.  The best of each is kept, and the
-    solver stops once they are at most config.tol apart.  A singular
-    Newton system, or an F that no longer factors, ends the solve with
-    the best bracket and converged False.
+    solver stops once they are at most config.tol apart.  The bracket
+    opens on the projected zero matrix, exactly feasible, and the zero
+    certificate.  A singular or overflowing Newton system, or an F that
+    no longer factors, ends the solve with the best bracket and
+    converged False.
     """
     cfg = config or XNormConfig()
     window = np.array(truncation_indices(n_max, prime_budget), dtype=np.int64)
@@ -231,7 +233,10 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     f = np.eye(2 * dim, dtype=np.complex128)
     hess = np.empty((2 * m, 2 * m))
     t = 1.0
-    upper, lower = math.inf, -math.inf
+    # the projected zero matrix is exactly feasible, and beta = 0 pairs to 0
+    best_x = (target / counts)[labels]
+    upper = float(np.linalg.svd(best_x, compute_uv=False).sum())
+    best_cert, lower = beta, 0.0
     converged = False
     it = 0
     while it < cfg.max_iter:
@@ -254,7 +259,8 @@ def xnorm(c, n_max, config=None, prime_budget=None):
             dy = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
-        lam2 = float(grad @ dy)
+        with np.errstate(over="ignore"):
+            lam2 = float(grad @ dy)
         if not (0.0 <= lam2 < math.inf):
             break
         it += 1
@@ -339,12 +345,8 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     """
     pairing = abs(_dot(symbol_values(symbol, c._keys), c._vals))
     matrix = assemble(symbol, n_max, prime_budget).entries
-    # the Lanczos value places the bound's one Cholesky shift
-    try:
-        estimate = operator_norm(matrix).norm
-    except ConvergenceError as err:
-        estimate = err.best.norm
-    op = _norm_upper_bound(matrix, estimate)
+    # the Lanczos value, certified or not, places the bound's one Cholesky shift
+    op = _norm_upper_bound(matrix, operator_norm(matrix).norm)
     xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
     bound = op * xn.value
     if bound == 0.0:

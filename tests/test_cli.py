@@ -1,7 +1,9 @@
 import argparse
 import json
 import math
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -131,9 +133,33 @@ def test_norm_requires_n(capsys):
 
 
 def test_norm_unreachable_tolerance(capsys):
-    code, _, err = run(capsys, "norm", "mhilbert", "--N", "16", "--norm-tol", "1e-30")
+    # the uncertified norm is written in full, as xnorm's is
+    code, out, err = run(capsys, "norm", "mhilbert", "--N", "16", "--norm-tol", "1e-30")
     assert code == 3
     assert "convergence" in err.lower()
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert 0 < doc["norm"] <= np.linalg.norm(assemble(MHilbertSymbol(), 16).entries, 2)
+
+
+def test_badly_scaled_symbols(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([[1, 1e200, 0.0]]))
+    code, out, _ = run(capsys, "norm", f"file:{path}", "--N", "2")
+    assert code == 0
+    assert '"norm": 1e+200,' in out
+    assert json.loads(out)["converged"] is True
+    # xnorm's first Newton decrement overflows; the bracket of the
+    # projected zero matrix is still written
+    for argv in (("xnorm", f"file:{path}"), ("duality", "mhilbert", f"file:{path}")):
+        code, out, _ = run(capsys, *argv, "--N", "2")
+        assert code == 3
+        assert json.loads(out)["converged"] is False
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run(capsys, "norm", "power:-200", "--N", "64")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 # ------------------------------------------------------------------- essnorm
@@ -590,15 +616,20 @@ def test_norm_tol_is_not_an_admm_flag(command):
     assert exc.value.code == 2
 
 
-def test_readme_lists_every_flag():
-    import pathlib
-
+def _readme_section(heading):
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_readme_lists_every_flag():
+    section = _readme_section("CLI")
     taken = set()
-    for name, sub in subs.choices.items():
+    for name, sub in _subcommands().items():
         for action in sub._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
@@ -611,6 +642,27 @@ def test_readme_lists_every_flag():
     sentence = section.split("--config", 1)[1].split(".", 1)[0]
     keys = re.findall(r"`(\w+)`", sentence.split("the keys", 1)[1])
     assert keys and set(keys) <= {knob.key for knob in KNOBS}, keys
+
+
+def _fenced(section, lang):
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    exec(_fenced(_readme_section("Library quick start"), "python"), {})
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # one example per command, each one shell line once continuations
+    # are joined: bash checks its syntax, the CLI its exit code
+    block = _fenced(_readme_section("CLI"), "sh").replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("helson ")]
+    assert {line.split()[1] for line in lines} == set(_subcommands())
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        syntax = subprocess.run(["bash", "-n", "-c", line], capture_output=True, text=True)
+        assert syntax.returncode == 0, (line, syntax.stderr)
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
 
 
 def test_prime_budget_flag(capsys):

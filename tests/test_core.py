@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helson import (
-    ConvergenceError,
     DomainError,
     Sequence,
     bilinear_pair,
@@ -386,7 +385,7 @@ def test_hs_sum_matches_the_level_loop(r, tolerance, partial, product, terms):
 
 def test_hs_sum_cap(monkeypatch):
     monkeypatch.setattr("helson.core.HS_MAX_TERMS", 500)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(DomainError, match="levels"):
         dilation_hs_sum(0.999999, 1e-12)
     with pytest.raises(DomainError):
         dilation_hs_sum(0.5, 2.0)

@@ -261,6 +261,17 @@ def test_xnorm_bracket_holds_at_every_cap(n_max, data):
         assert abs(bilinear_pair(beta, c)) >= res.value - res.primal_dual_gap - 1e-12
 
 
+def test_xnorm_brackets_before_its_first_step():
+    # the first Newton decrement overflows at this scale: the bracket is
+    # the exactly feasible projected zero matrix against certificate 0
+    res = xnorm(Sequence({1: 1e200}), 2)
+    assert res.value == 1e200
+    assert res.converged is False
+    assert res.iterations == 0
+    assert res.primal_dual_gap == 1e200
+    assert res.matrix[0, 0] == 1e200 and np.count_nonzero(res.matrix) == 1
+
+
 def test_stalled_c_solves_in_few_newton_steps():
     # a bound, not a pin: the barrier schedule took 42/38/38 steps
     # before the re-measured constants
