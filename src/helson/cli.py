@@ -12,6 +12,14 @@ without --output prints only the diagnostic table and computes no
 weights, so its exit code follows the diagnostic alone.  An essnorm CSV
 whose table is uncertified ends its stamp line with rows_converged=false.
 
+Every command is one row of COMMANDS: its help, its positionals and its
+handler.  A handler takes the resolved config and the parsed arguments
+and returns its text with None or a one-line convergence failure,
+writing only its side files (the essnorm manifest, --matrix-out).  main
+resolves the config once, stamping the positionals into config_hash,
+and writes the text to stdout or --output before it exits 3 on a
+failure.
+
 Every knob is one row of KNOBS: its config-file key, flag, type, library
 default and the commands that take the flag.  Flags may also be preloaded
 from a config file of key=value lines via --config; an explicit flag
@@ -43,10 +51,6 @@ from .fixtures import parse_fixture, parse_sequence_arg
 from . import __version__
 
 SCHEMA = 1
-
-
-class _Unconverged(Exception):
-    """Raised with (payload, message) by a run whose result did not converge."""
 
 
 class Knob(NamedTuple):
@@ -130,7 +134,7 @@ def read_config_file(path):
     return mapping
 
 
-def _resolve(args, inputs=()):
+def _resolve(args, inputs):
     """The run's knobs: an explicit flag beats the config file beats the default.
 
     One config file can serve every command: a known key whose flag this
@@ -138,17 +142,18 @@ def _resolve(args, inputs=()):
     default.  An unknown key is an error.
     """
     from_file = {}
-    if args.config:
+    config = getattr(args, "config", None)  # factor takes no flags
+    if config:
         by_key = {knob.key: knob for knob in KNOBS}
-        for key, raw in read_config_file(args.config).items():
+        for key, raw in read_config_file(config).items():
             if key not in by_key:
-                raise DomainError(f"unknown config key {key!r} in {args.config}")
+                raise DomainError(f"unknown config key {key!r} in {config}")
             knob = by_key[key]
             if args.command in knob.commands and getattr(args, knob.dest) is None:
                 try:
                     from_file[knob.dest] = knob.type(raw)
                 except ValueError:
-                    raise DomainError(f"bad value for {key} in {args.config}: {raw!r}")
+                    raise DomainError(f"bad value for {key} in {config}: {raw!r}")
     cfg = argparse.Namespace(command=args.command, inputs=tuple(inputs))
     for knob in KNOBS:
         # an explicit 0 is a value, not a request for the default
@@ -197,14 +202,6 @@ def _csv_stamp(cfg, converged=True):
     return f"# schema={SCHEMA} config_hash={cfg.config_hash}{mark}\n"
 
 
-def _emit(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_doc(payload):
     return json.dumps(payload, indent=2) + "\n"
 
@@ -214,7 +211,7 @@ def _load_seq(spec, prime_budget):
     return filter_smooth(seq, prime_budget)
 
 
-def cmd_factor(args):
+def cmd_factor(cfg, args):
     n = args.n
     pairs = sieve.factor_pairs(n)
     if pairs:
@@ -224,30 +221,27 @@ def cmd_factor(args):
     else:
         prod = "1"
     kappa = ",".join(str(e) for e in factorize(n))
-    return f"{n} = {prod}, kappa=({kappa})\n"
+    return f"{n} = {prod}, kappa=({kappa})\n", None
 
 
-def cmd_convolve(args):
-    cfg = _resolve(args, inputs=(args.a, args.b))
+def cmd_convolve(cfg, args):
     a = _load_seq(args.a, cfg.prime_budget)
     b = _load_seq(args.b, cfg.prime_budget)
     result = dirichlet_convolve(a, b)
-    return _json_doc({**_stamp(cfg), "sequence": sequence_to_triples(result)})
+    return _json_doc({**_stamp(cfg), "sequence": sequence_to_triples(result)}), None
 
 
-def cmd_dilate(args):
-    cfg = _resolve(args, inputs=(repr(args.r), args.a))
+def cmd_dilate(cfg, args):
     a = _load_seq(args.a, cfg.prime_budget)
     result = dilate(args.r, a)
     return _json_doc({
         **_stamp(cfg),
         "r": args.r,
         "sequence": sequence_to_triples(result),
-    })
+    }), None
 
 
-def cmd_norm(args):
-    cfg = _resolve(args, inputs=(args.fixture,))
+def cmd_norm(cfg, args):
     symbol = parse_fixture(args.fixture)
     matrix = assemble(symbol, cfg.N, cfg.prime_budget)
     report = operator_norm(matrix, tol=cfg.norm_tol)
@@ -262,16 +256,13 @@ def cmd_norm(args):
         "iterations": report.iterations,
         "converged": report.converged,
     })
-    if not report.converged:
-        raise _Unconverged(
-            text, f"operator norm did not certify: residual {report.residual:.3e} "
-                  f"after {report.iterations} iterations"
-        )
-    return text
+    if report.converged:
+        return text, None
+    return text, (f"operator norm did not certify: residual {report.residual:.3e} "
+                  f"after {report.iterations} iterations")
 
 
-def cmd_essnorm(args):
-    cfg = _resolve(args, inputs=(args.fixture,))
+def cmd_essnorm(cfg, args):
     if cfg.r_grid is None:
         raise DomainError("essnorm needs --grid")
     symbol = parse_fixture(args.fixture)
@@ -283,9 +274,7 @@ def cmd_essnorm(args):
     failed = [] if table.converged else ["compactness diagnostic not certified"]
     if cfg.format == "csv" and not args.output:
         # no manifest to write, so the weights would reach no output
-        if failed:
-            raise _Unconverged(csv_text, failed[0])
-        return csv_text
+        return csv_text, "; ".join(failed) or None
     weights = {}
     for n_max in schedule:
         res = best_convex_approx(
@@ -297,7 +286,7 @@ def cmd_essnorm(args):
             "weights": list(res.weights.weights),
             "converged": res.converged,
         }
-    manifest = {
+    manifest = _json_doc({
         **_stamp(cfg),
         "fixture": symbol.spec,
         "grid": list(cfg.r_grid),
@@ -309,23 +298,18 @@ def cmd_essnorm(args):
         "rows": [[r, n, v] for r, n, v in table.rows],
         "rows_converged": table.converged,
         "weights": weights,
-    }
-    if cfg.format == "csv":
-        text = csv_text
-        with open(str(args.output) + ".manifest.json", "w") as fh:
-            fh.write(_json_doc(manifest))
-    else:
-        text = _json_doc(manifest)
+    })
     unconverged = [n for n, w in weights.items() if not w["converged"]]
     if unconverged:
         failed.append(f"best convex approximant not certified at N={','.join(unconverged)}")
-    if failed:
-        raise _Unconverged(text, "; ".join(failed))
-    return text
+    if cfg.format == "json":
+        return manifest, "; ".join(failed) or None
+    with open(str(args.output) + ".manifest.json", "w") as fh:
+        fh.write(manifest)
+    return csv_text, "; ".join(failed) or None
 
 
-def cmd_xnorm(args):
-    cfg = _resolve(args, inputs=(args.sequence,))
+def cmd_xnorm(cfg, args):
     c = _load_seq(args.sequence, cfg.prime_budget)
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     result = xnorm(c, cfg.N, config=solver, prime_budget=cfg.prime_budget)
@@ -333,24 +317,24 @@ def cmd_xnorm(args):
         window = HelsonMatrix(result.matrix, truncation_indices(cfg.N, cfg.prime_budget))
         with open(args.matrix_out, "w") as fh:
             fh.write(_csv_stamp(cfg) + matrix_to_csv(window))
-    doc = {
+    text = _json_doc({
         **_stamp(cfg),
         "input": args.sequence,
         "N": cfg.N,
         "prime_budget": cfg.prime_budget,
-    }
-    doc.update(result.to_json())
-    text = _json_doc(doc)
-    if not result.converged:
-        raise _Unconverged(
-            text, f"xnorm did not converge: gap {result.primal_dual_gap:.3e}, "
-                  f"ran {result.iterations} of {cfg.max_iter} Newton steps"
-        )
-    return text
+        "value": result.value,
+        "gap": result.primal_dual_gap,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "certificate": sequence_to_triples(result.certificate),
+    })
+    if result.converged:
+        return text, None
+    return text, (f"xnorm did not converge: gap {result.primal_dual_gap:.3e}, "
+                  f"ran {result.iterations} of {cfg.max_iter} Newton steps")
 
 
-def cmd_duality(args):
-    cfg = _resolve(args, inputs=(args.fixture, args.sequence))
+def cmd_duality(cfg, args):
     symbol = parse_fixture(args.fixture)
     c = _load_seq(args.sequence, cfg.prime_budget)
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
@@ -365,101 +349,99 @@ def cmd_duality(args):
         "pairing": report.pairing,
         "bound": report.bound,
         "ratio": report.ratio,
+        "iterations": report.iterations,
         "converged": report.converged,
     })
-    if not report.converged:
-        raise _Unconverged(
-            text, f"xnorm inside the duality bound did not converge within "
-                  f"{cfg.max_iter} Newton steps"
-        )
-    return text
+    if report.converged:
+        return text, None
+    return text, (f"xnorm inside the duality bound did not converge: "
+                  f"ran {report.iterations} of {cfg.max_iter} Newton steps")
 
 
-def _add_flags(sub, command):
-    """--config, --output and the flag of every knob the command takes."""
-    sub.add_argument("--config", default=None, metavar="FILE",
-                     help="key=value file supplying defaults for these flags")
-    sub.add_argument("--output", default=None, metavar="PATH",
-                     help="write output here instead of stdout")
-    for knob in KNOBS:
-        if command in knob.commands:
-            default = "" if knob.default is None else f" (default {knob.default})"
-            sub.add_argument(knob.flag, dest=knob.dest, type=knob.type, default=None,
-                             help=knob.help + default)
+class Command(NamedTuple):
+    """One CLI command, declared once."""
+
+    help: str
+    positionals: tuple  # (name, type, help) in argument order
+    handler: object  # (cfg, args) -> (text, None or a convergence failure)
+    paths: tuple = ()  # (flag, help) of side files it also writes
+
+
+_SEQUENCE = "finite sequence: file:path or delta:n"
+
+COMMANDS = {
+    "factor": Command("prime factorization and exponent tuple",
+                      (("n", int, None),), cmd_factor),
+    "convolve": Command("Dirichlet convolution of two sequences",
+                        (("a", str, _SEQUENCE), ("b", str, _SEQUENCE)), cmd_convolve),
+    "dilate": Command("apply the dilation weights r^omega(n)",
+                      (("r", float, None), ("a", str, _SEQUENCE)), cmd_dilate),
+    "norm": Command("certified operator norm of M_N(alpha)",
+                    (("fixture", str, "delta:n | power:s | mhilbert | "
+                                      "random-decay:seed,rate | file:path"),),
+                    cmd_norm),
+    "essnorm": Command("compactness diagnostic and best convex approximant",
+                       (("fixture", str, None),), cmd_essnorm),
+    "xnorm": Command("weak-product norm with dual certificate",
+                     (("sequence", str, _SEQUENCE),), cmd_xnorm,
+                     (("--matrix-out", "also export the optimal window matrix as CSV"),)),
+    "duality": Command("pairing against the norm product bound",
+                       (("fixture", str, None), ("sequence", str, _SEQUENCE)),
+                       cmd_duality),
+}
 
 
 def build_parser():
+    """One subparser per COMMANDS row; a command no knob serves takes no flags."""
     parser = argparse.ArgumentParser(
         prog="helson",
         description="Truncated multiplicative Hankel operators: norms, "
                     "compact approximants, weak-product norms.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("factor", help="prime factorization and exponent tuple")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_factor)
-
-    p = subs.add_parser("convolve", help="Dirichlet convolution of two sequences")
-    p.add_argument("a", help="finite sequence: file:path or delta:n")
-    p.add_argument("b", help="finite sequence: file:path or delta:n")
-    _add_flags(p, "convolve")
-    p.set_defaults(handler=cmd_convolve)
-
-    p = subs.add_parser("dilate", help="apply the dilation weights r^omega(n)")
-    p.add_argument("r", type=float)
-    p.add_argument("a", help="finite sequence: file:path or delta:n")
-    _add_flags(p, "dilate")
-    p.set_defaults(handler=cmd_dilate)
-
-    p = subs.add_parser("norm", help="certified operator norm of M_N(alpha)")
-    p.add_argument("fixture", help="delta:n | power:s | mhilbert | "
-                                   "random-decay:seed,rate | file:path")
-    _add_flags(p, "norm")
-    p.set_defaults(handler=cmd_norm)
-
-    p = subs.add_parser("essnorm",
-                        help="compactness diagnostic and best convex approximant")
-    p.add_argument("fixture")
-    _add_flags(p, "essnorm")
-    p.set_defaults(handler=cmd_essnorm)
-
-    p = subs.add_parser("xnorm", help="weak-product norm with dual certificate")
-    p.add_argument("sequence", help="finite sequence: file:path or delta:n")
-    _add_flags(p, "xnorm")
-    p.add_argument("--matrix-out", default=None, metavar="PATH",
-                   help="also export the optimal window matrix as CSV")
-    p.set_defaults(handler=cmd_xnorm)
-
-    p = subs.add_parser("duality",
-                        help="pairing against the norm product bound")
-    p.add_argument("fixture")
-    p.add_argument("sequence", help="finite sequence: file:path or delta:n")
-    _add_flags(p, "duality")
-    p.set_defaults(handler=cmd_duality)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for arg, kind, text in command.positionals:
+            sub.add_argument(arg, type=kind, help=text)
+        knobs = [knob for knob in KNOBS if name in knob.commands]
+        if knobs:
+            sub.add_argument("--config", default=None, metavar="FILE",
+                             help="key=value file supplying defaults for these flags")
+            sub.add_argument("--output", default=None, metavar="PATH",
+                             help="write output here instead of stdout")
+        for knob in knobs:
+            default = "" if knob.default is None else f" (default {knob.default})"
+            sub.add_argument(knob.flag, dest=knob.dest, type=knob.type, default=None,
+                             help=knob.help + default)
+        for flag, text in command.paths:
+            sub.add_argument(flag, default=None, metavar="PATH", help=text)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    output = getattr(args, "output", None)
+    """Resolve the config, run the handler, write its text; return the exit code."""
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    # config_hash stamps the positionals as given, a float by its repr
+    inputs = tuple(repr(getattr(args, arg)) if kind is float else getattr(args, arg)
+                   for arg, kind, _ in command.positionals)
     try:
-        try:
-            text = args.handler(args)
-        except _Unconverged as err:
-            text, message = err.args
-            _emit(text, output)
-            print(f"convergence failure: {message}", file=sys.stderr)
-            return 3
-        _emit(text, output)
+        text, failure = command.handler(_resolve(args, inputs), args)
+        output = getattr(args, "output", None)
+        if output:
+            with open(output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (DomainError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except HelsonError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    if failure:
+        print(f"convergence failure: {failure}", file=sys.stderr)
+        return 3
     return 0
 
 

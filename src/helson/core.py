@@ -208,35 +208,25 @@ def filter_smooth(a, prime_budget):
     return Sequence._from_arrays(a._keys[keep], a._vals[keep])
 
 
-def dirichlet_convolve(a, b, window=None):
+def dirichlet_convolve(a, b):
     """(a * b)(n) = sum_{k|n} a(k) conj(b(n/k)).
 
     Linear in a, conjugate-linear in b.  The coefficient at n is the sum
     of a(i) conj(b(j)) over its product class {(i, j): ij = n}, taken in
-    the order (i, j) ascending.  A window keeps only products <= window;
-    a kept product above the sieve limit raises a domain error, with or
-    without a window.
+    the order (i, j) ascending.  A product above the sieve limit raises a
+    domain error.
     """
     limit = sieve.sieve_limit()
     ak, av, bk, bv = a._keys, a._vals, b._keys, b._vals
-    if window is not None and a and b:
-        # a key with no partner inside the window is in no kept product
-        ka, kb = ak <= window // int(bk[0]), bk <= window // int(ak[0])
-        ak, av, bk, bv = ak[ka], av[ka], bk[kb], bv[kb]
     if not (ak.size and bk.size):
         return Sequence()
-    # each key left has a kept product with the smallest key opposite, so
-    # a key above the limit is refused before any int64 product is formed
-    top = max(int(ak[-1]) * int(bk[0]), int(ak[0]) * int(bk[-1]))
-    if top <= limit:
-        prod = np.multiply.outer(ak, bk).ravel()
-        terms = _mul(av[:, None], bv.conj()).ravel()
-        if window is not None:
-            keep = prod <= window
-            prod, terms = prod[keep], terms[keep]
-        top = int(prod.max())
+    # the largest product, in Python ints, is checked before any int64
+    # product is formed, so none can wrap
+    top = int(ak[-1]) * int(bk[-1])
     if top > limit:
         raise DomainError(f"convolution index {top} exceeds sieve limit {limit}")
+    prod = np.multiply.outer(ak, bk).ravel()
+    terms = _mul(av[:, None], bv.conj()).ravel()
     return Sequence._from_arrays(prod, terms)
 
 

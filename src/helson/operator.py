@@ -37,26 +37,36 @@ def symbol_values(symbol, ns):
     """Evaluate a symbol source on an integer array; the one evaluation path.
 
     Returns a complex128 array shaped like ns; a non-empty ns whose dtype
-    is not integer raises DomainError.  Sequences and the
-    built-in fixtures expose ``values(ns)`` and are evaluated in one
-    vectorized call.  Any other object with a pure ``value(n)`` method
-    (e.g. GeometricDecay) is evaluated index by index, and so is an
-    instance whose ``value`` was replaced on the instance (a counting or
-    logging wrapper): the replacement is never bypassed.
+    is not integer raises DomainError, and so does a value that is not
+    finite (an overflowing power, say), naming the first such index.
+    Sequences and the built-in fixtures expose ``values(ns)`` and are
+    evaluated in one vectorized call.  Any other object with a pure
+    ``value(n)`` method (e.g. GeometricDecay) is evaluated index by
+    index, and so is an instance whose ``value`` was replaced on the
+    instance (a counting or logging wrapper): the replacement is never
+    bypassed.
     """
     ns = sieve._integer_array(ns)
     values = getattr(symbol, "values", None)
-    if values is not None and "value" not in getattr(symbol, "__dict__", ()):
-        return np.asarray(values(ns), dtype=np.complex128)
     value = getattr(symbol, "value", None)
-    if value is None:
+    if values is None and value is None:
         raise DomainError(
             "symbol must be a Sequence or expose values(ns) or value(n), "
             f"got {type(symbol).__name__}"
         )
-    out = np.fromiter((complex(value(n)) for n in ns.ravel().tolist()),
-                      dtype=np.complex128, count=ns.size)
-    return out.reshape(ns.shape)
+    # numpy's overflow warnings give way to the refusal below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if values is not None and "value" not in getattr(symbol, "__dict__", ()):
+            out = np.asarray(values(ns), dtype=np.complex128)
+        else:
+            out = np.fromiter((complex(value(n)) for n in ns.ravel().tolist()),
+                              dtype=np.complex128, count=ns.size).reshape(ns.shape)
+    finite = np.isfinite(out)
+    if not finite.all():
+        first = int(ns.ravel()[np.argmin(finite.ravel())])
+        name = getattr(symbol, "spec", type(symbol).__name__)
+        raise DomainError(f"symbol {name} is not finite at index {first}")
+    return out
 
 
 class ArraySymbol:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .core import Sequence, _dot, _index, dirichlet_convolve, sequence_to_triples
+from .core import Sequence, _dot, _index, dirichlet_convolve
 from .operator import (
     _check_products,
     assemble,
@@ -79,9 +79,9 @@ class Representation:
         """sum_k ||a_k|| ||b_k||, an upper bound for ||value()||_X."""
         return float(sum(a.norm() * b.norm() for a, b in self.pairs))
 
-    def value(self, window=None):
-        """sum_k a_k * b_k, optionally truncated to [1, window]: one class sum."""
-        return Sequence._sum(dirichlet_convolve(a, b, window=window) for a, b in self.pairs)
+    def value(self):
+        """sum_k a_k * b_k: one class sum."""
+        return Sequence._sum(dirichlet_convolve(a, b) for a, b in self.pairs)
 
 
 def rep_cost(rep):
@@ -128,15 +128,6 @@ class XNormResult:
     primal_dual_gap: float
     iterations: int
     converged: bool = True
-
-    def to_json(self):
-        return {
-            "value": self.value,
-            "gap": self.primal_dual_gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "certificate": sequence_to_triples(self.certificate),
-        }
 
 
 def xnorm(c, n_max, config=None, prime_budget=None):
@@ -325,13 +316,15 @@ def representation_from_matrix(matrix, indices=None):
 class DualityReport:
     """|(alpha, c)| against the product bound ||M_N(alpha)|| ||c||_X.
 
-    converged is the xnorm result's flag: when False the bound rests on
-    an unconverged weak-product value.
+    iterations and converged are the xnorm result's Newton step count
+    and flag: when False the bound rests on an unconverged weak-product
+    value.
     """
 
     pairing: float
     bound: float
     ratio: float
+    iterations: int
     converged: bool = True
 
 
@@ -355,9 +348,9 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
                 f"pairing {pairing} with zero bound; duality is broken"
             )
         return DualityReport(pairing=pairing, bound=bound, ratio=0.0,
-                             converged=xn.converged)
+                             iterations=xn.iterations, converged=xn.converged)
     return DualityReport(pairing=pairing, bound=bound, ratio=pairing / bound,
-                         converged=xn.converged)
+                         iterations=xn.iterations, converged=xn.converged)
 
 
 @dataclass(frozen=True)

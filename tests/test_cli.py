@@ -18,12 +18,13 @@ from helson import (
     assemble,
     best_convex_approx,
     bilinear_pair,
+    load_sequence,
     save_sequence,
     sequence_from_triples,
     sieve_limit,
     xnorm,
 )
-from helson.cli import KNOBS, build_parser, main, parse_r_grid
+from helson.cli import COMMANDS, KNOBS, build_parser, main, parse_r_grid
 
 
 def run(capsys, *argv):
@@ -155,11 +156,14 @@ def test_badly_scaled_symbols(capsys, tmp_path):
         code, out, _ = run(capsys, *argv, "--N", "2")
         assert code == 3
         assert json.loads(out)["converged"] is False
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, out, err = run(capsys, "norm", "power:-200", "--N", "64")
-    assert code == 2
-    assert out == ""
-    assert "finite" in err
+    # values past the float range are refused where they are evaluated,
+    # with one clean stderr line and no numpy warning
+    for argv in (("norm", "power:-200", "--N", "64"),
+                 ("essnorm", "power:-200", "--grid", "0.5", "--N", "64")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: symbol power:-200 is not finite at index 35\n"
 
 
 # ------------------------------------------------------------------- essnorm
@@ -294,6 +298,15 @@ def test_xnorm_matrix_out(capsys, tmp_path):
     assert np.array_equal(cells[:, 0::2] + 1j * cells[:, 1::2], expect)
 
 
+def test_xnorm_to_json(capsys):
+    code, out, _ = run(capsys, "xnorm", "delta:1", "--N", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(1.0, abs=1e-6)
+    assert doc["converged"] is True
+    assert doc["certificate"] == [[1, pytest.approx(1.0, abs=1e-6), 0.0]]
+
+
 def test_xnorm_unrepresentable(capsys):
     code, _, err = run(capsys, "xnorm", "delta:5", "--N", "4")
     assert code == 2
@@ -423,6 +436,27 @@ def test_duality_equality(capsys):
     assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_duality_says_how_far_its_xnorm_got(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps([[1, 1e200, 0.0]]))
+    # the first Newton decrement overflows: no step is taken
+    code, out, err = run(capsys, "duality", "mhilbert", f"file:{big}", "--N", "2")
+    assert code == 3
+    assert json.loads(out)["iterations"] == 0
+    assert f"ran 0 of {XNormConfig.max_iter} Newton steps" in err
+    path = tmp_path / "c.json"
+    save_sequence(Sequence({1: -0.7, 2: 0.4, 3: 0.9, 4: -1.3, 6: 1.3}), path)
+    code, out, err = run(capsys, "duality", "power:1", f"file:{path}", "--N", "8",
+                         "--max-iter", "5")
+    assert code == 3
+    assert json.loads(out)["iterations"] == 5
+    assert err == ("convergence failure: xnorm inside the duality bound did not "
+                   "converge: ran 5 of 5 Newton steps\n")
+    code, out, _ = run(capsys, "duality", "power:1", f"file:{path}", "--N", "8")
+    assert code == 0
+    assert json.loads(out)["iterations"] == xnorm(load_sequence(path), 8).iterations
+
+
 # ------------------------------------------------------------- plumbing
 
 
@@ -452,6 +486,35 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert main(argv + [str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# per command but factor, which writes no file: a run that succeeds and,
+# where the command can fail to converge, one that exits 3
+WRITE_PATH_RUNS = [
+    (0, ("convolve", "delta:2", "delta:3")),
+    (0, ("dilate", "0.5", "delta:3")),
+    (0, ("norm", "mhilbert", "--N", "8")),
+    (3, ("norm", "mhilbert", "--N", "16", "--norm-tol", "1e-30")),
+    (0, ("essnorm", "delta:2", "--grid", "0.5,0.9", "--N", "2,4")),
+    (3, ("essnorm", "mhilbert", "--grid", "0.5,0.9", "--N", "8", "--norm-tol", "1e-17")),
+    (0, ("xnorm", "delta:1", "--N", "2")),
+    (3, ("xnorm", "delta:6", "--N", "8", "--max-iter", "1")),
+    (0, ("duality", "power:1", "delta:1", "--N", "4")),
+    (3, ("duality", "power:1", "delta:6", "--N", "8", "--max-iter", "1")),
+]
+
+
+@pytest.mark.parametrize("code, argv", WRITE_PATH_RUNS)
+def test_output_file_holds_the_printed_bytes(capsys, tmp_path, code, argv):
+    assert {a[0] for _, a in WRITE_PATH_RUNS} == set(COMMANDS) - {"factor"}
+    printed = run(capsys, *argv)
+    path = tmp_path / "out"
+    written = run(capsys, *argv, "--output", str(path))
+    assert printed[0] == written[0] == code
+    assert written[1] == ""
+    assert path.read_bytes() == printed[1].encode()
+    assert written[2] == printed[2]
+    assert bool(printed[2]) == (code == 3)
 
 
 # per knob (a KeyError for a new row): a command that takes its flag, and a

@@ -134,6 +134,23 @@ def test_non_integer_indices_raise(call):
         call()
 
 
+def test_non_finite_values_are_refused_where_evaluated():
+    # an overflowing power and a scalar NaN alike, with no numpy warning
+    # (warnings are errors in this suite), naming the first bad index
+    with pytest.raises(DomainError, match="power:-200 is not finite at index 35"):
+        symbol_values(PowerSymbol(-200), np.arange(1, 64).reshape(9, 7))
+
+    class Holey:
+        def value(self, n):
+            return math.nan if n % 5 == 0 else 1.0
+
+    with pytest.raises(DomainError, match="Holey is not finite at index 10"):
+        symbol_values(Holey(), [1, 2, 10, 15])
+    with pytest.raises(DomainError, match="not finite"):
+        assemble(PowerSymbol(-200), 64)
+    assert symbol_values(Holey(), [1, 2, 3]).tolist() == [1, 1, 1]
+
+
 def test_empty_index_input_stays_valid():
     assert symbol_values(MHilbertSymbol(), ()).shape == (0,)
     assert symbol_values(Sequence({2: 1.0}), []).shape == (0,)

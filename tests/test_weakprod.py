@@ -336,14 +336,6 @@ def test_class_blocked_hessian_on_newton_iterates(case, n_max):
     _assert_blocked_hessian(classes, _newton_w(classes, beta))
 
 
-def test_xnorm_to_json():
-    res = xnorm(Sequence.delta(1), 2)
-    doc = res.to_json()
-    assert doc["value"] == pytest.approx(1.0, abs=1e-6)
-    assert doc["converged"] is True
-    assert doc["certificate"] == [[1, pytest.approx(1.0, abs=1e-6), 0.0]]
-
-
 # --------------------------------------------------- representation extraction
 
 
@@ -514,8 +506,8 @@ def test_refine_geometric_pair():
     out = refine_representation([(g, h)], eps, 32)
     assert rep_cost(out) < g.norm() * h.norm() + 2 * eps
     # the refined value matches the straight convolution of the prefixes
-    direct = dirichlet_convolve(g.prefix(32), h.prefix(32), window=32)
-    diff = (out.value(window=32) - direct).restrict(32)
+    direct = dirichlet_convolve(g.prefix(32), h.prefix(32))
+    diff = (out.value() - direct).restrict(32)
     assert diff.norm() <= 1e-9
 
 
@@ -523,7 +515,7 @@ def test_refine_cancelling_pairs():
     a = Sequence({2: 1.0})
     rep = Representation(((a, a), (a, -1 * a)))
     out = refine_representation(rep, 0.05, 16)
-    val = out.value(window=16)
+    val = out.value().restrict(16)
     assert val.norm() <= 1e-12
 
 
