@@ -196,6 +196,15 @@ def test_convolve_overflow():
         dirichlet_convolve(a, Sequence.delta(2))
 
 
+def test_convolve_window_keeps_the_sieve_check():
+    # a product past the sieve limit is refused, not dropped, even when
+    # every other product lies in range; one at the limit is kept
+    big = sieve_limit()
+    with pytest.raises(DomainError, match="exceeds sieve limit"):
+        dirichlet_convolve(Sequence({1: 1.0, big: 1.0}), Sequence.delta(2))
+    assert dirichlet_convolve(Sequence.delta(big), Sequence.delta(1)) == Sequence.delta(big)
+
+
 def test_convolve_products_never_wrap_int64():
     # 2^40 * 2^40 = 2^80 wraps to 0 in int64 and 2^62 * 3 to a negative
     # index; both lie above the sieve limit, so they are refused
