@@ -47,7 +47,7 @@ from .operator import HelsonMatrix, assemble, matrix_to_csv, truncation_indices
 from .spectral import NORM_TOL, operator_norm
 from .approx import _grid, best_convex_approx, compactness_diagnostic
 from .weakprod import XNormConfig, duality_gap, xnorm
-from .fixtures import parse_fixture, parse_sequence_arg
+from .fixtures import fixture_usages, parse_fixture, parse_sequence_arg
 from . import __version__
 
 SCHEMA = 1
@@ -173,14 +173,9 @@ def _resolve(args, inputs):
         raise DomainError(f"{cfg.command} needs --N")
     if cfg.r_grid is not None:
         cfg.r_grid = parse_r_grid(cfg.r_grid)
+    # the one check of the CLI's own: N, d and the tolerances are the library's
     if cfg.format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {cfg.format!r}")
-    if cfg.N is not None and cfg.N < 1:
-        raise DomainError(f"N must be >= 1, got {cfg.N}")
-    if cfg.prime_budget is not None and cfg.prime_budget < 1:
-        raise DomainError(f"prime budget must be >= 1, got {cfg.prime_budget}")
-    if min(cfg.norm_tol, cfg.solver_tol) <= 0:
-        raise DomainError("tolerances must be positive")
 
     stamped = {knob.dest: getattr(cfg, knob.dest) for knob in KNOBS}
     stamped.update(command=cfg.command, N_schedule=cfg.N_schedule,
@@ -367,7 +362,8 @@ class Command(NamedTuple):
     paths: tuple = ()  # (flag, help) of side files it also writes
 
 
-_SEQUENCE = "finite sequence: file:path or delta:n"
+_SEQUENCE = "finite sequence: " + " or ".join(fixture_usages(finite=True))
+_FIXTURE = "symbol: " + " | ".join(fixture_usages())
 
 COMMANDS = {
     "factor": Command("prime factorization and exponent tuple",
@@ -377,18 +373,24 @@ COMMANDS = {
     "dilate": Command("apply the dilation weights r^omega(n)",
                       (("r", float, None), ("a", str, _SEQUENCE)), cmd_dilate),
     "norm": Command("certified operator norm of M_N(alpha)",
-                    (("fixture", str, "delta:n | power:s | mhilbert | "
-                                      "random-decay:seed,rate | file:path"),),
-                    cmd_norm),
+                    (("fixture", str, _FIXTURE),), cmd_norm),
     "essnorm": Command("compactness diagnostic and best convex approximant",
-                       (("fixture", str, None),), cmd_essnorm),
+                       (("fixture", str, _FIXTURE),), cmd_essnorm),
     "xnorm": Command("weak-product norm with dual certificate",
                      (("sequence", str, _SEQUENCE),), cmd_xnorm,
                      (("--matrix-out", "also export the optimal window matrix as CSV"),)),
     "duality": Command("pairing against the norm product bound",
-                       (("fixture", str, None), ("sequence", str, _SEQUENCE)),
+                       (("fixture", str, _FIXTURE), ("sequence", str, _SEQUENCE)),
                        cmd_duality),
 }
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    # wraps help at spaces only, so no fixture usage splits at its hyphen
+    def _split_lines(self, text, width):
+        import textwrap  # only -h wraps help, so a run does not import it
+
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
 def build_parser():
@@ -400,7 +402,7 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub = subs.add_parser(name, help=command.help)
+        sub = subs.add_parser(name, help=command.help, formatter_class=_HelpFormatter)
         for arg, kind, text in command.positionals:
             sub.add_argument(arg, type=kind, help=text)
         knobs = [knob for knob in KNOBS if name in knob.commands]

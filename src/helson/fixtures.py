@@ -1,13 +1,10 @@
 """Formula fixtures: named symbol sources parsed from spec strings.
 
-Registry:
-    delta:n            unit mass at index n
-    power:sigma        alpha(n) = n^(-sigma)
-    mhilbert           alpha(1) = 0, alpha(n) = 1/(sqrt(n) log n) for n >= 2
-    random-decay:seed,rate
-                       complex Gaussian values damped by n^(-rate): a
-                       splitmix64 hash of (seed, n) fed to Box-Muller
-    file:path          finite sequence loaded from a JSON triple file
+FIXTURES is the registry: each name maps to its class, whose docstring
+gives its formula, and to its usage, which is also its spec grammar: a
+name with no colon takes no parameter, and otherwise the comma count
+plus one, split on no more commas than the usage has (so file:path
+keeps any comma in its path).
 
 Every fixture is array-native: ``values(ns)`` maps an int64 array of
 indices >= 1 to a complex128 array in one vectorized call, and the
@@ -163,47 +160,42 @@ class FileSymbol(ArraySymbol):
         return self.sequence
 
 
+FIXTURES = {
+    "delta": (DeltaSymbol, "delta:n"),
+    "power": (PowerSymbol, "power:sigma"),
+    "mhilbert": (MHilbertSymbol, "mhilbert"),
+    "random-decay": (RandomDecaySymbol, "random-decay:seed,rate"),
+    "file": (FileSymbol, "file:path"),
+}
+
+
+def fixture_usages(finite=False):
+    """The FIXTURES usages in order; with finite, only finite sequences'."""
+    return [usage for cls, usage in FIXTURES.values()
+            if not finite or hasattr(cls, "as_sequence")]
+
+
 def parse_fixture(spec):
-    """Build a symbol source from a registry spec string."""
+    """Build a symbol source from a spec string by its FIXTURES row."""
     spec = str(spec).strip()
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     name = name.strip()
-    if name == "delta":
-        if not arg:
-            raise DomainError("delta fixture needs an index, e.g. delta:4")
-        try:
-            return DeltaSymbol(int(arg))
-        except ValueError:
-            raise DomainError(f"delta index must be an integer, got {arg!r}")
-    if name == "power":
-        if not arg:
-            raise DomainError("power fixture needs an exponent, e.g. power:1")
-        try:
-            return PowerSymbol(float(arg))
-        except ValueError:
-            raise DomainError(f"power exponent must be a real, got {arg!r}")
-    if name == "mhilbert":
-        if arg:
-            raise DomainError("mhilbert fixture takes no parameters")
-        return MHilbertSymbol()
-    if name == "random-decay":
-        parts = [p.strip() for p in arg.split(",")] if arg else []
-        if len(parts) != 2:
-            raise DomainError(
-                "random-decay fixture needs seed,rate, e.g. random-decay:7,0.5"
-            )
-        try:
-            return RandomDecaySymbol(int(parts[0]), float(parts[1]))
-        except ValueError:
-            raise DomainError(f"bad random-decay parameters {arg!r}")
-    if name == "file":
-        if not arg:
-            raise DomainError("file fixture needs a path, e.g. file:sym.json")
-        return FileSymbol(arg)
-    raise DomainError(
-        f"unknown fixture {name!r}; registry: delta:n, power:sigma, "
-        "mhilbert, random-decay:seed,rate, file:path"
-    )
+    if name not in FIXTURES:
+        raise DomainError(
+            f"unknown fixture {name!r}; registry: {', '.join(fixture_usages())}")
+    cls, usage = FIXTURES[name]
+    grammar = usage.partition(":")[2]
+    params = arg.split(",", grammar.count(",")) if colon else []
+    bad = DomainError(f"bad fixture {spec!r}; usage: {usage}")
+    if (len(params) != grammar.count(",") + bool(grammar)
+            or not all(map(str.strip, params))):
+        raise bad
+    try:
+        return cls(*params)
+    except DomainError:  # a ValueError too, but the constructor's own
+        raise
+    except ValueError:
+        raise bad from None
 
 
 def parse_sequence_arg(spec):
@@ -213,6 +205,6 @@ def parse_sequence_arg(spec):
     if as_seq is None:
         raise DomainError(
             f"fixture {fixture.spec!r} has infinite support; this argument "
-            "needs a finite sequence (delta:n or file:path)"
+            f"needs a finite sequence ({' or '.join(fixture_usages(finite=True))})"
         )
     return as_seq()

@@ -123,8 +123,9 @@ def operator_norm(matrix, tol=NORM_TOL):
     a cycle opens on a residual no smaller than the previous cycle's (a
     tol below what rounding lets the pair reach), that cycle's pair is
     returned with converged False.
-    A start in the kernel is replaced by the standard basis vectors in
-    turn.
+    A start in the kernel is replaced, once, by the standard basis
+    vector of the column that holds A's largest entry, which A does not
+    map to 0.
 
     The result does not depend on the matrix's scale.  When a cycle's
     sigma leaves _SAFE, or a Krylov beta is not finite, the iteration
@@ -161,7 +162,7 @@ def operator_norm(matrix, tol=NORM_TOL):
     basis = np.empty((cap, dim), dtype=dtype)
     tri = np.zeros((cap, cap))
     max_iter = NORM_MAX_ITER
-    basis_tried = it = 0
+    it = 0
     sigma, u, residual, opened = 0.0, v, 0.0, np.inf
     exp = None  # arr is A 2^-exp once rescaled
 
@@ -182,14 +183,9 @@ def operator_norm(matrix, tol=NORM_TOL):
             sigma = float(np.linalg.norm(w))
         it += 1
         if sigma == 0.0:
-            # start vector in the kernel; walk the standard basis
-            if basis_tried >= dim:
-                u = np.zeros(dim, dtype=dtype)
-                u[0] = 1.0
-                return SpectralReport(0.0, (u, u.copy()), it, 0.0)
+            # start vector in the kernel: restart on a nonzero column
             v = np.zeros(dim, dtype=dtype)
-            v[basis_tried] = 1.0
-            basis_tried += 1
+            v[np.argmax(np.abs(arr).max(axis=0))] = 1.0
             continue
         u = w / sigma
         z = adjoint(u)

@@ -342,14 +342,10 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     op = _norm_upper_bound(matrix, operator_norm(matrix).norm)
     xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
     bound = op * xn.value
-    if bound == 0.0:
-        if pairing > 1e-12:
-            raise InvariantViolation(
-                f"pairing {pairing} with zero bound; duality is broken"
-            )
-        return DualityReport(pairing=pairing, bound=bound, ratio=0.0,
-                             iterations=xn.iterations, converged=xn.converged)
-    return DualityReport(pairing=pairing, bound=bound, ratio=pairing / bound,
+    if bound == 0.0 and pairing > 1e-12:
+        raise InvariantViolation(f"pairing {pairing} with zero bound; duality is broken")
+    ratio = pairing / bound if bound else 0.0
+    return DualityReport(pairing=pairing, bound=bound, ratio=ratio,
                          iterations=xn.iterations, converged=xn.converged)
 
 

@@ -17,7 +17,7 @@ from helson import (
     parse_fixture,
     symbol_values,
 )
-from helson.approx import POLISH_SWEEPS
+from helson.approx import POLISH_SWEEPS, _golden_search
 from helson.spectral import NORM_TOL
 from oracles import simplex_grid_search
 
@@ -247,6 +247,36 @@ def test_approx_open_bracket_runs_only_line_searches(monkeypatch, norm_calls, sy
     assert res.converged
     assert res.weights.weights == tuple(float(k == k_pts - 1) for k in range(k_pts))
     assert res.value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi, low", [(0.0, 1.0, 0.1), (-3.0, 5.0, -2.9)])
+def test_golden_search_shrinks_toward_lo(lo, hi, low):
+    # a minimum near lo makes the left probe the lower one, step after step
+    seen = []
+
+    def fun(x):
+        seen.append(x)
+        return (x - low) ** 2
+
+    _golden_search(fun, lo, hi, lambda: False, tol=1e-10)
+    assert abs(min(seen, key=lambda x: abs(x - low)) - low) <= 1e-9
+    assert max(seen) < hi - 0.3 * (hi - lo)
+
+
+def test_approx_sweeps_find_an_interior_optimum():
+    # neither vertex closes the bracket: the optimum mixes the two r, and
+    # golden section finds it from the left side of the line
+    alpha = Sequence(RISING_COLUMN)
+    grid = (0.02, 0.37)
+    res = best_convex_approx(alpha, grid, 5)
+    assert res.converged and len(res.history) > 2
+    target = assemble(alpha, 5).entries
+    family = [assemble(dilate_symbol(alpha, r, 5), 5).entries for r in grid]
+    grid_val, grid_w = simplex_grid_search(target, family, resolution=0.01)
+    assert res.lower <= grid_val <= res.value * (1 + 1e-9)
+    assert res.value <= grid_val
+    assert np.allclose(res.weights.weights, grid_w, atol=0.01)
+    assert 0.2 < res.weights.weights[0] < 0.4
 
 
 MIXED_SIGNS = Sequence({1: 1, 2: -1.5, 3: 0.8, 6: -0.4})

@@ -25,6 +25,7 @@ from helson import (
     xnorm,
 )
 from helson.cli import COMMANDS, KNOBS, build_parser, main, parse_r_grid
+from helson.fixtures import FIXTURES
 
 
 def run(capsys, *argv):
@@ -131,6 +132,29 @@ def test_norm_requires_n(capsys):
     code, _, err = run(capsys, "norm", "delta:1")
     assert code == 2
     assert "--N" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("norm", "delta:0", "--N", "4"), "delta index must be >= 1, got 0"),
+    (("norm", "random-decay:5", "--N", "4"),
+     "bad fixture 'random-decay:5'; usage: random-decay:seed,rate"),
+    (("essnorm", "mhilbert:2", "--grid", "0.5", "--N", "4"),
+     "bad fixture 'mhilbert:2'; usage: mhilbert"),
+    (("xnorm", "power:1", "--N", "4"),
+     "fixture 'power:1' has infinite support; this argument needs a finite "
+     "sequence (delta:n or file:path)"),
+    # N, d and the tolerances are refused by the library, before any output
+    (("norm", "delta:1", "--N", "0"), "truncation size must be >= 1, got 0"),
+    (("norm", "delta:1", "--N", "4", "--primes", "0"), "prime budget must be >= 1, got 0"),
+    (("convolve", "delta:2", "delta:3", "--primes", "0"), "prime budget must be >= 1, got 0"),
+    (("essnorm", "delta:1", "--grid", "0.5", "--N", "4", "--norm-tol", "0"),
+     "tolerance must lie in (0, 1e-4], got 0.0"),
+    (("duality", "delta:1", "delta:1", "--N", "4", "--solver-tol", "0"),
+     "tolerance must be positive and finite, got 0.0"),
+])
+def test_bad_inputs_exit_2_with_the_library_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_norm_unreachable_tolerance(capsys):
@@ -726,6 +750,16 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         syntax = subprocess.run(["bash", "-n", "-c", line], capture_output=True, text=True)
         assert syntax.returncode == 0, (line, syntax.stderr)
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_readme_lists_every_fixture():
+    # the fixture list is read off FIXTURES everywhere; the docs must keep up
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    subs = _subcommands()
+    for _, usage in FIXTURES.values():
+        assert f"`{usage}`" in readme, usage
+        for name in ("norm", "essnorm", "duality"):
+            assert usage in subs[name].format_help(), (name, usage)
 
 
 def test_prime_budget_flag(capsys):

@@ -13,6 +13,7 @@ from helson import (
     parse_sequence_arg,
     save_sequence,
 )
+from helson.fixtures import FIXTURES
 
 
 def test_delta_fixture():
@@ -104,3 +105,40 @@ def test_fixture_specs_round_trip():
         again = parse_fixture(sym.spec)
         for n in (1, 2, 3, 10):
             assert sym.value(n) == again.value(n)
+
+
+@pytest.mark.parametrize("spec, message", [
+    # the constructor's own refusal passes through
+    ("delta:0", "delta index must be >= 1, got 0"),
+    ("delta", "bad fixture 'delta'; usage: delta:n"),
+    ("delta:", "bad fixture 'delta:'; usage: delta:n"),
+    ("delta:x", "bad fixture 'delta:x'; usage: delta:n"),
+    ("delta:2,3", "bad fixture 'delta:2,3'; usage: delta:n"),
+    ("power:abc", "bad fixture 'power:abc'; usage: power:sigma"),
+    ("mhilbert:3", "bad fixture 'mhilbert:3'; usage: mhilbert"),
+    ("random-decay:5", "bad fixture 'random-decay:5'; usage: random-decay:seed,rate"),
+    ("random-decay:5,", "bad fixture 'random-decay:5,'; usage: random-decay:seed,rate"),
+    ("random-decay:5,1,2", "bad fixture 'random-decay:5,1,2'; usage: random-decay:seed,rate"),
+    ("random-decay:5.5,1", "bad fixture 'random-decay:5.5,1'; usage: random-decay:seed,rate"),
+    ("file:", "bad fixture 'file:'; usage: file:path"),
+    ("unknown:1", "unknown fixture 'unknown'; registry: delta:n, power:sigma, mhilbert, "
+                  "random-decay:seed,rate, file:path"),
+])
+def test_parse_fixture_messages(spec, message):
+    with pytest.raises(DomainError) as exc:
+        parse_fixture(spec)
+    assert str(exc.value) == message
+
+
+def test_fixture_usages_are_the_grammar(tmp_path):
+    # each row's usage, with its parameter names replaced, builds its class
+    path = tmp_path / "a,b.json"  # file:path is never split on commas
+    save_sequence(Sequence({3: 1.0}), path)
+    examples = {"n": "2", "sigma": "0.5", "seed": "7", "rate": "1.5", "path": str(path)}
+    for name, (cls, usage) in FIXTURES.items():
+        head, _, grammar = usage.partition(":")
+        assert head == name
+        params = [examples[p] for p in grammar.split(",")] if grammar else []
+        spec = ":".join([name, ",".join(params)]) if params else name
+        assert type(parse_fixture(spec)) is cls
+    assert parse_fixture(f"file:{path}").as_sequence() == Sequence({3: 1.0})

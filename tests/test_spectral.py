@@ -35,6 +35,32 @@ def test_norm_zero_matrix():
     assert rep.residual == 0.0
 
 
+def _four_zero_columns():
+    # the last two columns are x and -x with entries that scale exactly,
+    # so the all-ones start is in the kernel
+    m = np.zeros((6, 6))
+    m[:, 4] = [1.0, 2.0, 0.5, -1.0, 4.0, -0.25]
+    m[:, 5] = -m[:, 4]
+    return m
+
+
+@pytest.mark.parametrize("matrix, products", [
+    # alpha = delta_1 - delta_2 + delta_4 at N = 2
+    (assemble(Sequence({1: 1.0, 2: -1.0, 4: 1.0}), 2).entries, 4),
+    # one restart, on column 5, and no product spent on a zero column
+    (_four_zero_columns(), 4),
+])
+def test_norm_restarts_once_from_a_start_in_the_kernel(matrix, products):
+    dim = matrix.shape[0]
+    assert not (matrix @ np.ones(dim)).any()
+    rep = operator_norm(matrix)
+    assert rep.converged
+    assert rep.iterations == products
+    assert rep.norm == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-12)
+    u, v = rep.leading_pair
+    assert np.linalg.norm(matrix @ v - rep.norm * u) <= 1e-9 * rep.norm
+
+
 def test_norm_golden_ratio():
     m = assemble(Sequence.delta(1) + Sequence.delta(2), 2)
     assert np.array_equal(m.entries, np.array([[1, 1], [1, 0]], dtype=complex))
@@ -147,6 +173,26 @@ def test_norm_upper_bound_from_estimate_skips_eigvalsh(spec, monkeypatch):
     bound = _norm_upper_bound(a, estimate)
     assert bound == pytest.approx(expect, rel=1e-12)
     assert np.linalg.norm(a, 2) <= bound
+
+
+@pytest.mark.parametrize("low", [0.5, 1e-3])
+def test_norm_upper_bound_grows_its_shift_until_it_factors(low, monkeypatch):
+    # a top eigenvalue that comes out too low leaves a shift that does not
+    # factor; the excess grows fourfold until one does, still a proof
+    a = assemble(parse_fixture("random-decay:7,0.5"), 32).entries
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: low * eigvalsh(m))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(m):
+        calls.append(m)
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    bound = _norm_upper_bound(a)
+    assert len(calls) > 2
+    assert np.linalg.norm(a, 2) <= bound <= 4.0 * np.linalg.norm(a, 2)
 
 
 def test_norm_tolerance_domain():

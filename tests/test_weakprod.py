@@ -17,6 +17,7 @@ from helson import (
     dirichlet_convolve,
     duality_gap,
     operator_norm,
+    parse_fixture,
     refine_representation,
     rep_cost,
     representation_from_matrix,
@@ -272,6 +273,31 @@ def test_xnorm_brackets_before_its_first_step():
     assert res.matrix[0, 0] == 1e200 and np.count_nonzero(res.matrix) == 1
 
 
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_xnorm_stops_where_cholesky_fails(k, monkeypatch):
+    # an F that no longer factors ends the solve with the bracket so far
+    c = Sequence({1: 1.0, 2: 0.5 - 0.25j, 6: -0.75j})
+    full = xnorm(c, 6)
+    assert full.converged and full.iterations > 12
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def failing(m):
+        calls.append(m)
+        if len(calls) == k:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    res = xnorm(c, 6)
+    assert len(calls) == k
+    assert res.converged is False
+    assert res.iterations == k - 1
+    # upper >= ||c||_X >= lower, against the converged bracket
+    assert res.value >= full.value - full.primal_dual_gap
+    assert res.value - res.primal_dual_gap <= full.value
+
+
 def test_stalled_c_solves_in_few_newton_steps():
     # a bound, not a pin: the barrier schedule took 42/38/38 steps
     # before the re-measured constants
@@ -409,6 +435,14 @@ def test_duality_disjoint():
     rep = duality_gap(Sequence.delta(2), Sequence.delta(3), 4)
     assert rep.pairing == 0.0
     assert rep.ratio == 0.0
+
+
+def test_duality_zero_bound():
+    # delta_5 vanishes on the N = 2 window, so the norm bound is 0, and so
+    # is the pairing with delta_2: the ratio is 0, not a division by 0
+    rep = duality_gap(parse_fixture("delta:5"), Sequence.delta(2), 2)
+    assert (rep.pairing, rep.bound, rep.ratio) == (0.0, 0.0, 0.0)
+    assert rep.converged
 
 
 def test_duality_random_bound():
