@@ -22,7 +22,6 @@ from .sieve import (
 from .core import (
     HSSum,
     Sequence,
-    bilinear_pair,
     dilate,
     dilation_hs_sum,
     dilation_weight,
@@ -38,6 +37,7 @@ from .operator import (
     DENSE_CAP,
     HelsonMatrix,
     assemble,
+    bilinear_pair,
     dilate_symbol,
     form,
     matrix_to_csv,

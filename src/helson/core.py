@@ -7,7 +7,8 @@ factorize, Dirichlet convolution with a conjugated second factor,
 
     (a * b)(n) = sum_{k | n} a(k) conj(b(n/k)),
 
-the bilinear pairing (a, b) = sum a(n) b(n) (no conjugation), and the
+the bilinear pairing (a, b) = sum a(n) b(n) (no conjugation;
+operator.bilinear_pair, which takes any symbol for a), and the
 dilation semigroup acting by the diagonal weights r^omega(n) where
 omega(n) = sum_j j*kappa_j is the weighted degree of the factorization.
 
@@ -228,11 +229,6 @@ def dirichlet_convolve(a, b):
     prod = np.multiply.outer(ak, bk).ravel()
     terms = _mul(av[:, None], bv.conj()).ravel()
     return Sequence._from_arrays(prod, terms)
-
-
-def bilinear_pair(a, b):
-    """(a, b) = sum_n a(n) b(n); bilinear, no conjugation on either slot."""
-    return _dot(a.values(b._keys), b._vals)
 
 
 def _rvalue(r):

@@ -242,6 +242,14 @@ def assemble(symbol, n_max, prime_budget=None):
     return HelsonMatrix(entries=entries, indices=indices)
 
 
+def bilinear_pair(symbol, b):
+    """(alpha, b) = sum_n alpha(n) b(n) over b's support; no conjugation.
+
+    alpha is any symbol source that symbol_values takes, b a Sequence.
+    """
+    return _dot(symbol_values(symbol, b._keys), b._vals)
+
+
 def form(symbol, a, b):
     """Sesquilinear form <M(alpha) a, b> = sum a(n) conj(b(m)) alpha(nm).
 
@@ -249,8 +257,7 @@ def form(symbol, a, b):
     the pairing (alpha, a * b), so alpha is evaluated once per distinct
     product of the convolution's support.
     """
-    conv = dirichlet_convolve(a, b)
-    return _dot(symbol_values(symbol, conv._keys), conv._vals)
+    return bilinear_pair(symbol, dirichlet_convolve(a, b))
 
 
 def dilate_symbol(symbol, r, n_max):

@@ -54,9 +54,12 @@ def _cholesky_slack(order):
 # Lanczos basis size; a full basis restarts from the top Ritz vector
 _KRYLOV = 32
 
-# operator_norm squares twice (A^H A, then the squared norms numpy sums),
-# so a cycle's sigma outside this range can over- or underflow
+# operator_norm iterates on A as given when ||A||_F lies in _FROB, and
+# calls a start weak when its image is at most _WEAK ||A||_F; its
+# docstring derives both from _SAFE
 _SAFE = (2.0**-200, 2.0**200)
+_FROB = (_SAFE[0] ** 0.25, _SAFE[1] ** 0.25)
+_WEAK = _SAFE[0]
 
 
 @dataclass
@@ -75,23 +78,22 @@ class SpectralReport:
 
 
 def _as_dense(matrix):
+    """The entries as a 2-d array, unscanned: _pow2_scaled refuses non-finite ones."""
     if isinstance(matrix, HelsonMatrix):
         return matrix.entries
     arr = _float_array(matrix)
     if arr.ndim != 2:
         raise DomainError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix entries must be finite")
     return arr
 
 
 def _pow2_scaled(arr):
     """(A 2^-e, e) with the largest entry of A 2^-e in [1/2, 1); exact.
 
-    A non-finite entry makes the largest modulus non-finite and is
-    refused.
+    A zero or empty matrix comes back with e = 0.  A non-finite entry
+    makes the largest modulus non-finite and is refused.
     """
-    peak = float(np.abs(arr).max())
+    peak = float(np.abs(arr).max(initial=0.0))
     if not math.isfinite(peak):
         raise DomainError("matrix entries must be finite")
     exp = int(np.frexp(peak)[1])
@@ -100,8 +102,6 @@ def _pow2_scaled(arr):
     return np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp), exp
 
 
-# overflow shows as a non-finite sigma or beta, which the loop handles
-@np.errstate(over="ignore", invalid="ignore")
 def operator_norm(matrix, tol=NORM_TOL):
     """Largest singular value of a dense square matrix, with certificate.
 
@@ -123,18 +123,21 @@ def operator_norm(matrix, tol=NORM_TOL):
     a cycle opens on a residual no smaller than the previous cycle's (a
     tol below what rounding lets the pair reach), that cycle's pair is
     returned with converged False.
-    A start in the kernel is replaced, once, by the standard basis
-    vector of the column that holds A's largest entry, which A does not
-    map to 0.
+    A weak start, whose image is at most _WEAK ||A||_F (the kernel
+    included), is replaced by the standard basis vector of A's largest
+    column, whose image is at least ||A||_F / sqrt(n).
 
-    The result does not depend on the matrix's scale.  When a cycle's
-    sigma leaves _SAFE, or a Krylov beta is not finite, the iteration
-    moves for good to A scaled by an exact power of two (its largest
-    entry in [1/2, 1)), reopens the cycle there (the product that
-    repeats is not counted), and scales sigma and the residual back.  A
-    well-scaled matrix is neither scanned for its scale nor copied; a
-    non-finite entry, which the all-ones start always exposes, is
-    refused with a DomainError, as is a norm past the float range.
+    The scale is decided once, before the first product, from ||A||_F
+    (as in Blue's safe Euclidean norm, ACM TOMS 4, 1978).  Outside
+    _FROB = [2^-50, 2^50] a zero A reports 0, a non-finite entry is
+    refused with a DomainError, and any other A moves to A 2^-e with its
+    largest entry in [1/2, 1), so into _FROB; sigma and the residual are
+    scaled back, and a norm past the float range is refused.  Within
+    _FROB nothing overflows: each vector formed has norm at most
+    2 max(||A||_F, ||A||_F^2) <= 2 _SAFE[1]^(1/2), so no square numpy
+    sums comes near overflow.  A start that is not weak has
+    sigma > _WEAK _FROB[0] = 2^-250, so sigma^2 and the squares at its
+    pair's rounding level, (2^-53 sigma)^2 > 2^-606, stay normal.
 
     The iteration runs in the matrix's own dtype: a real matrix (integer
     or float entries, cast to float64) gives a float64 singular pair, a
@@ -148,10 +151,16 @@ def operator_norm(matrix, tol=NORM_TOL):
     if arr.shape != (dim, dim):
         raise DomainError(f"matrix must be square, got shape {arr.shape}")
     dtype = arr.dtype
-    if dim == 0 or not arr.any():
-        e0 = np.zeros(max(dim, 1), dtype=dtype)
-        e0[0] = 1.0
-        return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
+    # inf or nan when an entry is, or when the sum of squares overflows
+    frob, exp = math.sqrt(np.vdot(arr, arr).real), 0
+    if not _FROB[0] <= frob <= _FROB[1]:
+        arr, exp = _pow2_scaled(arr)
+        frob = math.sqrt(np.vdot(arr, arr).real)
+        if frob == 0.0:
+            e0 = np.zeros(max(dim, 1), dtype=dtype)
+            e0[0] = 1.0
+            return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
+    weak = _WEAK * frob
 
     def adjoint(y):
         # A^H y through the transposed view, with no conjugated copy of A
@@ -164,11 +173,10 @@ def operator_norm(matrix, tol=NORM_TOL):
     max_iter = NORM_MAX_ITER
     it = 0
     sigma, u, residual, opened = 0.0, v, 0.0, np.inf
-    exp = None  # arr is A 2^-exp once rescaled
 
     def report(converged):
         try:
-            norm, res = math.ldexp(sigma, exp or 0), math.ldexp(residual, exp or 0)
+            norm, res = math.ldexp(sigma, exp), math.ldexp(residual, exp)
         except OverflowError:
             raise DomainError("operator norm exceeds the float64 range") from None
         return SpectralReport(norm, (u, v), it, res, converged)
@@ -177,15 +185,11 @@ def operator_norm(matrix, tol=NORM_TOL):
         # cycle start: the explicit pair of v, whose product opens the basis
         w = arr @ v
         sigma = float(np.linalg.norm(w))
-        if exp is None and not _SAFE[0] <= sigma <= _SAFE[1] and (sigma or w.any()):
-            arr, exp = _pow2_scaled(arr)
-            w = arr @ v
-            sigma = float(np.linalg.norm(w))
         it += 1
-        if sigma == 0.0:
-            # start vector in the kernel: restart on a nonzero column
+        if sigma <= weak:
+            # a weak start, the kernel included: restart on the largest column
             v = np.zeros(dim, dtype=dtype)
-            v[np.argmax(np.abs(arr).max(axis=0))] = 1.0
+            v[np.argmax(np.linalg.norm(arr, axis=0))] = 1.0
             continue
         u = w / sigma
         z = adjoint(u)
@@ -209,8 +213,6 @@ def operator_norm(matrix, tol=NORM_TOL):
                 z -= h @ head
                 tri[k - 1, k - 1] += h[-1].real
             beta = float(np.linalg.norm(z))
-            if not math.isfinite(beta):
-                break
             theta, y = np.linalg.eigh(tri[:k, :k])
             # the last product of the cap goes to the next cycle's pair
             if (beta * abs(y[-1, -1]) <= 0.5 * tol * theta[-1]
@@ -219,14 +221,6 @@ def operator_norm(matrix, tol=NORM_TOL):
             basis[k] = z / beta
             tri[k - 1, k] = tri[k, k - 1] = beta
         tri[:k, :k] = 0.0
-        if not math.isfinite(beta):
-            # A^H A overflowed: go to A 2^-exp and reopen on its image
-            # of the last basis vector, which leans to the top pair
-            arr, exp = _pow2_scaled(arr)
-            v = adjoint(arr @ basis[k - 1])
-            v /= np.linalg.norm(v)
-            opened = np.inf
-            continue
         v = y[:, -1] @ basis[:k]
         v /= np.linalg.norm(v)
     return report(False)
@@ -243,8 +237,9 @@ def _norm_upper_bound(matrix, estimate=None):
     of the Gram product and of the diagonal shift.  The constants below
     take twice the real-arithmetic index, which covers complex entries.
     A is first scaled by a power of two (exact) so that its largest entry
-    lies in [1/2, 1).  The result exceeds the dense-SVD norm by a relative
-    O(n^2 u).
+    lies in [1/2, 1), which refuses a non-finite entry; a zero Gram
+    diagonal then means A = 0, with bound 0.  The result exceeds the
+    dense-SVD norm by a relative O(n^2 u).
 
     Given an estimate of ||A|| (operator_norm's value, say), one
     factorization is tried at t = estimate^2 plus the excess below.
@@ -254,13 +249,12 @@ def _norm_upper_bound(matrix, estimate=None):
     the estimate decides only the cost (one too low costs the eigenvalue
     pass) and, when too high, the tightness.
     """
-    arr = _as_dense(matrix)
-    if not arr.any():
-        return 0.0
-    a, exp = _pow2_scaled(arr)
+    a, exp = _pow2_scaled(_as_dense(matrix))
     rows, dim = a.shape
     gram = a.conj().T @ a
     diag = gram.diagonal().real
+    if not diag.any():
+        return 0.0
     # ||fl(A^H A) - A^H A|| <= gamma ||A||_F^2, and ||A||_F^2 <= 2 trace
     gram_err = _gamma(2 * rows + 4) * 2.0 * float(diag.sum())
     # error terms relative to t, and an absolute floor for underflow

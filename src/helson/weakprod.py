@@ -40,12 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .core import Sequence, _dot, _index, dirichlet_convolve
+from .core import Sequence, _index, dirichlet_convolve
 from .operator import (
     _check_products,
     assemble,
+    bilinear_pair,
     product_classes,
-    symbol_values,
     truncation_indices,
 )
 from .sieve import factor_pairs, is_smooth_over, sieve_limit
@@ -336,7 +336,7 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     pairing/bound is 0 when the pairing vanishes and must never exceed 1
     beyond certificate tolerance.
     """
-    pairing = abs(_dot(symbol_values(symbol, c._keys), c._vals))
+    pairing = abs(bilinear_pair(symbol, c))
     matrix = assemble(symbol, n_max, prime_budget).entries
     # the Lanczos value, certified or not, places the bound's one Cholesky shift
     op = _norm_upper_bound(matrix, operator_norm(matrix).norm)

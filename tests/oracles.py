@@ -17,6 +17,9 @@ genuine cross-check:
   checked on the dense SVD of M_N(beta) built entry by entry.
 * hessian_reference: the class-pair sums R and G of xnorm's Newton
   system, bincounted term by term from the S^4 products W[j, a] W[b, k].
+* wide_range_matrices: a hypothesis strategy for square real or complex
+  matrices whose entries span many binades, for the scale tests of the
+  norm routines.
 """
 
 import bisect
@@ -24,6 +27,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from helson import DomainError
 
@@ -226,3 +230,22 @@ def hessian_reference(w11, w21, w22, labels):
         return out.reshape(m, m)
 
     return pair_sums(w21, w21), pair_sums(w11, w22)
+
+
+@st.composite
+def wide_range_matrices(draw, max_dim=12, binades=(-60, 60)):
+    """Square float64 or complex128 matrices with signed, log-uniform parts.
+
+    Every real and imaginary part has modulus in [2^lo, 2^hi) for
+    binades = (lo, hi), so no entry is zero and the entries of one matrix
+    may lie 2^(hi - lo) apart.
+    """
+    dim = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part():
+        shape = (dim, dim)
+        mantissas = rng.uniform(1.0, 2.0, shape) * rng.choice((-1.0, 1.0), shape)
+        return np.ldexp(mantissas, rng.integers(*binades, shape))
+
+    return part() + 1j * part() if draw(st.booleans()) else part()

@@ -24,6 +24,7 @@ from helson import (
     sieve_limit,
     xnorm,
 )
+from helson import spectral
 from helson.cli import COMMANDS, KNOBS, build_parser, main, parse_r_grid
 from helson.fixtures import FIXTURES
 
@@ -165,6 +166,16 @@ def test_norm_unreachable_tolerance(capsys):
     doc = json.loads(out)
     assert doc["converged"] is False
     assert 0 < doc["norm"] <= np.linalg.norm(assemble(MHilbertSymbol(), 16).entries, 2)
+
+
+def test_norm_of_a_well_scaled_window_with_a_weak_start(capsys, tmp_path):
+    # alpha = delta_1 - delta_2 + delta_4 + 2^-400 delta_9 at N = 3: the
+    # all-ones start maps to norm 2^-400 / sqrt(3), and gives way to a column
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([[1, 1, 0], [2, -1, 0], [4, 1, 0], [9, 2.0**-400, 0]]))
+    code, out, _ = run(capsys, "norm", f"file:{path}", "--N", "3")
+    assert code == 0
+    assert '"norm": 2.0,' in out
 
 
 def test_badly_scaled_symbols(capsys, tmp_path):
@@ -729,6 +740,23 @@ def test_readme_lists_every_flag():
     sentence = section.split("--config", 1)[1].split(".", 1)[0]
     keys = re.findall(r"`(\w+)`", sentence.split("the keys", 1)[1])
     assert keys and set(keys) <= {knob.key for knob in KNOBS}, keys
+
+
+def test_readme_states_the_norm_scale_range():
+    # the iterated range of ||A||_F and the weak-start fraction, as
+    # spectral derives them from _SAFE
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    power = "2([⁻⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
+
+    def value(exponent):
+        return 2.0 ** int(exponent.translate(str.maketrans("⁻⁰¹²³⁴⁵⁶⁷⁸⁹", "-0123456789")))
+
+    ranges = re.findall(rf"`\[{power}, {power}\]`", readme)
+    assert [(value(lo), value(hi)) for lo, hi in ranges] == [spectral._FROB]
+    weak = re.findall(rf"`{power}‖A‖_F`", readme)
+    assert [value(e) for e in weak] == [spectral._WEAK]
+    assert spectral._FROB == tuple(b ** 0.25 for b in spectral._SAFE)
+    assert spectral._WEAK == spectral._SAFE[0]
 
 
 def _fenced(section, lang):

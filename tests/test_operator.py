@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from helson import (
     DENSE_CAP,
     DomainError,
+    GeometricDecay,
     PowerSymbol,
     Sequence,
     assemble,
@@ -20,6 +21,7 @@ from helson import (
     truncation_indices,
 )
 from helson.approx import _dilated
+from helson.core import _dot
 from helson.operator import product_classes
 
 import helson
@@ -230,6 +232,21 @@ def test_form_identity_random():
         lhs = form(alpha, a, b)
         rhs = bilinear_pair(alpha, dirichlet_convolve(a, b))
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+
+@pytest.mark.parametrize("alpha", [
+    GeometricDecay(0.5, 1 - 2j),
+    parse_fixture("mhilbert"),
+    Sequence({1: 1.0, 2: -0.5j, 6: 2.0, 9: 0.25}),
+], ids=["geometric", "fixture", "sequence"])
+def test_bilinear_pair_reads_any_symbol(alpha):
+    # alpha is read as form reads it; a fixture or a Sequence pairs to the
+    # bits that its own values() array gives
+    c = Sequence({1: 0.5 + 1j, 2: -1.0, 3: 0.25j, 6: 2.0 - 1j, 10: 1.0})
+    pair = bilinear_pair(alpha, c)
+    assert pair == form(alpha, c, Sequence.delta(1))
+    if hasattr(alpha, "values"):
+        assert pair == _dot(alpha.values(c._keys), c._vals)
 
 
 @pytest.mark.parametrize("spec", [

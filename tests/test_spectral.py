@@ -18,6 +18,7 @@ from helson import (
     parse_fixture,
 )
 from helson.spectral import _KRYLOV, _norm_upper_bound
+from oracles import wide_range_matrices
 
 
 def random_sequence(rng, max_index=64, size=10):
@@ -33,6 +34,11 @@ def test_norm_zero_matrix():
     rep = operator_norm(np.zeros((4, 4)))
     assert rep.norm == 0.0
     assert rep.residual == 0.0
+    # every dtype, and the empty matrix, in no products
+    for zero in (np.zeros((4, 4)), np.zeros((3, 3), dtype=np.complex128),
+                 np.zeros((2, 2), dtype=np.int64), np.zeros((0, 0))):
+        rep = operator_norm(zero)
+        assert (rep.norm, rep.iterations, rep.residual, rep.converged) == (0.0, 0, 0.0, True)
 
 
 def _four_zero_columns():
@@ -252,8 +258,9 @@ def test_norm_does_not_depend_on_scale(case, k):
 
 
 def test_norm_rescales_on_an_overflowing_krylov_step():
-    # all-ones opens at sigma = 1, but A^H A of the next basis vector
-    # overflows the squared norm: the cycle reopens on A 2^-401
+    # ||A||_F = 2^400.5 is out of range, so A is scaled to A 2^-401 before
+    # the first product; unscaled, A^H A of the second basis vector would
+    # overflow its squared norm
     x = 2.0**400
     a = np.array([[x, -x, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     rep = operator_norm(a)
@@ -262,8 +269,9 @@ def test_norm_rescales_on_an_overflowing_krylov_step():
 
 
 def test_norm_refuses_non_finite():
-    # a HelsonMatrix is not scanned up front; the all-ones start exposes
-    # a non-finite entry, and a norm past the float range is refused too
+    # no matrix is scanned up front; a non-finite entry makes ||A||_F
+    # non-finite and is refused where A is scaled, and a norm past the
+    # float range is refused too
     for bad in (np.inf, np.nan):
         entries = np.eye(3)
         entries[2, 1] = bad
@@ -272,6 +280,53 @@ def test_norm_refuses_non_finite():
     huge = HelsonMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]) * 1.5e308, (1, 2))
     with pytest.raises(DomainError, match="range"):
         operator_norm(huge)
+
+
+@pytest.mark.parametrize("k", [-400, -600])
+def test_norm_certifies_a_wide_range_matrix_scaled_down(k):
+    # all-ones maps to a vector of norm 2^k sqrt(2/3), about 2^-400 ||A||_F:
+    # the start is weak and gives way to the largest column
+    x = 2.0**400
+    a = np.array([[x, -x, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) * 2.0**k
+    rep = operator_norm(a)
+    assert rep.converged
+    assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
+
+
+def test_norm_when_the_frobenius_square_underflows():
+    # a nonzero matrix whose ||A||_F^2 rounds to 0 is scaled, not zero
+    a = np.full((4, 4), 2.0**-540)
+    assert np.vdot(a, a) == 0.0
+    rep = operator_norm(a)
+    assert rep.converged
+    assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_norm_routines_refuse_non_finite_arrays(bad, is_complex):
+    a = np.eye(3, dtype=np.complex128 if is_complex else np.float64)
+    a[2, 1] = complex(0.0, bad) if is_complex else bad
+    for routine in (operator_norm, _norm_upper_bound):
+        with pytest.raises(DomainError, match="finite"):
+            routine(a)
+
+
+def _ldexp(a, k):
+    if a.dtype.kind == "c":
+        return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+    return np.ldexp(a, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(wide_range_matrices(), st.integers(-900, 900))
+def test_norm_scales_exactly_by_powers_of_two(a, k):
+    # A and A 2^k are iterated on A itself or on one power-of-two scaling
+    # of it, and each step commutes with a power of two
+    rep = operator_norm(a)
+    scaled = operator_norm(_ldexp(a, k))
+    assert scaled.norm == math.ldexp(rep.norm, k)
+    assert scaled.iterations == rep.iterations
 
 
 def _with_top_pair(gap, seed=5, dim=40):
