@@ -37,9 +37,10 @@ def factorize(n):
     pairs = sieve.factor_pairs(n)
     if not pairs:
         return ()
-    exps = [0] * sieve.prime_index(pairs[-1][0])
-    for p, e in pairs:
-        exps[sieve.prime_index(p) - 1] = e
+    index = sieve.max_prime_index([p for p, _ in pairs]).tolist()
+    exps = [0] * index[-1]
+    for j, (_, e) in zip(index, pairs):
+        exps[j - 1] = e
     return tuple(exps)
 
 
@@ -56,7 +57,7 @@ def _index(n):
         m = int(n)
     except (TypeError, ValueError):
         m = None
-    if m is None or m != n or isinstance(n, (float, complex)):
+    if m is None or m != n or isinstance(n, (float, complex, bool, np.bool_)):
         raise DomainError(f"sequence index must be an integer, got {n!r}")
     if m < 1:
         raise DomainError(f"sequence index must be >= 1, got {m}")

@@ -9,8 +9,11 @@ omega[n] = omega[n // p] + j(p) and the largest prime index
 gpi[n] = max(gpi[n // p], j(p)).  Since n // p <= n / 2, the dyadic block
 [2^k, 2^(k+1)) reads only earlier blocks, so each block is one vectorized
 step.  Every multiplicative query on indices (weighted degree, largest
-prime index, smoothness) is then one gather, so an integer and an
-integer array take the same route.
+prime index, d-smoothness over the first d primes) is then one gather,
+so an integer and an integer array take the same route.  A prime's own
+index is its largest prime index.  Smoothness over an arbitrary prime
+set is no sieve query: weakprod generates those indices directly, as
+products of prime powers.
 
 Every index query lies in [1, MAX_INDEX], checked before any table is
 touched.  The tables are built on demand: they cover the power of two
@@ -41,21 +44,6 @@ class _Tables(NamedTuple):
 _state = None  # the _Tables, built on demand
 
 
-def _blocks(spf, top):
-    """Yield (lo, hi, p, rest) per dyadic block [lo, hi) of [2, top].
-
-    p = spf[lo:hi] and rest = n // p for n in the block.  rest <= n / 2 < lo,
-    so a table filled block by block from table[1] reads only finished
-    entries.
-    """
-    lo = 2
-    while lo <= top:
-        hi = min(2 * lo, top + 1)
-        p = spf[lo:hi]
-        yield lo, hi, p, np.arange(lo, hi, dtype=np.int32) // p
-        lo = hi
-
-
 def _build(size):
     spf = np.zeros(size + 1, dtype=np.int32)
     for p in range(2, math.isqrt(size) + 1):
@@ -72,10 +60,17 @@ def _build(size):
     # a prime's entry is its index j(p) before the recurrence and after
     # it, so gpi[spf] is j(spf) in every block
     gpi[primes] = np.arange(1, primes.size + 1, dtype=np.int32)
-    for lo, hi, p, rest in _blocks(spf, size):
+    # block [lo, hi) reads rest = n // p <= n / 2 < lo, so a table filled
+    # block by block from table[1] reads only finished entries
+    lo = 2
+    while lo <= size:
+        hi = min(2 * lo, size + 1)
+        p = spf[lo:hi]
+        rest = np.arange(lo, hi, dtype=np.int32) // p
         j = gpi[p]
         np.add(omega[rest], j, out=omega[lo:hi])
         np.maximum(gpi[rest], j, out=gpi[lo:hi])
+        lo = hi
     return _Tables(size, spf, primes, omega, gpi)
 
 
@@ -93,7 +88,7 @@ def sieve_limit():
 
 
 def _check_index(n):
-    if not isinstance(n, (int, np.integer)):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"index must be an integer, got {type(n).__name__}")
     n = int(n)
     if n < 1 or n > MAX_INDEX:
@@ -143,14 +138,6 @@ def factor_pairs(n):
     return tuple(out)
 
 
-def prime_index(p):
-    """Position of the prime p in the ascending prime list (1-based)."""
-    p = _check_index(p)
-    if p == 1 or _state.spf[p] != p:
-        raise DomainError(f"{p} is not a prime below the sieve limit")
-    return int(_state.gpi[p])
-
-
 def weighted_degree(n):
     """omega(n) = sum_j j*kappa_j over the factorization n = prod p_j^kappa_j.
 
@@ -188,24 +175,6 @@ def _budget(d):
     if d < 1:
         raise DomainError(f"prime budget must be >= 1, got {d}")
     return d
-
-
-def is_smooth_over(n, primes):
-    """True where every prime factor of n lies in the collection primes.
-
-    1 has no prime factor, so it is smooth over any set, the empty one
-    included.  Elementwise on an integer array, like weighted_degree.
-    """
-    arr, tables = _indices(n)
-    top = int(arr.max(initial=1))
-    # primes past top divide no index here
-    allowed = np.zeros(top + 1, dtype=bool)
-    allowed[[p for p in primes if 1 < p <= top]] = True
-    smooth = np.zeros(top + 1, dtype=bool)
-    smooth[1] = True
-    for lo, hi, p, rest in _blocks(tables.spf, top):
-        np.logical_and(smooth[rest], allowed[p], out=smooth[lo:hi])
-    return _gather(smooth, arr)
 
 
 def smooth_indices(n_max, prime_budget=None):

@@ -123,9 +123,13 @@ def operator_norm(matrix, tol=NORM_TOL):
     a cycle opens on a residual no smaller than the previous cycle's (a
     tol below what rounding lets the pair reach), that cycle's pair is
     returned with converged False.
-    A weak start, whose image is at most _WEAK ||A||_F (the kernel
-    included), is replaced by the standard basis vector of A's largest
-    column, whose image is at least ||A||_F / sqrt(n).
+    The start is chosen once: all-ones, unless its image is weak, at
+    most _WEAK ||A||_F (the kernel included).  That image is then dropped
+    uncounted, and the first cycle opens on e_k for A's largest column k,
+    whose image A[:, k], of norm at least ||A||_F / sqrt(n), is read, not
+    formed.  A restart's Ritz vector has a Rayleigh quotient of at least
+    the start's sigma^2, so it is never weak.  Each cycle's opening pair
+    counts as one product.
 
     The scale is decided once, before the first product, from ||A||_F
     (as in Blue's safe Euclidean norm, ACM TOMS 4, 1978).  Outside
@@ -167,6 +171,13 @@ def operator_norm(matrix, tol=NORM_TOL):
         return np.conj(arr.T @ np.conj(y))
 
     v = np.ones(dim, dtype) / np.sqrt(dim)
+    w = arr @ v
+    if np.linalg.norm(w) <= weak:
+        # a weak start, the kernel included: open on the largest column
+        k = np.argmax(np.linalg.norm(arr, axis=0))
+        v = np.zeros(dim, dtype=dtype)
+        v[k] = 1.0
+        w = arr[:, k]
     cap = min(_KRYLOV, dim)
     basis = np.empty((cap, dim), dtype=dtype)
     tri = np.zeros((cap, cap))
@@ -182,15 +193,9 @@ def operator_norm(matrix, tol=NORM_TOL):
         return SpectralReport(norm, (u, v), it, res, converged)
 
     while it < max_iter:
-        # cycle start: the explicit pair of v, whose product opens the basis
-        w = arr @ v
+        # cycle start: the explicit pair of v, whose product w opens the basis
         sigma = float(np.linalg.norm(w))
         it += 1
-        if sigma <= weak:
-            # a weak start, the kernel included: restart on the largest column
-            v = np.zeros(dim, dtype=dtype)
-            v[np.argmax(np.linalg.norm(arr, axis=0))] = 1.0
-            continue
         u = w / sigma
         z = adjoint(u)
         residual = float(np.linalg.norm(z - sigma * v))
@@ -223,6 +228,7 @@ def operator_norm(matrix, tol=NORM_TOL):
         tri[:k, :k] = 0.0
         v = y[:, -1] @ basis[:k]
         v /= np.linalg.norm(v)
+        w = arr @ v
     return report(False)
 
 

@@ -48,7 +48,7 @@ from .operator import (
     product_classes,
     truncation_indices,
 )
-from .sieve import factor_pairs, is_smooth_over, sieve_limit
+from .sieve import factor_pairs, sieve_limit
 from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
@@ -130,6 +130,23 @@ class XNormResult:
     converged: bool = True
 
 
+def _smooth_over(primes, n_max):
+    """The integers 1..n_max whose prime factors all lie in primes, ascending.
+
+    These are the monomials p^kappa <= n_max of the polydisk in the
+    variables primes: starting from [1], each prime multiplies in its
+    powers up to n_max.
+    """
+    out = np.ones(1, dtype=np.int64)
+    for p in set(primes):
+        powers = [1]
+        while powers[-1] * p <= n_max:
+            powers.append(powers[-1] * p)
+        out = np.multiply.outer(out, powers).ravel()
+        out = out[out <= n_max]
+    return np.sort(out)
+
+
 def xnorm(c, n_max, config=None, prime_budget=None):
     """Window X-norm of c with matrix, certificate, and gap.
 
@@ -141,7 +158,10 @@ def xnorm(c, n_max, config=None, prime_budget=None):
 
     The program is solved on the window indices S whose primes all lie
     in the set P of primes dividing supp(c), and the matrix is padded
-    with exact zeros back to N x N.  This reduction is exact (the
+    with exact zeros back to N x N.  S is generated, not sieved: the
+    products of powers of the primes of P up to N, the monomials of the
+    |P|-variable polydisk, kept where they lie in the window (which a
+    prime budget may thin).  This reduction is exact (the
     polydisk remark of the paper): ij is P-smooth exactly when i and j
     are, so every class of a P-smooth n lies in S x S and no other class
     meets it; compressing a feasible X to S x S keeps it feasible without
@@ -189,8 +209,8 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     # representability check below refuses it
     limit = sieve_limit()
     primes = {p for n in c.support if n <= limit for p, _ in factor_pairs(n)}
-    rows = np.flatnonzero(is_smooth_over(window, primes))
-    classes = product_classes(window[rows].tolist())
+    rows = np.flatnonzero(np.isin(window, _smooth_over(primes, n_max)))
+    classes = product_classes(window[rows])
     outside = c._keys[~np.isin(c._keys, classes.uniq, assume_unique=True)]
     if outside.size:
         raise DomainError(

@@ -66,6 +66,8 @@ def test_weights_validation():
         ConvexWeights((0.5, 0.9), (0.7, 0.7))
     with pytest.raises(DomainError):
         ConvexWeights((0.5, 0.9), (-0.2, 1.2))
+    with pytest.raises(DomainError, match="equal length"):
+        ConvexWeights((0.5, 0.9), (1.0,))
 
 
 # --------------------------------------------------------- best_convex_approx
@@ -412,3 +414,5 @@ def test_diagnostic_schedule_validation():
         compactness_diagnostic(Sequence.delta(1), (0.9, 0.5), (2,))
     with pytest.raises(DomainError):
         compactness_diagnostic(Sequence.delta(1), (0.5,), (4, 2))
+    with pytest.raises(DomainError, match="nonempty"):
+        compactness_diagnostic(Sequence.delta(1), (0.5,), ())

@@ -24,7 +24,9 @@ from helson import (
     sieve_limit,
     xnorm,
 )
-from helson import spectral
+from helson import InvariantViolation, duality_gap, spectral, weakprod
+from helson.sieve import factor_pairs
+from helson.weakprod import _smooth_over
 from helson.cli import COMMANDS, KNOBS, build_parser, main, parse_r_grid
 from helson.fixtures import FIXTURES
 
@@ -672,6 +674,36 @@ def test_file_errors_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (("norm", "mhilbert", "--N", "4x"), None, "bad integer list"),
+    (("norm", "mhilbert", "--N", ","), None, "integer list must be nonempty"),
+    (("norm", "mhilbert", "--N", "4,8"), None, "norm takes a single --N"),
+    (("norm", "mhilbert", "--N", "4"), "N 4\n", "expected key=value"),
+    (("xnorm", "delta:1", "--N", "4"), "max_iter = many\n", "bad value for max_iter"),
+])
+def test_bad_input_exits_2(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_broken_duality_exits_1(capsys, monkeypatch):
+    # a zero norm bound under a nonzero pairing breaks duality: the
+    # library raises InvariantViolation and the CLI exits 1
+    monkeypatch.setattr(weakprod, "_norm_upper_bound", lambda matrix, estimate=None: 0.0)
+    with pytest.raises(InvariantViolation, match="duality is broken"):
+        duality_gap(MHilbertSymbol(), Sequence.delta(2), 2)
+    code, out, err = run(capsys, "duality", "mhilbert", "delta:2", "--N", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "duality is broken" in err
+
+
 def test_undecodable_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"N=4\n\xc2\x00\n")
@@ -757,6 +789,27 @@ def test_readme_states_the_norm_scale_range():
     assert [value(e) for e in weak] == [spectral._WEAK]
     assert spectral._FROB == tuple(b ** 0.25 for b in spectral._SAFE)
     assert spectral._WEAK == spectral._SAFE[0]
+
+
+def test_readme_states_the_seed7_xnorm_run():
+    # README's reduced window sizes and Newton step counts for STALLED_C,
+    # the seed-7 c of the benchmark
+    readme = " ".join((pathlib.Path(__file__).resolve().parent.parent / "README.md")
+                      .read_text().split())
+    found = re.findall(r"`P = \{([\d, ]+)\}` shrinks the windows N = ([\d/]+) to "
+                       r"([\d/]+) indices, and the solver converges in ([\d/]+) "
+                       r"Newton steps", readme)
+    assert len(found) == 1, found
+    primes, sizes, dims, steps = found[0]
+    sizes, dims, steps = ([int(x) for x in group.split("/")]
+                          for group in (sizes, dims, steps))
+    c = sequence_from_triples(STALLED_C)
+    primes = {int(p) for p in primes.split(",")}
+    assert primes == {p for n in c.support for p, _ in factor_pairs(n)}
+    assert [_smooth_over(primes, n).size for n in sizes] == dims
+    runs = [xnorm(c, n) for n in sizes]
+    assert [r.iterations for r in runs] == steps
+    assert all(r.converged for r in runs)
 
 
 def _fenced(section, lang):

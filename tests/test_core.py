@@ -51,6 +51,16 @@ def test_factorize_matches_trial_factor():
         assert factorize(n) == tuple(kappa)
 
 
+def test_factorize_matches_trial_factor_below_2_16():
+    primes = primes_upto(1 << 16)
+    for n in range(1, 1 << 16):
+        factors = trial_factor(n, primes)
+        kappa = [0] * (factors[-1][0] if factors else 0)
+        for j, e in factors:
+            kappa[j - 1] = e
+        assert factorize(n) == tuple(kappa), n
+
+
 def test_multiindex_degrees():
     # 200 = 2^3 5^2: degree 5, weighted degree 1*3 + 3*2
     kappa = factorize(200)

@@ -6,6 +6,7 @@ from helson import (
     DENSE_CAP,
     DomainError,
     GeometricDecay,
+    HelsonMatrix,
     PowerSymbol,
     Sequence,
     assemble,
@@ -25,6 +26,16 @@ from helson.core import _dot
 from helson.operator import product_classes
 
 import helson
+
+
+@pytest.mark.parametrize("entries, indices, message", [
+    (np.zeros((2, 3)), (1, 2), "square"),
+    (np.zeros(4), (1, 2, 3, 4), "square"),
+    (np.zeros((2, 2)), (1,), "index map length"),
+])
+def test_helson_matrix_refusals(entries, indices, message):
+    with pytest.raises(DomainError, match=message):
+        HelsonMatrix(entries, indices)
 import oracles
 
 

@@ -139,6 +139,9 @@ def test_equality_and_hash_match_model(p, q):
     ({2: complex(0.0, float("nan"))}, "sequence values must be finite, got nanj"),
     ({2**63: 1.0}, "sequence index must be below 2^63, got 9223372036854775808"),
     ({1: 1.0, 2**70: 1.0}, "sequence index must be below 2^63, got " + str(2**70)),
+    # a bool is an int, but no index, as in sequence_from_triples
+    ({True: 2.0}, "sequence index must be an integer, got True"),
+    ({np.True_: 2.0}, "sequence index must be an integer, got " + repr(np.True_)),
 ])
 def test_constructor_refusals(entries, message):
     with pytest.raises(DomainError, match=re.escape(message)):

@@ -3,20 +3,22 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
-from helson import DomainError, factorize, is_smooth, sieve, sieve_limit
-from helson.cli import main
-from helson.sieve import (
-    factor_pairs,
-    is_smooth_over,
-    max_prime_index,
-    prime_index,
-    smooth_indices,
-    weighted_degree,
+from helson import (
+    DomainError,
+    MHilbertSymbol,
+    assemble,
+    factorize,
+    is_smooth,
+    sieve,
+    sieve_limit,
 )
+from helson.cli import main
+from helson.sieve import factor_pairs, max_prime_index, smooth_indices, weighted_degree
+from helson.weakprod import _smooth_over
 
 
 def test_factor_pairs_basics():
@@ -44,12 +46,20 @@ def test_factor_pairs_rejects_out_of_range():
         factor_pairs(sieve_limit() + 1)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_is_not_an_index(flag):
+    # the array path refuses a bool dtype, and the scalar path a bool
+    queries = (factor_pairs, smooth_indices, weighted_degree,
+               lambda n: assemble(MHilbertSymbol(), n))
+    for query in queries:
+        with pytest.raises(DomainError, match="integer"):
+            query(flag)
+
+
 def test_nth_prime_and_index():
-    # the j-th prime has prime_index j
+    # the j-th prime has index j, its own largest prime index
     for j, p in enumerate(oracles.primes_upto(1000), start=1):
-        assert prime_index(p) == j
-    with pytest.raises(DomainError):
-        prime_index(4)
+        assert max_prime_index(p) == j
 
 
 def test_weighted_degree_values():
@@ -76,21 +86,48 @@ def test_is_smooth():
         is_smooth(8, 0)
 
 
+# Smoothness over a prime set is no sieve query: xnorm generates the
+# indices <= N whose primes all lie in a set as products of prime powers
+# (weakprod._smooth_over), checked here against trial division.
+@functools.lru_cache(maxsize=1)
+def _prime_sets(limit):
+    """The set of prime factors of each n in [1, limit], by trial division."""
+    primes = reference_primes(limit)
+    return [{primes[j - 1] for j, _ in oracles.trial_factor(n, primes)}
+            for n in range(1, limit + 1)]
+
+
+def _smooth_over_reference(primes, n_max):
+    return [n for n, own in enumerate(_prime_sets(1 << 13)[:n_max], start=1)
+            if own <= set(primes)]
+
+
 @pytest.mark.parametrize("primes", [(), (2,), (3,), (2, 3), (3, 5, 7), (2, 11, 13),
                                     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29), (4093,)])
 def test_is_smooth_over_matches_trial_division(primes):
-    ref = reference_primes(1 << 12)
-    ns = np.arange(1, (1 << 12) + 1)
-    expect = [all(ref[j - 1] in primes for j, _ in oracles.trial_factor(int(n), ref))
-              for n in ns]
-    assert is_smooth_over(ns, primes).tolist() == expect
-    assert is_smooth_over(ns.reshape(64, 64), set(primes)).ravel().tolist() == expect
-    assert is_smooth_over(4096, primes) is expect[-1]
+    expect = _smooth_over_reference(primes, 1 << 12)
+    assert _smooth_over(primes, 1 << 12).tolist() == expect
+    assert _smooth_over(set(primes), 1 << 12).tolist() == expect
 
 
 def test_is_smooth_over_the_empty_set_keeps_only_1():
-    assert np.flatnonzero(is_smooth_over(np.arange(1, 1025), ())).tolist() == [0]
-    assert is_smooth_over(1, ()) is True
+    for n_max in (1, 2, 1024):
+        assert _smooth_over((), n_max).tolist() == [1]
+    assert _smooth_over((2, 3), 1).tolist() == [1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 1 << 13),
+       st.lists(st.one_of(st.sampled_from(oracles.primes_upto(29)),
+                          st.sampled_from(oracles.primes_upto(8209))), max_size=6))
+@example(1 << 13, [])
+@example(1 << 13, [8191])
+@example(1 << 13, [2, 8209])
+@example(8190, [8191, 3])
+def test_smooth_over_matches_trial_division(n_max, primes):
+    got = _smooth_over(primes, n_max)
+    assert got.dtype == np.int64
+    assert got.tolist() == _smooth_over_reference(primes, n_max)
 
 
 def test_smooth_indices():
@@ -119,10 +156,7 @@ def reference_primes(limit):
 def test_prime_index_on_every_prime_below_2_16():
     primes = reference_primes(sieve_limit())
     small = primes[: np.searchsorted(primes, 1 << 16, side="right")]
-    assert [prime_index(p) for p in small] == list(range(1, len(small) + 1))
-    for bad in (0, 1, 4, 91, 65535, 1 << 16, sieve_limit() + 1):
-        with pytest.raises(DomainError):
-            prime_index(bad)
+    assert max_prime_index(np.array(small)).tolist() == list(range(1, len(small) + 1))
 
 
 def _index_arrays(data, limit):
@@ -203,22 +237,21 @@ def test_max_index_override(monkeypatch):
 
 
 def _reference_query(name, n, d, primes):
-    """The answer of one sieve query by trial division; DomainError if refused."""
+    """The answer of one sieve query by trial division."""
     if name == "factor_pairs":
         return tuple((primes[j - 1], e) for j, e in oracles.trial_factor(n, primes))
     if name == "weighted_degree":
         return oracles.weighted_degree_reference(n, primes)
     if name == "is_smooth":
         return d is None or oracles.max_prime_index_reference(n, primes) <= d
-    j = bisect.bisect_left(primes, n)
-    return j + 1 if j < len(primes) and primes[j] == n else DomainError
+    return oracles.max_prime_index_reference(n, primes)
 
 
 _QUERIES = {
     "factor_pairs": lambda n, d: factor_pairs(n),
     "weighted_degree": lambda n, d: weighted_degree(n),
     "is_smooth": is_smooth,
-    "prime_index": lambda n, d: prime_index(n),
+    "max_prime_index": lambda n, d: max_prime_index(n),
 }
 
 
@@ -228,7 +261,7 @@ def _prime_at_most(n):
 
 
 def _query_index():
-    # small indices grow the tables step by step; primes give prime_index hits
+    # small indices grow the tables step by step; primes are their own top index
     limit = sieve.MAX_INDEX
     prime = st.integers(2, limit).map(_prime_at_most)
     return st.one_of(st.integers(1, 64), st.integers(1, limit), st.just(limit), prime)
@@ -245,12 +278,7 @@ def test_tables_grow_on_demand(queries):
     try:
         top = size = 0
         for name, n, d in queries:
-            want = _reference_query(name, n, d, primes)
-            if want is DomainError:
-                with pytest.raises(DomainError):
-                    _QUERIES[name](n, d)
-            else:
-                assert _QUERIES[name](n, d) == want
+            assert _QUERIES[name](n, d) == _reference_query(name, n, d, primes)
             # the tables never shrink and cover the largest query so far
             # with the power of two at or above it
             top = max(top, n)
@@ -267,13 +295,11 @@ def test_tables_grow_on_demand(queries):
 
 
 # The omega and gpi tables are filled block by block over [2^k, 2^(k+1)),
-# each block reading n // spf[n] in earlier blocks, and is_smooth_over runs
-# the same recurrence up to its largest index: an off-by-one in the block
-# bounds or at the top shows first at 2^k - 1, 2^k and 2^k + 1.
+# each block reading n // spf[n] in earlier blocks: an off-by-one in the
+# block bounds or at the top shows first at 2^k - 1, 2^k and 2^k + 1.
 EXHAUSTIVE_TOP = 1 << 13
 BLOCK_EDGES = sorted({m for k in range(1, 14) for m in (2**k - 1, 2**k, 2**k + 1)}
                      - {EXHAUSTIVE_TOP + 1})
-SMOOTH_OVER_SETS = [(), (2,), (3,), (2, 3), (3, 5, 7), (2, 11, 13), (8191,), (8209,)]
 
 
 def test_every_index_to_2_13_matches_trial_division(monkeypatch):
@@ -292,12 +318,6 @@ def test_every_index_to_2_13_matches_trial_division(monkeypatch):
         assert is_smooth(ns, d).tolist() == want
         if d is not None:
             assert smooth_indices(EXHAUSTIVE_TOP, d) == [n for n, ok in zip(ns, want) if ok]
-    for allowed in SMOOTH_OVER_SETS:
-        want = [all(primes[j - 1] in allowed for j, _ in f) for f in factors]
-        assert is_smooth_over(ns, allowed).tolist() == want
-        for m in BLOCK_EDGES:
-            # m is the largest index, so the recurrence stops at m
-            assert is_smooth_over(m, allowed) is want[m - 1], (allowed, m)
     for m in BLOCK_EDGES:
         assert weighted_degree(m) == omega[m - 1], m
         assert max_prime_index(m) == top[m - 1], m
@@ -306,9 +326,9 @@ def test_every_index_to_2_13_matches_trial_division(monkeypatch):
 def test_past_max_index_is_refused_before_any_build(monkeypatch):
     monkeypatch.setattr(sieve, "_state", None)
     past = sieve.MAX_INDEX + 1
-    for query in (factor_pairs, prime_index, weighted_degree, max_prime_index,
-                  lambda n: is_smooth(n, 2), lambda n: is_smooth_over(n, (2,)),
-                  lambda n: weighted_degree([1, n]), smooth_indices):
+    for query in (factor_pairs, weighted_degree, max_prime_index,
+                  lambda n: is_smooth(n, 2), lambda n: weighted_degree([1, n]),
+                  smooth_indices):
         with pytest.raises(DomainError):
             query(past)
     assert sieve._state is None

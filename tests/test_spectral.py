@@ -17,6 +17,7 @@ from helson import (
     operator_norm,
     parse_fixture,
 )
+from helson import spectral
 from helson.spectral import _KRYLOV, _norm_upper_bound
 from oracles import wide_range_matrices
 
@@ -50,12 +51,17 @@ def _four_zero_columns():
     return m
 
 
-@pytest.mark.parametrize("matrix, products", [
+_KERNEL_STARTS = [
     # alpha = delta_1 - delta_2 + delta_4 at N = 2
-    (assemble(Sequence({1: 1.0, 2: -1.0, 4: 1.0}), 2).entries, 4),
-    # one restart, on column 5, and no product spent on a zero column
-    (_four_zero_columns(), 4),
-])
+    assemble(Sequence({1: 1.0, 2: -1.0, 4: 1.0}), 2).entries,
+    # the first cycle opens on column 5, and no product is spent on a zero column
+    _four_zero_columns(),
+]
+
+
+# the all-ones image is dropped uncounted, and the first cycle opens on
+# the largest column, read off the matrix
+@pytest.mark.parametrize("matrix, products", [(m, 3) for m in _KERNEL_STARTS])
 def test_norm_restarts_once_from_a_start_in_the_kernel(matrix, products):
     dim = matrix.shape[0]
     assert not (matrix @ np.ones(dim)).any()
@@ -65,6 +71,19 @@ def test_norm_restarts_once_from_a_start_in_the_kernel(matrix, products):
     assert rep.norm == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-12)
     u, v = rep.leading_pair
     assert np.linalg.norm(matrix @ v - rep.norm * u) <= 1e-9 * rep.norm
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+@pytest.mark.parametrize("matrix", [np.array([[1.0, -1.0], [-1.0, 1.0]])] + _KERNEL_STARTS)
+def test_norm_pair_matches_at_every_cap(monkeypatch, matrix, cap):
+    # a cap hit right after the weak start still returns norm = ||Av||
+    monkeypatch.setattr(spectral, "NORM_MAX_ITER", cap)
+    rep = operator_norm(matrix)
+    u, v = rep.leading_pair
+    assert rep.iterations <= cap
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+    assert rep.norm == pytest.approx(np.linalg.norm(matrix @ v), rel=1e-15)
+    assert rep.norm > 0.0
 
 
 def test_norm_golden_ratio():
@@ -214,6 +233,9 @@ def test_norm_rejects_non_square():
         operator_norm(np.ones((3, 5)))
     with pytest.raises(DomainError, match="square"):
         operator_norm(np.ones((5, 3)))
+    for shape in ((3,), (2, 2, 2)):
+        with pytest.raises(DomainError, match="2-dimensional"):
+            operator_norm(np.ones(shape))
 
 
 def test_norm_nonconvergence_carries_best(monkeypatch):

@@ -27,8 +27,14 @@ from helson import (
     XNormConfig,
 )
 from helson.operator import product_classes
-from helson.sieve import factor_pairs, is_smooth_over
-from oracles import _classes, hessian_reference, xnorm_certificate_check
+from helson.sieve import factor_pairs
+from oracles import (
+    _classes,
+    hessian_reference,
+    primes_upto,
+    trial_factor,
+    xnorm_certificate_check,
+)
 from test_cli import STALLED_C
 
 # the complex c of the numpy seed-5 Gaussian draw on 1..16: every prime
@@ -354,9 +360,11 @@ def test_class_blocked_hessian_on_newton_iterates(case, n_max):
     # W at 0.9 times the certificate after five Newton steps, on the
     # reduced window xnorm solves on
     c = sequence_from_triples(STALLED_C) if case == "seed7" else RNG5_C
-    window = np.arange(1, n_max + 1)
     primes = {p for n in c.support for p, _ in factor_pairs(n)}
-    classes = product_classes(window[is_smooth_over(window, primes)].tolist())
+    ref = primes_upto(n_max)
+    window = [n for n in range(1, n_max + 1)
+              if all(ref[j - 1] in primes for j, _ in trial_factor(n, ref))]
+    classes = product_classes(window)
     cert = xnorm(c, n_max, XNormConfig(max_iter=5)).certificate
     beta = 0.9 * cert.values(classes.uniq)
     _assert_blocked_hessian(classes, _newton_w(classes, beta))
@@ -561,6 +569,44 @@ def test_refine_budget_infeasible():
     assert rep_cost(out) > 0
     with pytest.raises(DomainError):
         refine_representation(pair, 5e-324, 8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Representation(((Sequence.delta(1), 1.0),)), "must be Sequences"),
+    (lambda: representation_from_matrix(np.zeros((2, 3))), "square"),
+    (lambda: representation_from_matrix(np.eye(2), (1,)), "index map length"),
+    (lambda: GeometricDecay(1.5), "ratio must lie in"),
+    (lambda: GeometricDecay(0.5).value(0), "index must be >= 1"),
+    (lambda: GeometricDecay(0.5).tail_norm(-1), "cut point must be >= 0"),
+    (lambda: split_sequence(GeometricDecay(0.5), 0.1, window=0), "window must be >= 1"),
+    (lambda: refine_representation([], 0.0, 8), "eps must be a positive real"),
+    (lambda: refine_representation([], 0.1, 0), "window must be >= 1"),
+])
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_split_refuses_a_tail_that_never_drops(monkeypatch):
+    class Flat:
+        def tail_norm(self, m):
+            return 1.0
+
+        def prefix(self, m):
+            return Sequence({n: 1.0 for n in range(1, m + 1)})
+
+    monkeypatch.setattr(helson.weakprod, "_CUT_SEARCH_CAP", 8)
+    with pytest.raises(DomainError, match="tail decays too slowly"):
+        split_sequence(Flat(), 0.1, window=4)
+
+
+def test_bare_pairs_and_blocks_past_the_window():
+    a, b = Sequence({1: 3.0}), Sequence({2: 4.0})
+    assert rep_cost([(a, b)]) == 12.0
+    assert GeometricDecay(0.5).spec == "geometric:0.5"
+    # delta_8 restricted to the window 1..4 is empty and pairs with nothing
+    out = refine_representation([(Sequence.delta(8), b), (a, b)], 0.1, 4)
+    assert len(out) == 1 and out.value() == dirichlet_convolve(a, b)
 
 
 def test_refine_rejects_costless_pair():
