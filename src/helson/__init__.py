@@ -14,6 +14,7 @@ from .errors import (
 )
 from .sieve import (
     factor_pairs,
+    factorize,
     is_smooth,
     sieve_limit,
     smooth_indices,
@@ -26,7 +27,6 @@ from .core import (
     dilation_hs_sum,
     dilation_weight,
     dirichlet_convolve,
-    factorize,
     filter_smooth,
     load_sequence,
     save_sequence,

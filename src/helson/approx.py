@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from . import sieve
 from .operator import assemble
 from .spectral import NORM_TOL, _gamma, operator_norm
 from .core import _rvalue, dilation_weight
@@ -267,7 +268,7 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     and flags the table, as best_convex_approx flags its result.
     """
     grid = _grid(r_schedule)
-    sizes = [int(n) for n in n_schedule]
+    sizes = [sieve._integer(n, "N-schedule entry") for n in n_schedule]
     if not sizes:
         raise DomainError("N-schedule must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

@@ -39,7 +39,6 @@ from . import sieve
 from .core import (
     dilate,
     dirichlet_convolve,
-    factorize,
     filter_smooth,
     sequence_to_triples,
 )
@@ -215,7 +214,7 @@ def cmd_factor(cfg, args):
         )
     else:
         prod = "1"
-    kappa = ",".join(str(e) for e in factorize(n))
+    kappa = ",".join(str(e) for e in sieve.factorize(n))
     return f"{n} = {prod}, kappa=({kappa})\n", None
 
 

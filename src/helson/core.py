@@ -3,7 +3,7 @@
 A Sequence is a finitely supported map n -> complex, n >= 1, stored as
 two arrays: its ascending int64 support and the nonzero values there.
 The multiplicative structure enters through the exponent tuple kappa of
-factorize, Dirichlet convolution with a conjugated second factor,
+sieve.factorize, Dirichlet convolution with a conjugated second factor,
 
     (a * b)(n) = sum_{k | n} a(k) conj(b(n/k)),
 
@@ -26,22 +26,6 @@ import numpy as np
 
 from .errors import DomainError
 from . import sieve
-
-
-def factorize(n):
-    """Exponent tuple kappa with n = prod_j p_j^(kappa_j); () for 1.
-
-    The tuple ends at the index of the largest prime factor, so it has
-    no trailing zeros.
-    """
-    pairs = sieve.factor_pairs(n)
-    if not pairs:
-        return ()
-    index = sieve.max_prime_index([p for p, _ in pairs]).tolist()
-    exps = [0] * index[-1]
-    for j, (_, e) in zip(index, pairs):
-        exps[j - 1] = e
-    return tuple(exps)
 
 
 def _as_complex(v):
@@ -186,8 +170,14 @@ class Sequence:
         return Sequence._from_arrays(self._keys, self._vals.conj())
 
     def norm(self):
-        """l2 norm over the support."""
-        return math.sqrt(_dot(self._vals, self._vals.conj()).real)
+        """l2 norm over the support; squares that overflow are summed scaled."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = _dot(self._vals, self._vals.conj()).real
+        if total < math.inf:
+            return math.sqrt(total)
+        mags = np.abs(self._vals)
+        scale = float(mags.max())
+        return scale * math.sqrt(np.dot(mags / scale, mags / scale))
 
     def restrict(self, window):
         """Entries with index <= window."""

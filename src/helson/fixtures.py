@@ -50,7 +50,8 @@ class DeltaSymbol(ArraySymbol):
     """Unit mass at a single index."""
 
     def __init__(self, n):
-        n = int(n)
+        # a spec string parses; int("2.5") is parse_fixture's usage error
+        n = int(n) if isinstance(n, str) else sieve._integer(n, "delta index")
         if n < 1:
             raise DomainError(f"delta index must be >= 1, got {n}")
         self.n = n
@@ -106,7 +107,8 @@ class RandomDecaySymbol(ArraySymbol):
     """
 
     def __init__(self, seed, rate):
-        self.seed = int(seed)
+        self.seed = (int(seed) if isinstance(seed, str)
+                     else sieve._integer(seed, "random-decay seed"))
         self.rate = float(rate)
         self.spec = f"random-decay:{self.seed},{self.rate:g}"
 

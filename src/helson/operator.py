@@ -41,10 +41,9 @@ def symbol_values(symbol, ns):
     finite (an overflowing power, say), naming the first such index.
     Sequences and the built-in fixtures expose ``values(ns)`` and are
     evaluated in one vectorized call.  Any other object with a pure
-    ``value(n)`` method (e.g. GeometricDecay) is evaluated index by
-    index, and so is an instance whose ``value`` was replaced on the
-    instance (a counting or logging wrapper): the replacement is never
-    bypassed.
+    ``value(n)`` method is evaluated index by index, and so is an
+    instance whose ``value`` was replaced on the instance (a counting or
+    logging wrapper): the replacement is never bypassed.
     """
     ns = sieve._integer_array(ns)
     values = getattr(symbol, "values", None)

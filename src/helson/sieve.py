@@ -11,7 +11,8 @@ gpi[n] = max(gpi[n // p], j(p)).  Since n // p <= n / 2, the dyadic block
 step.  Every multiplicative query on indices (weighted degree, largest
 prime index, d-smoothness over the first d primes) is then one gather,
 so an integer and an integer array take the same route.  A prime's own
-index is its largest prime index.  Smoothness over an arbitrary prime
+index is its largest prime index, which factorize reads after the spf
+walk of factor_pairs.  Smoothness over an arbitrary prime
 set is no sieve query: weakprod generates those indices directly, as
 products of prime powers.
 
@@ -87,10 +88,15 @@ def sieve_limit():
     return MAX_INDEX
 
 
-def _check_index(n):
+def _integer(n, what="index"):
+    """n as an int; DomainError unless it is an integer, a bool excepted."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"index must be an integer, got {type(n).__name__}")
-    n = int(n)
+        raise DomainError(f"{what} must be an integer, got {type(n).__name__}")
+    return int(n)
+
+
+def _check_index(n):
+    n = _integer(n)
     if n < 1 or n > MAX_INDEX:
         raise DomainError(f"index {n} outside [1, sieve limit {MAX_INDEX}]")
     _ensure(n)
@@ -136,6 +142,19 @@ def factor_pairs(n):
             e += 1
         out.append((p, e))
     return tuple(out)
+
+
+def factorize(n):
+    """Exponent tuple kappa with n = prod_j p_j^(kappa_j); () for 1.
+
+    The tuple ends at the index of the largest prime factor, so it has
+    no trailing zeros.  Each prime's index j(p) is its gpi entry.
+    """
+    pairs = factor_pairs(n)
+    exps = [0] * int(_state.gpi[n])
+    for p, e in pairs:
+        exps[_state.gpi[p] - 1] = e
+    return tuple(exps)
 
 
 def weighted_degree(n):

@@ -33,6 +33,7 @@ program exact on S, because ij has its primes in that set exactly when i
 and j do.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,14 +42,16 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .core import Sequence, _index, dirichlet_convolve
+from .fixtures import _indices
 from .operator import (
+    ArraySymbol,
     _check_products,
     assemble,
     bilinear_pair,
     product_classes,
     truncation_indices,
 )
-from .sieve import factor_pairs, sieve_limit
+from .sieve import _integer, factor_pairs, sieve_limit
 from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
@@ -80,7 +83,7 @@ class Representation:
         return float(sum(a.norm() * b.norm() for a, b in self.pairs))
 
     def value(self):
-        """sum_k a_k * b_k: one class sum."""
+        """sum_k a_k * b_k: one class sum per convolution, then one for the total."""
         return Sequence._sum(dirichlet_convolve(a, b) for a, b in self.pairs)
 
 
@@ -196,8 +199,9 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     up, one constant per solve.  The best of each is kept, and the
     solver stops once they are at most config.tol apart.  The bracket
     opens on the projected zero matrix, exactly feasible, and the zero
-    certificate.  A singular or overflowing Newton system, or an F that
-    no longer factors, ends the solve with the best bracket and
+    certificate, so a c whose opening bracket is already that narrow (c =
+    0, say) takes no step.  A singular or overflowing Newton system, or
+    an F that no longer factors, ends the solve with the best bracket and
     converged False.
     """
     cfg = config or XNormConfig()
@@ -218,18 +222,6 @@ def xnorm(c, n_max, config=None, prime_budget=None):
             f"window indices <= {n_max}"
         )
 
-    matrix = np.zeros((size, size), dtype=np.complex128)
-    if not c:
-        matrix.setflags(write=False)
-        return XNormResult(
-            value=0.0,
-            matrix=matrix,
-            certificate=Sequence(),
-            primal_dual_gap=0.0,
-            iterations=0,
-            converged=True,
-        )
-
     labels = classes.labels
     dim = rows.size
     m = classes.uniq.size
@@ -248,9 +240,8 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     best_x = (target / counts)[labels]
     upper = float(np.linalg.svd(best_x, compute_uv=False).sum())
     best_cert, lower = beta, 0.0
-    converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < cfg.max_iter and upper - lower > cfg.tol:
         try:
             inv_chol = np.linalg.inv(np.linalg.cholesky(f))
             w = inv_chol.conj().T @ inv_chol
@@ -286,9 +277,6 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         pairing = float(abs(np.dot(cert, target)))
         if pairing > lower:
             lower, best_cert = pairing, cert
-        if upper - lower <= cfg.tol:
-            converged = True
-            break
         lam = math.sqrt(lam2)
         if lam <= _CENTRED:
             t *= _T_GROWTH
@@ -296,6 +284,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         f[:dim, dim:] = beta[labels]
         f[dim:, :dim] = f[:dim, dim:].conj().T
 
+    matrix = np.zeros((size, size), dtype=np.complex128)
     matrix[np.ix_(rows, rows)] = best_x
     matrix.setflags(write=False)
     return XNormResult(
@@ -304,7 +293,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         certificate=Sequence._from_arrays(classes.uniq, best_cert),
         primal_dual_gap=max(upper - lower, 0.0),
         iterations=it,
-        converged=converged,
+        converged=upper - lower <= cfg.tol,
     )
 
 def representation_from_matrix(matrix, indices=None):
@@ -370,11 +359,11 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
 
 
 @dataclass(frozen=True)
-class GeometricDecay:
-    """Tail-certified generator a(n) = coeff * ratio^n, n >= 1.
+class GeometricDecay(ArraySymbol):
+    """a(n) = coeff * ratio^n, n >= 1: an infinite sequence with a certified tail.
 
-    Provides the exact l2 norm and tail norms needed by split_sequence,
-    and evaluates like a symbol fixture.
+    Evaluates like a symbol fixture, and carries the exact l2 norm and
+    the tail norms that split_sequence cuts it by.
     """
 
     ratio: float
@@ -386,15 +375,16 @@ class GeometricDecay:
             raise DomainError(f"geometric ratio must lie in (0, 1), got {r}")
         object.__setattr__(self, "ratio", r)
         object.__setattr__(self, "coeff", complex(self.coeff))
+        if not math.isfinite(self.norm()):
+            raise DomainError(f"geometric norm must be finite, got coeff {self.coeff}")
 
     @property
     def spec(self):
         return f"geometric:{self.ratio:g}"
 
-    def value(self, n):
-        if n < 1:
-            raise DomainError(f"index must be >= 1, got {n}")
-        return self.coeff * self.ratio**n
+    def values(self, ns):
+        # float_power rounds each power as Python's ratio ** n does
+        return self.coeff * np.float_power(self.ratio, _indices(ns))
 
     def norm(self):
         q = self.ratio
@@ -408,66 +398,64 @@ class GeometricDecay:
         return abs(self.coeff) * q ** (m + 1) / math.sqrt(1.0 - q * q)
 
     def prefix(self, m):
-        return Sequence({n: self.value(n) for n in range(1, m + 1)})
+        ns = np.arange(1, m + 1, dtype=np.int64)
+        return Sequence._from_arrays(ns, self.values(ns))
 
+    def _cut_points(self, delta, window):
+        """0 and the distinct dyadic cut points m_k of split_sequence, ascending.
 
-_CUT_SEARCH_CAP = 10**7
-
-
-def _cut_point(tail_norm, threshold, start):
-    m = start
-    while tail_norm(m) > threshold:
-        m += 1
-        if m > _CUT_SEARCH_CAP:
-            raise DomainError(
-                f"tail decays too slowly: no cut below {threshold} within "
-                f"{_CUT_SEARCH_CAP} indices"
-            )
-    return m
+        From K with 2^(-K+1) <= delta/2 on, m_k is the least m >= m_(k-1)
+        with tail_norm(m) = norm() ratio^m <= 2^-k.  The estimate m >=
+        log(2^-k / norm()) / log(ratio) takes log 2^-k as -k log 2, finite
+        where 2^-k underflows to 0 past k = 1074 (the cut is then where the
+        tail underflows).  tail_norm is nonincreasing but rounds in steps
+        (coarse ones where its power is subnormal), so the estimate is
+        bracketed by doubling steps and bisected.  The schedule stops once
+        a cut reaches the window or the tail is exactly 0.
+        """
+        cuts = [0]
+        for k in itertools.count(max(1, math.ceil(math.log2(4.0 / delta)))):
+            m, threshold = cuts[-1], 2.0**-k
+            if m >= window or self.tail_norm(m) == 0.0:
+                return cuts
+            if self.tail_norm(m) > threshold:
+                estimate = (-k * math.log(2.0) - math.log(self.norm())) / math.log(self.ratio)
+                lo, hi, step = m, max(m + 1, math.ceil(estimate)), 1
+                while self.tail_norm(hi) > threshold:
+                    lo, hi, step = hi, hi + step, 2 * step
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if self.tail_norm(mid) > threshold else (lo, mid)
+                cuts.append(hi)
 
 
 def split_sequence(a, delta, window=None):
     """Split a into blocks with disjoint index windows and small norm excess.
 
-    Finite Sequences are their own single block (their tail is exactly 0
+    A finite Sequence is its own single block (its tail is exactly 0
     past the last support point, so every cut constraint is met at
-    once).  Tail-certified generators follow the dyadic schedule: cut
-    points m_k with tail(m_k) <= 2^-k starting from K with
-    2^(-K+1) <= delta/2, continued until the blocks cover [1, window].
-    The block norms then sum to less than ||a|| + delta.
+    once).  A GeometricDecay is cut on the dyadic schedule of its
+    _cut_points, and its blocks are its entries on (m_(k-1), m_k], the
+    last one cut off at the window, from one values call; a block with
+    no nonzero entry is dropped.  The block norms then sum to less than
+    ||a|| + delta.
     """
     if not (isinstance(delta, (int, float)) and 0 < delta < math.inf):
         raise DomainError(f"delta must be a positive real, got {delta!r}")
     if isinstance(a, Sequence):
         return [a] if a else []
-
-    tail_norm = getattr(a, "tail_norm", None)
-    prefix = getattr(a, "prefix", None)
-    if tail_norm is None or prefix is None:
-        raise DomainError(
-            "split_sequence needs a finite Sequence or a generator with a "
-            "certified tail bound (tail_norm/prefix)"
-        )
-    if window is None:
-        raise DomainError("splitting a tail generator requires a window")
-    if window < 1:
+    if not isinstance(a, GeometricDecay):
+        raise DomainError("split_sequence needs a finite Sequence or a GeometricDecay, "
+                          f"got {type(a).__name__}")
+    if _integer(window, "window") < 1:
         raise DomainError(f"window must be >= 1, got {window}")
 
-    k = max(1, math.ceil(math.log2(4.0 / delta)))
-    m_prev = _cut_point(tail_norm, 2.0**-k, 0)
-    blocks = []
-    head = prefix(m_prev)
-    if head:
-        blocks.append(head)
-    while m_prev < window and tail_norm(m_prev) > 0.0:
-        k += 1
-        m_next = _cut_point(tail_norm, 2.0**-k, m_prev)
-        if m_next > m_prev:
-            piece = prefix(m_next) - prefix(m_prev)
-            if piece:
-                blocks.append(piece)
-            m_prev = m_next
-    return blocks
+    cuts = a._cut_points(delta, window)
+    # index n sits at position n - 1, so block (lo, hi] is the slice [lo:hi]
+    ns = np.arange(1, min(cuts[-1], window) + 1, dtype=np.int64)
+    vals = a.values(ns)
+    blocks = (Sequence._from_arrays(ns[lo:hi], vals[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
+    return [block for block in blocks if block]
 
 
 def refine_representation(rep, eps, window):
@@ -485,7 +473,7 @@ def refine_representation(rep, eps, window):
     if isinstance(rep, Representation):
         pairs = rep.pairs
     else:
-        # bare pair lists may mix Sequences with tail generators, which
+        # bare pair lists may mix Sequences with GeometricDecays, which
         # the strict Representation type cannot hold
         pairs = tuple((a, b) for a, b in rep)
     if not (isinstance(eps, (int, float)) and eps > 0):

@@ -416,3 +416,8 @@ def test_diagnostic_schedule_validation():
         compactness_diagnostic(Sequence.delta(1), (0.5,), (4, 2))
     with pytest.raises(DomainError, match="nonempty"):
         compactness_diagnostic(Sequence.delta(1), (0.5,), ())
+    # a non-integral size is refused, not truncated to a row for N = 4
+    for size in (4.7, 4.0, True):
+        with pytest.raises(DomainError, match="N-schedule entry must be an integer"):
+            compactness_diagnostic(MHilbertSymbol(), (0.5,), [size])
+    assert compactness_diagnostic(MHilbertSymbol(), (0.5,), [np.int64(4)]).rows[0][1] == 4

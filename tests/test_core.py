@@ -122,6 +122,14 @@ def test_sequence_norm_and_restrict():
     assert a.restrict(4) == a
 
 
+def test_sequence_norm_of_entries_whose_squares_overflow():
+    assert Sequence({1: 3e200, 4: 4e200j}).norm() == pytest.approx(5e200)
+    assert Sequence({1: 1e300 + 1e300j}).norm() == pytest.approx(math.sqrt(2) * 1e300)
+    assert Sequence({1: 1e308, 2: -1e308j}).norm() == pytest.approx(math.sqrt(2) * 1e308)
+    # squares that fit keep the one plain sum
+    assert Sequence({1: 3.0, 4: 4.0}).norm() == 5.0
+
+
 def test_sequence_hash_eq():
     assert Sequence.delta(7) == Sequence({7: 1.0})
     assert hash(Sequence.delta(7)) == hash(Sequence({7: 1.0}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helson import (
+    DeltaSymbol,
     DomainError,
     MHilbertSymbol,
     PowerSymbol,
@@ -97,6 +98,25 @@ def test_parse_fixture_errors():
     for bad in ("", "unknown:1", "delta", "delta:0", "power:", "random-decay:5"):
         with pytest.raises(DomainError):
             parse_fixture(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DeltaSymbol(2.5), "delta index must be an integer, got float"),
+    (lambda: DeltaSymbol(3.0), "delta index must be an integer, got float"),
+    (lambda: DeltaSymbol(True), "delta index must be an integer, got bool"),
+    (lambda: RandomDecaySymbol(7.9, 0.5), "random-decay seed must be an integer, got float"),
+    (lambda: RandomDecaySymbol(False, 0.5), "random-decay seed must be an integer, got bool"),
+])
+def test_non_integral_parameters_are_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_integer_parameters_pass():
+    # spec strings and numpy integers still build the same fixture
+    assert DeltaSymbol("3").spec == DeltaSymbol(np.int64(3)).spec == "delta:3"
+    assert RandomDecaySymbol(np.int32(-3), 0.5).spec == "random-decay:-3,0.5"
+    assert parse_fixture("random-decay: 7,0.5").spec == "random-decay:7,0.5"
 
 
 def test_fixture_specs_round_trip():

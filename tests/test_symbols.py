@@ -158,11 +158,26 @@ def test_empty_index_input_stays_valid():
 
 
 def test_fallback_to_scalar_value():
-    gen = GeometricDecay(0.5, coeff=2.0)
+    class Halving:
+        def value(self, n):
+            return 2.0 * 0.5**n
+
+    gen = Halving()
     ns = [3, 1, 3, 7]
     assert symbol_values(gen, ns).tolist() == [gen.value(n) for n in ns]
     with pytest.raises(DomainError):
         symbol_values(object(), ns)
+
+
+def test_geometric_decay_is_evaluated_as_an_array(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("value called")
+
+    monkeypatch.setattr(GeometricDecay, "value", refuse)
+    ns = np.array([3, 1, 3, 7, 60, 1074, 1075])
+    for ratio, coeff in ((0.5, 2.0), (0.9, 1 - 2j), (0.123, -1e300j)):
+        got = symbol_values(GeometricDecay(ratio, coeff), ns)
+        assert got.tolist() == [complex(coeff) * ratio**n for n in ns.tolist()]
 
 
 def test_instance_value_override_is_honoured():

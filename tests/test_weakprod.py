@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,14 @@ def test_xnorm_zero():
     assert res.iterations == 0
     assert not res.certificate
     assert res.converged
+
+
+def test_xnorm_takes_no_step_on_a_bracket_already_closed():
+    # the opening bracket [0, 1e-7] is already within tol = 1e-6
+    res = xnorm(Sequence({1: 1e-7}), 4)
+    assert res.iterations == 0 and res.converged
+    assert res.value == 1e-7 and res.primal_dual_gap == 1e-7
+    assert not res.certificate
 
 
 def test_xnorm_unrepresentable_support():
@@ -502,6 +511,81 @@ def test_split_geometric():
         assert joined == g.prefix(64)
 
 
+def _least_cut(g, k, start, scan=200_000):
+    """The least m >= start with tail_norm(m) <= 2^-k, by a linear scan.
+
+    Past `scan` indices the scan stops and returns None.
+    """
+    threshold = 2.0**-k
+    for m in range(start, start + scan):
+        if g.tail_norm(m) <= threshold:
+            return m
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    coeff=st.one_of(st.sampled_from([0.0, 1.0, 1e300, 1e-300, -2.5j]),
+                    st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                                       allow_infinity=False)),
+    delta=st.floats(1e-12, 10.0),
+    window=st.integers(1, 4000),
+)
+def test_split_cuts_are_least_and_blocks_reassemble(ratio, coeff, delta, window):
+    g = GeometricDecay(ratio, coeff)
+    cuts = g._cut_points(delta, window)
+    # replay the dyadic schedule with a linear search for every cut
+    expected = [0]
+    k = max(1, math.ceil(math.log2(4.0 / delta)))
+    while expected[-1] < window and g.tail_norm(expected[-1]) > 0.0:
+        nxt = _least_cut(g, k, expected[-1])
+        if nxt is None:
+            # too far for the scan: check that the cut is where the tail drops
+            nxt = cuts[len(expected)]
+            assert g.tail_norm(nxt) <= 2.0**-k < g.tail_norm(nxt - 1)
+        if nxt > expected[-1]:
+            expected.append(nxt)
+        k += 1
+    assert cuts == expected
+
+    blocks = split_sequence(g, delta, window=window)
+    top = min(cuts[-1], window)
+    joined = Sequence._sum(blocks)
+    assert joined == g.prefix(top)
+    assert sum(len(b) for b in blocks) == len(joined)
+    assert all(blk and blk.max_index <= top for blk in blocks)
+    assert all(a.max_index < b.support[0] for a, b in zip(blocks, blocks[1:]))
+    # each block lies in one (m_(k-1), m_k], and no two share one
+    slots = [np.searchsorted(cuts, [b.support[0], b.max_index]).tolist() for b in blocks]
+    assert all(lo == hi for lo, hi in slots)
+    assert len({lo for lo, _ in slots}) == len(blocks)
+    # up to the rounding of each norm and of the sum, which a delta below
+    # the ulp of ||a|| (coeff 1e300) cannot absorb
+    total = sum(b.norm() for b in blocks)
+    assert total < g.norm() + delta + (len(blocks) + 4) * 2.0**-52 * total
+
+
+def test_split_stops_where_the_tail_underflows():
+    # 2^-k underflows to 0 before the cuts reach the window: the last cut
+    # is the first index whose tail norm is 0
+    blocks = split_sequence(GeometricDecay(0.5), 0.1, window=2000)
+    assert len(blocks) == 1069
+    assert blocks[0].support[0] == 1 and blocks[-1].max_index == 1074
+    assert split_sequence(GeometricDecay(0.5, 0.0), 0.1, window=2000) == []
+
+
+def test_split_is_linear_in_the_window():
+    # each block is one values call on its own indices (1.3 s when every
+    # block was rebuilt from two prefixes)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        split_sequence(GeometricDecay(0.5), 0.1, window=1000)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.1
+
+
 def test_split_requires_tail_bound():
     class NoTail:
         def value(self, n):
@@ -576,9 +660,13 @@ def test_refine_budget_infeasible():
     (lambda: representation_from_matrix(np.zeros((2, 3))), "square"),
     (lambda: representation_from_matrix(np.eye(2), (1,)), "index map length"),
     (lambda: GeometricDecay(1.5), "ratio must lie in"),
+    (lambda: GeometricDecay(0.5, math.inf), "norm must be finite"),
+    (lambda: GeometricDecay(0.9, 1e308), "norm must be finite"),
     (lambda: GeometricDecay(0.5).value(0), "index must be >= 1"),
     (lambda: GeometricDecay(0.5).tail_norm(-1), "cut point must be >= 0"),
     (lambda: split_sequence(GeometricDecay(0.5), 0.1, window=0), "window must be >= 1"),
+    (lambda: split_sequence(GeometricDecay(0.5), 0.1, window=8.5),
+     "window must be an integer, got float"),
     (lambda: refine_representation([], 0.0, 8), "eps must be a positive real"),
     (lambda: refine_representation([], 0.1, 0), "window must be >= 1"),
 ])
@@ -587,7 +675,9 @@ def test_refusals(call, message):
         call()
 
 
-def test_split_refuses_a_tail_that_never_drops(monkeypatch):
+def test_split_refuses_a_tail_that_never_drops():
+    # a duck-typed tail generator is refused whatever it provides: only a
+    # GeometricDecay has its cuts in closed form
     class Flat:
         def tail_norm(self, m):
             return 1.0
@@ -595,8 +685,7 @@ def test_split_refuses_a_tail_that_never_drops(monkeypatch):
         def prefix(self, m):
             return Sequence({n: 1.0 for n in range(1, m + 1)})
 
-    monkeypatch.setattr(helson.weakprod, "_CUT_SEARCH_CAP", 8)
-    with pytest.raises(DomainError, match="tail decays too slowly"):
+    with pytest.raises(DomainError, match="a finite Sequence or a GeometricDecay, got Flat"):
         split_sequence(Flat(), 0.1, window=4)
 
 
