@@ -38,11 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from . import sieve
+from .errors import DomainError, _integer, _real
 from .operator import assemble
 from .spectral import NORM_TOL, _gamma, operator_norm
-from .core import _rvalue, dilation_weight
+from .core import dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -65,6 +64,8 @@ class ConvexWeights:
         w = tuple(float(x) for x in self.weights)
         if len(grid) != len(w):
             raise DomainError("weights and r-grid must have equal length")
+        if not all(map(math.isfinite, w)):
+            raise DomainError(f"weights must be finite, got {w}")
         if any(x < -1e-12 for x in w):
             raise DomainError(f"weights must be nonnegative, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
@@ -91,7 +92,7 @@ class ApproxResult:
 
 
 def _grid(r_grid):
-    grid = tuple(_rvalue(r) for r in r_grid)
+    grid = tuple(_real(r, "dilation parameter", 1.0) for r in r_grid)
     if not grid:
         raise DomainError("r-grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -268,7 +269,7 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     and flags the table, as best_convex_approx flags its result.
     """
     grid = _grid(r_schedule)
-    sizes = [sieve._integer(n, "N-schedule entry") for n in n_schedule]
+    sizes = [_integer(n, "N-schedule entry") for n in n_schedule]
     if not sizes:
         raise DomainError("N-schedule must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

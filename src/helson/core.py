@@ -20,11 +20,12 @@ share, are operator.ProductClasses.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _integer_array, _real
 from . import sieve
 
 
@@ -37,14 +38,7 @@ def _as_complex(v):
 
 def _index(n):
     """n as an int in [1, 2^63), the range of an int64 index."""
-    try:
-        m = int(n)
-    except (TypeError, ValueError):
-        m = None
-    if m is None or m != n or isinstance(n, (float, complex, bool, np.bool_)):
-        raise DomainError(f"sequence index must be an integer, got {n!r}")
-    if m < 1:
-        raise DomainError(f"sequence index must be >= 1, got {m}")
+    m = _integer(n, "sequence index", 1)
     if m >= 1 << 63:
         raise DomainError(f"sequence index must be below 2^63, got {m}")
     return m
@@ -124,7 +118,7 @@ class Sequence:
 
     def values(self, ns):
         """Entries at an integer array of indices; off the support they read 0."""
-        ns = sieve._integer_array(ns)
+        ns = _integer_array(ns)
         out = np.zeros(ns.shape, dtype=np.complex128)
         if self._keys.size:
             pos = np.minimum(self._keys.searchsorted(ns), self._keys.size - 1)
@@ -170,10 +164,10 @@ class Sequence:
         return Sequence._from_arrays(self._keys, self._vals.conj())
 
     def norm(self):
-        """l2 norm over the support; squares that overflow are summed scaled."""
+        """l2 norm over the support; squares that overflow or underflow are summed scaled."""
         with np.errstate(over="ignore", invalid="ignore"):
             total = _dot(self._vals, self._vals.conj()).real
-        if total < math.inf:
+        if sys.float_info.min <= total < math.inf or not self._keys.size:
             return math.sqrt(total)
         mags = np.abs(self._vals)
         scale = float(mags.max())
@@ -181,9 +175,7 @@ class Sequence:
 
     def restrict(self, window):
         """Entries with index <= window."""
-        if window < 0:
-            raise DomainError(f"window must be >= 0, got {window}")
-        keep = self._keys <= window
+        keep = self._keys <= _integer(window, "window", 0)
         return Sequence._from_arrays(self._keys[keep], self._vals[keep])
 
     def __repr__(self):
@@ -222,20 +214,12 @@ def dirichlet_convolve(a, b):
     return Sequence._from_arrays(prod, terms)
 
 
-def _rvalue(r):
-    """The dilation parameter r as a float, strictly inside (0, 1)."""
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"dilation parameter must satisfy 0 < r < 1, got {r}")
-    return r
-
-
 def dilation_weight(r, n):
     """r^omega(n) where omega is the weighted degree; 1 exactly when n = 1.
 
     n may be an integer or an integer array; the result has its shape.
     """
-    r = _rvalue(r)
+    r = _real(r, "dilation parameter", 1.0)
     omega = np.asarray(sieve.weighted_degree(n))
     # one Python power per distinct degree, gathered, so each weight is
     # bit for bit r ** weighted_degree(n)
@@ -303,10 +287,8 @@ def dilation_hs_sum(r, tolerance):
     estimated level count passes HS_MAX_TERMS is refused before any level
     is summed.
     """
-    r = _rvalue(r)
-    tolerance = float(tolerance)
-    if not (0.0 < tolerance < 1.0):
-        raise DomainError(f"tolerance must lie in (0, 1), got {tolerance}")
+    r = _real(r, "dilation parameter", 1.0)
+    tolerance = _real(tolerance, "tolerance", 1.0)
     q = r * r
 
     # p(w) grows like exp(pi*sqrt(2w/3)), so the level where terms sink
@@ -353,7 +335,7 @@ def dilation_hs_sum(r, tolerance):
         if met.size:
             k = met[0]
             return HSSum(partial_sum=float(totals[k]), product_form=product,
-                         terms_used=w + k + 1)
+                         terms_used=int(w + k + 1))
         total = float(totals[-1])
         w = stop
 
@@ -373,9 +355,7 @@ def sequence_from_triples(obj):
         if not (isinstance(item, list) and len(item) == 3):
             raise DomainError(f"malformed sequence triple: {item!r}")
         n, re, im = item
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise DomainError(f"sequence index must be an integer, got {n!r}")
-        if n <= last:
+        if _integer(n, "sequence index") <= last:
             raise DomainError(f"sequence indices must be strictly increasing at {n}")
         last = n
         entries[n] = complex(float(re), float(im))

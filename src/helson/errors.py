@@ -1,4 +1,14 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and its input gates.
+
+_integer, _integer_array and _real are the package's one rule for what
+counts as an integer, an integer index array and a bounded positive
+real.  None of them takes a bool, and each refuses with DomainError.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class HelsonError(Exception):
@@ -11,3 +21,42 @@ class DomainError(HelsonError, ValueError):
 
 class InvariantViolation(HelsonError, RuntimeError):
     """A mathematical invariant failed.  Indicates a bug, not bad input."""
+
+
+def _integer(n, what, low=None):
+    """n as an int; DomainError unless it is an integer >= low, a bool excepted."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise DomainError(f"{what} must be an integer, got {type(n).__name__}")
+    n = int(n)
+    if low is not None and n < low:
+        raise DomainError(f"{what} must be >= {low}, got {n}")
+    return n
+
+
+def _integer_array(ns, low=None):
+    """ns as an int64 array; DomainError unless its dtype is integer and ns >= low.
+
+    An empty input passes whatever its dtype, so () and [] are valid.
+    """
+    arr = np.asarray(ns)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(f"indices must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if low is not None and arr.size and arr.min() < low:
+        raise DomainError(f"index must be >= {low}, got {arr.min()}")
+    return arr
+
+
+def _real(x, what, high=math.inf):
+    """x as a float; DomainError unless it is a real number, a bool excepted, in (0, high)."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise DomainError(f"{what} must be a real number, got {type(x).__name__}")
+    try:
+        x = float(x)
+    except OverflowError:  # an int or Fraction past the float range
+        x = math.inf
+    if not 0.0 < x < high:
+        if high == math.inf:
+            raise DomainError(f"{what} must be positive and finite, got {x}")
+        raise DomainError(f"{what} must lie in (0, {high:g}), got {x}")
+    return x

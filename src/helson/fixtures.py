@@ -16,8 +16,7 @@ reports are reproducible byte for byte.  random-decay values changed in
 
 import numpy as np
 
-from .errors import DomainError
-from . import sieve
+from .errors import DomainError, _integer, _integer_array
 from .core import Sequence, load_sequence
 from .operator import ArraySymbol
 
@@ -26,13 +25,6 @@ from .operator import ArraySymbol
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _indices(ns):
-    ns = sieve._integer_array(ns)
-    if ns.size and ns.min() < 1:
-        raise DomainError(f"index must be >= 1, got {ns.min()}")
-    return ns
 
 
 def splitmix64(x):
@@ -51,14 +43,11 @@ class DeltaSymbol(ArraySymbol):
 
     def __init__(self, n):
         # a spec string parses; int("2.5") is parse_fixture's usage error
-        n = int(n) if isinstance(n, str) else sieve._integer(n, "delta index")
-        if n < 1:
-            raise DomainError(f"delta index must be >= 1, got {n}")
-        self.n = n
-        self.spec = f"delta:{n}"
+        self.n = _integer(int(n) if isinstance(n, str) else n, "delta index", 1)
+        self.spec = f"delta:{self.n}"
 
     def values(self, ns):
-        return (_indices(ns) == self.n).astype(np.complex128)
+        return (_integer_array(ns, 1) == self.n).astype(np.complex128)
 
     def as_sequence(self):
         return Sequence.delta(self.n)
@@ -72,7 +61,7 @@ class PowerSymbol(ArraySymbol):
         self.spec = f"power:{self.sigma:g}"
 
     def values(self, ns):
-        return (_indices(ns).astype(np.float64) ** -self.sigma).astype(np.complex128)
+        return (_integer_array(ns, 1).astype(np.float64) ** -self.sigma).astype(np.complex128)
 
 
 class MHilbertSymbol(ArraySymbol):
@@ -87,7 +76,7 @@ class MHilbertSymbol(ArraySymbol):
     spec = "mhilbert"
 
     def values(self, ns):
-        ns = _indices(ns)
+        ns = _integer_array(ns, 1)
         out = np.zeros(ns.shape, dtype=np.complex128)
         big = ns > 1
         x = ns[big].astype(np.float64)
@@ -107,13 +96,12 @@ class RandomDecaySymbol(ArraySymbol):
     """
 
     def __init__(self, seed, rate):
-        self.seed = (int(seed) if isinstance(seed, str)
-                     else sieve._integer(seed, "random-decay seed"))
+        self.seed = _integer(int(seed) if isinstance(seed, str) else seed, "random-decay seed")
         self.rate = float(rate)
         self.spec = f"random-decay:{self.seed},{self.rate:g}"
 
     def values(self, ns):
-        ns = _indices(ns)
+        ns = _integer_array(ns, 1)
         # flattened so that 0-d input still wraps as an array, silently
         flat = ns.reshape(-1)
         # rows x and x + 1, hashed in one pass; every step below is the

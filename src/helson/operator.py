@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _integer_array
 from . import sieve
 from .core import Sequence, _dot, dilate, dirichlet_convolve
 
@@ -45,7 +45,7 @@ def symbol_values(symbol, ns):
     instance whose ``value`` was replaced on the instance (a counting or
     logging wrapper): the replacement is never bypassed.
     """
-    ns = sieve._integer_array(ns)
+    ns = _integer_array(ns)
     values = getattr(symbol, "values", None)
     value = getattr(symbol, "value", None)
     if values is None and value is None:
@@ -114,9 +114,7 @@ class HelsonMatrix:
 
 def truncation_indices(n_max, prime_budget=None):
     """Row/column indices of the truncation window: 1..N, d-smooth under a budget."""
-    if n_max < 1:
-        raise DomainError(f"truncation size must be >= 1, got {n_max}")
-    return sieve.smooth_indices(n_max, prime_budget)
+    return sieve.smooth_indices(_integer(n_max, "truncation size", 1), prime_budget)
 
 
 def _check_products(indices):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _integer_array
 
 # the range of every index query, read at call time
 MAX_INDEX = 1 << 20
@@ -88,30 +88,12 @@ def sieve_limit():
     return MAX_INDEX
 
 
-def _integer(n, what="index"):
-    """n as an int; DomainError unless it is an integer, a bool excepted."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"{what} must be an integer, got {type(n).__name__}")
-    return int(n)
-
-
 def _check_index(n):
-    n = _integer(n)
+    n = _integer(n, "index")
     if n < 1 or n > MAX_INDEX:
         raise DomainError(f"index {n} outside [1, sieve limit {MAX_INDEX}]")
     _ensure(n)
     return n
-
-
-def _integer_array(ns):
-    """ns as an int64 array; DomainError unless its dtype is integer.
-
-    An empty input passes whatever its dtype, so () and [] are valid.
-    """
-    arr = np.asarray(ns)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError(f"indices must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
 
 
 def _indices(n):
@@ -183,17 +165,8 @@ def is_smooth(n, d):
     d = None admits every index in range.  Elementwise on an integer
     array, like weighted_degree.
     """
-    bound = _budget(d)
+    bound = math.inf if d is None else _integer(d, "prime budget", 1)
     return max_prime_index(n) <= bound
-
-
-def _budget(d):
-    """Largest prime index a d-smooth index may have; inf for d = None."""
-    if d is None:
-        return math.inf
-    if d < 1:
-        raise DomainError(f"prime budget must be >= 1, got {d}")
-    return d
 
 
 def smooth_indices(n_max, prime_budget=None):
@@ -201,5 +174,5 @@ def smooth_indices(n_max, prime_budget=None):
     n_max = _check_index(n_max)
     if prime_budget is None:
         return list(range(1, n_max + 1))
-    keep = _state.gpi[1 : n_max + 1] <= _budget(prime_budget)
+    keep = _state.gpi[1 : n_max + 1] <= _integer(prime_budget, "prime budget", 1)
     return (np.flatnonzero(keep) + 1).tolist()

@@ -35,14 +35,12 @@ and j do.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, _integer, _integer_array, _real
 from .core import Sequence, _index, dirichlet_convolve
-from .fixtures import _indices
 from .operator import (
     ArraySymbol,
     _check_products,
@@ -51,7 +49,7 @@ from .operator import (
     product_classes,
     truncation_indices,
 )
-from .sieve import _integer, factor_pairs, sieve_limit
+from .sieve import factor_pairs, sieve_limit
 from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
@@ -98,19 +96,18 @@ def rep_cost(rep):
 class XNormConfig:
     """Stopping rule of xnorm.
 
-    tol is the absolute certified gap at which the solver stops:
-    ||X||_* - |(beta, c)| / ||M_N(beta)|| <= tol.  max_iter caps the
-    number of Newton steps.
+    tol, a positive finite real, is the absolute certified gap at which
+    the solver stops: ||X||_* - |(beta, c)| / ||M_N(beta)|| <= tol.
+    max_iter, an integer >= 1, caps the number of Newton steps.  A bool
+    is neither.
     """
 
     tol: float = 1e-6
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
-            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _real(self.tol, "tolerance")
+        _integer(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -370,10 +367,7 @@ class GeometricDecay(ArraySymbol):
     coeff: complex = 1.0
 
     def __post_init__(self):
-        r = float(self.ratio)
-        if not (0.0 < r < 1.0):
-            raise DomainError(f"geometric ratio must lie in (0, 1), got {r}")
-        object.__setattr__(self, "ratio", r)
+        object.__setattr__(self, "ratio", _real(self.ratio, "geometric ratio", 1.0))
         object.__setattr__(self, "coeff", complex(self.coeff))
         if not math.isfinite(self.norm()):
             raise DomainError(f"geometric norm must be finite, got coeff {self.coeff}")
@@ -384,7 +378,7 @@ class GeometricDecay(ArraySymbol):
 
     def values(self, ns):
         # float_power rounds each power as Python's ratio ** n does
-        return self.coeff * np.float_power(self.ratio, _indices(ns))
+        return self.coeff * np.float_power(self.ratio, _integer_array(ns, 1))
 
     def norm(self):
         q = self.ratio
@@ -392,10 +386,8 @@ class GeometricDecay(ArraySymbol):
 
     def tail_norm(self, m):
         """||a - a^m|| for the prefix cut at m >= 0."""
-        if m < 0:
-            raise DomainError(f"cut point must be >= 0, got {m}")
         q = self.ratio
-        return abs(self.coeff) * q ** (m + 1) / math.sqrt(1.0 - q * q)
+        return abs(self.coeff) * q ** (_integer(m, "cut point", 0) + 1) / math.sqrt(1.0 - q * q)
 
     def prefix(self, m):
         ns = np.arange(1, m + 1, dtype=np.int64)
@@ -440,15 +432,13 @@ def split_sequence(a, delta, window=None):
     no nonzero entry is dropped.  The block norms then sum to less than
     ||a|| + delta.
     """
-    if not (isinstance(delta, (int, float)) and 0 < delta < math.inf):
-        raise DomainError(f"delta must be a positive real, got {delta!r}")
+    delta = _real(delta, "delta")
     if isinstance(a, Sequence):
         return [a] if a else []
     if not isinstance(a, GeometricDecay):
         raise DomainError("split_sequence needs a finite Sequence or a GeometricDecay, "
                           f"got {type(a).__name__}")
-    if _integer(window, "window") < 1:
-        raise DomainError(f"window must be >= 1, got {window}")
+    window = _integer(window, "window", 1)
 
     cuts = a._cut_points(delta, window)
     # index n sits at position n - 1, so block (lo, hi] is the slice [lo:hi]
@@ -476,10 +466,8 @@ def refine_representation(rep, eps, window):
         # bare pair lists may mix Sequences with GeometricDecays, which
         # the strict Representation type cannot hold
         pairs = tuple((a, b) for a, b in rep)
-    if not (isinstance(eps, (int, float)) and eps > 0):
-        raise DomainError(f"eps must be a positive real, got {eps!r}")
-    if window < 1:
-        raise DomainError(f"window must be >= 1, got {window}")
+    eps = _real(eps, "eps")
+    window = _integer(window, "window", 1)
 
     out = []
     for k, (a_k, b_k) in enumerate(pairs, 1):

@@ -70,6 +70,13 @@ def test_weights_validation():
         ConvexWeights((0.5, 0.9), (1.0,))
 
 
+@pytest.mark.parametrize("weights", [(np.nan, np.nan), (0.5, np.nan), (np.inf, -np.inf)])
+def test_weights_refuse_non_finite(weights):
+    # every comparison with nan is false, so the simplex checks alone pass it
+    with pytest.raises(DomainError, match="weights must be finite"):
+        ConvexWeights((0.5, 0.9), weights)
+
+
 # --------------------------------------------------------- best_convex_approx
 
 

@@ -61,6 +61,9 @@ def test_rep_cost_examples():
     # convolving with delta_1 on the right leaves c unchanged (conj(1) = 1)
     assert rep.value() == c
     assert rep_cost(Representation(())) == 0.0
+    # entries whose squares underflow still cost their norm, not 0
+    tiny = Sequence({1: 3e-200, 4: 4e-200j})
+    assert rep_cost([(tiny, 2.0 * Sequence.delta(1))]) == pytest.approx(1e-199, rel=1e-15, abs=0.0)
 
 
 def test_rep_two_pairs():
@@ -667,7 +670,7 @@ def test_refine_budget_infeasible():
     (lambda: split_sequence(GeometricDecay(0.5), 0.1, window=0), "window must be >= 1"),
     (lambda: split_sequence(GeometricDecay(0.5), 0.1, window=8.5),
      "window must be an integer, got float"),
-    (lambda: refine_representation([], 0.0, 8), "eps must be a positive real"),
+    (lambda: refine_representation([], 0.0, 8), "eps must be positive and finite"),
     (lambda: refine_representation([], 0.1, 0), "window must be >= 1"),
 ])
 def test_refusals(call, message):
