@@ -7,11 +7,7 @@ evaluates the weak-product (projective tensor) norm under Dirichlet
 convolution with primal-dual certificates.
 """
 
-from .errors import (
-    DomainError,
-    HelsonError,
-    InvariantViolation,
-)
+from .errors import DomainError, HelsonError
 from .sieve import (
     factor_pairs,
     factorize,
@@ -42,7 +38,6 @@ from .operator import (
     form,
     matrix_to_csv,
     symbol_values,
-    truncation_indices,
 )
 from .spectral import (
     LowerBoundCheck,
@@ -95,7 +90,6 @@ __all__ = [
     "HSSum",
     "HelsonError",
     "HelsonMatrix",
-    "InvariantViolation",
     "LowerBoundCheck",
     "MHilbertSymbol",
     "PowerSymbol",
@@ -136,7 +130,6 @@ __all__ = [
     "smooth_indices",
     "split_sequence",
     "symbol_values",
-    "truncation_indices",
     "weighted_degree",
     "xnorm",
 ]

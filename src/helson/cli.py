@@ -34,7 +34,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, HelsonError
+from .errors import DomainError
 from . import sieve
 from .core import (
     dilate,
@@ -42,7 +42,7 @@ from .core import (
     filter_smooth,
     sequence_to_triples,
 )
-from .operator import HelsonMatrix, assemble, matrix_to_csv, truncation_indices
+from .operator import assemble, matrix_to_csv
 from .spectral import NORM_TOL, operator_norm
 from .approx import _grid, best_convex_approx, compactness_diagnostic
 from .weakprod import XNormConfig, duality_gap, xnorm
@@ -308,9 +308,8 @@ def cmd_xnorm(cfg, args):
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     result = xnorm(c, cfg.N, config=solver, prime_budget=cfg.prime_budget)
     if args.matrix_out:
-        window = HelsonMatrix(result.matrix, truncation_indices(cfg.N, cfg.prime_budget))
         with open(args.matrix_out, "w") as fh:
-            fh.write(_csv_stamp(cfg) + matrix_to_csv(window))
+            fh.write(_csv_stamp(cfg) + matrix_to_csv(result.matrix))
     text = _json_doc({
         **_stamp(cfg),
         "input": args.sequence,
@@ -437,9 +436,6 @@ def main(argv=None):
     except (DomainError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except HelsonError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     if failure:
         print(f"convergence failure: {failure}", file=sys.stderr)
         return 3

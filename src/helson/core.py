@@ -15,7 +15,7 @@ omega(n) = sum_j j*kappa_j is the weighted degree of the factorization.
 Every Sequence is built by one class sum (np.unique, then bincount); a
 convolution is that sum over the products of two supports.  The product
 classes {(i, j): n_i n_j = n} of a window, which assembly and xnorm
-share, are operator.ProductClasses.
+share, are those of operator.Window.
 """
 
 import json
@@ -349,17 +349,19 @@ def sequence_from_triples(obj):
     """Parse a JSON array of [index, re, im] triples; indices must increase."""
     if not isinstance(obj, list):
         raise DomainError("sequence file must be a JSON array of [n, re, im] triples")
-    entries = {}
-    last = 0
+    keys, vals = [0], []
     for item in obj:
         if not (isinstance(item, list) and len(item) == 3):
             raise DomainError(f"malformed sequence triple: {item!r}")
         n, re, im = item
-        if _integer(n, "sequence index") <= last:
+        keys.append(_integer(n, "sequence index"))
+        if keys[-1] <= keys[-2]:
             raise DomainError(f"sequence indices must be strictly increasing at {n}")
-        last = n
-        entries[n] = complex(float(re), float(im))
-    return Sequence(entries)
+        vals.append(complex(float(re), float(im)))
+    # the indices increase from 1, so only the last can pass the 2^63 bound
+    _index(max(keys[-1], 1))
+    return Sequence._from_arrays(np.array(keys[1:], dtype=np.int64),
+                                 np.array(vals, dtype=np.complex128))
 
 
 def save_sequence(a, path):

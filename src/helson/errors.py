@@ -1,8 +1,9 @@
 """Exception types shared by every module in the package, and its input gates.
 
 _integer, _integer_array and _real are the package's one rule for what
-counts as an integer, an integer index array and a bounded positive
-real.  None of them takes a bool, and each refuses with DomainError.
+counts as an integer, an integer index array and a bounded real
+(positive unless a lower bound is given).  None of them takes a bool,
+and each refuses with DomainError.
 """
 
 import math
@@ -17,10 +18,6 @@ class HelsonError(Exception):
 
 class DomainError(HelsonError, ValueError):
     """Invalid argument, index out of range, or sieve overflow."""
-
-
-class InvariantViolation(HelsonError, RuntimeError):
-    """A mathematical invariant failed.  Indicates a bug, not bad input."""
 
 
 def _integer(n, what, low=None):
@@ -47,16 +44,17 @@ def _integer_array(ns, low=None):
     return arr
 
 
-def _real(x, what, high=math.inf):
-    """x as a float; DomainError unless it is a real number, a bool excepted, in (0, high)."""
+def _real(x, what, high=math.inf, low=0.0):
+    """x as a float; DomainError unless it is a real number, a bool excepted, in (low, high)."""
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise DomainError(f"{what} must be a real number, got {type(x).__name__}")
     try:
         x = float(x)
     except OverflowError:  # an int or Fraction past the float range
         x = math.inf
-    if not 0.0 < x < high:
-        if high == math.inf:
-            raise DomainError(f"{what} must be positive and finite, got {x}")
-        raise DomainError(f"{what} must lie in (0, {high:g}), got {x}")
+    if not low < x < high:
+        if high < math.inf:
+            raise DomainError(f"{what} must lie in ({low:g}, {high:g}), got {x}")
+        sign = "positive and " if low == 0.0 else ""
+        raise DomainError(f"{what} must be {sign}finite, got {x}")
     return x

@@ -10,13 +10,19 @@ Every fixture is array-native: ``values(ns)`` maps an int64 array of
 indices >= 1 to a complex128 array in one vectorized call, and the
 scalar ``value(n)`` is ``values`` on a one-element array.  Every value
 is a pure function of the spec and the index, so assembled matrices and
-reports are reproducible byte for byte.  random-decay values changed in
+reports are reproducible byte for byte on one host and numpy build.
+Across builds the last bit may differ: numpy's ``**`` and its
+transcendental functions take SIMD paths (on AVX-512, say) that need not
+round as the C library's ``pow`` does.  random-decay values changed in
 0.2.0; they differ from those of 0.1.0.
+
+Every real parameter passes the finite-real gate of errors.py, and a
+spec string is parsed first.
 """
 
 import numpy as np
 
-from .errors import DomainError, _integer, _integer_array
+from .errors import DomainError, _integer, _integer_array, _real
 from .core import Sequence, load_sequence
 from .operator import ArraySymbol
 
@@ -57,7 +63,9 @@ class PowerSymbol(ArraySymbol):
     """alpha(n) = n^(-sigma); rank-one matrix since alpha(nm) splits."""
 
     def __init__(self, sigma):
-        self.sigma = float(sigma)
+        # a spec string parses; float("x") is parse_fixture's usage error
+        self.sigma = _real(float(sigma) if isinstance(sigma, str) else sigma,
+                           "power exponent", low=-np.inf)
         self.spec = f"power:{self.sigma:g}"
 
     def values(self, ns):
@@ -97,7 +105,8 @@ class RandomDecaySymbol(ArraySymbol):
 
     def __init__(self, seed, rate):
         self.seed = _integer(int(seed) if isinstance(seed, str) else seed, "random-decay seed")
-        self.rate = float(rate)
+        self.rate = _real(float(rate) if isinstance(rate, str) else rate,
+                          "random-decay rate", low=-np.inf)
         self.spec = f"random-decay:{self.seed},{self.rate:g}"
 
     def values(self, ns):

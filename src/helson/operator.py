@@ -4,13 +4,16 @@ The entry at row index n and column index m depends only on the product
 nm, which makes every assembled matrix symmetric (not Hermitian unless
 alpha is real).  Under a prime budget d the rows and columns run over
 the d-smooth integers <= N, in ascending order, with the index map kept
-on the matrix.  Entries are float64 when every value alpha takes on the
+on the matrix.  Window is the one place a window is built: its indices,
+the sieve bound on its products, its product classes and its polydisk
+sub-windows.  Entries are float64 when every value alpha takes on the
 window's products is real and complex128 otherwise.
 
 assemble evaluates alpha once per distinct product.  On a window 1..N
 row n is alpha at n, 2n, ..., Nn: a stride-n slice of one table over
 [0, N^2], with no N^2 index array.  A sparse prime-budget window sorts
-its products into classes and gathers the values through them.
+its products into the Window's classes and gathers the values through
+them.
 
 assemble is the one route to matrix entries.  A dilated truncation needs
 no second one: the weighted degree is additive over products, so
@@ -112,34 +115,61 @@ class HelsonMatrix:
         return len(self.indices)
 
 
-def truncation_indices(n_max, prime_budget=None):
-    """Row/column indices of the truncation window: 1..N, d-smooth under a budget."""
-    return sieve.smooth_indices(_integer(n_max, "truncation size", 1), prime_budget)
+class Window:
+    """A truncation window: ascending int64 indices and their product classes.
 
-
-def _check_products(indices):
-    limit = sieve.sieve_limit()
-    top = indices[-1] * indices[-1]
-    if top > limit:
-        raise DomainError(
-            f"matrix window needs index {top} = {indices[-1]}^2 "
-            f"above sieve limit {limit}"
-        )
-
-
-@dataclass(frozen=True)
-class ProductClasses:
-    """The positions of a window grouped by product: {(i, j): n_i n_j = n}.
-
-    ``uniq`` holds the distinct products in ascending order,
-    ``labels[i, j]`` the position of n_i * n_j in it and ``counts`` the
-    class sizes.  The entries of M(alpha) are constant on each class, and
-    the weak-product constraints and Newton system are class sums.
+    The classes {(i, j): n_i n_j = n} are built on first use: ``uniq``
+    holds the distinct products in ascending order, ``labels[i, j]`` the
+    position of n_i * n_j in it and ``counts`` the class sizes.  The
+    products are evaluated, never factored.  The entries of M(alpha) are
+    constant on each class, and the weak-product constraints and Newton
+    system are class sums.
     """
 
-    uniq: np.ndarray
-    labels: np.ndarray
-    counts: np.ndarray
+    def __init__(self, indices):
+        self.indices = np.asarray(indices, dtype=np.int64)
+
+    @classmethod
+    def truncation(cls, n_max, prime_budget=None):
+        """The window 1..N, d-smooth under a budget."""
+        return cls(sieve.smooth_indices(_integer(n_max, "truncation size", 1), prime_budget))
+
+    def fit_sieve(self):
+        """The largest product n_max^2; DomainError above the sieve limit."""
+        limit, top = sieve.sieve_limit(), int(self.indices[-1])
+        if top * top > limit:
+            raise DomainError(
+                f"matrix window needs index {top * top} = {top}^2 "
+                f"above sieve limit {limit}"
+            )
+        return top * top
+
+    def smooth_over(self, primes):
+        """Positions of the indices whose prime factors all lie in primes.
+
+        Those indices are the monomials p^kappa <= n_max of the polydisk in
+        the variables primes: starting from [1], each prime multiplies in
+        its powers up to n_max.
+        """
+        n_max = int(self.indices[-1])
+        out = np.ones(1, dtype=np.int64)
+        for p in set(primes):
+            powers = [1]
+            while powers[-1] * p <= n_max:
+                powers.append(powers[-1] * p)
+            out = np.multiply.outer(out, powers).ravel()
+            out = out[out <= n_max]
+        return np.flatnonzero(np.isin(self.indices, out))
+
+    @cached_property
+    def _classes(self):
+        prod = np.multiply.outer(self.indices, self.indices)
+        uniq, labels, counts = np.unique(prod, return_inverse=True, return_counts=True)
+        return uniq, labels.reshape(prod.shape), counts
+
+    uniq = property(lambda self: self._classes[0])
+    labels = property(lambda self: self._classes[1])
+    counts = property(lambda self: self._classes[2])
 
     @cached_property
     def _sorted(self):
@@ -182,14 +212,6 @@ class ProductClasses:
         return self.sums(left @ right)
 
 
-def product_classes(indices):
-    """ProductClasses of a window; its products are evaluated, never factored."""
-    idx = np.asarray(indices, dtype=np.int64)
-    prod = idx[:, None] * idx[None, :]
-    uniq, labels, counts = np.unique(prod, return_inverse=True, return_counts=True)
-    return ProductClasses(uniq, labels.reshape(prod.shape), counts)
-
-
 def _real_if_real(vals):
     return vals.real if not vals.imag.any() else vals
 
@@ -223,20 +245,19 @@ def assemble(symbol, n_max, prime_budget=None):
     by construction because the entry depends only on the product.  The
     entries are float64 when every distinct value is real.  A window
     1..N (no budget, or one covering every prime <= N) takes the strided
-    rows of the module docstring, a sparse one its product classes.
+    rows of the module docstring, a sparse one its Window's product classes.
     """
-    indices = truncation_indices(n_max, prime_budget)
-    dim = len(indices)
+    window = Window.truncation(n_max, prime_budget)
+    dim = window.indices.size
     if dim > DENSE_CAP:
         raise DomainError(
             f"dense assembly capped at {DENSE_CAP} rows, window has {dim}"
         )
-    if indices[-1] == dim:
+    if window.indices[-1] == dim:
         entries = _strided_rows(symbol, dim)
     else:
-        classes = product_classes(indices)
-        entries = _real_if_real(symbol_values(symbol, classes.uniq))[classes.labels]
-    return HelsonMatrix(entries=entries, indices=indices)
+        entries = _real_if_real(symbol_values(symbol, window.uniq))[window.labels]
+    return HelsonMatrix(entries=entries, indices=window.indices.tolist())
 
 
 def bilinear_pair(symbol, b):
@@ -265,18 +286,16 @@ def dilate_symbol(symbol, r, n_max):
     additive over products.  This weights the symbol itself, so it is an
     independent route to the scaled matrices that approx builds.
     """
-    _check_products(truncation_indices(n_max))
-    top = n_max * n_max
+    top = Window.truncation(n_max).fit_sieve()
     if isinstance(symbol, Sequence):
         return dilate(r, symbol.restrict(top))
     space = np.arange(1, top + 1, dtype=np.int64)
     return dilate(r, Sequence._from_arrays(space, symbol_values(symbol, space)))
 
 
-def matrix_to_csv(matrix):
-    """Row-major CSV with "re,im" per cell (flattened to re<j>,im<j> columns)."""
-    size = matrix.size
-    lines = [",".join(f"re{j},im{j}" for j in range(size))]
-    for row in matrix.entries:
+def matrix_to_csv(entries):
+    """Row-major CSV of a square array with "re,im" per cell (re<j>,im<j> columns)."""
+    lines = [",".join(f"re{j},im{j}" for j in range(len(entries)))]
+    for row in entries:
         lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
     return "\n".join(lines) + "\n"

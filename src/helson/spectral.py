@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .operator import (
-    HelsonMatrix,
-    _float_array,
-    assemble,
-    symbol_values,
-    truncation_indices,
-)
+from .operator import HelsonMatrix, _float_array, assemble, symbol_values
 
 # operator_norm's default relative residual tolerance, and its iteration
 # cap (read at call time)
@@ -311,9 +305,9 @@ def l2_lower_bound_check(symbol, n_max, prime_budget=None):
     op_norm is operator_norm's value, ||Av|| for a unit v, so it is a
     lower bound on ||M_N(alpha)|| whether or not its pair certified.
     """
-    indices = truncation_indices(n_max, prime_budget)
-    l2 = float(np.linalg.norm(symbol_values(symbol, indices)))
-    report = operator_norm(assemble(symbol, n_max, prime_budget))
+    matrix = assemble(symbol, n_max, prime_budget)
+    l2 = float(np.linalg.norm(symbol_values(symbol, matrix.indices)))
+    report = operator_norm(matrix)
     return LowerBoundCheck(
         op_norm=report.norm,
         l2_norm=l2,

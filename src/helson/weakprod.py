@@ -30,7 +30,8 @@ The solver works on the window indices S whose prime factors all divide
 some point of supp(c).  The paper notes that its results hold for small
 Hankel operators on the polydisk H^2(D^d); on a window this makes the
 program exact on S, because ij has its primes in that set exactly when i
-and j do.
+and j do.  S is the operator.Window sub-window that Window.smooth_over
+picks, and its product classes carry every class sum of the solver.
 """
 
 import itertools
@@ -39,16 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, _integer, _integer_array, _real
+from .errors import DomainError, _integer, _integer_array, _real
 from .core import Sequence, _index, dirichlet_convolve
-from .operator import (
-    ArraySymbol,
-    _check_products,
-    assemble,
-    bilinear_pair,
-    product_classes,
-    truncation_indices,
-)
+from .operator import ArraySymbol, Window, assemble, bilinear_pair
 from .sieve import factor_pairs, sieve_limit
 from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
@@ -130,23 +124,6 @@ class XNormResult:
     converged: bool = True
 
 
-def _smooth_over(primes, n_max):
-    """The integers 1..n_max whose prime factors all lie in primes, ascending.
-
-    These are the monomials p^kappa <= n_max of the polydisk in the
-    variables primes: starting from [1], each prime multiplies in its
-    powers up to n_max.
-    """
-    out = np.ones(1, dtype=np.int64)
-    for p in set(primes):
-        powers = [1]
-        while powers[-1] * p <= n_max:
-            powers.append(powers[-1] * p)
-        out = np.multiply.outer(out, powers).ravel()
-        out = out[out <= n_max]
-    return np.sort(out)
-
-
 def xnorm(c, n_max, config=None, prime_budget=None):
     """Window X-norm of c with matrix, certificate, and gap.
 
@@ -161,7 +138,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     with exact zeros back to N x N.  S is generated, not sieved: the
     products of powers of the primes of P up to N, the monomials of the
     |P|-variable polydisk, kept where they lie in the window (which a
-    prime budget may thin).  This reduction is exact (the
+    prime budget may thin; Window.smooth_over).  This reduction is exact (the
     polydisk remark of the paper): ij is P-smooth exactly when i and j
     are, so every class of a P-smooth n lies in S x S and no other class
     meets it; compressing a feasible X to S x S keeps it feasible without
@@ -183,7 +160,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     Column q of each is the class sum of one |S| x |S| matrix, for R
     W_21[J_q, :]^T W_21[:, K_q]^T with (J_q, K_q) the pairs of class q:
     one batched product over the classes and one segmented class sum
-    (ProductClasses.pair_sums), in O(m |S|^2) memory for m classes (a
+    (Window.pair_sums), in O(m |S|^2) memory for m classes (a
     class has at most |S| pairs).
 
     Each step also brackets the value.  X = -(2/t) (W - W dF W)_21, dF
@@ -202,16 +179,16 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     converged False.
     """
     cfg = config or XNormConfig()
-    window = np.array(truncation_indices(n_max, prime_budget), dtype=np.int64)
+    window = Window.truncation(n_max, prime_budget)
     # the matrix is returned on the full window, which must fit the sieve
-    _check_products(window)
-    size = window.size
+    window.fit_sieve()
+    size = window.indices.size
     # a support point past the sieve is no window product: the
     # representability check below refuses it
     limit = sieve_limit()
     primes = {p for n in c.support if n <= limit for p, _ in factor_pairs(n)}
-    rows = np.flatnonzero(np.isin(window, _smooth_over(primes, n_max)))
-    classes = product_classes(window[rows])
+    rows = window.smooth_over(primes)
+    classes = Window(window.indices[rows])
     outside = c._keys[~np.isin(c._keys, classes.uniq, assume_unique=True)]
     if outside.size:
         raise DomainError(
@@ -339,8 +316,10 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
 
     bound multiplies a proven upper bound on ||M_N(alpha)|| by the xnorm
     value, itself an upper bound, so it is an upper bound.  ratio =
-    pairing/bound is 0 when the pairing vanishes and must never exceed 1
-    beyond certificate tolerance.
+    pairing/bound must never exceed 1 beyond certificate tolerance.  A
+    zero bound means alpha vanishes on every window product, and xnorm
+    refuses a c supported off them, so the pairing is then exactly 0 and
+    so is ratio.
     """
     pairing = abs(bilinear_pair(symbol, c))
     matrix = assemble(symbol, n_max, prime_budget).entries
@@ -348,8 +327,6 @@ def duality_gap(symbol, c, n_max, config=None, prime_budget=None):
     op = _norm_upper_bound(matrix, operator_norm(matrix).norm)
     xn = xnorm(c, n_max, config=config, prime_budget=prime_budget)
     bound = op * xn.value
-    if bound == 0.0 and pairing > 1e-12:
-        raise InvariantViolation(f"pairing {pairing} with zero bound; duality is broken")
     ratio = pairing / bound if bound else 0.0
     return DualityReport(pairing=pairing, bound=bound, ratio=ratio,
                          iterations=xn.iterations, converged=xn.converged)

@@ -24,9 +24,9 @@ from helson import (
     sieve_limit,
     xnorm,
 )
-from helson import InvariantViolation, duality_gap, spectral, weakprod
+from helson import spectral
 from helson.sieve import factor_pairs
-from helson.weakprod import _smooth_over
+from helson.operator import Window
 from helson.cli import COMMANDS, KNOBS, build_parser, main, parse_r_grid
 from helson.fixtures import FIXTURES
 
@@ -332,6 +332,19 @@ def test_xnorm_matrix_out(capsys, tmp_path):
     assert len(lines) == 4
     cells = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
     expect = xnorm(Sequence.delta(1), 2).matrix
+    assert np.array_equal(cells[:, 0::2] + 1j * cells[:, 1::2], expect)
+
+
+def test_xnorm_matrix_out_covers_the_budget_window(capsys, tmp_path):
+    # under --primes 2 the window is the 17 3-smooth integers <= 64, not 1..64
+    path = tmp_path / "x.csv"
+    argv = ["xnorm", "delta:12", "--N", "64", "--primes", "2", "--matrix-out", str(path)]
+    assert main(argv) == 0
+    header, *rows = path.read_text().splitlines()[1:]
+    assert header.split(",")[-2:] == ["re16", "im16"]
+    cells = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert cells.shape == (17, 34)
+    expect = xnorm(Sequence.delta(12), 64, prime_budget=2).matrix
     assert np.array_equal(cells[:, 0::2] + 1j * cells[:, 1::2], expect)
 
 
@@ -692,18 +705,6 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, config, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_broken_duality_exits_1(capsys, monkeypatch):
-    # a zero norm bound under a nonzero pairing breaks duality: the
-    # library raises InvariantViolation and the CLI exits 1
-    monkeypatch.setattr(weakprod, "_norm_upper_bound", lambda matrix, estimate=None: 0.0)
-    with pytest.raises(InvariantViolation, match="duality is broken"):
-        duality_gap(MHilbertSymbol(), Sequence.delta(2), 2)
-    code, out, err = run(capsys, "duality", "mhilbert", "delta:2", "--N", "2")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "duality is broken" in err
-
-
 def test_undecodable_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"N=4\n\xc2\x00\n")
@@ -806,7 +807,7 @@ def test_readme_states_the_seed7_xnorm_run():
     c = sequence_from_triples(STALLED_C)
     primes = {int(p) for p in primes.split(",")}
     assert primes == {p for n in c.support for p, _ in factor_pairs(n)}
-    assert [_smooth_over(primes, n).size for n in sizes] == dims
+    assert [Window.truncation(n).smooth_over(primes).size for n in sizes] == dims
     runs = [xnorm(c, n) for n in sizes]
     assert [r.iterations for r in runs] == steps
     assert all(r.converged for r in runs)

@@ -55,3 +55,52 @@ def test_only_errors_decides_what_a_number_is():
                 if any(map(_number_type, types)):
                     offences.append((path.name, node.lineno, ast.unparse(node)))
     assert offences == []
+
+
+def _parses_a_string(node, name):
+    """True for the test isinstance(<name>, str) of a spec-string parse."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == name
+            and isinstance(node.args[1], ast.Name) and node.args[1].id == "str")
+
+
+def test_only_errors_casts_a_parameter_to_float():
+    # float(x) takes a bool, nan and inf alike, so a parameter cast that
+    # way skips the real gate; parsing a spec string first,
+    # float(x) if isinstance(x, str) else x, is no cast of a number
+    offences = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parses = {id(node.body) for node in ast.walk(tree)
+                  if isinstance(node, ast.IfExp) and isinstance(node.body, ast.Call)
+                  and node.body.args and isinstance(node.body.args[0], ast.Name)
+                  and _parses_a_string(node.test, node.body.args[0].id)}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "float" and len(node.args) == 1
+                        and isinstance(node.args[0], ast.Name)
+                        and node.args[0].id in params and id(node) not in parses):
+                    offences.add((path.name, node.lineno, ast.unparse(node)))
+    assert sorted(offences) == []
+
+
+def test_only_the_window_asks_the_sieve_for_a_window():
+    # operator.Window builds every truncation window; smooth_indices is
+    # otherwise named only where it is defined and exported
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Name) and node.id == "smooth_indices"
+                    or isinstance(node, ast.Attribute) and node.attr == "smooth_indices"
+                    or isinstance(node, ast.alias) and node.name == "smooth_indices"
+                    or isinstance(node, ast.FunctionDef) and node.name == "smooth_indices"
+                    or isinstance(node, ast.Constant) and node.value == "smooth_indices"):
+                named.add(path.name)
+    assert named == {"sieve.py", "operator.py", "__init__.py"}

@@ -12,6 +12,8 @@ from helson import (
     DeltaSymbol,
     DomainError,
     GeometricDecay,
+    PowerSymbol,
+    RandomDecaySymbol,
     Sequence,
     XNormConfig,
     assemble,
@@ -49,6 +51,12 @@ REAL_ENTRIES = {
     "dilation_hs_sum.tolerance": lambda x: dilation_hs_sum(0.5, x),
 }
 
+# each takes one finite real of either sign, valid at 0.5, or its spec string
+FINITE_REAL_ENTRIES = {
+    "PowerSymbol": lambda x: PowerSymbol(x),
+    "RandomDecaySymbol.rate": lambda x: RandomDecaySymbol(3, x),
+}
+
 
 @pytest.mark.parametrize("bad", [True, np.True_, 2.5, np.float64(3.0), "3"], ids=repr)
 @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
@@ -72,6 +80,30 @@ def test_real_inputs_refuse_values_out_of_range(entry, bad):
         REAL_ENTRIES[entry](bad)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 0.5j, None], ids=repr)
+@pytest.mark.parametrize("entry", FINITE_REAL_ENTRIES)
+def test_finite_real_inputs_refuse_other_types(entry, bad):
+    # PowerSymbol(True) once built power:1
+    with pytest.raises(DomainError, match="must be a real number, got"):
+        FINITE_REAL_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 10**400, "nan", "-inf"],
+                         ids=["inf", "-inf", "nan", "10**400", "'nan'", "'-inf'"])
+@pytest.mark.parametrize("entry", FINITE_REAL_ENTRIES)
+def test_finite_real_inputs_refuse_non_finite_values(entry, bad):
+    # PowerSymbol(nan) once built power:nan, refused only when evaluated
+    with pytest.raises(DomainError, match="must be finite, got"):
+        FINITE_REAL_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("good", [0, -0.5, 0.5, np.float32(0.5), np.int64(-2), "0.5", " -1"],
+                         ids=repr)
+@pytest.mark.parametrize("entry", FINITE_REAL_ENTRIES)
+def test_finite_real_inputs_take_either_sign_and_spec_strings(entry, good):
+    FINITE_REAL_ENTRIES[entry](good)
+
+
 @pytest.mark.parametrize("good", [3, np.int64(3), np.uint8(3)], ids=repr)
 @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
 def test_integer_inputs_take_numpy_integers(entry, good):
@@ -88,3 +120,5 @@ def test_numpy_inputs_give_the_python_results():
     assert smooth_indices(12, np.int64(2)) == smooth_indices(12, 2)
     assert dilate(np.float32(0.5), Sequence.delta(2)) == dilate(0.5, Sequence.delta(2))
     assert dilation_hs_sum(np.float64(0.5), 1e-6) == dilation_hs_sum(0.5, 1e-6)
+    assert PowerSymbol(np.float64(0.5)).spec == PowerSymbol("0.5").spec == "power:0.5"
+    assert RandomDecaySymbol(3, np.int64(1)).spec == "random-decay:3,1"

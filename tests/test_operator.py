@@ -19,11 +19,10 @@ from helson import (
     parse_fixture,
     smooth_indices,
     symbol_values,
-    truncation_indices,
 )
 from helson.approx import _dilated
 from helson.core import _dot
-from helson.operator import product_classes
+from helson.operator import Window
 
 import helson
 
@@ -114,7 +113,7 @@ def test_assemble_keeps_the_symbol_dtype(spec, dtype):
     symbol = Sequence(spec) if isinstance(spec, dict) else parse_fixture(spec)
     m = assemble(symbol, 16)
     assert m.entries.dtype == dtype
-    classes = product_classes(m.indices)
+    classes = Window(m.indices)
     gathered = symbol_values(symbol, classes.uniq)[classes.labels]
     if dtype is np.float64:
         gathered = gathered.real
@@ -127,8 +126,9 @@ def test_assemble_keeps_the_symbol_dtype(spec, dtype):
 @example(8, 1)  # the powers of two up to 8: products 1..64 with gaps
 @example(24, 2)  # the 3-smooth window up to 24: classes of unequal sizes
 def test_product_classes_partition(n_max, budget):
-    idx = np.array(smooth_indices(n_max, budget), dtype=np.int64)
-    classes = product_classes(idx.tolist())
+    classes = Window.truncation(n_max, budget)
+    idx = classes.indices
+    assert np.array_equal(idx, smooth_indices(n_max, budget)) and idx.dtype == np.int64
     assert np.all(np.diff(classes.uniq) > 0)
     assert np.array_equal(classes.uniq, np.unique(np.outer(idx, idx)))
     assert np.array_equal(classes.uniq[classes.labels], np.outer(idx, idx))
@@ -204,8 +204,16 @@ def test_dense_route_sieve_limit_edge(monkeypatch):
 
 
 def test_truncation_indices():
-    assert truncation_indices(6) == [1, 2, 3, 4, 5, 6]
-    assert truncation_indices(10, 2) == [1, 2, 3, 4, 6, 8, 9]
+    assert Window.truncation(6).indices.tolist() == [1, 2, 3, 4, 5, 6]
+    assert Window.truncation(10, 2).indices.tolist() == [1, 2, 3, 4, 6, 8, 9]
+
+
+def test_window_smooth_over_gives_positions_in_a_sparse_window():
+    window = Window.truncation(64, 2)  # the 3-smooth integers <= 64
+    assert window.indices[window.smooth_over({2})].tolist() == [1, 2, 4, 8, 16, 32, 64]
+    assert window.indices[window.smooth_over([3, 3])].tolist() == [1, 3, 9, 27]
+    assert window.smooth_over(()).tolist() == [0]
+    assert window.smooth_over((2, 3)).tolist() == list(range(window.indices.size))
 
 
 def test_symbol_value_dispatch():
@@ -302,6 +310,16 @@ def test_dilate_symbol_power_entries():
     assert out[4] == pytest.approx(0.0625)
 
 
+def test_dilate_symbol_window_must_fit_the_sieve(monkeypatch):
+    # alpha_r lives on [1, N^2], so N^2 must lie in the sieve range
+    with pytest.raises(DomainError, match="needs index 1050625 = 1025\\^2 above sieve limit"):
+        dilate_symbol(PowerSymbol(1.0), 0.5, 1025)
+    monkeypatch.setattr(helson.sieve, "MAX_INDEX", 100)
+    assert dilate_symbol(PowerSymbol(1.0), 0.5, 10).max_index == 100
+    with pytest.raises(DomainError, match="needs index 121 = 11\\^2 above sieve limit 100"):
+        dilate_symbol(PowerSymbol(1.0), 0.5, 11)
+
+
 def test_compression_identity():
     rng = np.random.default_rng(26)
     for n_max in (4, 8):
@@ -335,6 +353,6 @@ def test_dilation_family():
 
 def test_matrix_csv():
     m = assemble(Sequence.delta(1), 2)
-    text = matrix_to_csv(m)
+    text = matrix_to_csv(m.entries)
     assert text.splitlines()[0] == "re0,im0,re1,im1"
     assert text.splitlines()[1] == "1.0,0.0,0.0,0.0"

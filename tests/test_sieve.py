@@ -18,7 +18,7 @@ from helson import (
 )
 from helson.cli import main
 from helson.sieve import factor_pairs, max_prime_index, smooth_indices, weighted_degree
-from helson.weakprod import _smooth_over
+from helson.operator import Window
 
 
 def test_factor_pairs_basics():
@@ -88,7 +88,12 @@ def test_is_smooth():
 
 # Smoothness over a prime set is no sieve query: xnorm generates the
 # indices <= N whose primes all lie in a set as products of prime powers
-# (weakprod._smooth_over), checked here against trial division.
+# (Window.smooth_over), checked here against trial division.
+def _smooth_over(primes, n_max):
+    window = Window(np.arange(1, n_max + 1))
+    return window.indices[window.smooth_over(primes)]
+
+
 @functools.lru_cache(maxsize=1)
 def _prime_sets(limit):
     """The set of prime factors of each n in [1, limit], by trial division."""

@@ -27,7 +27,7 @@ from helson import (
     xnorm,
     XNormConfig,
 )
-from helson.operator import product_classes
+from helson.operator import Window
 from helson.sieve import factor_pairs
 from oracles import (
     _classes,
@@ -134,7 +134,7 @@ def test_xnorm_window_must_fit_the_sieve(monkeypatch):
     # 40^2 exceeds the sieve, though the reduced window {1, 2, 4, ..., 32}
     # of delta_2 would fit: the N x N result needs the full window
     monkeypatch.setattr(helson.sieve, "MAX_INDEX", 1024)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="needs index 1600 = 40\\^2 above sieve limit 1024"):
         xnorm(Sequence.delta(2), 40)
     assert xnorm(Sequence.delta(2), 32).matrix.shape == (32, 32)
 
@@ -358,7 +358,7 @@ def _assert_blocked_hessian(classes, w):
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_class_blocked_hessian_matches_reference(indices, real, seed):
     rng = np.random.default_rng(seed)
-    classes = product_classes(sorted(indices))
+    classes = Window(sorted(indices))
     m = classes.uniq.size
     beta = rng.standard_normal(m) + (0.0 if real else 1j * rng.standard_normal(m))
     # a strictly feasible point: ||B|| = 0.9
@@ -376,7 +376,7 @@ def test_class_blocked_hessian_on_newton_iterates(case, n_max):
     ref = primes_upto(n_max)
     window = [n for n in range(1, n_max + 1)
               if all(ref[j - 1] in primes for j, _ in trial_factor(n, ref))]
-    classes = product_classes(window)
+    classes = Window(window)
     cert = xnorm(c, n_max, XNormConfig(max_iter=5)).certificate
     beta = 0.9 * cert.values(classes.uniq)
     _assert_blocked_hessian(classes, _newton_w(classes, beta))
