@@ -36,7 +36,6 @@ from .operator import (
     bilinear_pair,
     dilate_symbol,
     form,
-    matrix_to_csv,
     symbol_values,
 )
 from .spectral import (
@@ -116,7 +115,6 @@ __all__ = [
     "is_smooth",
     "l2_lower_bound_check",
     "load_sequence",
-    "matrix_to_csv",
     "operator_norm",
     "parse_fixture",
     "parse_sequence_arg",

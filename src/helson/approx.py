@@ -246,12 +246,6 @@ class DiagnosticTable:
     rows: tuple  # ((r, N, value), ...) ordered by N then r
     converged: bool = True
 
-    def to_csv(self):
-        lines = ["r,N,value"]
-        for r, n_max, value in self.rows:
-            lines.append(f"{r!r},{n_max},{value!r}")
-        return "\n".join(lines) + "\n"
-
 
 def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
                            tol=NORM_TOL):

@@ -12,6 +12,10 @@ without --output prints only the diagnostic table and computes no
 weights, so its exit code follows the diagnostic alone.  An essnorm CSV
 whose table is uncertified ends its stamp line with rows_converged=false.
 
+The library returns data and this module renders it: _payload is the
+one JSON writer and _csv the one CSV writer, each opening with the
+schema and config_hash stamp.
+
 Every command is one row of COMMANDS: its help, its positionals and its
 handler.  A handler takes the resolved config and the parsed arguments
 and returns its text with None or a one-line convergence failure,
@@ -42,7 +46,7 @@ from .core import (
     filter_smooth,
     sequence_to_triples,
 )
-from .operator import assemble, matrix_to_csv
+from .operator import assemble
 from .spectral import NORM_TOL, operator_norm
 from .approx import _grid, best_convex_approx, compactness_diagnostic
 from .weakprod import XNormConfig, duality_gap, xnorm
@@ -185,19 +189,21 @@ def _resolve(args, inputs):
     return cfg
 
 
-def _stamp(cfg):
-    """The header every JSON payload opens with."""
-    return {"schema": SCHEMA, "config_hash": cfg.config_hash, "command": cfg.command}
+def _payload(cfg, **fields):
+    """The one JSON writer: the schema stamp, then the fields in order."""
+    doc = {"schema": SCHEMA, "config_hash": cfg.config_hash, "command": cfg.command}
+    return json.dumps({**doc, **fields}, indent=2) + "\n"
 
 
-def _csv_stamp(cfg, converged=True):
-    """The comment line every CSV output opens with, marking an uncertified table."""
+def _csv(cfg, header, rows, converged=True):
+    """The one CSV writer: a stamp line, the header, then each cell by its repr.
+
+    The stamp line of an uncertified table ends with rows_converged=false.
+    """
     mark = "" if converged else " rows_converged=false"
-    return f"# schema={SCHEMA} config_hash={cfg.config_hash}{mark}\n"
-
-
-def _json_doc(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# schema={SCHEMA} config_hash={cfg.config_hash}{mark}", ",".join(header)]
+    lines += [",".join(repr(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _load_seq(spec, prime_budget):
@@ -222,38 +228,26 @@ def cmd_convolve(cfg, args):
     a = _load_seq(args.a, cfg.prime_budget)
     b = _load_seq(args.b, cfg.prime_budget)
     result = dirichlet_convolve(a, b)
-    return _json_doc({**_stamp(cfg), "sequence": sequence_to_triples(result)}), None
+    return _payload(cfg, sequence=sequence_to_triples(result)), None
 
 
 def cmd_dilate(cfg, args):
     a = _load_seq(args.a, cfg.prime_budget)
     result = dilate(args.r, a)
-    return _json_doc({
-        **_stamp(cfg),
-        "r": args.r,
-        "sequence": sequence_to_triples(result),
-    }), None
+    return _payload(cfg, r=args.r, sequence=sequence_to_triples(result)), None
 
 
 def cmd_norm(cfg, args):
     symbol = parse_fixture(args.fixture)
     matrix = assemble(symbol, cfg.N, cfg.prime_budget)
     report = operator_norm(matrix, tol=cfg.norm_tol)
-    text = _json_doc({
-        **_stamp(cfg),
-        "fixture": symbol.spec,
-        "N": cfg.N,
-        "prime_budget": cfg.prime_budget,
-        "indices": list(matrix.indices),
-        "norm": report.norm,
-        "residual": report.residual,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    })
-    if report.converged:
-        return text, None
-    return text, (f"operator norm did not certify: residual {report.residual:.3e} "
-                  f"after {report.iterations} iterations")
+    text = _payload(cfg, fixture=symbol.spec, N=cfg.N, prime_budget=cfg.prime_budget,
+                    indices=matrix.indices, norm=report.norm,
+                    residual=report.residual, iterations=report.iterations,
+                    converged=report.converged)
+    return text, None if report.converged else (
+        f"operator norm did not certify: residual {report.residual:.3e} "
+        f"after {report.iterations} iterations")
 
 
 def cmd_essnorm(cfg, args):
@@ -264,7 +258,7 @@ def cmd_essnorm(cfg, args):
     table = compactness_diagnostic(
         symbol, cfg.r_grid, schedule, cfg.prime_budget, tol=cfg.norm_tol
     )
-    csv_text = _csv_stamp(cfg, table.converged) + table.to_csv()
+    csv_text = _csv(cfg, ("r", "N", "value"), table.rows, table.converged)
     failed = [] if table.converged else ["compactness diagnostic not certified"]
     if cfg.format == "csv" and not args.output:
         # no manifest to write, so the weights would reach no output
@@ -277,22 +271,15 @@ def cmd_essnorm(cfg, args):
         weights[str(n_max)] = {
             "value": res.value,
             "lower": res.lower,
-            "weights": list(res.weights.weights),
+            "weights": res.weights.weights,
             "converged": res.converged,
         }
-    manifest = _json_doc({
-        **_stamp(cfg),
-        "fixture": symbol.spec,
-        "grid": list(cfg.r_grid),
-        "N_schedule": list(schedule),
-        "prime_budget": cfg.prime_budget,
-        "norm_tol": cfg.norm_tol,
-        "determinism": "seed-free: uniform point, Frank-Wolfe vertex, "
-                       "golden-section sweeps, all-ones norm starts",
-        "rows": [[r, n, v] for r, n, v in table.rows],
-        "rows_converged": table.converged,
-        "weights": weights,
-    })
+    manifest = _payload(
+        cfg, fixture=symbol.spec, grid=cfg.r_grid, N_schedule=schedule,
+        prime_budget=cfg.prime_budget, norm_tol=cfg.norm_tol,
+        determinism="seed-free: uniform point, Frank-Wolfe vertex, "
+                    "golden-section sweeps, all-ones norm starts",
+        rows=table.rows, rows_converged=table.converged, weights=weights)
     unconverged = [n for n, w in weights.items() if not w["converged"]]
     if unconverged:
         failed.append(f"best convex approximant not certified at N={','.join(unconverged)}")
@@ -308,23 +295,18 @@ def cmd_xnorm(cfg, args):
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     result = xnorm(c, cfg.N, config=solver, prime_budget=cfg.prime_budget)
     if args.matrix_out:
+        header = [f"re{j},im{j}" for j in range(len(result.matrix))]
+        cells = ([part for z in row for part in (z.real, z.imag)]
+                 for row in result.matrix.tolist())
         with open(args.matrix_out, "w") as fh:
-            fh.write(_csv_stamp(cfg) + matrix_to_csv(result.matrix))
-    text = _json_doc({
-        **_stamp(cfg),
-        "input": args.sequence,
-        "N": cfg.N,
-        "prime_budget": cfg.prime_budget,
-        "value": result.value,
-        "gap": result.primal_dual_gap,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "certificate": sequence_to_triples(result.certificate),
-    })
-    if result.converged:
-        return text, None
-    return text, (f"xnorm did not converge: gap {result.primal_dual_gap:.3e}, "
-                  f"ran {result.iterations} of {cfg.max_iter} Newton steps")
+            fh.write(_csv(cfg, header, cells))
+    text = _payload(cfg, input=args.sequence, N=cfg.N, prime_budget=cfg.prime_budget,
+                    value=result.value, gap=result.primal_dual_gap,
+                    iterations=result.iterations, converged=result.converged,
+                    certificate=sequence_to_triples(result.certificate))
+    return text, None if result.converged else (
+        f"xnorm did not converge: gap {result.primal_dual_gap:.3e}, "
+        f"ran {result.iterations} of {cfg.max_iter} Newton steps")
 
 
 def cmd_duality(cfg, args):
@@ -333,22 +315,13 @@ def cmd_duality(cfg, args):
     solver = XNormConfig(tol=cfg.solver_tol, max_iter=cfg.max_iter)
     report = duality_gap(symbol, c, cfg.N, config=solver,
                          prime_budget=cfg.prime_budget)
-    text = _json_doc({
-        **_stamp(cfg),
-        "fixture": symbol.spec,
-        "input": args.sequence,
-        "N": cfg.N,
-        "prime_budget": cfg.prime_budget,
-        "pairing": report.pairing,
-        "bound": report.bound,
-        "ratio": report.ratio,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    })
-    if report.converged:
-        return text, None
-    return text, (f"xnorm inside the duality bound did not converge: "
-                  f"ran {report.iterations} of {cfg.max_iter} Newton steps")
+    text = _payload(cfg, fixture=symbol.spec, input=args.sequence, N=cfg.N,
+                    prime_budget=cfg.prime_budget, pairing=report.pairing,
+                    bound=report.bound, ratio=report.ratio,
+                    iterations=report.iterations, converged=report.converged)
+    return text, None if report.converged else (
+        f"xnorm inside the duality bound did not converge: "
+        f"ran {report.iterations} of {cfg.max_iter} Newton steps")
 
 
 class Command(NamedTuple):

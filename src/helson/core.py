@@ -20,7 +20,6 @@ share, are those of operator.Window.
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +163,8 @@ class Sequence:
         return Sequence._from_arrays(self._keys, self._vals.conj())
 
     def norm(self):
-        """l2 norm over the support; squares that overflow or underflow are summed scaled."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = _dot(self._vals, self._vals.conj()).real
-        if sys.float_info.min <= total < math.inf or not self._keys.size:
-            return math.sqrt(total)
-        mags = np.abs(self._vals)
-        scale = float(mags.max())
-        return scale * math.sqrt(np.dot(mags / scale, mags / scale))
+        """l2 norm over the support; math.hypot scales, so no square over- or underflows."""
+        return math.hypot(*np.abs(self._vals).tolist())
 
     def restrict(self, window):
         """Entries with index <= window."""

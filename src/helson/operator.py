@@ -292,10 +292,3 @@ def dilate_symbol(symbol, r, n_max):
     space = np.arange(1, top + 1, dtype=np.int64)
     return dilate(r, Sequence._from_arrays(space, symbol_values(symbol, space)))
 
-
-def matrix_to_csv(entries):
-    """Row-major CSV of a square array with "re,im" per cell (re<j>,im<j> columns)."""
-    lines = [",".join(f"re{j},im{j}" for j in range(len(entries)))]
-    for row in entries:
-        lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
-    return "\n".join(lines) + "\n"

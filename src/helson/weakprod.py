@@ -113,7 +113,9 @@ class XNormResult:
     since the certificate is scaled by a proven upper bound on its
     operator norm.  iterations counts Newton steps.  converged is False
     when the solver stopped before the gap reached the tolerance: at its
-    step cap, or on a step it could not factor.
+    step cap, or on a step it could not factor.  Row i of matrix stands
+    for index i of the window smooth_indices(N, d), the map that
+    representation_from_matrix takes.
     """
 
     value: float
@@ -270,18 +272,19 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         converged=upper - lower <= cfg.tol,
     )
 
-def representation_from_matrix(matrix, indices=None):
+def representation_from_matrix(matrix, indices):
     """Representation read off an SVD: a_k = sqrt(s_k) u_k, b_k = sqrt(s_k) v_k.
 
-    The cost of the result equals the nuclear norm of the matrix (up to
-    the rank cutoff, which drops singular values at or below 1e-13 times
-    the largest), and its value reproduces the divisor-class sums.
+    indices maps row i of the matrix to the integer it stands for; for an
+    xnorm matrix it is the window smooth_indices(N, d), which under a
+    prime budget is not 1..N.  The cost of the result equals the nuclear
+    norm of the matrix (up to the rank cutoff, which drops singular
+    values at or below 1e-13 times the largest), and its value
+    reproduces the divisor-class sums.
     """
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"matrix must be square, got shape {mat.shape}")
-    if indices is None:
-        indices = tuple(range(1, mat.shape[0] + 1))
     if len(indices) != mat.shape[0]:
         raise DomainError("index map length does not match matrix size")
     keys = np.array([_index(n) for n in indices], dtype=np.int64)

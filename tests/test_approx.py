@@ -17,6 +17,7 @@ from helson import (
     symbol_values,
 )
 from helson.approx import POLISH_SWEEPS, _golden_search
+from helson.cli import main
 from helson.spectral import NORM_TOL
 from oracles import simplex_grid_search
 
@@ -410,12 +411,16 @@ def test_diagnostic_flags_uncertified_norms(monkeypatch, norm_calls):
         assert 0.0 < got <= want * (1 + 1e-9)
 
 
-def test_diagnostic_csv_and_lookup():
+def test_diagnostic_csv_and_lookup(capsys):
+    # the library returns the rows, and the CLI renders them as CSV
     table = compactness_diagnostic(Sequence.delta(2), (0.5,), (2,))
-    text = table.to_csv()
-    assert text.splitlines()[0] == "r,N,value"
     lookup = {(r, n): v for r, n, v in table.rows}
     assert lookup == pytest.approx({(0.5, 2): 0.5})
+    assert main(["essnorm", "delta:2", "--N", "2", "--grid", "0.5", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "r,N,value"
+    r, n_max, value = lines[2].split(",")
+    assert (float(r), int(n_max), float(value)) == pytest.approx((0.5, 2, 0.5))
 
 
 def test_diagnostic_schedule_validation():

@@ -103,6 +103,19 @@ def test_index_beyond_int64_is_a_domain_error(capsys, tmp_path, command):
     assert err.startswith("error:") and "2^63" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ({"n": 1}, "sequence file must be a JSON array of [n, re, im] triples"),
+    ([[1, 2]], "malformed sequence triple: [1, 2]"),
+])
+def test_a_malformed_sequence_file_is_a_domain_error(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "norm", f"file:{path}", "--N", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad sequence file {path}: {message}\n"
+
+
 # ---------------------------------------------------------------------- norm
 
 

@@ -115,6 +115,32 @@ def test_sequence_arithmetic():
     assert c.conjugate()[2] == -1j
 
 
+def test_sequence_times_a_non_finite_scalar_is_refused():
+    for scalar in (math.inf, -math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(DomainError, match="sequence values must be finite"):
+            Sequence.delta(2) * scalar
+
+
+def test_sequence_operators_defer_to_a_non_sequence():
+    a = Sequence.delta(2)
+    assert a.__eq__(2) is NotImplemented
+    assert a.__add__(2) is NotImplemented
+    assert a.__sub__(2) is NotImplemented
+    # with no reflected method on the other side, == falls back to identity
+    assert a != 2
+    with pytest.raises(TypeError):
+        a + 2
+    with pytest.raises(TypeError):
+        a - 2
+
+
+def test_sequence_repr_shows_at_most_six_entries():
+    assert repr(Sequence({1: 1j})) == "Sequence({1: 1j})"
+    six = ", ".join(f"{n}: ({n}+0j)" for n in range(1, 7))
+    assert repr(Sequence({n: float(n) for n in range(1, 7)})) == f"Sequence({{{six}}})"
+    assert repr(Sequence({n: float(n) for n in range(1, 8)})) == f"Sequence({{{six}, ...}})"
+
+
 def test_sequence_norm_and_restrict():
     a = Sequence({1: 3.0, 4: 4.0})
     assert a.norm() == pytest.approx(5.0)
@@ -412,6 +438,17 @@ def test_triples_roundtrip(tmp_path):
     path = tmp_path / "a.json"
     save_sequence(a, path)
     assert load_sequence(path) == a
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"sequence": []}, "must be a JSON array of"),
+    ("[[1, 1.0, 0.0]]", "must be a JSON array of"),
+    ([[1, 2]], r"malformed sequence triple: \[1, 2\]"),
+    ([[1, 1.0, 0.0], 5], "malformed sequence triple: 5"),
+])
+def test_triples_refuse_a_non_list_and_a_malformed_triple(obj, message):
+    with pytest.raises(DomainError, match=message):
+        sequence_from_triples(obj)
 
 
 def test_triples_must_increase():

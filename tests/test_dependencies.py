@@ -1,4 +1,4 @@
-"""numpy is the library's only runtime dependency."""
+"""numpy is the library's only runtime dependency, and each job has one home."""
 
 import ast
 import pathlib
@@ -104,3 +104,23 @@ def test_only_the_window_asks_the_sieve_for_a_window():
                     or isinstance(node, ast.Constant) and node.value == "smooth_indices"):
                 named.add(path.name)
     assert named == {"sieve.py", "operator.py", "__init__.py"}
+
+
+def test_only_the_cli_renders_output():
+    # the library returns data and cli.py turns it into text: no other
+    # module serializes with json.dumps or defines a CSV writer (core's
+    # sequence file format reads and writes with json.load and json.dump)
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(alias.name == "dumps" for alias in node.names)):
+                offences.append((path.name, node.lineno, "json.dumps"))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and "csv" in node.name.lower()):
+                offences.append((path.name, node.lineno, node.name))
+    assert offences == []

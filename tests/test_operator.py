@@ -15,12 +15,12 @@ from helson import (
     dilation_weight,
     dirichlet_convolve,
     form,
-    matrix_to_csv,
     parse_fixture,
     smooth_indices,
     symbol_values,
 )
 from helson.approx import _dilated
+from helson.cli import main
 from helson.core import _dot
 from helson.operator import Window
 
@@ -351,8 +351,12 @@ def test_dilation_family():
 # -------------------------------------------------------------------- export
 
 
-def test_matrix_csv():
-    m = assemble(Sequence.delta(1), 2)
-    text = matrix_to_csv(m.entries)
-    assert text.splitlines()[0] == "re0,im0,re1,im1"
-    assert text.splitlines()[1] == "1.0,0.0,0.0,0.0"
+def test_matrix_csv(tmp_path, capsys):
+    # the CLI renders the window matrix: the X-norm matrix of delta_1 on N = 2
+    path = tmp_path / "m.csv"
+    assert main(["xnorm", "delta:1", "--N", "2", "--matrix-out", str(path)]) == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# schema=1 config_hash=")
+    assert lines[1] == "re0,im0,re1,im1"
+    assert lines[2] == "1.0,0.0,0.0,0.0"

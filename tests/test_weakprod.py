@@ -23,6 +23,7 @@ from helson import (
     rep_cost,
     representation_from_matrix,
     sequence_from_triples,
+    smooth_indices,
     split_sequence,
     xnorm,
     XNormConfig,
@@ -389,7 +390,7 @@ def test_representation_from_matrix():
     rng = np.random.default_rng(57)
     c = random_sequence(rng, max_index=4, size=3)
     res = xnorm(c, 4)
-    rep = representation_from_matrix(res.matrix)
+    rep = representation_from_matrix(res.matrix, smooth_indices(4))
     assert rep_cost(rep) == pytest.approx(res.value, abs=1e-7)
     # the extracted representation reproduces c on the window product set
     diff = rep.value() - c
@@ -398,9 +399,21 @@ def test_representation_from_matrix():
 
 def test_representation_from_matrix_rank_one():
     w = np.array([1.0, 0.5])
-    rep = representation_from_matrix(np.outer(w, w))
+    rep = representation_from_matrix(np.outer(w, w), (1, 2))
     assert len(rep.pairs) == 1
     assert rep_cost(rep) == pytest.approx(np.dot(w, w))
+
+
+def test_representation_from_matrix_reads_a_budget_window():
+    # under a prime budget the rows stand for the smooth indices, not 1..N:
+    # read with [1, 2, 4, 8] the matrix reproduces c, and read as 1..4 it
+    # would put mass at n = 3
+    c = Sequence({1: 1, 4: 0.5, 8: 0.25})
+    res = xnorm(c, 12, prime_budget=1)
+    indices = smooth_indices(12, 1)
+    assert indices == [1, 2, 4, 8]
+    rep = representation_from_matrix(res.matrix, indices)
+    assert (rep.value() - c).norm() <= 1e-9
 
 
 # ------------------------------------------------------- certificate checks
@@ -660,7 +673,7 @@ def test_refine_budget_infeasible():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Representation(((Sequence.delta(1), 1.0),)), "must be Sequences"),
-    (lambda: representation_from_matrix(np.zeros((2, 3))), "square"),
+    (lambda: representation_from_matrix(np.zeros((2, 3)), (1, 2)), "square"),
     (lambda: representation_from_matrix(np.eye(2), (1,)), "index map length"),
     (lambda: GeometricDecay(1.5), "ratio must lie in"),
     (lambda: GeometricDecay(0.5, math.inf), "norm must be finite"),
