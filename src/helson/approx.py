@@ -61,11 +61,9 @@ class ConvexWeights:
 
     def __post_init__(self):
         grid = _grid(self.r_grid)
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(_real(x, "weights", low=-math.inf) for x in self.weights)
         if len(grid) != len(w):
             raise DomainError("weights and r-grid must have equal length")
-        if not all(map(math.isfinite, w)):
-            raise DomainError(f"weights must be finite, got {w}")
         if any(x < -1e-12 for x in w):
             raise DomainError(f"weights must be nonnegative, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
@@ -229,8 +227,8 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
 
     return ApproxResult(
         weights=ConvexWeights(r_grid=grid, weights=tuple(best_c)),
-        value=float(best_sigma),
-        lower=float(lower),
+        value=best_sigma,
+        lower=lower,
         history=history,
         converged=all_certified,
     )

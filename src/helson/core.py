@@ -24,15 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _integer, _integer_array, _real
+from .errors import DomainError, _complex, _integer, _integer_array, _real
 from . import sieve
-
-
-def _as_complex(v):
-    v = complex(v)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise DomainError(f"sequence values must be finite, got {v}")
-    return v
 
 
 def _index(n):
@@ -77,7 +70,7 @@ class Sequence:
         pairs = list(entries.items() if isinstance(entries, dict) else entries or ())
         self._keys, self._vals = _normalised(
             np.array([_index(n) for n, _ in pairs], dtype=np.int64),
-            np.array([v for _, v in pairs], dtype=np.complex128))
+            np.array([_complex(v, "sequence values") for _, v in pairs], np.complex128))
 
     @classmethod
     def _from_arrays(cls, keys, vals):
@@ -110,6 +103,7 @@ class Sequence:
         return list(zip(self._keys.tolist(), self._vals.tolist()))
 
     def __getitem__(self, n):
+        n = _integer(n, "sequence index")
         i = self._keys.searchsorted(n)
         if i < self._keys.size and self._keys[i] == n:
             return complex(self._vals[i])
@@ -155,7 +149,8 @@ class Sequence:
         return (-1.0) * self
 
     def __mul__(self, scalar):
-        return Sequence._from_arrays(self._keys, _mul(_as_complex(scalar), self._vals))
+        scalar = _complex(scalar, "sequence values")
+        return Sequence._from_arrays(self._keys, _mul(scalar, self._vals))
 
     __rmul__ = __mul__
 
@@ -350,7 +345,8 @@ def sequence_from_triples(obj):
         keys.append(_integer(n, "sequence index"))
         if keys[-1] <= keys[-2]:
             raise DomainError(f"sequence indices must be strictly increasing at {n}")
-        vals.append(complex(float(re), float(im)))
+        vals.append(complex(_real(re, f"re at index {n}", low=-math.inf),
+                            _real(im, f"im at index {n}", low=-math.inf)))
     # the indices increase from 1, so only the last can pass the 2^63 bound
     _index(max(keys[-1], 1))
     return Sequence._from_arrays(np.array(keys[1:], dtype=np.int64),

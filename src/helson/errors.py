@@ -1,9 +1,8 @@
 """Exception types shared by every module in the package, and its input gates.
 
-_integer, _integer_array and _real are the package's one rule for what
-counts as an integer, an integer index array and a bounded real
-(positive unless a lower bound is given).  None of them takes a bool,
-and each refuses with DomainError.
+Each gate (_integer, _integer_array, _real, _complex, _number_array) is
+the package's one rule for its kind of number: none takes a bool or a
+string, and each refuses with DomainError.
 """
 
 import math
@@ -58,3 +57,24 @@ def _real(x, what, high=math.inf, low=0.0):
         sign = "positive and " if low == 0.0 else ""
         raise DomainError(f"{what} must be {sign}finite, got {x}")
     return x
+
+
+def _complex(z, what):
+    """z as a complex; DomainError unless it is a finite number, a bool excepted."""
+    if not isinstance(z, numbers.Complex) or isinstance(z, bool):
+        raise DomainError(f"{what} must be a number, got {type(z).__name__}")
+    try:
+        z = complex(z)
+    except OverflowError:  # an int or Fraction past the float range
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"{what} must be finite, got {z}")
+    return z
+
+
+def _number_array(x):
+    """x as float64 for an integer or real dtype, complex128 for a complex one; no scan."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iufc":
+        raise DomainError(f"matrix entries must be numbers, got dtype {arr.dtype}")
+    return arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)

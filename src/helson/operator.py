@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _integer, _integer_array
+from .errors import DomainError, _integer, _integer_array, _number_array
 from . import sieve
 from .core import Sequence, _dot, dilate, dirichlet_convolve
 
@@ -82,33 +82,27 @@ class ArraySymbol:
         return complex(self.values([n])[0])
 
 
-def _float_array(x):
-    """x as float64 when its dtype is real or integer, else as complex128."""
-    arr = np.asarray(x)
-    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128,
-                      copy=False)
-
-
 @dataclass(frozen=True)
 class HelsonMatrix:
     """Dense truncation of M(alpha) with its index map.
 
-    Entries are float64 for a real symbol (integer or real input is cast
-    to float64) and complex128 otherwise.
+    Entries are float64 for integer or real input and complex128 for
+    complex; any other dtype, or an index map that is no integer array,
+    raises DomainError.
     """
 
     entries: np.ndarray
     indices: tuple
 
     def __post_init__(self):
-        entries = _float_array(self.entries)
+        entries = _number_array(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DomainError(f"matrix must be square, got shape {entries.shape}")
         if entries.shape[0] != len(self.indices):
             raise DomainError("index map length does not match matrix size")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "indices", tuple(int(n) for n in self.indices))
+        object.__setattr__(self, "indices", tuple(_integer_array(self.indices).tolist()))
 
     @property
     def size(self):

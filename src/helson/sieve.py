@@ -16,11 +16,11 @@ walk of factor_pairs.  Smoothness over an arbitrary prime
 set is no sieve query: weakprod generates those indices directly, as
 products of prime powers.
 
-Every index query lies in [1, MAX_INDEX], checked before any table is
-touched.  The tables are built on demand: they cover the power of two
-at or above the largest index queried so far, and are rebuilt larger,
-all together, only when a later query needs it, so a process that
-factors nothing builds nothing.
+Every index query lies in [1, MAX_INDEX], which _indices checks before
+any table is touched.  The tables are built on demand: they cover the
+power of two at or above the largest index queried so far, and are
+rebuilt larger, all together, only when a later query needs it, so a
+process that factors nothing builds nothing.
 """
 
 import math
@@ -88,14 +88,6 @@ def sieve_limit():
     return MAX_INDEX
 
 
-def _check_index(n):
-    n = _integer(n, "index")
-    if n < 1 or n > MAX_INDEX:
-        raise DomainError(f"index {n} outside [1, sieve limit {MAX_INDEX}]")
-    _ensure(n)
-    return n
-
-
 def _indices(n):
     """n as a validated int64 array of its shape, with the tables covering it."""
     arr = _integer_array(n)
@@ -113,8 +105,8 @@ def _gather(table, arr):
 
 def factor_pairs(n):
     """Prime factorization of n as ((p, e), ...) with p ascending."""
-    n = _check_index(n)
-    spf = _state.spf
+    n = _integer(n, "index")
+    spf = _indices(n)[1].spf
     out = []
     while n > 1:
         p = int(spf[n])
@@ -171,8 +163,7 @@ def is_smooth(n, d):
 
 def smooth_indices(n_max, prime_budget=None):
     """Indices 1..n_max, filtered to d-smooth values when a budget is set."""
-    n_max = _check_index(n_max)
-    if prime_budget is None:
-        return list(range(1, n_max + 1))
-    keep = _state.gpi[1 : n_max + 1] <= _integer(prime_budget, "prime budget", 1)
-    return (np.flatnonzero(keep) + 1).tolist()
+    n_max = _integer(n_max, "index")
+    _indices(n_max)
+    ns = np.arange(1, n_max + 1)
+    return ns[is_smooth(ns, prime_budget)].tolist()

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .operator import HelsonMatrix, _float_array, assemble, symbol_values
+from .errors import DomainError, _number_array, _real
+from .operator import HelsonMatrix, assemble, symbol_values
 
 # operator_norm's default relative residual tolerance, and its iteration
 # cap (read at call time)
@@ -75,7 +75,7 @@ def _as_dense(matrix):
     """The entries as a 2-d array, unscanned: _pow2_scaled refuses non-finite ones."""
     if isinstance(matrix, HelsonMatrix):
         return matrix.entries
-    arr = _float_array(matrix)
+    arr = _number_array(matrix)
     if arr.ndim != 2:
         raise DomainError(f"matrix must be 2-dimensional, got shape {arr.shape}")
     return arr
@@ -142,7 +142,7 @@ def operator_norm(matrix, tol=NORM_TOL):
     complex one complex128.  A^H x is formed through the transposed view,
     with no copy of the matrix.
     """
-    if not (0.0 < tol <= 1e-4):
+    if not 0.0 < _real(tol, "tolerance", low=-math.inf) <= 1e-4:
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol}")
     arr = _as_dense(matrix)
     dim = arr.shape[0]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _integer, _integer_array, _real
+from .errors import DomainError, _complex, _integer, _integer_array, _number_array, _real
 from .core import Sequence, _index, dirichlet_convolve
 from .operator import ArraySymbol, Window, assemble, bilinear_pair
 from .sieve import factor_pairs, sieve_limit
@@ -282,7 +282,7 @@ def representation_from_matrix(matrix, indices):
     values at or below 1e-13 times the largest), and its value
     reproduces the divisor-class sums.
     """
-    mat = np.asarray(matrix, dtype=np.complex128)
+    mat = _number_array(matrix).astype(np.complex128, copy=False)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"matrix must be square, got shape {mat.shape}")
     if len(indices) != mat.shape[0]:
@@ -348,7 +348,7 @@ class GeometricDecay(ArraySymbol):
 
     def __post_init__(self):
         object.__setattr__(self, "ratio", _real(self.ratio, "geometric ratio", 1.0))
-        object.__setattr__(self, "coeff", complex(self.coeff))
+        object.__setattr__(self, "coeff", _complex(self.coeff, "geometric coefficient"))
         if not math.isfinite(self.norm()):
             raise DomainError(f"geometric norm must be finite, got coeff {self.coeff}")
 
@@ -370,7 +370,7 @@ class GeometricDecay(ArraySymbol):
         return abs(self.coeff) * q ** (_integer(m, "cut point", 0) + 1) / math.sqrt(1.0 - q * q)
 
     def prefix(self, m):
-        ns = np.arange(1, m + 1, dtype=np.int64)
+        ns = np.arange(1, _integer(m, "cut point", 0) + 1, dtype=np.int64)
         return Sequence._from_arrays(ns, self.values(ns))
 
     def _cut_points(self, delta, window):

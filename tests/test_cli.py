@@ -106,6 +106,10 @@ def test_index_beyond_int64_is_a_domain_error(capsys, tmp_path, command):
 @pytest.mark.parametrize("content, message", [
     ({"n": 1}, "sequence file must be a JSON array of [n, re, im] triples"),
     ([[1, 2]], "malformed sequence triple: [1, 2]"),
+    # the first two once printed a norm and exited 0
+    ([[1, "1.5", 0]], "re at index 1 must be a real number, got str"),
+    ([[1, True, 0]], "re at index 1 must be a real number, got bool"),
+    ([[1, None, 0]], "re at index 1 must be a real number, got NoneType"),
 ])
 def test_a_malformed_sequence_file_is_a_domain_error(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"

@@ -1,17 +1,20 @@
-"""One refusal table over every public entry point taking an integer or a real.
+"""One refusal table over every public entry point taking a number.
 
-Each input passes one of the gates of helson.errors, so a bool, a float
-where an integer belongs and a string are refused alike with DomainError,
-and numpy integers and floats pass wherever Python ints and floats do.
+Each integer, real, complex value and matrix passes one of the gates of
+helson.errors, so a bool, a float where an integer belongs and a string
+are refused alike with DomainError, and numpy integers and floats pass
+wherever Python ints and floats do.
 """
 
 import numpy as np
 import pytest
 
 from helson import (
+    ConvexWeights,
     DeltaSymbol,
     DomainError,
     GeometricDecay,
+    HelsonMatrix,
     PowerSymbol,
     RandomDecaySymbol,
     Sequence,
@@ -21,11 +24,15 @@ from helson import (
     dilation_hs_sum,
     filter_smooth,
     is_smooth,
+    operator_norm,
     refine_representation,
+    representation_from_matrix,
+    sequence_from_triples,
     smooth_indices,
     split_sequence,
     xnorm,
 )
+from helson.spectral import _norm_upper_bound
 
 # each takes one integer, valid at 3
 INTEGER_ENTRIES = {
@@ -38,6 +45,8 @@ INTEGER_ENTRIES = {
     "split_sequence.window": lambda n: split_sequence(GeometricDecay(0.5), 0.1, window=n),
     "refine_representation.window": lambda n: refine_representation([], 0.1, n),
     "Sequence.restrict": lambda n: Sequence.delta(2).restrict(n),
+    "Sequence.__getitem__": lambda n: Sequence.delta(2)[n],
+    "GeometricDecay.prefix": lambda n: GeometricDecay(0.5).prefix(n),
 }
 
 # each takes one real, valid at 0.5
@@ -55,6 +64,29 @@ REAL_ENTRIES = {
 FINITE_REAL_ENTRIES = {
     "PowerSymbol": lambda x: PowerSymbol(x),
     "RandomDecaySymbol.rate": lambda x: RandomDecaySymbol(3, x),
+}
+
+# each takes one finite real of either sign, valid at 1.0, but no string
+FINITE_VALUE_ENTRIES = {
+    "sequence_from_triples.re": lambda x: sequence_from_triples([[1, x, 0.0]]),
+    "sequence_from_triples.im": lambda x: sequence_from_triples([[1, 0.0, x]]),
+    "ConvexWeights.weights": lambda x: ConvexWeights((0.5,), (x,)),
+}
+
+# each takes one finite complex number, valid at 0.5j
+COMPLEX_ENTRIES = {
+    "Sequence": lambda z: Sequence({1: z}),
+    "Sequence.delta": lambda z: Sequence.delta(2, value=z),
+    "Sequence * scalar": lambda z: Sequence.delta(2) * z,
+    "GeometricDecay.coeff": lambda z: GeometricDecay(0.5, coeff=z),
+}
+
+# each takes one square matrix of numbers, valid at np.eye(2)
+MATRIX_ENTRIES = {
+    "operator_norm": operator_norm,
+    "_norm_upper_bound": _norm_upper_bound,
+    "HelsonMatrix": lambda m: HelsonMatrix(m, (1, 2)),
+    "representation_from_matrix": lambda m: representation_from_matrix(m, (1, 2)),
 }
 
 
@@ -118,7 +150,76 @@ def test_real_inputs_take_numpy_floats(entry, good):
 
 def test_numpy_inputs_give_the_python_results():
     assert smooth_indices(12, np.int64(2)) == smooth_indices(12, 2)
+    # n_max + 1 would wrap in uint8
+    assert smooth_indices(np.uint8(255)) == smooth_indices(255)
     assert dilate(np.float32(0.5), Sequence.delta(2)) == dilate(0.5, Sequence.delta(2))
     assert dilation_hs_sum(np.float64(0.5), 1e-6) == dilation_hs_sum(0.5, 1e-6)
     assert PowerSymbol(np.float64(0.5)).spec == PowerSymbol("0.5").spec == "power:0.5"
     assert RandomDecaySymbol(3, np.int64(1)).spec == "random-decay:3,1"
+
+
+@pytest.mark.parametrize("bad", [(True,), (np.True_,), (2.5,), (3.0,), ("3",)], ids=repr)
+def test_the_matrix_index_map_refuses_other_types(bad):
+    # HelsonMatrix once took int(n) of each, so (2.5,) stood for index 2
+    with pytest.raises(DomainError, match="indices must be integers, got dtype"):
+        HelsonMatrix(np.eye(1), bad)
+
+
+def test_a_sequence_reads_zero_off_its_support():
+    a = Sequence.delta(2)
+    assert a[0] == a[-3] == a[3] == a[2**70] == 0j and a[np.int64(2)] == 1.0
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1", 1j, None], ids=repr)
+@pytest.mark.parametrize("entry", FINITE_VALUE_ENTRIES)
+def test_finite_values_refuse_other_types(entry, bad):
+    # a sequence file's [1, true, 0] and [1, "1.5", 0] once read as numbers
+    with pytest.raises(DomainError, match="must be a real number, got"):
+        FINITE_VALUE_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "2", None], ids=repr)
+@pytest.mark.parametrize("entry", COMPLEX_ENTRIES)
+def test_complex_inputs_refuse_other_types(entry, bad):
+    # Sequence({1: "2"}) once held 2, and GeometricDecay(0.5, True) had coeff 1
+    with pytest.raises(DomainError, match="must be a number, got"):
+        COMPLEX_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("entry", COMPLEX_ENTRIES)
+def test_complex_inputs_refuse_values_past_the_float_range(entry, bad):
+    # complex(10**400) raises OverflowError
+    with pytest.raises(DomainError, match=r"must be finite, got \(-?inf\+0j\)"):
+        COMPLEX_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("good", [2, 0.5j, np.int64(2), np.float32(0.5), np.complex64(0.5j)],
+                         ids=repr)
+@pytest.mark.parametrize("entry", COMPLEX_ENTRIES)
+def test_complex_inputs_take_numpy_numbers(entry, good):
+    COMPLEX_ENTRIES[entry](good)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", 0.5j, None], ids=repr)
+def test_the_norm_tolerance_refuses_other_types(bad):
+    with pytest.raises(DomainError, match="tolerance must be a real number, got"):
+        operator_norm(np.eye(2), tol=bad)
+
+
+@pytest.mark.parametrize("bad", [np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "2"]]),
+                                 np.array([[1, 0], [0, 2]], dtype=object)],
+                         ids=["bool", "str", "object"])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_matrices_refuse_entries_that_are_not_numbers(entry, bad):
+    # operator_norm of the string matrix once parsed it and returned 2.0
+    with pytest.raises(DomainError, match="matrix entries must be numbers, got dtype"):
+        MATRIX_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("good", [np.eye(2, dtype=np.int8), np.eye(2, dtype=np.float32),
+                                  np.eye(2, dtype=np.complex64), [[1, 0], [0, 1.0]]],
+                         ids=["int8", "float32", "complex64", "list"])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_matrices_take_integer_real_and_complex_entries(entry, good):
+    MATRIX_ENTRIES[entry](good)

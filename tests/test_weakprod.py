@@ -676,7 +676,7 @@ def test_refine_budget_infeasible():
     (lambda: representation_from_matrix(np.zeros((2, 3)), (1, 2)), "square"),
     (lambda: representation_from_matrix(np.eye(2), (1,)), "index map length"),
     (lambda: GeometricDecay(1.5), "ratio must lie in"),
-    (lambda: GeometricDecay(0.5, math.inf), "norm must be finite"),
+    (lambda: GeometricDecay(0.5, math.inf), "geometric coefficient must be finite"),
     (lambda: GeometricDecay(0.9, 1e308), "norm must be finite"),
     (lambda: GeometricDecay(0.5).value(0), "index must be >= 1"),
     (lambda: GeometricDecay(0.5).tail_norm(-1), "cut point must be >= 0"),
