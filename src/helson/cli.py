@@ -28,7 +28,8 @@ Every knob is one row of KNOBS: its config-file key, flag, type, library
 default and the commands that take the flag.  Flags may also be preloaded
 from a config file of key=value lines via --config; an explicit flag
 beats the file, and the file beats the default.  The sieve's index
-range is a library constant, so no flag, key or variable sets it.
+range is a library constant, so no flag, key or variable sets it; it
+bounds only what is factored, and a window of --N has at most 1024 rows.
 """
 
 import argparse

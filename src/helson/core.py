@@ -65,6 +65,9 @@ class Sequence:
     """
 
     __slots__ = ("_keys", "_vals")
+    # no array, no iterable: numpy and list() would read seq[0], seq[1], ... forever
+    __array_ufunc__ = None
+    __iter__ = None
 
     def __init__(self, entries=None):
         pairs = list(entries.items() if isinstance(entries, dict) else entries or ())
@@ -185,18 +188,16 @@ def dirichlet_convolve(a, b):
 
     Linear in a, conjugate-linear in b.  The coefficient at n is the sum
     of a(i) conj(b(j)) over its product class {(i, j): ij = n}, taken in
-    the order (i, j) ascending.  A product above the sieve limit raises a
-    domain error.
+    the order (i, j) ascending.  The products are never factored, so
+    they may pass the sieve's range; one at or above 2^63, past the int64
+    indices of a Sequence, raises a domain error.
     """
-    limit = sieve.sieve_limit()
     ak, av, bk, bv = a._keys, a._vals, b._keys, b._vals
     if not (ak.size and bk.size):
         return Sequence()
     # the largest product, in Python ints, is checked before any int64
     # product is formed, so none can wrap
-    top = int(ak[-1]) * int(bk[-1])
-    if top > limit:
-        raise DomainError(f"convolution index {top} exceeds sieve limit {limit}")
+    _index(int(ak[-1]) * int(bk[-1]))
     prod = np.multiply.outer(ak, bk).ravel()
     terms = _mul(av[:, None], bv.conj()).ravel()
     return Sequence._from_arrays(prod, terms)

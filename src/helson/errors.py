@@ -59,15 +59,15 @@ def _real(x, what, high=math.inf, low=0.0):
     return x
 
 
-def _complex(z, what):
-    """z as a complex; DomainError unless it is a finite number, a bool excepted."""
+def _complex(z, what, finite=True):
+    """z as a complex; DomainError unless it is a number, finite if finite, a bool excepted."""
     if not isinstance(z, numbers.Complex) or isinstance(z, bool):
         raise DomainError(f"{what} must be a number, got {type(z).__name__}")
     try:
         z = complex(z)
     except OverflowError:  # an int or Fraction past the float range
         z = complex(math.inf)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if finite and not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{what} must be finite, got {z}")
     return z
 

@@ -5,7 +5,7 @@ nm, which makes every assembled matrix symmetric (not Hermitian unless
 alpha is real).  Under a prime budget d the rows and columns run over
 the d-smooth integers <= N, in ascending order, with the index map kept
 on the matrix.  Window is the one place a window is built: its indices,
-the sieve bound on its products, its product classes and its polydisk
+the cap of DENSE_CAP rows, its product classes and its polydisk
 sub-windows.  Entries are float64 when every value alpha takes on the
 window's products is real and complex128 otherwise.
 
@@ -26,13 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _integer, _integer_array, _number_array
+from .errors import DomainError, _complex, _integer, _integer_array, _number_array
 from . import sieve
 from .core import Sequence, _dot, dilate, dirichlet_convolve
 
-# dense assembly refuses above this many rows (assembly is O(N^2) memory);
-# the products of a 1..N window are evaluated, never factored, and stay
-# at most DENSE_CAP^2 = sieve.MAX_INDEX
+# a dense window (assemble, xnorm) has at most this many rows, since its
+# matrices take O(rows^2) memory; its products are evaluated, never
+# factored, so they may pass the sieve's range
 DENSE_CAP = 1024
 
 
@@ -46,7 +46,8 @@ def symbol_values(symbol, ns):
     evaluated in one vectorized call.  Any other object with a pure
     ``value(n)`` method is evaluated index by index, and so is an
     instance whose ``value`` was replaced on the instance (a counting or
-    logging wrapper): the replacement is never bypassed.
+    logging wrapper): the replacement is never bypassed.  Each such
+    value passes _complex, so a bool, string or None is refused.
     """
     ns = _integer_array(ns)
     values = getattr(symbol, "values", None)
@@ -56,17 +57,19 @@ def symbol_values(symbol, ns):
             "symbol must be a Sequence or expose values(ns) or value(n), "
             f"got {type(symbol).__name__}"
         )
+    name = getattr(symbol, "spec", type(symbol).__name__)
     # numpy's overflow warnings give way to the refusal below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if values is not None and "value" not in getattr(symbol, "__dict__", ()):
             out = np.asarray(values(ns), dtype=np.complex128)
         else:
-            out = np.fromiter((complex(value(n)) for n in ns.ravel().tolist()),
+            what = f"value of symbol {name}"
+            out = np.fromiter((_complex(value(n), what, finite=False)
+                               for n in ns.ravel().tolist()),
                               dtype=np.complex128, count=ns.size).reshape(ns.shape)
     finite = np.isfinite(out)
     if not finite.all():
         first = int(ns.ravel()[np.argmin(finite.ravel())])
-        name = getattr(symbol, "spec", type(symbol).__name__)
         raise DomainError(f"symbol {name} is not finite at index {first}")
     return out
 
@@ -125,18 +128,12 @@ class Window:
 
     @classmethod
     def truncation(cls, n_max, prime_budget=None):
-        """The window 1..N, d-smooth under a budget."""
-        return cls(sieve.smooth_indices(_integer(n_max, "truncation size", 1), prime_budget))
-
-    def fit_sieve(self):
-        """The largest product n_max^2; DomainError above the sieve limit."""
-        limit, top = sieve.sieve_limit(), int(self.indices[-1])
-        if top * top > limit:
-            raise DomainError(
-                f"matrix window needs index {top * top} = {top}^2 "
-                f"above sieve limit {limit}"
-            )
-        return top * top
+        """The window 1..N, d-smooth under a budget; DomainError past DENSE_CAP rows."""
+        indices = sieve.smooth_indices(_integer(n_max, "truncation size", 1), prime_budget)
+        rows = len(indices)
+        if rows > DENSE_CAP:
+            raise DomainError(f"dense assembly capped at {DENSE_CAP} rows, window has {rows}")
+        return cls(indices)
 
     def smooth_over(self, primes):
         """Positions of the indices whose prime factors all lie in primes.
@@ -243,10 +240,6 @@ def assemble(symbol, n_max, prime_budget=None):
     """
     window = Window.truncation(n_max, prime_budget)
     dim = window.indices.size
-    if dim > DENSE_CAP:
-        raise DomainError(
-            f"dense assembly capped at {DENSE_CAP} rows, window has {dim}"
-        )
     if window.indices[-1] == dim:
         entries = _strided_rows(symbol, dim)
     else:
@@ -278,9 +271,11 @@ def dilate_symbol(symbol, r, n_max):
     Satisfies assemble(alpha_r, N) = D_r assemble(alpha, N) D_r with D_r
     the diagonal matrix of dilation weights, since the weighted degree is
     additive over products.  This weights the symbol itself, so it is an
-    independent route to the scaled matrices that approx builds.
+    independent route to the scaled matrices that approx builds.  The
+    sieve refuses an N^2 past its range before [1, N^2] is allocated.
     """
-    top = Window.truncation(n_max).fit_sieve()
+    top = _integer(n_max, "truncation size", 1) ** 2
+    sieve.weighted_degree(top)
     if isinstance(symbol, Sequence):
         return dilate(r, symbol.restrict(top))
     space = np.arange(1, top + 1, dtype=np.int64)

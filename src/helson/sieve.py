@@ -16,11 +16,12 @@ walk of factor_pairs.  Smoothness over an arbitrary prime
 set is no sieve query: weakprod generates those indices directly, as
 products of prime powers.
 
-Every index query lies in [1, MAX_INDEX], which _indices checks before
-any table is touched.  The tables are built on demand: they cover the
-power of two at or above the largest index queried so far, and are
-rebuilt larger, all together, only when a later query needs it, so a
-process that factors nothing builds nothing.
+Every index query lies in [1, MAX_INDEX], which _indices alone checks,
+before any table is touched; products of indices (a window's, a
+convolution's) are never factored and may lie past it.  The tables are
+built on demand: they cover the power of two at or above the largest
+index queried so far, and are rebuilt larger, all together, only when a
+later query needs it, so a process that factors nothing builds nothing.
 """
 
 import math

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DomainError, _complex, _integer, _integer_array, _number_array, _real
 from .core import Sequence, _index, dirichlet_convolve
 from .operator import ArraySymbol, Window, assemble, bilinear_pair
-from .sieve import factor_pairs, sieve_limit
+from .sieve import factor_pairs
 from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
@@ -129,18 +129,20 @@ class XNormResult:
 def xnorm(c, n_max, config=None, prime_budget=None):
     """Window X-norm of c with matrix, certificate, and gap.
 
-    The window runs over indices 1..N (d-smooth under a budget); supp(c)
-    may reach anywhere in the product set of the window, in particular
-    up to N^2, as long as every support point is a product of two window
-    indices.  Larger windows only add decompositions, so the value is
+    The window runs over indices 1..N (d-smooth under a budget), at most
+    1024 of them; supp(c) may reach anywhere in the product set of the
+    window, in particular up to N^2, as long as every support point is a
+    product of two window indices, and in the sieve's range, since it is
+    factored.  Larger windows only add decompositions, so the value is
     nonincreasing in N.
 
     The program is solved on the window indices S whose primes all lie
     in the set P of primes dividing supp(c), and the matrix is padded
-    with exact zeros back to N x N.  S is generated, not sieved: the
-    products of powers of the primes of P up to N, the monomials of the
-    |P|-variable polydisk, kept where they lie in the window (which a
-    prime budget may thin; Window.smooth_over).  This reduction is exact (the
+    with exact zeros back to the full window, rows x rows (N x N with no
+    budget).  S is generated, not sieved: the products of powers of the
+    primes of P up to N, the monomials of the |P|-variable polydisk, kept
+    where they lie in the window (which a prime budget may thin;
+    Window.smooth_over).  This reduction is exact (the
     polydisk remark of the paper): ij is P-smooth exactly when i and j
     are, so every class of a P-smooth n lies in S x S and no other class
     meets it; compressing a feasible X to S x S keeps it feasible without
@@ -182,13 +184,11 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     """
     cfg = config or XNormConfig()
     window = Window.truncation(n_max, prime_budget)
-    # the matrix is returned on the full window, which must fit the sieve
-    window.fit_sieve()
     size = window.indices.size
-    # a support point past the sieve is no window product: the
-    # representability check below refuses it
-    limit = sieve_limit()
-    primes = {p for n in c.support if n <= limit for p, _ in factor_pairs(n)}
+    # a support point past the largest window product is no window
+    # product: the representability check below refuses it unfactored
+    top = int(window.indices[-1]) ** 2
+    primes = {p for n in c.support if n <= top for p, _ in factor_pairs(n)}
     rows = window.smooth_over(primes)
     classes = Window(window.indices[rows])
     outside = c._keys[~np.isin(c._keys, classes.uniq, assume_unique=True)]

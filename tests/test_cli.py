@@ -86,6 +86,14 @@ def test_convolve_output_reusable_as_input(capsys, tmp_path):
     assert sequence_from_triples(doc["sequence"]) == Sequence.delta(12)
 
 
+def test_convolve_computes_products_past_the_sieve(capsys):
+    # products are never factored: 2048 * 1024 = 2^21 lies past the
+    # sieve's range 2^20 and is computed
+    code, out, _ = run(capsys, "convolve", "delta:2048", "delta:1024")
+    assert code == 0
+    assert json.loads(out)["sequence"] == [[2097152, 1.0, 0.0]]
+
+
 def test_dilate(capsys):
     code, out, _ = run(capsys, "dilate", "0.5", "delta:3")
     assert code == 0
@@ -501,6 +509,18 @@ def test_duality_equality(capsys):
     code, out, _ = run(capsys, "duality", "delta:1", "delta:1", "--N", "2")
     assert code == 0
     assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_duality_on_a_budget_window_past_the_sieve(capsys, tmp_path):
+    # the 48 3-smooth indices up to 2048 have products up to 2048^2, past
+    # the sieve's range; assembly and xnorm both take the window
+    path = tmp_path / "c.json"
+    save_sequence(Sequence({1: 1.0, 2: 0.5, 4: 0.25j, 8: -0.5}), path)
+    code, out, _ = run(capsys, "duality", "mhilbert", f"file:{path}",
+                       "--N", "2048", "--primes", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] and 0 < doc["ratio"] <= 1 + 1e-6
 
 
 def test_duality_says_how_far_its_xnorm_got(capsys, tmp_path):

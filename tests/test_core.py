@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import helson
 from helson import (
     DomainError,
     Sequence,
@@ -134,6 +139,43 @@ def test_sequence_operators_defer_to_a_non_sequence():
         a - 2
 
 
+_NUMPY_AND_A_SEQUENCE = """
+import numpy as np
+from helson import DomainError, Sequence
+
+seq = Sequence.delta(2)
+assert np.float64(2.0) * seq == seq * np.float64(2.0) == Sequence({2: 2.0})
+try:
+    np.True_ * seq
+except DomainError:
+    pass
+else:
+    raise AssertionError("np.True_ * seq was not refused")
+for call in (list, np.asarray, iter):
+    try:
+        call(seq)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError(f"{call.__name__}(seq) was not refused")
+"""
+
+
+def test_numpy_never_reads_a_sequence_as_an_array():
+    # numpy once read a Sequence through __getitem__ at 0, 1, 2, ... and,
+    # every index off the support reading 0, never stopped; the child
+    # process and its timeout turn such a hang into a failure
+    env = dict(os.environ)
+    home = str(pathlib.Path(helson.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (home, env.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_AND_A_SEQUENCE],
+                              capture_output=True, text=True, env=env, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("numpy read the Sequence without end")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sequence_repr_shows_at_most_six_entries():
     assert repr(Sequence({1: 1j})) == "Sequence({1: 1j})"
     six = ", ".join(f"{n}: ({n}+0j)" for n in range(1, 7))
@@ -234,29 +276,31 @@ def test_convolve_pointwise_bound():
 
 
 def test_convolve_overflow():
+    # products are never factored, so one past the sieve's range is
+    # computed; one past the int64 index range is refused
     big = sieve_limit()
-    a = Sequence({big: 1.0})
-    with pytest.raises(DomainError, match="exceeds sieve limit"):
-        dirichlet_convolve(a, Sequence.delta(2))
+    assert dirichlet_convolve(Sequence({big: 1.0}), Sequence.delta(2)) == Sequence.delta(2 * big)
+    with pytest.raises(DomainError, match="below 2\\^63"):
+        dirichlet_convolve(Sequence({2**62: 1.0}), Sequence.delta(2))
 
 
-def test_convolve_window_keeps_the_sieve_check():
-    # a product past the sieve limit is refused, not dropped, even when
-    # every other product lies in range; one at the limit is kept
-    big = sieve_limit()
-    with pytest.raises(DomainError, match="exceeds sieve limit"):
-        dirichlet_convolve(Sequence({1: 1.0, big: 1.0}), Sequence.delta(2))
-    assert dirichlet_convolve(Sequence.delta(big), Sequence.delta(1)) == Sequence.delta(big)
+def test_convolve_refuses_a_product_at_2_63():
+    # a product at 2^63 is refused, not dropped, even when every other
+    # product lies in range; one at 2^63 - 1 is kept
+    with pytest.raises(DomainError, match="below 2\\^63, got 9223372036854775808"):
+        dirichlet_convolve(Sequence({1: 1.0, 2**62: 1.0}), Sequence.delta(2))
+    top = 2**63 - 1
+    assert dirichlet_convolve(Sequence.delta(top), Sequence.delta(1)) == Sequence.delta(top)
 
 
 def test_convolve_products_never_wrap_int64():
     # 2^40 * 2^40 = 2^80 wraps to 0 in int64 and 2^62 * 3 to a negative
-    # index; both lie above the sieve limit, so they are refused
+    # index; both lie past the int64 index range, so they are refused
     a = Sequence({2**40: 1.0})
-    with pytest.raises(DomainError, match="exceeds sieve limit"):
+    with pytest.raises(DomainError, match="below 2\\^63"):
         dirichlet_convolve(a, a)
     b = Sequence({1: 1.0, 2**40: 1.0, 2**62: 1j})
-    with pytest.raises(DomainError, match="exceeds sieve limit"):
+    with pytest.raises(DomainError, match="below 2\\^63"):
         dirichlet_convolve(b, Sequence({3: 2.0}))
 
 

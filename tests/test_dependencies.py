@@ -95,19 +95,33 @@ def test_only_errors_casts_a_parameter_to_float():
     assert sorted(offences) == []
 
 
-def test_only_the_window_asks_the_sieve_for_a_window():
-    # operator.Window builds every truncation window; smooth_indices is
-    # otherwise named only where it is defined and exported
+def _modules_naming(name):
+    """Modules that name `name`: as a name, attribute, import, definition or string."""
     named = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Name) and node.id == "smooth_indices"
-                    or isinstance(node, ast.Attribute) and node.attr == "smooth_indices"
-                    or isinstance(node, ast.alias) and node.name == "smooth_indices"
-                    or isinstance(node, ast.FunctionDef) and node.name == "smooth_indices"
-                    or isinstance(node, ast.Constant) and node.value == "smooth_indices"):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and node.name == name
+                    or isinstance(node, ast.FunctionDef) and node.name == name
+                    or isinstance(node, ast.Constant) and node.value == name):
                 named.add(path.name)
-    assert named == {"sieve.py", "operator.py", "__init__.py"}
+    return named
+
+
+def test_only_the_window_asks_the_sieve_for_a_window():
+    # operator.Window builds every truncation window; smooth_indices is
+    # otherwise named only where it is defined and exported
+    assert _modules_naming("smooth_indices") == {"sieve.py", "operator.py", "__init__.py"}
+
+
+def test_only_the_sieve_knows_its_range():
+    # the sieve checks its index range MAX_INDEX where it factors, and the
+    # CLI stamps sieve_limit() into config_hash; Window.truncation is the
+    # one check of the DENSE_CAP rows of a dense window
+    sieve_range = _modules_naming("MAX_INDEX") | _modules_naming("sieve_limit")
+    assert sieve_range <= {"sieve.py", "__init__.py", "cli.py"}
+    assert _modules_naming("DENSE_CAP") <= {"operator.py", "__init__.py"}
 
 
 def test_only_the_cli_renders_output():

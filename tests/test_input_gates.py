@@ -30,6 +30,7 @@ from helson import (
     sequence_from_triples,
     smooth_indices,
     split_sequence,
+    symbol_values,
     xnorm,
 )
 from helson.spectral import _norm_upper_bound
@@ -79,6 +80,22 @@ COMPLEX_ENTRIES = {
     "Sequence.delta": lambda z: Sequence.delta(2, value=z),
     "Sequence * scalar": lambda z: Sequence.delta(2) * z,
     "GeometricDecay.coeff": lambda z: GeometricDecay(0.5, coeff=z),
+}
+
+class Outside:
+    """A symbol from outside the package: value(n) alone, one fixed value."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def value(self, n):
+        return self.out
+
+
+# each evaluates an outside symbol index by index, valid at a value 0.5j
+OUTSIDE_VALUE_ENTRIES = {
+    "symbol_values": lambda z: symbol_values(Outside(z), [1, 2]),
+    "assemble": lambda z: assemble(Outside(z), 2),
 }
 
 # each takes one square matrix of numbers, valid at np.eye(2)
@@ -184,6 +201,21 @@ def test_complex_inputs_refuse_other_types(entry, bad):
     # Sequence({1: "2"}) once held 2, and GeometricDecay(0.5, True) had coeff 1
     with pytest.raises(DomainError, match="must be a number, got"):
         COMPLEX_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1.5", None], ids=repr)
+@pytest.mark.parametrize("entry", OUTSIDE_VALUE_ENTRIES)
+def test_outside_symbol_values_refuse_other_types(entry, bad):
+    # complex(value(n)) once parsed an outside value "1.5" as 1.5+0j
+    with pytest.raises(DomainError, match="value of symbol Outside must be a number, got"):
+        OUTSIDE_VALUE_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("good", [2, 0.5j, np.int64(2), np.float32(0.5), np.complex64(0.5j)],
+                         ids=repr)
+@pytest.mark.parametrize("entry", OUTSIDE_VALUE_ENTRIES)
+def test_outside_symbol_values_take_numpy_numbers(entry, good):
+    OUTSIDE_VALUE_ENTRIES[entry](good)
 
 
 @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["10**400", "-10**400"])

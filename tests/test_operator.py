@@ -311,12 +311,15 @@ def test_dilate_symbol_power_entries():
 
 
 def test_dilate_symbol_window_must_fit_the_sieve(monkeypatch):
-    # alpha_r lives on [1, N^2], so N^2 must lie in the sieve range
-    with pytest.raises(DomainError, match="needs index 1050625 = 1025\\^2 above sieve limit"):
-        dilate_symbol(PowerSymbol(1.0), 0.5, 1025)
+    # alpha_r lives on [1, N^2] and is weighted by weighted degrees, so the
+    # sieve refuses an N^2 past its range, for a Sequence whose support
+    # fits too, before [1, N^2] is allocated
+    for symbol in (PowerSymbol(1.0), Sequence.delta(2)):
+        with pytest.raises(DomainError, match="sieve limit 1048576\\]"):
+            dilate_symbol(symbol, 0.5, 1025)
     monkeypatch.setattr(helson.sieve, "MAX_INDEX", 100)
     assert dilate_symbol(PowerSymbol(1.0), 0.5, 10).max_index == 100
-    with pytest.raises(DomainError, match="needs index 121 = 11\\^2 above sieve limit 100"):
+    with pytest.raises(DomainError, match="sieve limit 100\\]"):
         dilate_symbol(PowerSymbol(1.0), 0.5, 11)
 
 

@@ -131,13 +131,44 @@ def test_xnorm_unrepresentable_support():
         xnorm(Sequence.delta(5), 4)
 
 
-def test_xnorm_window_must_fit_the_sieve(monkeypatch):
-    # 40^2 exceeds the sieve, though the reduced window {1, 2, 4, ..., 32}
-    # of delta_2 would fit: the N x N result needs the full window
+def test_xnorm_window_must_fit_the_row_cap(monkeypatch):
+    # the N x N result is a dense window, capped at 1024 rows as in
+    # assemble; its products are evaluated, never factored, so a window
+    # whose products pass the sieve's range (40^2 > 1024) runs
+    with pytest.raises(DomainError, match="dense assembly capped at 1024 rows, window has 1025"):
+        xnorm(Sequence.delta(2), 1025)
+    expected = xnorm(Sequence.delta(2), 40)
     monkeypatch.setattr(helson.sieve, "MAX_INDEX", 1024)
-    with pytest.raises(DomainError, match="needs index 1600 = 40\\^2 above sieve limit 1024"):
-        xnorm(Sequence.delta(2), 40)
-    assert xnorm(Sequence.delta(2), 32).matrix.shape == (32, 32)
+    res = xnorm(Sequence.delta(2), 40)
+    assert res.matrix.shape == (40, 40) and res.converged
+    assert res.value == expected.value
+
+
+def test_xnorm_on_budget_windows_past_the_sieve():
+    # the windows of 3-smooth indices up to 2048 and 4096 have products
+    # past the sieve's range 2^20 and at most 56 rows: each converges, and
+    # a larger window only adds decompositions
+    c = Sequence({1: 1.0, 2: 0.5, 4: 0.25j, 8: -0.5})
+    previous = None
+    for n_max in (1024, 2048, 4096):
+        res = xnorm(c, n_max, prime_budget=2)
+        rows = len(smooth_indices(n_max, 2))
+        assert res.converged and res.matrix.shape == (rows, rows)
+        if previous is not None:
+            assert res.value <= previous + res.primal_dual_gap
+        previous = res.value
+    assert rows == 56 and previous < 1.154
+
+
+def test_xnorm_factors_only_support_points_of_window_products():
+    # a support point past the largest window product is refused as
+    # unrepresentable, unfactored; one below it but past the sieve's range
+    # is refused by the sieve, which cannot factor it
+    c = Sequence({1: 1.0, 2**21: 1.0})
+    with pytest.raises(DomainError, match="not representable"):
+        xnorm(c, 1024)
+    with pytest.raises(DomainError, match="sieve limit 1048576\\]"):
+        xnorm(c, 2048, prime_budget=1)
 
 
 @pytest.mark.parametrize("kwargs", [
