@@ -22,6 +22,14 @@ is the largest such bound over every pair it evaluates, less a rounding
 margin, so lower <= min f is certified whether or not the pair's norm
 certified.
 
+On an entrywise nonnegative window (mhilbert, power, delta) the
+largest-r vertex e_K is optimal: with s = omega_i + omega_j and
+r_k <= r_K, A - sum_k c_k B_k = A ∘ sum_k c_k (1 - r_k^s) >= A ∘ (1 - r_K^s)
+>= 0 entrywise, and the norm is monotone on nonnegative matrices.  Its
+leading pair is then nonnegative (Perron-Frobenius), so G_K is the
+largest G_k and the pair's own bound meets f(e_K): the search opens
+there, and one inner norm closes the bracket.
+
 The dilated matrices come from one assembly of M_N(alpha): since the
 weighted degree is additive over products, M_N(alpha_r) = D_r M_N(alpha) D_r
 with D_r = diag(r^omega(n)) on the window's indices.
@@ -45,7 +53,7 @@ from .core import dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# pairwise golden-section sweeps after the vertex probe
+# pairwise golden-section sweeps after the opening evaluations
 POLISH_SWEEPS = 6
 
 # best_convex_approx stops once upper - lower <= BRACKET_TOL * upper
@@ -128,14 +136,16 @@ def _golden_search(fun, lo, hi, stop, tol=1e-12):
 def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     """Minimize ||M_N(alpha) - sum_k c_k M_N(alpha_{r_k})|| over the simplex.
 
-    Evaluates the uniform point, then its Frank-Wolfe vertex e_k with
-    k = argmax_k G_k.  Where the optimum is that vertex, its own pair
-    closes the bracket at once.  Otherwise pairwise golden-section sweeps
-    along mass-transfer lines through the best point follow (f stays
-    convex on every line, so each sweep is exact; at K = 2 one line is
-    the whole simplex).  The search stops as soon as upper - lower <=
-    BRACKET_TOL * upper, or once upper <= 1e-13 max(||A||_F, 1) (f = 0 on
-    the window).
+    Evaluates the largest-r vertex e_K first.  On an entrywise
+    nonnegative window it is optimal (module docstring), and its own pair
+    closes the bracket: one inner norm is all the work.  Otherwise the
+    uniform point follows, then its Frank-Wolfe vertex e_k with
+    k = argmax_k G_k unless that is e_K again, then pairwise
+    golden-section sweeps along mass-transfer lines through the best
+    point (f stays convex on every line, so each sweep is exact; at K = 2
+    one line is the whole simplex).  The search stops as soon as
+    upper - lower <= BRACKET_TOL * upper, or once
+    upper <= 1e-13 max(||A||_F, 1) (f = 0 on the window).
 
     Every inner norm runs at tol from operator_norm's cold all-ones
     start.  lower is the certified bound of the module docstring.  upper
@@ -198,9 +208,15 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
         return (not all_certified or best_sigma <= 1e-13 * scale
                 or best_sigma - lower <= BRACKET_TOL * best_sigma)
 
-    _, g = evaluate(np.full(k_pts, 1.0 / k_pts))
+    # e_K is optimal on a nonnegative window, where its pair closes the
+    # bracket; else the uniform point and its Frank-Wolfe vertex follow
+    vertices = np.eye(k_pts)
+    evaluate(vertices[-1])
     if k_pts > 1 and not closed():
-        evaluate(np.eye(k_pts)[int(np.argmax(g))])
+        _, g = evaluate(np.full(k_pts, 1.0 / k_pts))
+        k = int(np.argmax(g))
+        if k != k_pts - 1 and not closed():
+            evaluate(vertices[k])
 
     # exact line minimization between coordinate pairs through the best
     # point; convex along each line, so golden section cannot miss

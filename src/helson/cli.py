@@ -278,8 +278,9 @@ def cmd_essnorm(cfg, args):
     manifest = _payload(
         cfg, fixture=symbol.spec, grid=cfg.r_grid, N_schedule=schedule,
         prime_budget=cfg.prime_budget, norm_tol=cfg.norm_tol,
-        determinism="seed-free: uniform point, Frank-Wolfe vertex, "
-                    "golden-section sweeps, all-ones norm starts",
+        determinism="seed-free: largest-r vertex, then uniform point, Frank-Wolfe "
+                    "vertex, golden-section sweeps while the bracket is open; "
+                    "all-ones norm starts",
         rows=table.rows, rows_converged=table.converged, weights=weights)
     unconverged = [n for n, w in weights.items() if not w["converged"]]
     if unconverged:

@@ -41,9 +41,13 @@ def _normalised(keys, vals):
     bad = vals[~np.isfinite(vals)]
     if bad.size:
         raise DomainError(f"sequence values must be finite, got {complex(bad[0])}")
-    keys, labels = np.unique(keys, return_inverse=True)
-    sums = np.bincount(labels, vals.real, keys.size) + 1j * np.bincount(
-        labels, vals.imag, keys.size)
+    if np.all(keys[1:] > keys[:-1]):
+        # distinct already: each class sum is bincount's 0.0 + v, so -0.0 reads +0.0
+        sums = (0.0 + vals.real) + 1j * (0.0 + vals.imag)
+    else:
+        keys, labels = np.unique(keys, return_inverse=True)
+        sums = np.bincount(labels, vals.real, keys.size) + 1j * np.bincount(
+            labels, vals.imag, keys.size)
     return keys[sums != 0], sums[sums != 0]
 
 

@@ -30,17 +30,32 @@ def _integer(n, what, low=None):
 
 
 def _integer_array(ns, low=None):
-    """ns as an int64 array; DomainError unless its dtype is integer and ns >= low.
+    """ns as an int64 array; DomainError unless it holds integers in [low, 2^63).
 
-    An empty input passes whatever its dtype, so () and [] are valid.
+    An empty input passes whatever its dtype, so () and [] are valid.  An
+    index past the int64 range is refused by its value, never wrapped or
+    called a non-integer: numpy keeps a Python int past that range as an
+    object, and casts a uint64 at or past 2^63 to a negative int64.
     """
     arr = np.asarray(ns)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+    if not arr.size:
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype == object and all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in arr.flat):
+        bottom, top = int(min(arr.flat)), int(max(arr.flat))
+    elif np.issubdtype(arr.dtype, np.integer):
+        # only a uint64 passes 2^63, and only a low bound needs the minimum
+        bottom = int(arr.min()) if low is not None else 0
+        top = int(arr.max()) if arr.dtype == np.uint64 else 0
+    else:
         raise DomainError(f"indices must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    if low is not None and arr.size and arr.min() < low:
-        raise DomainError(f"index must be >= {low}, got {arr.min()}")
-    return arr
+    if low is not None and bottom < low:
+        raise DomainError(f"index must be >= {low}, got {bottom}")
+    if bottom < -(1 << 63):
+        raise DomainError(f"index must be >= -2^63, got {bottom}")
+    if top >= 1 << 63:
+        raise DomainError(f"index must be below 2^63, got {top}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _real(x, what, high=math.inf, low=0.0):

@@ -154,9 +154,19 @@ class Window:
 
     @cached_property
     def _classes(self):
-        prod = np.multiply.outer(self.indices, self.indices)
-        uniq, labels, counts = np.unique(prod, return_inverse=True, return_counts=True)
-        return uniq, labels.reshape(prod.shape), counts
+        # n_i n_j = n_j n_i: the classes of the upper triangle i <= j,
+        # mirrored; each class holds at most one square n_i^2, its one
+        # pair counted once, and every other pair twice
+        idx = self.indices
+        upper = np.less_equal.outer(idx, idx)
+        uniq, half, counts = np.unique(np.multiply.outer(idx, idx)[upper],
+                                       return_inverse=True, return_counts=True)
+        labels = np.empty((idx.size, idx.size), dtype=half.dtype)
+        labels[upper] = half
+        labels.T[upper] = half
+        counts *= 2
+        counts[labels.diagonal()] -= 1
+        return uniq, labels, counts
 
     uniq = property(lambda self: self._classes[0])
     labels = property(lambda self: self._classes[1])

@@ -96,6 +96,11 @@ def _pow2_scaled(arr):
     return np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp), exp
 
 
+def _norm(x):
+    """Euclidean (Frobenius) norm of an array, as one dot product."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def operator_norm(matrix, tol=NORM_TOL):
     """Largest singular value of a dense square matrix, with certificate.
 
@@ -150,23 +155,24 @@ def operator_norm(matrix, tol=NORM_TOL):
         raise DomainError(f"matrix must be square, got shape {arr.shape}")
     dtype = arr.dtype
     # inf or nan when an entry is, or when the sum of squares overflows
-    frob, exp = math.sqrt(np.vdot(arr, arr).real), 0
+    frob, exp = _norm(arr), 0
     if not _FROB[0] <= frob <= _FROB[1]:
         arr, exp = _pow2_scaled(arr)
-        frob = math.sqrt(np.vdot(arr, arr).real)
+        frob = _norm(arr)
         if frob == 0.0:
             e0 = np.zeros(max(dim, 1), dtype=dtype)
             e0[0] = 1.0
             return SpectralReport(0.0, (e0, e0.copy()), 0, 0.0)
     weak = _WEAK * frob
+    real = dtype.kind != "c"
 
     def adjoint(y):
         # A^H y through the transposed view, with no conjugated copy of A
-        return np.conj(arr.T @ np.conj(y))
+        return arr.T @ y if real else np.conj(arr.T @ np.conj(y))
 
     v = np.ones(dim, dtype) / np.sqrt(dim)
     w = arr @ v
-    if np.linalg.norm(w) <= weak:
+    if _norm(w) <= weak:
         # a weak start, the kernel included: open on the largest column
         k = np.argmax(np.linalg.norm(arr, axis=0))
         v = np.zeros(dim, dtype=dtype)
@@ -174,6 +180,8 @@ def operator_norm(matrix, tol=NORM_TOL):
         w = arr[:, k]
     cap = min(_KRYLOV, dim)
     basis = np.empty((cap, dim), dtype=dtype)
+    # the conjugated rows beside the basis: each projection is one product
+    cbasis = basis if real else np.empty_like(basis)
     tri = np.zeros((cap, cap))
     max_iter = NORM_MAX_ITER
     it = 0
@@ -188,11 +196,11 @@ def operator_norm(matrix, tol=NORM_TOL):
 
     while it < max_iter:
         # cycle start: the explicit pair of v, whose product w opens the basis
-        sigma = float(np.linalg.norm(w))
+        sigma = _norm(w)
         it += 1
         u = w / sigma
         z = adjoint(u)
-        residual = float(np.linalg.norm(z - sigma * v))
+        residual = _norm(z - sigma * v)
         if residual <= tol * sigma:
             return report(True)
         if it == max_iter or residual >= opened:
@@ -201,27 +209,31 @@ def operator_norm(matrix, tol=NORM_TOL):
         opened = residual
         z *= sigma
         basis[0] = v
+        if not real:
+            np.conj(v, out=cbasis[0])
         for k in range(1, cap + 1):
             if k > 1:
                 z = adjoint(arr @ basis[k - 1])
                 it += 1
             # z = A^H A v_k, orthogonalized against the basis twice
-            head = basis[:k]
+            head, chead = basis[:k], cbasis[:k]
             for _ in range(2):
-                h = np.conj(head @ np.conj(z))
+                h = chead @ z
                 z -= h @ head
                 tri[k - 1, k - 1] += h[-1].real
-            beta = float(np.linalg.norm(z))
+            beta = _norm(z)
             theta, y = np.linalg.eigh(tri[:k, :k])
             # the last product of the cap goes to the next cycle's pair
             if (beta * abs(y[-1, -1]) <= 0.5 * tol * theta[-1]
                     or k == cap or it == max_iter - 1):
                 break
-            basis[k] = z / beta
+            np.divide(z, beta, out=basis[k])
+            if not real:
+                np.conj(basis[k], out=cbasis[k])
             tri[k - 1, k] = tri[k, k - 1] = beta
         tri[:k, :k] = 0.0
         v = y[:, -1] @ basis[:k]
-        v /= np.linalg.norm(v)
+        v /= _norm(v)
         w = arr @ v
     return report(False)
 

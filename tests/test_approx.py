@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helson import (
     ConvexWeights,
+    DeltaSymbol,
     DomainError,
     MHilbertSymbol,
     PowerSymbol,
@@ -16,7 +17,7 @@ from helson import (
     parse_fixture,
     symbol_values,
 )
-from helson.approx import POLISH_SWEEPS, _golden_search
+from helson.approx import BRACKET_TOL, POLISH_SWEEPS, _golden_search
 from helson.cli import main
 from helson.spectral import NORM_TOL
 from oracles import simplex_grid_search
@@ -159,14 +160,66 @@ def test_approx_lower_bounds_dense_objective(seed, is_complex, k_pts, n_max):
         assert res.lower <= objective(alpha, c, grid, n_max)
 
 
+NONNEGATIVE_SYMBOLS = st.one_of(
+    st.floats(-1.0, 2.0).map(PowerSymbol),
+    st.just(MHilbertSymbol()),
+    st.integers(1, 200).map(DeltaSymbol),
+    st.dictionaries(st.integers(1, 400), st.floats(0.0, 10.0), min_size=1, max_size=12)
+    .map(Sequence),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbol=NONNEGATIVE_SYMBOLS,
+       grid=st.lists(st.floats(0.05, 0.99), min_size=1, max_size=4, unique=True)
+       .map(sorted).map(tuple),
+       n_max=st.integers(1, 64),
+       budget=st.none() | st.integers(1, 5))
+def test_approx_nonnegative_window_closes_on_its_first_norm(symbol, grid, n_max, budget):
+    # on an entrywise nonnegative window e_K is optimal and its Perron pair
+    # closes the bracket: the opening norm is the whole search
+    target = assemble(symbol, n_max, budget).entries
+    svd = np.linalg.norm(target - assemble(
+        dilate_symbol(symbol, grid[-1], n_max), n_max, budget).entries, 2)
+    # the bracket's rounding margin is about 1e-13 ||A||_F, so below this
+    # f(e_K) the relative stop cannot fire (next test)
+    assume(svd >= 1e-3 * np.linalg.norm(target))
+    calls = []
+
+    def counted(matrix, tol=NORM_TOL):
+        calls.append(tol)
+        return operator_norm(matrix, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("helson.approx.operator_norm", counted)
+        res = best_convex_approx(symbol, grid, n_max, prime_budget=budget)
+    assert len(calls) == 1 and res.converged
+    assert res.weights.weights == tuple(float(k == len(grid) - 1) for k in range(len(grid)))
+    assert res.value - res.lower <= BRACKET_TOL * res.value
+    assert res.value == pytest.approx(svd, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("tiny", [1e-10, 1e-6])
+def test_approx_narrow_nonnegative_bracket_falls_back_to_the_sweeps(tiny):
+    # f(e_K) = tiny (1 - r_K) sits far below ||A||_F = 1, under the reach of
+    # the rounding margin: the bracket stays open, the sweeps run, and e_K
+    # still wins with its true value
+    alpha = Sequence({1: 1.0, 2: tiny})
+    res = best_convex_approx(alpha, (0.5, 0.9), 2)
+    assert res.converged and len(res.history) > 1
+    assert res.weights.weights == (0.0, 1.0)
+    assert res.value == pytest.approx(tiny * 0.1, rel=1e-9)
+    assert res.lower <= res.value
+
+
 @pytest.mark.parametrize("spec", ["mhilbert", "random-decay:7,0.5"])
 def test_approx_vertex_probe_closes_bracket(norm_calls, spec):
-    # the optimum is e_K: the uniform point and its Frank-Wolfe vertex are
-    # all the work there is, both at the caller's tolerance
+    # the optimum is e_K, where the search opens: its one norm, at the
+    # caller's tolerance, is all the work there is
     res = best_convex_approx(parse_fixture(spec), (0.9, 0.99, 0.999), 64, tol=1e-11)
     assert res.weights.weights == (0.0, 0.0, 1.0)
-    assert [tol for tol, _ in norm_calls] == [1e-11] * 2
-    assert res.history == [res.history[0], res.value]
+    assert [tol for tol, _ in norm_calls] == [1e-11]
+    assert res.history == [res.value]
     assert res.converged
     assert res.value - res.lower <= 1e-9 * res.value
 
@@ -219,12 +272,13 @@ def test_approx_two_point_nonconvergence_flag(monkeypatch):
 
 def test_approx_unreachable_tol_stops_at_first_norm(monkeypatch, norm_calls):
     # an uncertified norm ends the search: an unreachable tolerance must not
-    # spend the iteration cap on every point of the search
+    # spend the iteration cap on every point of the search, so its one norm
+    # is at e_K, where the search opens
     monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
     res = best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 16, tol=1e-30)
     assert not res.converged
     assert len(norm_calls) == 1 and norm_calls[0][0] == 1e-30
-    assert res.weights.weights == pytest.approx((1 / 3,) * 3)
+    assert res.weights.weights == (0.0, 0.0, 1.0)
     assert res.history == [res.value] and res.value > 0
 
 

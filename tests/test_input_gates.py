@@ -21,7 +21,9 @@ from helson import (
     XNormConfig,
     assemble,
     dilate,
+    dilate_symbol,
     dilation_hs_sum,
+    factorize,
     filter_smooth,
     is_smooth,
     operator_norm,
@@ -31,6 +33,7 @@ from helson import (
     smooth_indices,
     split_sequence,
     symbol_values,
+    weighted_degree,
     xnorm,
 )
 from helson.spectral import _norm_upper_bound
@@ -96,6 +99,17 @@ class Outside:
 OUTSIDE_VALUE_ENTRIES = {
     "symbol_values": lambda z: symbol_values(Outside(z), [1, 2]),
     "assemble": lambda z: assemble(Outside(z), 2),
+}
+
+# each is given an index at or past 2^63: a Python int past the int64
+# range, which numpy keeps as an object, or a uint64 that would wrap
+INDEX_RANGE_REFUSALS = {
+    "smooth_indices": (lambda: smooth_indices(2**64), 2**64),
+    "weighted_degree": (lambda: weighted_degree(2**64), 2**64),
+    "factorize": (lambda: factorize(2**64), 2**64),
+    "dilate_symbol": (lambda: dilate_symbol(PowerSymbol(1.0), 0.5, 2**32), 2**64),
+    "symbol_values.uint64": (
+        lambda: symbol_values(PowerSymbol(1.0), np.array([2**63], dtype=np.uint64)), 2**63),
 }
 
 # each takes one square matrix of numbers, valid at np.eye(2)
@@ -255,3 +269,11 @@ def test_matrices_refuse_entries_that_are_not_numbers(entry, bad):
 @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
 def test_matrices_take_integer_real_and_complex_entries(entry, good):
     MATRIX_ENTRIES[entry](good)
+
+
+@pytest.mark.parametrize("entry", INDEX_RANGE_REFUSALS)
+def test_indices_past_int64_are_refused_by_range(entry):
+    # not "indices must be integers, got dtype object", nor a wrapped value
+    call, index = INDEX_RANGE_REFUSALS[entry]
+    with pytest.raises(DomainError, match=rf"^index must be below 2\^63, got {index}$"):
+        call()

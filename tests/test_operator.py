@@ -155,6 +155,23 @@ def test_product_classes_partition(n_max, budget):
         assert np.all(rows[q, size:] == dim) and np.all(cols[q, size:] == dim)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300, unique=True).map(sorted))
+@example([1])
+@example([2, 3, 4, 6, 8])  # 2*8 = 4*4: a square's class with two more pairs
+def test_triangle_classes_match_the_full_product_table(indices):
+    # the classes are read off the upper triangle and mirrored: the same
+    # arrays, byte for byte, as np.unique over the whole product table
+    idx = np.asarray(indices, dtype=np.int64)
+    uniq, labels, counts = np.unique(np.outer(idx, idx), return_inverse=True,
+                                     return_counts=True)
+    window = Window(idx)
+    for got, want in [(window.uniq, uniq), (window.labels, labels.reshape(idx.size, -1)),
+                      (window.counts, counts)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 BRUTE_SYMBOLS = {
     "delta": "delta:6",
     "power": "power:0.75",

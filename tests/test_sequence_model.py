@@ -148,6 +148,33 @@ def test_constructor_refusals(entries, message):
         Sequence(entries)
 
 
+# parts of either sign of zero, subnormal and large
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0**-1074, -(2.0**-1074), 1e300])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2**62), PARTS, PARTS), max_size=30,
+                unique_by=lambda t: t[0]), st.randoms(use_true_random=False))
+@example([(1, -0.0, -0.0), (2, 0.0, -0.0), (3, -0.0, 1.0), (5, -1.5, -0.0)], None)
+def test_ascending_keys_give_the_bytes_of_a_shuffled_copy(entries, rnd):
+    # ascending keys skip the class sum, a shuffled copy takes it; both give
+    # the same bytes: -0.0 parts read +0.0 and exact zeros are dropped
+    entries = sorted(entries)
+    keys = np.array([n for n, _, _ in entries], dtype=np.int64)
+    vals = np.empty(len(entries), dtype=np.complex128)
+    vals.real = [re for _, re, _ in entries]
+    vals.imag = [im for _, _, im in entries]
+    order = np.arange(len(entries))[::-1] if rnd is None else np.array(
+        rnd.sample(range(len(entries)), len(entries)), dtype=np.intp)
+    ascending = Sequence._from_arrays(keys, vals)
+    shuffled = Sequence._from_arrays(keys[order], vals[order])
+    for got, want in [(ascending._keys, shuffled._keys), (ascending._vals, shuffled._vals)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for part in (ascending._vals.real, ascending._vals.imag):
+        assert not np.signbit(part[part == 0]).any()
+    assert len(ascending.support) == sum(re != 0 or im != 0 for _, re, im in entries)
+
+
 def test_norm_of_tiny_entries_does_not_underflow():
     # the squares, 9e-400 and 16e-400, are 0 in float64
     a = Sequence({1: 3e-200, 4: 4e-200j})

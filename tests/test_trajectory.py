@@ -1,0 +1,78 @@
+"""The summary step of tools/trajectory.py, on a recorded bench report.
+
+The report is a real `bench/run.py --workload norm-ladder --seed 1
+--seconds 1 --trace 0` output, with its two known trap failures and
+the directories of its BLAS build dropped; no bench runs here.
+"""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("trajectory", ROOT / "tools" / "trajectory.py")
+trajectory = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trajectory)
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "norm-ladder-seed1-trace0.json")
+                      .read_text())
+
+
+def seeded(seed, wall_scale=1.0):
+    report = copy.deepcopy(RECORDED)
+    report["provenance"]["seed"] = seed
+    report["metrics"]["wall_s"]["value"] *= wall_scale
+    return report
+
+
+def test_summary_gives_median_iqr_and_failed_counts():
+    wall = RECORDED["metrics"]["wall_s"]["value"]
+    # seeds out of order: the summary sorts them
+    out = trajectory.summarise([seeded(3, 4.0), seeded(1), seeded(2, 2.0)])
+    assert list(out) == ["norm-ladder"]
+    row = out["norm-ladder"]
+    assert row["seeds"] == [1, 2, 3]
+    assert row["metrics"]["wall_s"]["values"] == [wall, 2.0 * wall, 4.0 * wall]
+    # inclusive quartiles of (1, 2, 4) w are 1.5 w and 3 w
+    assert row["metrics"]["wall_s"]["median"] == pytest.approx(2.0 * wall)
+    assert row["metrics"]["wall_s"]["iqr"] == pytest.approx(1.5 * wall)
+    assert row["metrics"]["peak_rss_mb"]["iqr"] == 0.0
+    assert set(row["metrics"]) == {"setup_s", "wall_s", "cli_s", "peak_rss_mb"}
+    assert row["metrics"]["peak_rss_mb"]["unit"] == "MB"
+    assert row["failed"] == [2, 2, 2] and row["attempted"] == 21
+    assert row["correct"]
+    assert row["src_sha256"] == [RECORDED["provenance"]["src_sha256"]]
+
+
+def test_summary_flags_a_failure_that_is_no_known_defect():
+    bad = seeded(2)
+    bad["failures"][0]["known_defect"] = False
+    assert not trajectory.summarise([seeded(1), bad])["norm-ladder"]["correct"]
+
+
+def test_one_run_has_no_spread():
+    row = trajectory.summarise([seeded(1)])["norm-ladder"]["metrics"]["cli_s"]
+    assert row["median"] == RECORDED["metrics"]["cli_s"]["value"] and row["iqr"] == 0.0
+
+
+def test_paired_counts_the_seeds_the_second_checkout_wins():
+    base = trajectory.summarise([seeded(s) for s in (1, 2, 3)])
+    other = trajectory.summarise([seeded(1, 0.5), seeded(2, 0.5), seeded(3, 2.0)])
+    wall = trajectory.paired(base, other)["norm-ladder"]["wall_s"]
+    assert wall == {"pairs": 3, "lower": 2, "higher": 1, "median_ratio": 0.5}
+    # equal runs are ties, counted on neither side
+    assert trajectory.paired(base, base)["norm-ladder"]["cli_s"]["lower"] == 0
+
+
+def test_machine_reads_the_provenance():
+    report = copy.deepcopy(RECORDED)
+    report["provenance"]["blas"]["lib directory"] = "build/lib"
+    info = trajectory.machine(report)
+    assert info["nproc"] == RECORDED["provenance"]["nproc"]
+    assert info["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert {"platform", "python", "numpy", "blas"} <= set(info)
+    assert info["blas"]["name"] == RECORDED["provenance"]["blas"]["name"]
+    assert not any("directory" in key for key in info["blas"])
