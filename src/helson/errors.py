@@ -35,11 +35,15 @@ def _integer_array(ns, low=None):
     An empty input passes whatever its dtype, so () and [] are valid.  An
     index past the int64 range is refused by its value, never wrapped or
     called a non-integer: numpy keeps a Python int past that range as an
-    object, and casts a uint64 at or past 2^63 to a negative int64.
+    object, makes float64 of a list of them that fits neither int64 nor
+    uint64, and casts a uint64 at or past 2^63 to a negative int64.
     """
     arr = np.asarray(ns)
+    dtype = arr.dtype
     if not arr.size:
         return arr.astype(np.int64, copy=False)
+    if dtype.kind == "f" and not isinstance(ns, np.ndarray):
+        arr = np.array(ns, dtype=object)
     if arr.dtype == object and all(
             isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in arr.flat):
         bottom, top = int(min(arr.flat)), int(max(arr.flat))
@@ -48,13 +52,13 @@ def _integer_array(ns, low=None):
         bottom = int(arr.min()) if low is not None else 0
         top = int(arr.max()) if arr.dtype == np.uint64 else 0
     else:
-        raise DomainError(f"indices must be integers, got dtype {arr.dtype}")
+        raise DomainError(f"indices must be integers, got dtype {dtype}")
+    if top >= 1 << 63:
+        raise DomainError(f"index must be below 2^63, got {top}")
     if low is not None and bottom < low:
         raise DomainError(f"index must be >= {low}, got {bottom}")
     if bottom < -(1 << 63):
         raise DomainError(f"index must be >= -2^63, got {bottom}")
-    if top >= 1 << 63:
-        raise DomainError(f"index must be below 2^63, got {top}")
     return arr.astype(np.int64, copy=False)
 
 

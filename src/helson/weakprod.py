@@ -18,13 +18,14 @@ representation of equal cost.
 Its dual is M_0* = X on the window: max Re (beta, c) subject to
 ||M_N(beta)|| <= 1, a small semidefinite program in the class values
 beta.  xnorm solves it by the barrier method (Boyd and Vandenberghe,
-Convex Optimization, 11.3), with damped Newton steps on the
-self-concordant barrier log det [[I, B], [B^H, I]] (ibid., 9.6), and
-reads a primal X off each Newton direction (dual scaling: Benson, Ye
-and Zhang, SIAM J. Optim. 10, 2000).  Every step brackets the value
-from both sides, and the solver stops on the width of that bracket; the
-lower end scales beta by a norm bound that the step's own Cholesky
-factorization of [[I, B], [B^H, I]] proves (Rump, BIT 46, 2006).
+Convex Optimization, 11.3), with Newton steps on the self-concordant
+barrier log det [[I, B], [B^H, I]] (ibid., 9.6) whose length a
+backtracking line search picks (ibid., Algorithm 9.2), and reads a
+primal X off each Newton direction (dual scaling: Benson, Ye and Zhang,
+SIAM J. Optim. 10, 2000).  Every step brackets the value from both
+sides, and the solver stops on the width of that bracket; the lower end
+scales beta by a norm bound that the Cholesky factorization of
+[[I, B], [B^H, I]] at the step's new point proves (Rump, BIT 46, 2006).
 
 The solver works on the window indices S whose prime factors all divide
 some point of supp(c).  The paper notes that its results hold for small
@@ -48,8 +49,8 @@ from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
 # centred, i.e. its Newton decrement is at most _CENTRED; over 42 random
-# programs, growth 8 to 128 and centring 0.25 to 1 took 1010 to 1584
-# Newton steps in all, fewest at (64, 1)
+# programs, growth 8 to 128 and centring 0.25 to 1 took 673 to 1084
+# line-searched Newton steps in all, fewest at (64, 1)
 _T_GROWTH = 64.0
 _CENTRED = 1.0
 
@@ -152,9 +153,15 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     Each step maximizes t Re (beta, c) + log det F over the real and
     imaginary parts y of beta, with F = [[I, B], [B^H, I]] and
     B = beta[labels], which is positive definite exactly when ||B|| < 1.
-    It moves by the damped Newton step dy / (1 + lam), lam the Newton
-    decrement, which keeps F positive definite; t starts at 1 and grows
-    by _T_GROWTH whenever lam <= _CENTRED.  With W = F^-1 the gradient is
+    With lam the Newton decrement, the damped Newton step dy / (1 + lam)
+    keeps F positive definite; a backtracking line search tries longer
+    steps alpha dy first, alpha a power of two from the least one at or
+    above 4 / (1 + lam), capped at 1, halving while alpha > 1 / (1 + lam).
+    It takes the first at which F factors and the barrier objective
+    t Re (beta, c) + 2 sum log L_ii, L the Cholesky factor of F, rises by
+    at least alpha lam^2 / 4, and the damped step otherwise.  That factor
+    opens the next step.  t starts at 1 and grows by _T_GROWTH whenever
+    lam <= _CENTRED.  With W = F^-1 the gradient is
     t (Re c, -Im c) + 2 (Re g, -Im g), g the class sums of W_21, and
     minus the Hessian is the form 2 Re(d^T R d) + 2 d^H G^T d with
 
@@ -171,16 +178,17 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     the change of F along the full Newton step, has class sums c up to
     rounding; projected onto them exactly, ||X||_* is an upper bound.
     The lower bound is |(beta, c)| / s (M_0* = X), s a proven bound on
-    ||M_N(beta)|| = ||B|| read off the Cholesky factorization of F that
-    opens the step: one that runs to completion proves
+    ||M_N(beta)|| = ||B||, read at each new point off the Cholesky
+    factorization of F that the line search accepted: one that runs to
+    completion proves
     1 - ||B|| = lambda_min(F) >= -g trace(F), so s = 1 + 2 |S| g rounded
     up, one constant per solve.  The best of each is kept, and the
     solver stops once they are at most config.tol apart.  The bracket
     opens on the projected zero matrix, exactly feasible, and the zero
     certificate, so a c whose opening bracket is already that narrow (c =
     0, say) takes no step.  A singular or overflowing Newton system, or
-    an F that no longer factors, ends the solve with the best bracket and
-    converged False.
+    a damped step whose F does not factor, ends the solve with the best
+    bracket and converged False.
     """
     cfg = config or XNormConfig()
     window = Window.truncation(n_max, prime_budget)
@@ -216,10 +224,27 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     best_x = (target / counts)[labels]
     upper = float(np.linalg.svd(best_x, compute_uv=False).sum())
     best_cert, lower = beta, 0.0
+
+    def factor(b):
+        """Cholesky factor of F at the class values b, None where F does not factor."""
+        f[:dim, dim:] = b[labels]
+        f[dim:, :dim] = f[:dim, dim:].conj().T
+        try:
+            return np.linalg.cholesky(f)
+        except np.linalg.LinAlgError:
+            return None
+
+    def barrier(b, chol):
+        """t Re (b, c) + log det F, with chol the Cholesky factor of F at b."""
+        return t * np.dot(b, target).real + 2.0 * np.log(chol.diagonal().real).sum()
+
+    chol = None
     it = 0
     while it < cfg.max_iter and upper - lower > cfg.tol:
         try:
-            inv_chol = np.linalg.inv(np.linalg.cholesky(f))
+            if chol is None:  # F = I at beta = 0
+                chol = np.linalg.cholesky(f)
+            inv_chol = np.linalg.inv(chol)
             w = inv_chol.conj().T @ inv_chol
             w11, w21, w22 = w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
             # R^T and G^T; minus the Hessian in the real coordinates
@@ -249,16 +274,27 @@ def xnorm(c, n_max, config=None, prime_budget=None):
         nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
         if nuclear < upper:
             upper, best_x = nuclear, x
+        # backtrack on the power-of-two lengths down to the damped one,
+        # which keeps F positive definite and is taken whenever it factors
+        lam = math.sqrt(lam2)
+        damped = 1.0 / (1.0 + lam)
+        start = barrier(beta, chol)
+        top = min(1.0, 2.0 ** math.ceil(math.log2(4.0 * damped)))
+        for alpha in [a for a in (top, top / 2, top / 4) if a > damped] + [damped]:
+            trial = beta + alpha * step
+            chol = factor(trial)
+            if chol is not None and (alpha == damped or
+                                     barrier(trial, chol) >= start + alpha * lam2 / 4):
+                break
+        if chol is None:
+            break
+        beta = trial
+        if lam <= _CENTRED:
+            t *= _T_GROWTH
         cert = beta / bound
         pairing = float(abs(np.dot(cert, target)))
         if pairing > lower:
             lower, best_cert = pairing, cert
-        lam = math.sqrt(lam2)
-        if lam <= _CENTRED:
-            t *= _T_GROWTH
-        beta = beta + step / (1.0 + lam)
-        f[:dim, dim:] = beta[labels]
-        f[dim:, :dim] = f[:dim, dim:].conj().T
 
     matrix = np.zeros((size, size), dtype=np.complex128)
     matrix[np.ix_(rows, rows)] = best_x

@@ -551,7 +551,7 @@ def test_duality_unconverged_exits_3(capsys, tmp_path):
     path = tmp_path / "c.json"
     save_sequence(Sequence({1: -0.7, 2: 0.4, 3: 0.9, 4: -1.3, 6: 1.3}), path)
     out_path = tmp_path / "duality.json"
-    # the solve converges in 20 Newton steps; a cap of 10 leaves it open
+    # the solve converges in 16 Newton steps; a cap of 10 leaves it open
     code, out, err = run(capsys, "duality", "power:1", f"file:{path}", "--N", "8",
                          "--max-iter", "10", "--output", str(out_path))
     assert code == 3

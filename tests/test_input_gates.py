@@ -102,8 +102,11 @@ OUTSIDE_VALUE_ENTRIES = {
 }
 
 # each is given an index at or past 2^63: a Python int past the int64
-# range, which numpy keeps as an object, or a uint64 that would wrap
+# range, which numpy keeps as an object, a list of Python ints that numpy
+# makes float64, or a uint64 that would wrap
 INDEX_RANGE_REFUSALS = {
+    "symbol_values.mixed_list": (lambda: symbol_values(PowerSymbol(1.0), [2**63, -1]), 2**63),
+    "weighted_degree.list": (lambda: weighted_degree([1, 2**63]), 2**63),
     "smooth_indices": (lambda: smooth_indices(2**64), 2**64),
     "weighted_degree": (lambda: weighted_degree(2**64), 2**64),
     "factorize": (lambda: factorize(2**64), 2**64),

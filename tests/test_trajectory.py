@@ -76,3 +76,24 @@ def test_machine_reads_the_provenance():
     assert {"platform", "python", "numpy", "blas"} <= set(info)
     assert info["blas"]["name"] == RECORDED["provenance"]["blas"]["name"]
     assert not any("directory" in key for key in info["blas"])
+
+
+def test_full_support_xnorm_runs_in_a_fresh_process_on_the_checkout():
+    # N = 16 is the least window with 13 in it, so every point of 1..16
+    # is a window product
+    run = trajectory.run_full_support(ROOT, 16)
+    assert run["n_max"] == 16 and run["converged"] and run["iterations"] >= 1
+    assert run["wall_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+    assert 0.0 < run["gap"] <= 1e-6 < run["value"]
+
+
+def test_full_support_summary_gives_medians_per_window():
+    runs = [{"n_max": n, "wall_s": wall, "iterations": 15, "converged": True,
+             "value": 5.0, "gap": 1e-7, "peak_rss_mb": rss}
+            for n, wall, rss in ((32, 0.3, 50.0), (64, 2.0, 90.0), (32, 0.1, 52.0),
+                                 (32, 0.2, 51.0))]
+    out = trajectory.summarise_full_support(runs)
+    assert list(out) == ["32", "64"]
+    assert out["32"]["wall_s"] == 0.2 and out["32"]["wall_s_values"] == [0.3, 0.1, 0.2]
+    assert out["32"]["peak_rss_mb"] == 51.0 and out["32"]["iterations"] == [15]
+    assert out["64"]["wall_s"] == 2.0 and out["64"]["converged"]

@@ -31,11 +31,13 @@ from helson import (
 from helson.operator import Window
 from helson.sieve import factor_pairs
 from oracles import (
+    CERT_CHECK_TOL,
     _classes,
     hessian_reference,
     primes_upto,
     trial_factor,
     xnorm_certificate_check,
+    xnorm_oracle,
 )
 from test_cli import STALLED_C
 
@@ -312,6 +314,24 @@ def test_xnorm_bracket_holds_at_every_cap(n_max, data):
         assert abs(bilinear_pair(beta, c)) >= res.value - res.primal_dual_gap - 1e-12
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.data())
+def test_xnorm_lower_end_stays_below_an_oracle_representation(n_max, data):
+    # the certified lower end bounds the cost of every representation, so
+    # also that of the brute-force oracle's best one
+    classes = _classes(n_max)
+    support = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1,
+                                 max_size=4, unique=True))
+    part = st.floats(-2.0, 2.0)
+    entries = {n: complex(data.draw(part), data.draw(part)) for n in support}
+    c = Sequence(entries)
+    res = xnorm(c, n_max)
+    assert res.converged
+    lower = res.value - res.primal_dual_gap
+    assert xnorm_certificate_check(c, res.certificate, lower, n_max)
+    assert lower <= xnorm_oracle(entries, n_max, restarts=8) + CERT_CHECK_TOL
+
+
 def test_xnorm_brackets_before_its_first_step():
     # the first Newton decrement overflows at this scale: the bracket is
     # the exactly feasible projected zero matrix against certificate 0
@@ -325,7 +345,12 @@ def test_xnorm_brackets_before_its_first_step():
 
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_xnorm_stops_where_cholesky_fails(k, monkeypatch):
-    # an F that no longer factors ends the solve with the bracket so far
+    # a failed trial factorization is a backtrack; once the damped step's
+    # F does not factor either, the solve ends with the bracket so far.
+    # Every factorization from the k-th on fails: the first is F = I, and
+    # each step tries up to three lengths before the damped one, so the
+    # solve stops after 0, 2 and 6 steps
+    steps = {1: 0, 4: 2, 12: 6}[k]
     c = Sequence({1: 1.0, 2: 0.5 - 0.25j, 6: -0.75j})
     full = xnorm(c, 6)
     assert full.converged and full.iterations > 12
@@ -334,15 +359,15 @@ def test_xnorm_stops_where_cholesky_fails(k, monkeypatch):
 
     def failing(m):
         calls.append(m)
-        if len(calls) == k:
+        if len(calls) >= k:
             raise np.linalg.LinAlgError("not positive definite")
         return cholesky(m)
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
     res = xnorm(c, 6)
-    assert len(calls) == k
+    assert len(calls) >= k
     assert res.converged is False
-    assert res.iterations == k - 1
+    assert res.iterations == steps
     # upper >= ||c||_X >= lower, against the converged bracket
     assert res.value >= full.value - full.primal_dual_gap
     assert res.value - res.primal_dual_gap <= full.value
@@ -350,11 +375,12 @@ def test_xnorm_stops_where_cholesky_fails(k, monkeypatch):
 
 def test_stalled_c_solves_in_few_newton_steps():
     # a bound, not a pin: the barrier schedule took 42/38/38 steps
-    # before the re-measured constants
+    # before the re-measured constants, and 30/27/25 with damped steps
+    # before the line search
     c = sequence_from_triples(STALLED_C)
     for n_max in (8, 12, 16):
         res = xnorm(c, n_max)
-        assert res.converged and res.iterations <= 32
+        assert res.converged and res.iterations <= 22
 
 
 def test_xnorm_full_support_memory_is_bounded():

@@ -2,6 +2,7 @@
 
     python3 tools/trajectory.py --pr N
     python3 tools/trajectory.py --pr N --checkout parent=../parent --checkout change=.
+    python3 tools/trajectory.py --full-support 64
 
 For each of ten fixed seeds and each workload, every checkout runs
 ``bench/run.py --workload W --seed S --seconds 12 --trace 0`` in its own
@@ -10,16 +11,26 @@ report in ``<checkout>/.bench_out/<workload>-seed<s>-trace0.json``; the
 summary reads those reports and records, per checkout and workload, the
 median and interquartile range over seeds of every end-to-end metric
 and the failed-op counts.  Given two checkouts, it also records per
-workload and metric how many seeds the second beat the first on.  The
-output goes to ``BENCH_<PR>.json`` at the root of this repository.
+workload and metric how many seeds the second beat the first on.
+
+No bench op reaches the cost of xnorm's Newton system on a full
+support, so each checkout also times, in process, xnorm of the complex
+rng(5) c on 1..16 at N = 32 and 64: a fresh process per run imports
+that checkout's sources, with BLAS threads pinned to one, and reports
+wall time, Newton steps and its peak RSS.  The checkouts again take
+turns to go first.  The output goes to ``BENCH_<PR>.json`` at the root
+of this repository.
 """
 
 import argparse
 import json
+import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +38,9 @@ WORKLOADS = ("norm-ladder", "xnorm-ladder", "approx-smooth")
 SEEDS = (401, 402, 403, 404, 405, 406, 407, 408, 409, 410)
 # the run length BENCHMARK.json sets
 SECONDS = 12
+FULL_SUPPORT_SIZES = (32, 64)
+FULL_SUPPORT_REPEATS = 3
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_bench(checkout, workload, seed):
@@ -36,6 +50,47 @@ def run_bench(checkout, workload, seed):
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     report = Path(checkout) / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(report.read_text())
+
+
+def full_support_xnorm(n_max):
+    """xnorm of the rng(5) c on 1..16 in this process: wall time, steps, peak RSS."""
+    import numpy as np
+    from helson import Sequence, xnorm
+
+    draw = np.random.default_rng(5).standard_normal((16, 2))
+    c = Sequence({n + 1: complex(re, im) for n, (re, im) in enumerate(draw)})
+    start = time.perf_counter()
+    res = xnorm(c, n_max)
+    wall = time.perf_counter() - start
+    return {"n_max": n_max, "wall_s": wall, "iterations": res.iterations,
+            "converged": res.converged, "value": res.value, "gap": res.primal_dual_gap,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def run_full_support(checkout, n_max):
+    """full_support_xnorm in a fresh process on checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"),
+               **{var: "1" for var in THREAD_VARS})
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                          "--full-support", str(n_max)],
+                         cwd=checkout, env=env, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def summarise_full_support(runs):
+    """Per N: median wall time and peak RSS over the runs, and their Newton steps."""
+    out = {}
+    for n_max in sorted({r["n_max"] for r in runs}):
+        at = [r for r in runs if r["n_max"] == n_max]
+        walls = [r["wall_s"] for r in at]
+        out[str(n_max)] = {
+            "wall_s": statistics.median(walls), "wall_s_values": walls,
+            "iterations": sorted({r["iterations"] for r in at}),
+            "converged": all(r["converged"] for r in at),
+            "value": at[0]["value"], "gap": at[0]["gap"],
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in at),
+        }
+    return out
 
 
 def spread(values):
@@ -115,11 +170,18 @@ def parse_checkout(text):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--pr", type=int, required=True, help="number in the output file name")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pr", type=int, help="number in the output file name")
+    group.add_argument("--full-support", type=int, metavar="N",
+                       help="only time the full-support xnorm at N in this process "
+                            "and print it as JSON")
     p.add_argument("--checkout", type=parse_checkout, action="append",
                    help="LABEL=PATH of a checkout to run (repeatable; "
                         "default: this one, as head)")
     args = p.parse_args(argv)
+    if args.full_support is not None:
+        print(json.dumps(full_support_xnorm(args.full_support)))
+        return 0
     checkouts = dict(args.checkout or [("head", ROOT)])
 
     reports = {label: [] for label in checkouts}
@@ -132,6 +194,15 @@ def main(argv=None):
                 print(f"# {label} {workload} seed={seed} wall_s="
                       f"{reports[label][-1]['metrics']['wall_s']['value']:.6g}", flush=True)
 
+    probes = {label: [] for label in checkouts}
+    for i in range(FULL_SUPPORT_REPEATS):
+        order = list(checkouts.items())[::-1 if i % 2 else 1]
+        for n_max in FULL_SUPPORT_SIZES:
+            for label, path in order:
+                probes[label].append(run_full_support(path, n_max))
+                print(f"# {label} full-support xnorm N={n_max} wall_s="
+                      f"{probes[label][-1]['wall_s']:.6g}", flush=True)
+
     summaries = {label: summarise(runs) for label, runs in reports.items()}
     result = {
         "pr": args.pr,
@@ -140,6 +211,12 @@ def main(argv=None):
         "seeds": list(SEEDS),
         "order": "checkouts alternate which runs first, seed by seed",
         "checkouts": summaries,
+        "full_support_xnorm": {
+            "c": "np.random.default_rng(5).standard_normal((16, 2)) on 1..16, complex",
+            "repeats": FULL_SUPPORT_REPEATS,
+            "checkouts": {label: summarise_full_support(runs)
+                          for label, runs in probes.items()},
+        },
     }
     if len(summaries) == 2:
         first, second = summaries.values()
