@@ -14,20 +14,23 @@ to the tolerance of that norm; nothing stronger than this
 grid-restricted bound is claimed.
 
 The same pair bounds f from below on the whole simplex: for unit u, v
-and every c', f(c') >= Re u^H (A - sum_k c'_k B_k) v >= a - max_k G_k
-with a = Re(u^H A v).  This is the subgradient inequality, the dual side
-of Nesterov's primal-dual subgradient method (Math. Program. 120, 2009)
-and the Frank-Wolfe duality gap (Jaggi, ICML 2013).  The solver's lower
-is the largest such bound over every pair it evaluates, less a rounding
-margin, so lower <= min f is certified whether or not the pair's norm
-certified.
+and every c', f(c') >= Re u^H (A - sum_k c'_k B_k) v = sum_k c'_k H_k
+>= min_k H_k with H_k = Re(u^H (A - B_k) v), which is Re(u^H A v) - G_k.
+This is the subgradient inequality, the dual side of Nesterov's
+primal-dual subgradient method (Math. Program. 120, 2009) and the
+Frank-Wolfe duality gap (Jaggi, ICML 2013).  The solver's lower is the
+largest such bound over every pair it evaluates, less a rounding margin,
+so lower <= min f is certified whether or not the pair's norm
+certified.  The differences A - B_k are formed once, and a rounded
+difference errs relative to itself, so the margin is a multiple of
+max_k ||A - B_k||_F: it scales with f, not with ||A||.
 
 On an entrywise nonnegative window (mhilbert, power, delta) the
 largest-r vertex e_K is optimal: with s = omega_i + omega_j and
 r_k <= r_K, A - sum_k c_k B_k = A ∘ sum_k c_k (1 - r_k^s) >= A ∘ (1 - r_K^s)
 >= 0 entrywise, and the norm is monotone on nonnegative matrices.  Its
-leading pair is then nonnegative (Perron-Frobenius), so G_K is the
-largest G_k and the pair's own bound meets f(e_K): the search opens
+leading pair is then nonnegative (Perron-Frobenius), so H_K is the
+smallest H_k and the pair's own bound meets f(e_K): the search opens
 there, and one inner norm closes the bracket.
 
 The dilated matrices come from one assembly of M_N(alpha): since the
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, _integer, _real
-from .operator import assemble
+from .operator import _real_if_real, assemble
 from .spectral import NORM_TOL, _gamma, operator_norm
 from .core import dilation_weight
 
@@ -140,17 +143,18 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     nonnegative window it is optimal (module docstring), and its own pair
     closes the bracket: one inner norm is all the work.  Otherwise the
     uniform point follows, then its Frank-Wolfe vertex e_k with
-    k = argmax_k G_k unless that is e_K again, then pairwise
+    k = argmin_k H_k unless that is e_K again, then pairwise
     golden-section sweeps along mass-transfer lines through the best
     point (f stays convex on every line, so each sweep is exact; at K = 2
     one line is the whole simplex).  The search stops as soon as
     upper - lower <= BRACKET_TOL * upper, or once
     upper <= 1e-13 max(||A||_F, 1) (f = 0 on the window).
 
-    Every inner norm runs at tol from operator_norm's cold all-ones
-    start.  lower is the certified bound of the module docstring.  upper
-    is the smallest certified inner value; it is the returned value, and
-    its point the returned weights.  converged means that every inner
+    Every inner norm runs at tol from operator_norm's cold start (the
+    Gram eigenvector on a window of at most 32 rows, else all-ones).
+    lower is the certified bound of the module docstring.  upper is the
+    smallest certified inner value; it is the returned value, and its
+    point the returned weights.  converged means that every inner
     norm certified; the first one that does not ends the search and
     flags the result.  history lists every inner value in order.
     """
@@ -162,15 +166,16 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     for k, r in enumerate(grid):
         family[k] = _dilated(a, r, target.indices)
     flat = family.reshape(k_pts, dim * dim)
-    rows = family.reshape(k_pts * dim, dim)
-    a_fro = float(np.linalg.norm(a))
-    scale = max(a_fro, 1.0)
-    # rounding margin of a pair's bound: Re u^H A v and each G_k are two
-    # chained dot products of length dim (complex entries count twice), so
-    # each errs by at most gamma_{4 dim + 4} |u| |v| times the Frobenius
-    # norm of its matrix; doubling covers their difference and the
-    # division by |u| |v|
-    margin = 2.0 * _gamma(4 * dim + 8) * (a_fro + float(np.linalg.norm(flat, axis=1).max()))
+    # the differences A - B_k, each rounded relative to itself
+    gaps = (a - family).reshape(k_pts, dim * dim)
+    rows = gaps.reshape(k_pts * dim, dim)
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    # rounding margin of a pair's bound: each H_k is two chained dot
+    # products of length dim (complex entries count twice) with the
+    # rounded A - B_k, so it errs by at most gamma_{4 dim + 4} |u| |v|
+    # times ||A - B_k||_F, and the rounding of A - B_k adds u of that;
+    # doubling covers the division by |u| |v|
+    margin = 2.0 * _gamma(4 * dim + 8) * float(np.linalg.norm(gaps, axis=1).max())
 
     def difference(c):
         diff = c @ flat
@@ -183,23 +188,22 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     best_c, best_sigma, best_ok = None, math.inf, False
 
     def evaluate(c):
-        """Inner norm at c: (sigma, G); raises lower, tracks upper."""
+        """Inner norm at c: (sigma, H); raises lower, tracks upper."""
         nonlocal lower, all_certified, best_c, best_sigma, best_ok
         report = operator_norm(difference(c), tol)
         ok = report.converged
         sigma = report.norm
         u, v = report.leading_pair
-        # G_k = Re(u^H B_k v) for every k from one product with the stack
-        g = np.real((rows @ v).reshape(k_pts, dim) @ u.conj())
-        a_uv = float(np.real(u.conj() @ (a @ v)))
-        bound = (a_uv - float(g.max())) / float(np.linalg.norm(u) * np.linalg.norm(v))
+        # H_k = Re(u^H (A - B_k) v) for every k from one product with the stack
+        h = np.real((rows @ v).reshape(k_pts, dim) @ u.conj())
+        bound = float(h.min()) / float(np.linalg.norm(u) * np.linalg.norm(v))
         lower = max(lower, bound - margin)
         all_certified &= ok
         history.append(sigma)
         # a certified value beats any other
         if (ok, -sigma) > (best_ok, -best_sigma):
             best_c, best_sigma, best_ok = c, sigma, ok
-        return sigma, g
+        return sigma, h
 
     def closed():
         # a norm that did not certify ends the search; until then the
@@ -213,8 +217,8 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
     vertices = np.eye(k_pts)
     evaluate(vertices[-1])
     if k_pts > 1 and not closed():
-        _, g = evaluate(np.full(k_pts, 1.0 / k_pts))
-        k = int(np.argmax(g))
+        _, h = evaluate(np.full(k_pts, 1.0 / k_pts))
+        k = int(np.argmin(h))
         if k != k_pts - 1 and not closed():
             evaluate(vertices[k])
 
@@ -275,6 +279,10 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
     r = 0.02 and 0.22); the table reports the values as they are.
     A norm that does not certify at tol is reported by its best estimate
     and flags the table, as best_convex_approx flags its result.
+
+    The table assembles M_N(alpha) once, at the largest N (where the
+    DENSE_CAP check falls); each smaller window takes a leading block, in
+    float64 when that block is real, as its own assembly would be.
     """
     grid = _grid(r_schedule)
     sizes = [_integer(n, "N-schedule entry") for n in n_schedule]
@@ -282,12 +290,20 @@ def compactness_diagnostic(symbol, r_schedule, n_schedule, prime_budget=None,
         raise DomainError("N-schedule must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError(f"N-schedule must be strictly increasing, got {sizes}")
+    # the smallest window is refused as its own assembly would refuse it
+    _integer(sizes[0], "truncation size", 1)
+    # every window is an ascending prefix of the largest one, so its matrix
+    # and dilation weights are leading blocks of that window's
+    full = assemble(symbol, sizes[-1], prime_budget)
+    indices = np.asarray(full.indices)
+    weights = [dilation_weight(r, indices) for r in grid]
     rows, converged = [], True
     for n_max in sizes:
-        base = assemble(symbol, n_max, prime_budget)
-        m = base.entries
-        for r in grid:
-            report = operator_norm(_dilated(m, r, base.indices) - m, tol)
+        dim = int(np.searchsorted(indices, n_max, side="right"))
+        m = _real_if_real(full.entries[:dim, :dim])
+        for r, w in zip(grid, weights):
+            w = w[:dim]
+            report = operator_norm(w[:, None] * m * w[None, :] - m, tol)
             converged &= report.converged
             rows.append((r, n_max, report.norm))
     return DiagnosticTable(rows=tuple(rows), converged=converged)

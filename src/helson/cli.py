@@ -280,7 +280,8 @@ def cmd_essnorm(cfg, args):
         prime_budget=cfg.prime_budget, norm_tol=cfg.norm_tol,
         determinism="seed-free: largest-r vertex, then uniform point, Frank-Wolfe "
                     "vertex, golden-section sweeps while the bracket is open; "
-                    "all-ones norm starts",
+                    "norm starts from the top Gram eigenvector up to 32 rows, "
+                    "all-ones above",
         rows=table.rows, rows_converged=table.converged, weights=weights)
     unconverged = [n for n, w in weights.items() if not w["converged"]]
     if unconverged:

@@ -2,9 +2,12 @@
 
 The one norm routine, operator_norm, is restarted Lanczos on the normal
 operator A^H A of an assembled matrix (Golub and Kahan, SIAM J. Numer.
-Anal. B 2, 1965), from the fixed all-ones start.  A Ritz estimate only
-says when to look: the value is returned with the explicit residual
-certificate ||A^H u - sigma v|| of its pair, never on an estimate.
+Anal. B 2, 1965), from a fixed start: the top eigenvector of the Gram
+matrix A^H A for a matrix of at most _KRYLOV = 32 rows, where a full
+Lanczos basis would span the whole space, and all-ones above that.  A
+Ritz estimate only says when to look: the value is returned with the
+explicit residual certificate ||A^H u - sigma v|| of its pair, never on
+an estimate.
 
 _norm_upper_bound is the other side: a proven upper bound on the norm
 of a dense matrix, for callers that scale by the norm and so need it
@@ -106,10 +109,17 @@ def operator_norm(matrix, tol=NORM_TOL):
 
     Restarted Lanczos on A^H A with full reorthogonalization (classical
     Gram-Schmidt, run twice), at most _KRYLOV basis vectors at a time.
-    Deterministic: starts from all-ones.  The residual certifies a
-    singular pair, not the largest one: where all-ones is (nearly)
-    orthogonal to the leading right singular vector, a smaller singular
-    value can certify.
+    Deterministic: the start is chosen once, before the loop.  A matrix
+    of at most _KRYLOV rows, on which a full basis would span the whole
+    space, starts from the top eigenvector of its Gram matrix A^H A:
+    one eigh in the matrix's own dtype, after the scaling below, not
+    counted in iterations.  Its pair meets the residual test to rounding
+    level, so such a matrix reports iterations = 1 unless tol is below
+    what rounding allows, when the Lanczos loop below carries on from
+    that vector.  A larger matrix starts from all-ones.  The residual
+    certifies a singular pair, not the largest one: where all-ones is
+    (nearly) orthogonal to the leading right singular vector, a smaller
+    singular value can certify.
 
     Every cycle opens on its start vector v with the explicit pair
     u = Av/sigma, sigma = ||Av||, and returns when the residual
@@ -122,12 +132,13 @@ def operator_norm(matrix, tol=NORM_TOL):
     a cycle opens on a residual no smaller than the previous cycle's (a
     tol below what rounding lets the pair reach), that cycle's pair is
     returned with converged False.
-    The start is chosen once: all-ones, unless its image is weak, at
-    most _WEAK ||A||_F (the kernel included).  That image is then dropped
-    uncounted, and the first cycle opens on e_k for A's largest column k,
-    whose image A[:, k], of norm at least ||A||_F / sqrt(n), is read, not
-    formed.  A restart's Ritz vector has a Rayleigh quotient of at least
-    the start's sigma^2, so it is never weak.  Each cycle's opening pair
+    All-ones gives way when its image is weak, at most _WEAK ||A||_F
+    (the kernel included).  That image is then dropped uncounted, and
+    the first cycle opens on e_k for A's largest column k, whose image
+    A[:, k], of norm at least ||A||_F / sqrt(n), is read, not formed.
+    The Gram start's image has norm about ||A|| >= ||A||_F / sqrt(n),
+    and a restart's Ritz vector a Rayleigh quotient of at least the
+    start's sigma^2, so neither is weak.  Each cycle's opening pair
     counts as one product.
 
     The scale is decided once, before the first product, from ||A||_F
@@ -170,14 +181,21 @@ def operator_norm(matrix, tol=NORM_TOL):
         # A^H y through the transposed view, with no conjugated copy of A
         return arr.T @ y if real else np.conj(arr.T @ np.conj(y))
 
-    v = np.ones(dim, dtype) / np.sqrt(dim)
-    w = arr @ v
-    if _norm(w) <= weak:
-        # a weak start, the kernel included: open on the largest column
-        k = np.argmax(np.linalg.norm(arr, axis=0))
-        v = np.zeros(dim, dtype=dtype)
-        v[k] = 1.0
-        w = arr[:, k]
+    if dim <= _KRYLOV:
+        # a full basis would span the space: open on the top eigenvector
+        # of the Gram matrix
+        gram = arr.T @ arr if real else arr.conj().T @ arr
+        v = np.linalg.eigh(gram)[1][:, -1].copy()
+        w = arr @ v
+    else:
+        v = np.ones(dim, dtype) / np.sqrt(dim)
+        w = arr @ v
+        if _norm(w) <= weak:
+            # a weak start, the kernel included: open on the largest column
+            k = np.argmax(np.linalg.norm(arr, axis=0))
+            v = np.zeros(dim, dtype=dtype)
+            v[k] = 1.0
+            w = arr[:, k]
     cap = min(_KRYLOV, dim)
     basis = np.empty((cap, dim), dtype=dtype)
     # the conjugated rows beside the basis: each projection is one product

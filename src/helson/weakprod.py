@@ -45,7 +45,7 @@ from .errors import DomainError, _complex, _integer, _integer_array, _number_arr
 from .core import Sequence, _index, dirichlet_convolve
 from .operator import ArraySymbol, Window, assemble, bilinear_pair
 from .sieve import factor_pairs
-from .spectral import _UNIT, _cholesky_slack, _norm_upper_bound, operator_norm
+from .spectral import _UNIT, _cholesky_slack, _gamma, _norm_upper_bound, operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
 # centred, i.e. its Newton decrement is at most _CENTRED; over 42 random
@@ -127,6 +127,21 @@ class XNormResult:
     converged: bool = True
 
 
+def _row_cap(dim):
+    """A squared row norm of B past which F = [[I, B], [B^H, I]] cannot factor.
+
+    A Cholesky factorization of F (order 2 dim, trace 2 dim) that runs to
+    completion proves 1 - ||B|| = lambda_min(F) >= -2 dim g, g the
+    _cholesky_slack of that order, while ||B|| is at least the norm of
+    each row.  A computed squared row norm, a sum of 2 dim rounded
+    squares, exceeds the exact one by a factor of at most
+    1 + gamma_{2 dim + 1}; gamma_{2 dim + 8} also covers the rounding of
+    this cap, so a computed squared norm above it proves that no
+    factorization of F runs to completion.
+    """
+    return (1.0 + 2 * dim * _cholesky_slack(2 * dim)) ** 2 * (1.0 + _gamma(2 * dim + 8))
+
+
 def xnorm(c, n_max, config=None, prime_budget=None):
     """Window X-norm of c with matrix, certificate, and gap.
 
@@ -159,9 +174,10 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     above 4 / (1 + lam), capped at 1, halving while alpha > 1 / (1 + lam).
     It takes the first at which F factors and the barrier objective
     t Re (beta, c) + 2 sum log L_ii, L the Cholesky factor of F, rises by
-    at least alpha lam^2 / 4, and the damped step otherwise.  That factor
-    opens the next step.  t starts at 1 and grows by _T_GROWTH whenever
-    lam <= _CENTRED.  With W = F^-1 the gradient is
+    at least alpha lam^2 / 4, and the damped step otherwise; that factor
+    opens the next step.  A trial whose B has a row past _row_cap, which
+    proves that F cannot factor, is refused without a factorization.
+    t starts at 1 and grows by _T_GROWTH whenever lam <= _CENTRED.  With W = F^-1 the gradient is
     t (Re c, -Im c) + 2 (Re g, -Im g), g the class sums of W_21, and
     minus the Hessian is the form 2 Re(d^T R d) + 2 d^H G^T d with
 
@@ -225,9 +241,15 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     upper = float(np.linalg.svd(best_x, compute_uv=False).sum())
     best_cert, lower = beta, 0.0
 
+    # F with a row of B past this squared norm does not factor (_row_cap)
+    row_cap = _row_cap(dim)
+
     def factor(b):
         """Cholesky factor of F at the class values b, None where F does not factor."""
-        f[:dim, dim:] = b[labels]
+        block = b[labels]
+        if float((block.real**2 + block.imag**2).sum(axis=1).max()) > row_cap:
+            return None
+        f[:dim, dim:] = block
         f[dim:, :dim] = f[:dim, dim:].conj().T
         try:
             return np.linalg.cholesky(f)

@@ -17,6 +17,7 @@ from helson import (
     parse_fixture,
     symbol_values,
 )
+from helson.core import dilation_weight
 from helson.approx import BRACKET_TOL, POLISH_SWEEPS, _golden_search
 from helson.cli import main
 from helson.spectral import NORM_TOL
@@ -200,16 +201,21 @@ def test_approx_nonnegative_window_closes_on_its_first_norm(symbol, grid, n_max,
 
 
 @pytest.mark.parametrize("tiny", [1e-10, 1e-6])
-def test_approx_narrow_nonnegative_bracket_falls_back_to_the_sweeps(tiny):
-    # f(e_K) = tiny (1 - r_K) sits far below ||A||_F = 1, under the reach of
-    # the rounding margin: the bracket stays open, the sweeps run, and e_K
-    # still wins with its true value
+def test_approx_narrow_nonnegative_bracket_closes_at_once(tiny, norm_calls):
+    # f(e_K) = tiny (1 - r_K) sits far below ||A||_F = 1; the rounding
+    # margin is a multiple of max_k ||A - B_k||_F, so it scales with f,
+    # and the pair of e_K closes the bracket in one inner norm
     alpha = Sequence({1: 1.0, 2: tiny})
     res = best_convex_approx(alpha, (0.5, 0.9), 2)
-    assert res.converged and len(res.history) > 1
+    assert res.converged and len(norm_calls) == 1
     assert res.weights.weights == (0.0, 1.0)
     assert res.value == pytest.approx(tiny * 0.1, rel=1e-9)
-    assert res.lower <= res.value
+    assert res.value - res.lower <= BRACKET_TOL * res.value
+    # lower <= min f: f is at least its value on a fine simplex grid, less
+    # the dense norm's rounding
+    dense = min(objective(alpha, (1.0 - t, t), (0.5, 0.9), 2)
+                for t in np.linspace(0.0, 1.0, 101))
+    assert res.lower <= dense * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("spec", ["mhilbert", "random-decay:7,0.5"])
@@ -254,18 +260,20 @@ def test_approx_convexity_probe():
 
 
 def test_approx_nonconvergence_flag(monkeypatch):
-    # a norm that cannot certify within the cap must flag, not raise
+    # a norm that cannot certify within the cap must flag, not raise; a
+    # window of 33 rows is past the dense start, which certifies at once
     sym = PowerSymbol(1.0)
     monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
-    res = best_convex_approx(sym, (0.5, 0.8, 0.95), 8)
+    res = best_convex_approx(sym, (0.5, 0.8, 0.95), 33)
     assert not res.converged
     assert res.value >= 0
 
 
 def test_approx_two_point_nonconvergence_flag(monkeypatch):
-    # the K = 2 line search must fold every inner certificate into the flag
+    # the K = 2 line search must fold every inner certificate into the
+    # flag (33 rows: past the dense start)
     monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 3)
-    res = best_convex_approx(PowerSymbol(1.0), (0.5, 0.8), 8)
+    res = best_convex_approx(PowerSymbol(1.0), (0.5, 0.8), 33)
     assert not res.converged
     assert res.value >= 0
 
@@ -446,8 +454,48 @@ def test_each_window_is_assembled_once(monkeypatch):
     best_convex_approx(MHilbertSymbol(), (0.5, 0.8, 0.95), 8)
     assert sizes == [8]
     sizes.clear()
+    # the whole table comes from one assembly, at the largest N
     compactness_diagnostic(MHilbertSymbol(), (0.5, 0.8, 0.95), (4, 8), prime_budget=2)
-    assert sizes == [4, 8]
+    assert sizes == [8]
+
+
+# real on the products of 1..3, complex from 10 = 2 * 5 on
+REAL_HEAD = Sequence({1: 1.0, 2: -0.5, 4: 1.0, 6: 0.3, 10: 0.2j, 20: -0.1 + 0.4j})
+
+
+@pytest.mark.parametrize("symbol, budget", [
+    (MHilbertSymbol(), None),
+    (parse_fixture("random-decay:7,0.5"), None),
+    (parse_fixture("random-decay:7,0.5"), 2),
+    (REAL_HEAD, None),
+    (REAL_HEAD, 3),
+])
+def test_diagnostic_rows_match_one_assembly_per_window(symbol, budget, norm_calls):
+    # each window's matrix and weights are leading blocks of the largest
+    # window's, and a real block is normed in float64 as its own assembly is
+    grid, sizes = (0.3, 0.7, 0.95), (3, 8, 20)
+    table = compactness_diagnostic(symbol, grid, sizes, prime_budget=budget)
+    rows, want_dtypes = [], set()
+    for n_max in sizes:
+        base = assemble(symbol, n_max, budget)
+        m = base.entries
+        want_dtypes.add(m.dtype)
+        for r in grid:
+            w = dilation_weight(r, np.asarray(base.indices))
+            rows.append((r, n_max, operator_norm(w[:, None] * m * w[None, :] - m).norm))
+    assert table.rows == tuple(rows)
+    assert dtypes(norm_calls) == want_dtypes
+    if symbol is REAL_HEAD:
+        assert len(want_dtypes) == 2
+
+
+def test_diagnostic_refuses_a_size_below_1_and_a_window_past_the_cap(norm_calls):
+    with pytest.raises(DomainError, match=r"^truncation size must be >= 1, got 0$"):
+        compactness_diagnostic(MHilbertSymbol(), (0.5,), (0, 4))
+    # the cap is checked at the largest N, before any norm
+    with pytest.raises(DomainError, match="dense assembly capped at 1024 rows"):
+        compactness_diagnostic(MHilbertSymbol(), (0.5,), (4, 1025))
+    assert norm_calls == []
 
 
 def test_diagnostic_flags_uncertified_norms(monkeypatch, norm_calls):

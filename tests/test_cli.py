@@ -196,13 +196,36 @@ def test_norm_unreachable_tolerance(capsys):
 
 
 def test_norm_of_a_well_scaled_window_with_a_weak_start(capsys, tmp_path):
-    # alpha = delta_1 - delta_2 + delta_4 + 2^-400 delta_9 at N = 3: the
-    # all-ones start maps to norm 2^-400 / sqrt(3), and gives way to a column
+    # alpha = lambda off the multiples of 37, plus 2^-400 delta_37, at
+    # N = 39: lambda is the Liouville function, completely multiplicative,
+    # so M_39 is alpha alpha^T plus 2^-400 at (1, 37) and (37, 1), and the
+    # row sums of alpha alpha^T cancel.  The all-ones start maps to norm
+    # 2^-400 sqrt(2/39), and gives way to a column; 39 rows are past the
+    # dense start, and ||alpha||^2 = 38
+    def alpha(n):
+        if n % 37:
+            return (-1) ** sum(k for _, k in factor_pairs(n))
+        return 2.0**-400 if n == 37 else 0
+
     path = tmp_path / "t.json"
-    path.write_text(json.dumps([[1, 1, 0], [2, -1, 0], [4, 1, 0], [9, 2.0**-400, 0]]))
-    code, out, _ = run(capsys, "norm", f"file:{path}", "--N", "3")
+    path.write_text(json.dumps([[n, alpha(n), 0] for n in range(1, 39 * 39 + 1) if alpha(n)]))
+    code, out, _ = run(capsys, "norm", f"file:{path}", "--N", "39")
     assert code == 0
-    assert '"norm": 2.0,' in out
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["norm"] == pytest.approx(38.0, rel=1e-12)
+
+
+def test_norm_of_the_two_sided_trap(capsys, tmp_path):
+    # M_2 = [[1, -0.5], [-0.5, 1]]: all-ones is the eigenvector of 0.5,
+    # and the dense start of a small window finds the norm 1.5
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([[1, 1, 0], [2, -0.5, 0], [4, 1, 0]]))
+    code, out, _ = run(capsys, "norm", f"file:{path}", "--N", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["norm"] == pytest.approx(1.5, rel=1e-12)
 
 
 def test_badly_scaled_symbols(capsys, tmp_path):

@@ -18,6 +18,7 @@ from helson import (
     parse_fixture,
 )
 from helson import spectral
+from helson.sieve import factor_pairs
 from helson.spectral import _KRYLOV, _norm_upper_bound
 from oracles import wide_range_matrices
 
@@ -43,18 +44,26 @@ def test_norm_zero_matrix():
 
 
 def _four_zero_columns():
-    # the last two columns are x and -x with entries that scale exactly,
-    # so the all-ones start is in the kernel
-    m = np.zeros((6, 6))
-    m[:, 4] = [1.0, 2.0, 0.5, -1.0, 4.0, -0.25]
-    m[:, 5] = -m[:, 4]
+    # zero but for the last two columns, x and -x with entries that scale
+    # exactly, so the all-ones start is in the kernel; 34 rows are past
+    # the dense start
+    m = np.zeros((34, 34))
+    m[:, 32] = np.resize([1.0, 2.0, 0.5, -1.0, 4.0, -0.25], 34)
+    m[:, 33] = -m[:, 32]
     return m
 
 
+def _liouville_window():
+    # alpha = lambda, the completely multiplicative Liouville function, at
+    # N = 40: M_40 = lambda lambda^T, and its row sums
+    # lambda(n) sum_{m <= 40} lambda(m) vanish, since that sum is 0
+    return assemble(Sequence({n: (-1.0) ** sum(k for _, k in factor_pairs(n))
+                              for n in range(1, 40 * 40 + 1)}), 40).entries
+
+
 _KERNEL_STARTS = [
-    # alpha = delta_1 - delta_2 + delta_4 at N = 2
-    assemble(Sequence({1: 1.0, 2: -1.0, 4: 1.0}), 2).entries,
-    # the first cycle opens on column 5, and no product is spent on a zero column
+    _liouville_window(),
+    # the first cycle opens on column 33, and no product is spent on a zero column
     _four_zero_columns(),
 ]
 
@@ -64,6 +73,7 @@ _KERNEL_STARTS = [
 @pytest.mark.parametrize("matrix, products", [(m, 3) for m in _KERNEL_STARTS])
 def test_norm_restarts_once_from_a_start_in_the_kernel(matrix, products):
     dim = matrix.shape[0]
+    assert dim > _KRYLOV
     assert not (matrix @ np.ones(dim)).any()
     rep = operator_norm(matrix)
     assert rep.converged
@@ -239,12 +249,64 @@ def test_norm_rejects_non_square():
 
 
 def test_norm_nonconvergence_carries_best(monkeypatch):
-    m = assemble(Sequence.delta(1) + Sequence.delta(2), 2)
+    # 33 rows: past the dense start, which certifies in its first product
+    m = assemble(Sequence.delta(1) + Sequence.delta(2), 33)
     monkeypatch.setattr("helson.spectral.NORM_MAX_ITER", 1)
     best = operator_norm(m, tol=1e-12)
     assert best.converged is False
     assert best.norm > 0
     assert best.iterations == 1
+
+
+def test_norm_of_the_two_sided_trap():
+    # all-ones is the eigenvector of 0.5 of M_2 = [[1, -0.5], [-0.5, 1]];
+    # the dense start of a small window opens on the one of 1.5
+    trap = assemble(Sequence({1: 1.0, 2: -0.5, 4: 1.0}), 2)
+    rep = operator_norm(trap)
+    assert rep.converged and rep.iterations == 1
+    assert rep.norm == pytest.approx(1.5, rel=1e-12)
+
+
+def _ones_trap(dim):
+    # 1.5 I - J / dim: all-ones is the eigenvector of 0.5, every vector
+    # orthogonal to it one of 1.5
+    return 1.5 * np.eye(dim) - np.full((dim, dim), 1.0 / dim)
+
+
+def test_norm_past_the_dense_size_keeps_the_all_ones_start():
+    assert operator_norm(_ones_trap(_KRYLOV)).norm == pytest.approx(1.5, rel=1e-12)
+    # one row more opens on all-ones, whose pair certifies the smaller
+    # singular value in one product
+    rep = operator_norm(_ones_trap(_KRYLOV + 1))
+    assert rep.converged and rep.iterations == 1
+    assert rep.norm == pytest.approx(0.5, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, _KRYLOV), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["gaussian", "alternating", "ones-trap"]))
+@example(2, 0, False, "alternating")
+@example(_KRYLOV, 0, True, "ones-trap")
+def test_norm_of_a_small_matrix_is_the_dense_one(dim, seed, is_complex, kind):
+    # alternating: D S D with S > 0 symmetric and D = diag(+-1), so the
+    # leading singular vector alternates in sign as in the N=2 trap, and
+    # is nearly orthogonal to all-ones
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        a = rng.standard_normal((dim, dim))
+        if is_complex:
+            a = a + 1j * rng.standard_normal((dim, dim))
+    elif kind == "alternating":
+        s = np.abs(rng.standard_normal((dim, dim)))
+        d = np.where(np.arange(dim) % 2, -1.0, 1.0)
+        a = d[:, None] * (s + s.T) * d[None, :]
+    else:
+        a = _ones_trap(dim)
+    if is_complex and kind != "gaussian":
+        a = a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    rep = operator_norm(a)
+    assert rep.converged
+    assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
 
 
 def test_norm_stalled_residual_stops_early():
@@ -306,13 +368,17 @@ def test_norm_refuses_non_finite():
 
 @pytest.mark.parametrize("k", [-400, -600])
 def test_norm_certifies_a_wide_range_matrix_scaled_down(k):
-    # all-ones maps to a vector of norm 2^k sqrt(2/3), about 2^-400 ||A||_F:
-    # the start is weak and gives way to the largest column
+    # 3 rows take the dense start; padded with zeros to 33 rows, all-ones
+    # maps to a vector of norm 2^k sqrt(2/33), about 2^-400 ||A||_F: the
+    # start is weak and gives way to the largest column
     x = 2.0**400
-    a = np.array([[x, -x, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) * 2.0**k
-    rep = operator_norm(a)
-    assert rep.converged
-    assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
+    small = np.array([[x, -x, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) * 2.0**k
+    padded = np.zeros((_KRYLOV + 1, _KRYLOV + 1))
+    padded[:3, :3] = small
+    for a in (small, padded):
+        rep = operator_norm(a)
+        assert rep.converged
+        assert rep.norm == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
 
 
 def test_norm_when_the_frobenius_square_underflows():

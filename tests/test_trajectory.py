@@ -67,6 +67,44 @@ def test_paired_counts_the_seeds_the_second_checkout_wins():
     assert trajectory.paired(base, base)["norm-ladder"]["cli_s"]["lower"] == 0
 
 
+def test_op_medians_sum_to_wall_s():
+    ops = trajectory.op_medians(RECORDED)
+    assert set(ops) == set(RECORDED["op_s_per_pass"][0])
+    # the last pass ran 5 of the 20 ops: each op's median is over the
+    # passes that ran it, and is scaled by the run's slowdown, as the
+    # bench's wall_s is
+    assert sum(ops.values()) == pytest.approx(RECORDED["metrics"]["wall_s"]["value"],
+                                              rel=1e-12)
+    name = next(iter(ops))
+    times = [p[name] for p in RECORDED["op_s_per_pass"] if name in p]
+    assert ops[name] == pytest.approx(sorted(times)[len(times) // 2] / RECORDED["slowdown"])
+
+
+def slowed(seed, op, factor):
+    report = seeded(seed)
+    for times in report["op_s_per_pass"]:
+        if op in times:
+            times[op] *= factor
+    return report
+
+
+def test_paired_ops_trace_a_change_to_the_op_that_moved():
+    ops = list(RECORDED["op_s_per_pass"][0])
+    moved, still = ops[0], ops[1]
+    base = trajectory.summarise([seeded(s) for s in (1, 2, 3)])
+    other = trajectory.summarise([slowed(1, moved, 0.5), slowed(2, moved, 0.5),
+                                  slowed(3, moved, 2.0)])
+    row = other["norm-ladder"]["ops"][moved]
+    first = trajectory.op_medians(RECORDED)[moved]
+    assert row["values"] == pytest.approx([0.5 * first, 0.5 * first, 2.0 * first])
+    assert row["median"] == pytest.approx(0.5 * first)
+    ops_paired = trajectory.paired(base, other, key="ops")["norm-ladder"]
+    assert list(ops_paired) == ops
+    assert ops_paired[moved] == {"pairs": 3, "lower": 2, "higher": 1,
+                                 "median_ratio": pytest.approx(0.5)}
+    assert ops_paired[still] == {"pairs": 3, "lower": 0, "higher": 0, "median_ratio": 1.0}
+
+
 def test_machine_reads_the_provenance():
     report = copy.deepcopy(RECORDED)
     report["provenance"]["blas"]["lib directory"] = "build/lib"

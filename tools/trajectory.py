@@ -9,9 +9,14 @@ For each of ten fixed seeds and each workload, every checkout runs
 directory, the checkouts taking turns, seed by seed, to go first.  Each run leaves its
 report in ``<checkout>/.bench_out/<workload>-seed<s>-trace0.json``; the
 summary reads those reports and records, per checkout and workload, the
-median and interquartile range over seeds of every end-to-end metric
-and the failed-op counts.  Given two checkouts, it also records per
-workload and metric how many seeds the second beat the first on.
+median and interquartile range over seeds of every end-to-end metric,
+the median over seeds of each op's time, and the failed-op counts.  An
+op's time in one run is its median over the passes, read from
+``op_s_per_pass`` and scaled as wall_s is, so the op times of a run sum
+to its wall_s.  Given two checkouts, it also records per workload and
+metric, and per workload and op, how many seeds the second beat the
+first on and the median ratio of their values: a change of wall_s is
+traced to the ops that moved.
 
 No bench op reaches the cost of xnorm's Newton system on a full
 support, so each checkout also times, in process, xnorm of the complex
@@ -101,8 +106,19 @@ def spread(values):
     return q2, q3 - q1
 
 
+def op_medians(report):
+    """Each op's median time over the passes of one report that ran it.
+
+    Each is divided by the run's slowdown, as the end-to-end times are,
+    so they sum to the report's wall_s.
+    """
+    passes, slowdown = report["op_s_per_pass"], report["slowdown"]
+    return {name: statistics.median(p[name] for p in passes if name in p) / slowdown
+            for name in passes[0]}
+
+
 def summarise(reports):
-    """Per workload: seeds, per-metric median and IQR, and failed-op counts.
+    """Per workload: seeds, per-metric median and IQR, op times and failed-op counts.
 
     reports is a list of bench reports of one checkout, any workloads and
     seeds; a report is correct when each of its failures is a known defect.
@@ -117,10 +133,16 @@ def summarise(reports):
             median, iqr = spread(values)
             metrics[name] = {"unit": entry["unit"], "median": median, "iqr": iqr,
                              "values": values}
+        per_run = [op_medians(r) for r in runs]
+        ops = {}
+        for name in per_run[0]:
+            times = [m[name] for m in per_run]
+            ops[name] = {"median": statistics.median(times), "values": times}
         out[workload] = {
             "seeds": [r["provenance"]["seed"] for r in runs],
             "src_sha256": sorted({r["provenance"]["src_sha256"] for r in runs}),
             "metrics": metrics,
+            "ops": ops,
             "failed": [r["fail_frac"]["failed"] for r in runs],
             "attempted": runs[0]["fail_frac"]["attempted"],
             "correct": all(f["known_defect"] for r in runs for f in r["failures"]),
@@ -128,16 +150,20 @@ def summarise(reports):
     return out
 
 
-def paired(first, second):
-    """Per workload and metric: seeds on which second reads lower than first."""
+def paired(first, second, key="metrics"):
+    """Per workload and metric: seeds on which second reads lower than first.
+
+    key="ops" compares the op times instead, so that a change of wall_s
+    is traced to the ops that moved.
+    """
     out = {}
     for workload in sorted(first.keys() & second.keys()):
         a, b = first[workload], second[workload]
         seeds = [s for s in a["seeds"] if s in b["seeds"]]
         out[workload] = {}
-        for name in a["metrics"]:
-            pairs = [(a["metrics"][name]["values"][a["seeds"].index(s)],
-                      b["metrics"][name]["values"][b["seeds"].index(s)]) for s in seeds]
+        for name in [n for n in a[key] if n in b[key]]:
+            pairs = [(a[key][name]["values"][a["seeds"].index(s)],
+                      b[key][name]["values"][b["seeds"].index(s)]) for s in seeds]
             ratios = [y / x for x, y in pairs if x]
             out[workload][name] = {
                 "pairs": len(pairs),
@@ -221,7 +247,8 @@ def main(argv=None):
     if len(summaries) == 2:
         first, second = summaries.values()
         result["paired"] = {"base": list(summaries)[0], "other": list(summaries)[1],
-                            "workloads": paired(first, second)}
+                            "workloads": paired(first, second),
+                            "ops": paired(first, second, key="ops")}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"# wrote {out.name}")
