@@ -19,9 +19,9 @@ and every c', f(c') >= Re u^H (A - sum_k c'_k B_k) v = sum_k c'_k H_k
 This is the subgradient inequality, the dual side of Nesterov's
 primal-dual subgradient method (Math. Program. 120, 2009) and the
 Frank-Wolfe duality gap (Jaggi, ICML 2013).  The solver's lower is the
-largest such bound over every pair it evaluates, less a rounding margin,
-so lower <= min f is certified whether or not the pair's norm
-certified.  The differences A - B_k are formed once, and a rounded
+largest such bound over every pair it evaluates, less the rounding
+margin of bounds._pair_margin, so lower <= min f is certified whether
+or not the pair's norm certified.  The differences A - B_k are formed once, and a rounded
 difference errs relative to itself, so the margin is a multiple of
 max_k ||A - B_k||_F: it scales with f, not with ||A||.
 
@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import DomainError, _integer, _real
 from .operator import _real_if_real, assemble
-from .spectral import NORM_TOL, _gamma, operator_norm
+from .bounds import _pair_margin
+from .spectral import NORM_TOL, operator_norm
 from .core import dilation_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -167,15 +168,10 @@ def best_convex_approx(symbol, r_grid, n_max, prime_budget=None, tol=NORM_TOL):
         family[k] = _dilated(a, r, target.indices)
     flat = family.reshape(k_pts, dim * dim)
     # the differences A - B_k, each rounded relative to itself
-    gaps = (a - family).reshape(k_pts, dim * dim)
+    gaps = a - family
     rows = gaps.reshape(k_pts * dim, dim)
     scale = max(float(np.linalg.norm(a)), 1.0)
-    # rounding margin of a pair's bound: each H_k is two chained dot
-    # products of length dim (complex entries count twice) with the
-    # rounded A - B_k, so it errs by at most gamma_{4 dim + 4} |u| |v|
-    # times ||A - B_k||_F, and the rounding of A - B_k adds u of that;
-    # doubling covers the division by |u| |v|
-    margin = 2.0 * _gamma(4 * dim + 8) * float(np.linalg.norm(gaps, axis=1).max())
+    margin = _pair_margin(gaps)
 
     def difference(c):
         diff = c @ flat

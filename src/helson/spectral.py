@@ -9,9 +9,8 @@ Ritz estimate only says when to look: the value is returned with the
 explicit residual certificate ||A^H u - sigma v|| of its pair, never on
 an estimate.
 
-_norm_upper_bound is the other side: a proven upper bound on the norm
-of a dense matrix, for callers that scale by the norm and so need it
-never to come out low.
+The other side, a proven upper bound for callers that scale by the norm,
+is bounds._norm_upper_bound: the bounds module proves every certified number.
 """
 
 import math
@@ -19,34 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _number_array, _real
-from .operator import HelsonMatrix, assemble, symbol_values
+from .bounds import _as_dense, _pow2_scaled
+from .errors import DomainError, _real
+from .operator import assemble, symbol_values
 
 # operator_norm's default relative residual tolerance, and its iteration
 # cap (read at call time)
 NORM_TOL = 1e-10
 NORM_MAX_ITER = 50000
-
-# unit roundoff of float64
-_UNIT = 2.0**-53
-
-
-def _gamma(k):
-    """The k-fold rounding factor k u / (1 - k u)."""
-    return k * _UNIT / (1.0 - k * _UNIT)
-
-
-def _cholesky_slack(order):
-    """g with lambda_min(M) >= -g trace(M) once Cholesky factors M.
-
-    A floating-point Cholesky factorization of a Hermitian M of this
-    order that runs to completion proves that bound with
-    g = gamma_{n+1} / (1 - gamma_{n+1}) (Demmel's backward error, as in
-    Rump, BIT 46, 2006); twice the real-arithmetic index covers complex
-    entries.
-    """
-    g = _gamma(2 * order + 4)
-    return g / (1.0 - g)
 
 # Lanczos basis size; a full basis restarts from the top Ritz vector
 _KRYLOV = 32
@@ -72,31 +51,6 @@ class SpectralReport:
     iterations: int
     residual: float
     converged: bool = True
-
-
-def _as_dense(matrix):
-    """The entries as a 2-d array, unscanned: _pow2_scaled refuses non-finite ones."""
-    if isinstance(matrix, HelsonMatrix):
-        return matrix.entries
-    arr = _number_array(matrix)
-    if arr.ndim != 2:
-        raise DomainError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def _pow2_scaled(arr):
-    """(A 2^-e, e) with the largest entry of A 2^-e in [1/2, 1); exact.
-
-    A zero or empty matrix comes back with e = 0.  A non-finite entry
-    makes the largest modulus non-finite and is refused.
-    """
-    peak = float(np.abs(arr).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise DomainError("matrix entries must be finite")
-    exp = int(np.frexp(peak)[1])
-    if arr.dtype.kind != "c":
-        return np.ldexp(arr, -exp), exp
-    return np.ldexp(arr.real, -exp) + 1j * np.ldexp(arr.imag, -exp), exp
 
 
 def _norm(x):
@@ -254,68 +208,6 @@ def operator_norm(matrix, tol=NORM_TOL):
         v /= _norm(v)
         w = arr @ v
     return report(False)
-
-
-def _norm_upper_bound(matrix, estimate=None):
-    """Proven upper bound s >= ||A|| of a dense matrix (Rump, BIT 51, 2011).
-
-    ||A|| <= s exactly when s^2 I - A^H A is positive semidefinite.  A
-    floating-point Cholesky factorization of M = t I - fl(A^H A) that runs
-    to completion proves lambda_min(M) >= -g trace(M) with
-    g = gamma_{n+1} / (1 - gamma_{n+1}) (Demmel's backward error, as in
-    Rump, BIT 46, 2006), so ||A||^2 <= t plus that term plus the rounding
-    of the Gram product and of the diagonal shift.  The constants below
-    take twice the real-arithmetic index, which covers complex entries.
-    A is first scaled by a power of two (exact) so that its largest entry
-    lies in [1/2, 1), which refuses a non-finite entry; a zero Gram
-    diagonal then means A = 0, with bound 0.  The result exceeds the
-    dense-SVD norm by a relative O(n^2 u).
-
-    Given an estimate of ||A|| (operator_norm's value, say), one
-    factorization is tried at t = estimate^2 plus the excess below.
-    Without one, or when that factorization fails, t starts just above
-    the largest eigenvalue of fl(A^H A) and its excess grows fourfold
-    while the factorization fails.  Any t that factors proves the bound:
-    the estimate decides only the cost (one too low costs the eigenvalue
-    pass) and, when too high, the tightness.
-    """
-    a, exp = _pow2_scaled(_as_dense(matrix))
-    rows, dim = a.shape
-    gram = a.conj().T @ a
-    diag = gram.diagonal().real
-    if not diag.any():
-        return 0.0
-    # ||fl(A^H A) - A^H A|| <= gamma ||A||_F^2, and ||A||_F^2 <= 2 trace
-    gram_err = _gamma(2 * rows + 4) * 2.0 * float(diag.sum())
-    # error terms relative to t, and an absolute floor for underflow
-    rel = _cholesky_slack(dim) * dim + 4.0 * _UNIT
-
-    def excess(top):
-        return 2.0 * (rel * top + gram_err) + dim * 1e-290
-
-    def factors(t):
-        shifted = -gram
-        shifted[np.diag_indices(dim)] = t - diag
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    if estimate is not None:
-        top = float(np.ldexp(estimate, -exp)) ** 2
-        t = top + excess(top)
-    if estimate is None or not factors(t):
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        step = excess(top)
-        while not factors(top + step):
-            step *= 4.0
-        t = top + step
-    # trace(M) <= dim t; the shift rounds each diagonal entry by at
-    # most u (t + diag_i); the Gram product errs by gram_err
-    bound2 = t + rel * t + _UNIT * float(diag.max()) + gram_err + dim * 1e-290
-    s = float(np.sqrt(bound2 * (1.0 + 4.0 * _UNIT))) * (1.0 + 4.0 * _UNIT)
-    return float(np.ldexp(s, exp))
 
 
 @dataclass

@@ -25,7 +25,7 @@ primal X off each Newton direction (dual scaling: Benson, Ye and Zhang,
 SIAM J. Optim. 10, 2000).  Every step brackets the value from both
 sides, and the solver stops on the width of that bracket; the lower end
 scales beta by a norm bound that the Cholesky factorization of
-[[I, B], [B^H, I]] at the step's new point proves (Rump, BIT 46, 2006).
+[[I, B], [B^H, I]] at the step's new point proves (the bounds module).
 
 The solver works on the window indices S whose prime factors all divide
 some point of supp(c).  The paper notes that its results hold for small
@@ -45,7 +45,8 @@ from .errors import DomainError, _complex, _integer, _integer_array, _number_arr
 from .core import Sequence, _index, dirichlet_convolve
 from .operator import ArraySymbol, Window, assemble, bilinear_pair
 from .sieve import factor_pairs
-from .spectral import _UNIT, _cholesky_slack, _gamma, _norm_upper_bound, operator_norm
+from .bounds import _block_cholesky_bounds, _norm_upper_bound
+from .spectral import operator_norm
 
 # the barrier weight t grows by this factor once a Newton step is
 # centred, i.e. its Newton decrement is at most _CENTRED; over 42 random
@@ -127,21 +128,6 @@ class XNormResult:
     converged: bool = True
 
 
-def _row_cap(dim):
-    """A squared row norm of B past which F = [[I, B], [B^H, I]] cannot factor.
-
-    A Cholesky factorization of F (order 2 dim, trace 2 dim) that runs to
-    completion proves 1 - ||B|| = lambda_min(F) >= -2 dim g, g the
-    _cholesky_slack of that order, while ||B|| is at least the norm of
-    each row.  A computed squared row norm, a sum of 2 dim rounded
-    squares, exceeds the exact one by a factor of at most
-    1 + gamma_{2 dim + 1}; gamma_{2 dim + 8} also covers the rounding of
-    this cap, so a computed squared norm above it proves that no
-    factorization of F runs to completion.
-    """
-    return (1.0 + 2 * dim * _cholesky_slack(2 * dim)) ** 2 * (1.0 + _gamma(2 * dim + 8))
-
-
 def xnorm(c, n_max, config=None, prime_budget=None):
     """Window X-norm of c with matrix, certificate, and gap.
 
@@ -175,7 +161,7 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     It takes the first at which F factors and the barrier objective
     t Re (beta, c) + 2 sum log L_ii, L the Cholesky factor of F, rises by
     at least alpha lam^2 / 4, and the damped step otherwise; that factor
-    opens the next step.  A trial whose B has a row past _row_cap, which
+    opens the next step.  A trial whose B has a row past the row cap, which
     proves that F cannot factor, is refused without a factorization.
     t starts at 1 and grows by _T_GROWTH whenever lam <= _CENTRED.  With W = F^-1 the gradient is
     t (Re c, -Im c) + 2 (Re g, -Im g), g the class sums of W_21, and
@@ -198,11 +184,11 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     factorization of F that the line search accepted: one that runs to
     completion proves
     1 - ||B|| = lambda_min(F) >= -g trace(F), so s = 1 + 2 |S| g rounded
-    up, one constant per solve.  The best of each is kept, and the
-    solver stops once they are at most config.tol apart.  The bracket
-    opens on the projected zero matrix, exactly feasible, and the zero
-    certificate, so a c whose opening bracket is already that narrow (c =
-    0, say) takes no step.  A singular or overflowing Newton system, or
+    up (_block_cholesky_bounds), one constant per solve.  The best of each
+    is kept, and the solver stops once they are at most config.tol apart.
+    The bracket opens on the projected zero matrix, exactly feasible, and
+    the zero certificate, so a c whose opening bracket is already that
+    narrow (c = 0, say) takes no step.  A singular or overflowing Newton system, or
     a damped step whose F does not factor, ends the solve with the best
     bracket and converged False.
     """
@@ -227,11 +213,8 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     m = classes.uniq.size
     counts = classes.counts
     target = c.values(classes.uniq)
-    # a Cholesky factorization of F that runs to completion proves
-    # 1 - ||B|| = lambda_min(F) >= -g trace(F) = -2 dim g; (dim + 4) u
-    # more covers dividing beta by the bound (an entrywise relative u,
-    # at most sqrt(dim) u in norm) and the rounding of this sum
-    bound = 1.0 + 2 * dim * _cholesky_slack(2 * dim) + (dim + 4) * _UNIT
+    # the certificate divisor and the squared row norm of B that refuses F
+    bound, row_cap = _block_cholesky_bounds(dim)
     beta = np.zeros(m, dtype=np.complex128)
     f = np.eye(2 * dim, dtype=np.complex128)
     hess = np.empty((2 * m, 2 * m))
@@ -240,9 +223,6 @@ def xnorm(c, n_max, config=None, prime_budget=None):
     best_x = (target / counts)[labels]
     upper = float(np.linalg.svd(best_x, compute_uv=False).sum())
     best_cert, lower = beta, 0.0
-
-    # F with a row of B past this squared norm does not factor (_row_cap)
-    row_cap = _row_cap(dim)
 
     def factor(b):
         """Cholesky factor of F at the class values b, None where F does not factor."""
@@ -419,13 +399,14 @@ class GeometricDecay(ArraySymbol):
         return self.coeff * np.float_power(self.ratio, _integer_array(ns, 1))
 
     def norm(self):
-        q = self.ratio
-        return abs(self.coeff) * q / math.sqrt(1.0 - q * q)
+        return self.tail_norm(0)
 
     def tail_norm(self, m):
         """||a - a^m|| for the prefix cut at m >= 0."""
         q = self.ratio
-        return abs(self.coeff) * q ** (_integer(m, "cut point", 0) + 1) / math.sqrt(1.0 - q * q)
+        # 1 - q is exact for q >= 1/2, where 1 - q q cancels as q -> 1
+        return (abs(self.coeff) * q ** (_integer(m, "cut point", 0) + 1)
+                / math.sqrt((1.0 - q) * (1.0 + q)))
 
     def prefix(self, m):
         ns = np.arange(1, _integer(m, "cut point", 0) + 1, dtype=np.int64)

@@ -20,11 +20,14 @@ genuine cross-check:
 * wide_range_matrices: a hypothesis strategy for square real or complex
   matrices whose entries span many binades, for the scale tests of the
   norm routines.
+* norm_at_most: the exact decision ||A|| <= s in rational arithmetic,
+  against which the proven bounds are checked to their last bit.
 """
 
 import bisect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -249,3 +252,50 @@ def wide_range_matrices(draw, max_dim=12, binades=(-60, 60)):
         return np.ldexp(mantissas, rng.integers(*binades, shape))
 
     return part() + 1j * part() if draw(st.booleans()) else part()
+
+
+def _psd(m):
+    """True iff the symmetric integer matrix m (list of lists) is positive semidefinite.
+
+    Fraction-free symmetric elimination (Bareiss): after pivots on an
+    index set P every entry is the minor of m on P plus its row and
+    column, and the previous pivot divides each update exactly.  A
+    negative pivot refutes; a zero pivot needs a zero remaining row,
+    which is then dropped.
+    """
+    m = [row[:] for row in m]
+    prev = 1
+    while m:
+        pivot, head = m[0][0], m[0][1:]
+        if pivot < 0 or pivot == 0 and any(head):
+            return False
+        m = [[(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], head)]
+             for r in m[1:]] if pivot else [r[1:] for r in m[1:]]
+        prev = pivot or prev
+    return True
+
+
+def norm_at_most(a, s):
+    """True iff ||A|| <= s exactly, for a float64 or complex128 A and a float s.
+
+    Every float is a dyadic rational, so with one power of two 2^e that
+    clears every denominator, s >= ||A|| holds exactly when
+    (2^e s)^2 I - Z^T Z, Z = 2^e A, an integer matrix, is positive
+    semidefinite (_psd).  A complex A = X + iY is decided on its real
+    embedding [[X, -Y], [Y, X]], whose singular values are those of A,
+    each twice.  Uses only the standard library past reading the entries.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        a = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    s = Fraction(float(s))
+    if s < 0:
+        return False
+    entries = [[Fraction(float(x)) for x in row] for row in a]
+    scale = max([s.denominator] + [x.denominator for row in entries for x in row])
+    z = [[int(x * scale) for x in row] for row in entries]
+    top = int(s * scale) ** 2
+    cols = a.shape[1]
+    gram = [[sum(row[i] * row[j] for row in z) for j in range(cols)] for i in range(cols)]
+    return _psd([[(top if i == j else 0) - gram[i][j] for j in range(cols)]
+                 for i in range(cols)])

@@ -124,6 +124,13 @@ def test_only_the_sieve_knows_its_range():
     assert _modules_naming("DENSE_CAP") <= {"operator.py", "__init__.py"}
 
 
+def test_only_bounds_knows_the_rounding_model():
+    # bounds.py proves every certified number: the unit roundoff and the
+    # rounding factors built on it are named nowhere else
+    for name in ("_UNIT", "_gamma", "_cholesky_slack"):
+        assert _modules_naming(name) == {"bounds.py"}, name
+
+
 def test_only_the_cli_renders_output():
     # the library returns data and cli.py turns it into text: no other
     # module serializes with json.dumps or defines a CSV writer (core's

@@ -36,7 +36,7 @@ from helson import (
     weighted_degree,
     xnorm,
 )
-from helson.spectral import _norm_upper_bound
+from helson.bounds import _norm_upper_bound
 
 # each takes one integer, valid at 3
 INTEGER_ENTRIES = {

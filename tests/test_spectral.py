@@ -19,8 +19,9 @@ from helson import (
 )
 from helson import spectral
 from helson.sieve import factor_pairs
-from helson.spectral import _KRYLOV, _norm_upper_bound
-from oracles import wide_range_matrices
+from helson.bounds import _norm_upper_bound
+from helson.spectral import _KRYLOV
+from oracles import norm_at_most, wide_range_matrices
 
 
 def random_sequence(rng, max_index=64, size=10):
@@ -174,12 +175,18 @@ def test_norm_upper_bound_brackets_svd(rows, cols, seed, is_complex, signed):
     if is_complex:
         a = a * np.exp(1j * rng.uniform(0, 2 * np.pi, a.shape))
     top = np.linalg.svd(a, compute_uv=False)[0]
-    bound = _norm_upper_bound(a)
-    assert top <= bound <= top * (1 + 1e-9)
+
+    def check(bound):
+        # float SVD errs on both sides of the true norm: up to 8 rows and
+        # columns the upper side is decided exactly
+        assert norm_at_most(a, bound) if max(rows, cols) <= 8 else top <= bound
+        assert bound <= top * (1 + 1e-9)
+
+    check(_norm_upper_bound(a))
     # the one-factorization path from an accurate estimate, and the
     # fallback from a far-too-low one
     for estimate in (top, 0.5 * top):
-        assert top <= _norm_upper_bound(a, estimate) <= top * (1 + 1e-9)
+        check(_norm_upper_bound(a, estimate))
 
 
 def test_norm_upper_bound_trap_and_scale():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helson
 from helson import (
@@ -376,7 +376,7 @@ def test_xnorm_stops_where_cholesky_fails(k, monkeypatch):
 
 
 def test_xnorm_skips_the_factorizations_a_row_refuses(monkeypatch):
-    # a trial whose B has a row past _row_cap cannot factor: skipping it
+    # a trial whose B has a row past the row cap cannot factor: skipping it
     # leaves every step, bracket, certificate and matrix as they are, with
     # fewer calls (85 against 136 on these three windows)
     c = sequence_from_triples(STALLED_C)
@@ -396,7 +396,9 @@ def test_xnorm_skips_the_factorizations_a_row_refuses(monkeypatch):
                  r.matrix.tobytes()) for r in runs], len(calls)
 
     guarded, guarded_calls = solves()
-    monkeypatch.setattr(weakprod, "_row_cap", lambda dim: math.inf)
+    bounds = weakprod._block_cholesky_bounds
+    monkeypatch.setattr(weakprod, "_block_cholesky_bounds",
+                        lambda dim: (bounds(dim)[0], math.inf))
     every, every_calls = solves()
     assert guarded == every
     assert guarded_calls < every_calls
@@ -634,6 +636,12 @@ def _least_cut(g, k, start, scan=200_000):
     delta=st.floats(1e-12, 10.0),
     window=st.integers(1, 4000),
 )
+# 1 - q q cancelled near q = 1, leaving norm() 11u and 17u low: a prefix
+# block's norm then exceeded the full norm
+@example(0.9890134340582336, -3.75413339258831e169+2.4393472565242436e169j,
+         3.7748483267633295e-08, 1874)
+@example(0.9933783831713423, 2.1480534809354586e48-7.37889547763538e48j,
+         1.336508134276739e-12, 2970)
 def test_split_cuts_are_least_and_blocks_reassemble(ratio, coeff, delta, window):
     g = GeometricDecay(ratio, coeff)
     cuts = g._cut_points(delta, window)
