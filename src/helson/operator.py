@@ -9,11 +9,15 @@ the cap of DENSE_CAP rows, its product classes and its polydisk
 sub-windows.  Entries are float64 when every value alpha takes on the
 window's products is real and complex128 otherwise.
 
-assemble evaluates alpha once per distinct product.  On a window 1..N
-row n is alpha at n, 2n, ..., Nn: a stride-n slice of one table over
-[0, N^2], with no N^2 index array.  A sparse prime-budget window sorts
-its products into the Window's classes and gathers the values through
-them.
+assemble evaluates alpha once per distinct product of its Window and
+gathers the entries through the window's labels.  Window.truncation
+keeps the last WINDOW_MEMO windows it built, so a repeated window costs
+that one evaluation and one gather: a window's classes depend on its
+indices alone and hold no symbol data.  On a window 1..N row n's
+products n, 2n, ..., Nn are a stride-n slice of [0, N^2]; the slices
+mark the distinct products, and row n of the labels is the same slice
+of their ranks, so no N^2 sort is made.  A sparse prime-budget window
+sorts the products of its upper triangle.
 
 assemble is the one route to matrix entries.  A dilated truncation needs
 no second one: the weighted degree is additive over products, so
@@ -22,7 +26,7 @@ index map, a diagonal scaling of the assembled M_N(alpha).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +38,11 @@ from .core import Sequence, _dot, dilate, dirichlet_convolve
 # matrices take O(rows^2) memory; its products are evaluated, never
 # factored, so they may pass the sieve's range
 DENSE_CAP = 1024
+
+# Window.truncation keeps this many windows, dropping the least recently
+# used: at most about 12.6 MB each, for the labels, uniq and counts of
+# 1..1024
+WINDOW_MEMO = 4
 
 
 def symbol_values(symbol, ns):
@@ -117,10 +126,11 @@ class Window:
 
     The classes {(i, j): n_i n_j = n} are built on first use: ``uniq``
     holds the distinct products in ascending order, ``labels[i, j]`` the
-    position of n_i * n_j in it and ``counts`` the class sizes.  The
-    products are evaluated, never factored.  The entries of M(alpha) are
-    constant on each class, and the weak-product constraints and Newton
-    system are class sums.
+    position of n_i * n_j in it and ``counts`` the class sizes, each array
+    what np.unique gives on the full product table, byte for byte, and
+    read-only.  The products are evaluated, never factored.  The entries
+    of M(alpha) are constant on each class, and the weak-product
+    constraints and Newton system are class sums.
     """
 
     def __init__(self, indices):
@@ -128,12 +138,17 @@ class Window:
 
     @classmethod
     def truncation(cls, n_max, prime_budget=None):
-        """The window 1..N, d-smooth under a budget; DomainError past DENSE_CAP rows."""
+        """The window 1..N, d-smooth under a budget; DomainError past DENSE_CAP rows.
+
+        Every call checks its arguments and the caps, then returns the one
+        shared Window on those indices while it is among the last
+        WINDOW_MEMO built, with read-only indices.
+        """
         indices = sieve.smooth_indices(_integer(n_max, "truncation size", 1), prime_budget)
         rows = len(indices)
         if rows > DENSE_CAP:
             raise DomainError(f"dense assembly capped at {DENSE_CAP} rows, window has {rows}")
-        return cls(indices)
+        return _shared_window(np.array(indices, dtype=np.int64).tobytes())
 
     def smooth_over(self, primes):
         """Positions of the indices whose prime factors all lie in primes.
@@ -154,23 +169,39 @@ class Window:
 
     @cached_property
     def _classes(self):
-        # n_i n_j = n_j n_i: the classes of the upper triangle i <= j,
-        # mirrored; each class holds at most one square n_i^2, its one
-        # pair counted once, and every other pair twice
         idx = self.indices
-        upper = np.less_equal.outer(idx, idx)
-        uniq, half, counts = np.unique(np.multiply.outer(idx, idx)[upper],
-                                       return_inverse=True, return_counts=True)
-        labels = np.empty((idx.size, idx.size), dtype=half.dtype)
-        labels[upper] = half
-        labels.T[upper] = half
-        counts *= 2
-        counts[labels.diagonal()] -= 1
-        return uniq, labels, counts
+        dim = idx.size
+        if dim and idx[-1] == dim:
+            # 1..N: the slices n^2, n^2 + n, ..., nN mark every product
+            # (the rest of row n is an earlier column), and row n of the
+            # labels is the stride-n slice n, 2n, ..., nN of their ranks,
+            # kept as int32 so that the table over [0, N^2] stays small
+            top = dim * dim
+            mark = np.zeros(top + 1, dtype=bool)
+            for n in range(1, dim + 1):
+                mark[n * n : n * dim + 1 : n] = True
+            uniq = np.flatnonzero(mark)
+            ranks = np.empty(top + 1, dtype=np.int32)
+            ranks[uniq] = np.arange(uniq.size, dtype=np.int32)
+            labels = np.empty((dim, dim), dtype=np.intp)
+            for n in range(1, dim + 1):
+                labels[n - 1] = ranks[n : n * dim + 1 : n]
+        else:
+            # n_i n_j = n_j n_i: the classes of the upper triangle i <= j,
+            # mirrored
+            upper = np.less_equal.outer(idx, idx)
+            uniq, half = np.unique(np.multiply.outer(idx, idx)[upper], return_inverse=True)
+            labels = np.empty((dim, dim), dtype=half.dtype)
+            labels[upper] = half
+            labels.T[upper] = half
+        return _read_only(uniq), _read_only(labels)
 
     uniq = property(lambda self: self._classes[0])
     labels = property(lambda self: self._classes[1])
-    counts = property(lambda self: self._classes[2])
+
+    @cached_property
+    def counts(self):
+        return _read_only(np.bincount(self.labels.ravel(), minlength=self.uniq.size))
 
     @cached_property
     def _sorted(self):
@@ -213,48 +244,32 @@ class Window:
         return self.sums(left @ right)
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=WINDOW_MEMO)
+def _shared_window(key):
+    """The Window on the int64 indices whose bytes are key; the memo of truncation."""
+    return Window(np.frombuffer(key, dtype=np.int64))
+
+
 def _real_if_real(vals):
     return vals.real if not vals.imag.any() else vals
-
-
-def _strided_rows(symbol, dim):
-    """Entries of M(alpha) on the window 1..dim, with no dim^2 index array.
-
-    Row n holds alpha at the products n, 2n, ..., dim*n, a stride-n slice
-    of a table over [0, dim^2]; the distinct products are marked by the
-    same slices, from n^2 on (the rest of each row is an earlier column),
-    and each is evaluated once.
-    """
-    top = dim * dim
-    mark = np.zeros(top + 1, dtype=bool)
-    for n in range(1, dim + 1):
-        mark[n * n : n * dim + 1 : n] = True
-    uniq = np.flatnonzero(mark)
-    vals = _real_if_real(symbol_values(symbol, uniq))
-    table = np.empty(top + 1, dtype=vals.dtype)
-    table[uniq] = vals
-    entries = np.empty((dim, dim), dtype=vals.dtype)
-    for n in range(1, dim + 1):
-        entries[n - 1] = table[n : n * dim + 1 : n]
-    return entries
 
 
 def assemble(symbol, n_max, prime_budget=None):
     """Dense truncated matrix with entry (n, m) = alpha(nm).
 
-    Each distinct product nm is evaluated once; the result is symmetric
-    by construction because the entry depends only on the product.  The
-    entries are float64 when every distinct value is real.  A window
-    1..N (no budget, or one covering every prime <= N) takes the strided
-    rows of the module docstring, a sparse one its Window's product classes.
+    Each distinct product nm of the window is evaluated once and the
+    entries are gathered through the Window's labels, so the result is
+    symmetric by construction.  The entries are float64 when every
+    distinct value is real.
     """
     window = Window.truncation(n_max, prime_budget)
-    dim = window.indices.size
-    if window.indices[-1] == dim:
-        entries = _strided_rows(symbol, dim)
-    else:
-        entries = _real_if_real(symbol_values(symbol, window.uniq))[window.labels]
-    return HelsonMatrix(entries=entries, indices=window.indices.tolist())
+    entries = _real_if_real(symbol_values(symbol, window.uniq))[window.labels]
+    return HelsonMatrix(entries=entries, indices=window.indices)
 
 
 def bilinear_pair(symbol, b):

@@ -124,6 +124,26 @@ def test_only_the_sieve_knows_its_range():
     assert _modules_naming("DENSE_CAP") <= {"operator.py", "__init__.py"}
 
 
+def _process_caches(path):
+    """functools.lru_cache and functools.cache, imported or named, in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names
+                      if alias.name in {"lru_cache", "cache"}]
+        elif (isinstance(node, ast.Attribute) and node.attr in {"lru_cache", "cache"}
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.attr)
+    return found
+
+
+def test_only_the_window_memo_lives_for_the_process():
+    # Window.truncation's memo of window structure is the one cache that
+    # outlives a call; any other would hold data past the call that made it
+    users = {path.name for path in sorted(SRC.glob("*.py")) if _process_caches(path)}
+    assert users == {"operator.py"}
+
+
 def test_only_bounds_knows_the_rounding_model():
     # bounds.py proves every certified number: the unit roundoff and the
     # rounding factors built on it are named nowhere else

@@ -22,7 +22,7 @@ from helson import (
 from helson.approx import _dilated
 from helson.cli import main
 from helson.core import _dot
-from helson.operator import Window
+from helson.operator import WINDOW_MEMO, Window, _shared_window
 
 import helson
 
@@ -158,10 +158,13 @@ def test_product_classes_partition(n_max, budget):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300, unique=True).map(sorted))
 @example([1])
+@example([1, 2])
+@example(list(range(1, 41)))
 @example([2, 3, 4, 6, 8])  # 2*8 = 4*4: a square's class with two more pairs
 def test_triangle_classes_match_the_full_product_table(indices):
-    # the classes are read off the upper triangle and mirrored: the same
-    # arrays, byte for byte, as np.unique over the whole product table
+    # a 1..N window reads its classes off stride-n marks, any other the
+    # upper triangle, mirrored: both the same arrays, byte for byte, as
+    # np.unique over the whole product table
     idx = np.asarray(indices, dtype=np.int64)
     uniq, labels, counts = np.unique(np.outer(idx, idx), return_inverse=True,
                                      return_counts=True)
@@ -194,9 +197,13 @@ def test_dense_route_matches_brute_force(n_max, name):
     idx = np.arange(1, n_max + 1)
     brute = symbol_values(symbol, np.outer(idx, idx))
     real = not brute.imag.any()
-    m = assemble(symbol, n_max)
-    assert m.entries.dtype == (np.float64 if real else np.complex128)
-    assert m.entries.tobytes() == (brute.real if real else brute).tobytes()
+    # cold, then on the window the first call left in the memo
+    _shared_window.cache_clear()
+    for _ in range(2):
+        m = assemble(symbol, n_max)
+        assert m.entries.dtype == (np.float64 if real else np.complex128)
+        assert m.entries.tobytes() == (brute.real if real else brute).tobytes()
+    assert _shared_window.cache_info().hits >= 1
     # a budget that admits every prime <= N leaves the window 1..N
     budget = max(1, len(oracles.primes_upto(n_max)))
     assert assemble(symbol, n_max, budget).entries.tobytes() == m.entries.tobytes()
@@ -218,6 +225,50 @@ def test_dense_route_sieve_limit_edge(monkeypatch):
         brute = symbol_values(symbol, np.outer(idx, idx))
         assert not brute.imag.any()
         assert m.entries.tobytes() == brute.real.tobytes()
+
+
+def test_truncation_shares_one_read_only_window():
+    window = Window.truncation(12)
+    assert Window.truncation(12) is window
+    # the memo is keyed by the indices: a budget admitting every prime
+    # <= N gives the window 1..N
+    assert Window.truncation(12, 5) is window
+    assert Window.truncation(12, 2) is not window
+    for name in ("indices", "uniq", "labels", "counts"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(window, name)[0] = 7
+
+
+def test_a_shared_window_is_still_checked(monkeypatch):
+    window = Window.truncation(16)
+    with monkeypatch.context() as patch:
+        patch.setattr(helson.sieve, "MAX_INDEX", 15)
+        with pytest.raises(DomainError, match="sieve limit 15"):
+            Window.truncation(16)
+    with monkeypatch.context() as patch:
+        patch.setattr(helson.operator, "DENSE_CAP", 15)
+        with pytest.raises(DomainError, match="capped at 15 rows, window has 16"):
+            Window.truncation(16)
+        with pytest.raises(DomainError, match="capped at 15 rows"):
+            assemble(PowerSymbol(1.0), 16)
+    # True is no size, though the window 1..1 is shared
+    Window.truncation(1)
+    with pytest.raises(DomainError, match="truncation size"):
+        Window.truncation(True)
+    assert Window.truncation(16) is window
+
+
+def test_truncation_keeps_the_last_windows():
+    assert WINDOW_MEMO == 4
+    _shared_window.cache_clear()
+    first = Window.truncation(3)
+    later = [Window.truncation(n) for n in range(4, 4 + WINDOW_MEMO)]
+    # the fifth distinct window evicted the first; the later ones stay
+    assert _shared_window.cache_info().currsize == WINDOW_MEMO
+    assert all(Window.truncation(n) is w for n, w in zip(range(4, 4 + WINDOW_MEMO), later))
+    again = Window.truncation(3)
+    assert again is not first
+    assert again.indices.tobytes() == first.indices.tobytes()
 
 
 def test_truncation_indices():

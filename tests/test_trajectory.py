@@ -8,6 +8,7 @@ the directories of its BLAS build dropped; no bench runs here.
 import copy
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,9 @@ def test_paired_counts_the_seeds_the_second_checkout_wins():
     base = trajectory.summarise([seeded(s) for s in (1, 2, 3)])
     other = trajectory.summarise([seeded(1, 0.5), seeded(2, 0.5), seeded(3, 2.0)])
     wall = trajectory.paired(base, other)["norm-ladder"]["wall_s"]
-    assert wall == {"pairs": 3, "lower": 2, "higher": 1, "median_ratio": 0.5}
+    # the second's spread, IQR 0.75 w at median 0.5 w, is past the 0.25 bound
+    assert wall == {"pairs": 3, "lower": 2, "higher": 1, "median_ratio": 0.5,
+                    "verdict": "unresolved"}
     # equal runs are ties, counted on neither side
     assert trajectory.paired(base, base)["norm-ladder"]["cli_s"]["lower"] == 0
 
@@ -135,3 +138,89 @@ def test_full_support_summary_gives_medians_per_window():
     assert out["32"]["wall_s"] == 0.2 and out["32"]["wall_s_values"] == [0.3, 0.1, 0.2]
     assert out["32"]["peak_rss_mb"] == 51.0 and out["32"]["iterations"] == [15]
     assert out["64"]["wall_s"] == 2.0 and out["64"]["converged"]
+
+
+def summary(values, metric="wall_s"):
+    """A one-workload summary of one metric, seeds 1, 2, ... in order."""
+    median, iqr = trajectory.spread(values)
+    return {"norm-ladder": {"seeds": list(range(1, len(values) + 1)),
+                            "metrics": {metric: {"median": median, "iqr": iqr,
+                                                 "values": values}}}}
+
+
+BASE = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def verdict_of(first, second, metric="wall_s"):
+    return trajectory.paired(summary(first, metric),
+                             summary(second, metric))["norm-ladder"][metric]["verdict"]
+
+
+def test_verdict_gain_needs_nine_of_ten_pairs_and_medians_past_the_iqr():
+    # 9 of 10 lower by 20%: a gain; 8 of 10: not yet
+    assert verdict_of(BASE, [0.8 * x for x in BASE[:9]] + [1.2]) == "gain"
+    assert verdict_of(BASE, [0.8 * x for x in BASE[:8]] + [1.2, 1.2]) == "unchanged"
+    # lower on every pair, but the medians lie within the first IQR (0.045)
+    assert verdict_of(BASE, [x - 0.01 for x in BASE]) == "unchanged"
+    assert verdict_of(BASE, BASE) == "unchanged"
+
+
+def test_verdict_regression_is_a_median_worse_by_more_than_the_bound():
+    # wall_s has bound 0.25 and peak_rss_mb 0.1 in BENCHMARK.json
+    assert verdict_of(BASE, [1.3 * x for x in BASE]) == "regression"
+    assert verdict_of(BASE, [1.2 * x for x in BASE]) == "unchanged"
+    rss = [157.0 + 0.1 * k for k in range(10)]
+    assert verdict_of(rss, [1.074 * x for x in rss], "peak_rss_mb") == "unchanged"
+    assert verdict_of(rss, [1.12 * x for x in rss], "peak_rss_mb") == "regression"
+
+
+def test_verdict_unresolved_when_either_spread_passes_the_bound():
+    wide = [1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 2.0, 2.0, 2.0, 2.0]
+    assert verdict_of(wide, [0.5 * x for x in wide]) == "unresolved"
+    assert verdict_of(BASE, wide) == "unresolved"
+
+
+def test_verdict_reads_the_better_direction():
+    high = {"median": 1.0, "iqr": 0.01}
+    low = {"median": 0.8, "iqr": 0.01}
+    pairs = [(1.0, 0.8)] * 10
+    assert trajectory.verdict(high, low, pairs, "lower", 0.25) == "gain"
+    assert trajectory.verdict(high, low, pairs, "higher", 0.1) == "regression"
+    assert trajectory.verdict(high, low, pairs, "higher", 0.25) == "unchanged"
+    back = [(y, x) for x, y in pairs]
+    assert trajectory.verdict(low, high, back, "higher", 0.25) == "gain"
+
+
+def test_ops_get_no_verdict():
+    base = trajectory.summarise([seeded(s) for s in (1, 2, 3)])
+    ops = trajectory.paired(base, base, key="ops")["norm-ladder"]
+    assert not any("verdict" in row for row in ops.values())
+
+
+def test_children_read_and_write_no_bytecode(monkeypatch, tmp_path):
+    # every bench child and full-support probe gets its own empty cache
+    # prefix, so neither checkout reads bytecode another run left behind
+    seen = []
+
+    def fake_run(argv, cwd, env, check, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env, prefix.is_dir() and not any(prefix.iterdir())))
+        if "--full-support" in argv:
+            return subprocess.CompletedProcess(argv, 0, stdout='{"n_max": 16}')
+        out = Path(cwd) / ".bench_out"
+        out.mkdir(exist_ok=True)
+        (out / f"{argv[3]}-seed{argv[5]}-trace0.json").write_text(json.dumps(RECORDED))
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(trajectory.subprocess, "run", fake_run)
+    assert trajectory.run_bench(tmp_path, "norm-ladder", 1) == RECORDED
+    trajectory.run_bench(tmp_path, "norm-ladder", 2)
+    assert trajectory.run_full_support(tmp_path, 16) == {"n_max": 16}
+    assert [empty for _, empty in seen] == [True, True, True]
+    prefixes = {env["PYTHONPYCACHEPREFIX"] for env, _ in seen}
+    assert len(prefixes) == 3 and not any(Path(p).exists() for p in prefixes)
+    for env, _ in seen:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    probe = seen[-1][0]
+    assert probe["PYTHONPATH"] == str(tmp_path / "src")
+    assert all(probe[var] == "1" for var in trajectory.THREAD_VARS)

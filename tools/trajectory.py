@@ -16,7 +16,19 @@ op's time in one run is its median over the passes, read from
 to its wall_s.  Given two checkouts, it also records per workload and
 metric, and per workload and op, how many seeds the second beat the
 first on and the median ratio of their values: a change of wall_s is
-traced to the ops that moved.
+traced to the ops that moved.  Each end-to-end metric also gets a
+verdict, from its ``better`` direction and ``bound`` in BENCHMARK.json:
+``unresolved`` when either checkout's IQR is wider than the bound (as a
+share of its median), else ``regression`` when the second's median is
+worse than the first's by more than the bound, else ``gain`` when the
+second is better on at least 9 of 10 pairs and the medians lie further
+apart than the first checkout's IQR, else ``unchanged``.
+
+Every child runs with ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPYCACHEPREFIX`` set to a fresh, empty directory, so that no
+checkout reads bytecode that another run left behind: each one compiles
+its imports, numpy's and the standard library's included, from source,
+and set-up and CLI times are alike in that on both sides.
 
 No bench op reaches the cost of xnorm's Newton system on a full
 support, so each checkout also times, in process, xnorm of the complex
@@ -28,13 +40,16 @@ of this repository.
 """
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import platform
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,13 +61,27 @@ SECONDS = 12
 FULL_SUPPORT_SIZES = (32, 64)
 FULL_SUPPORT_REPEATS = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the share of pairs a gain must win
+GAIN_SHARE = 0.9
+# per end-to-end metric: its better direction and bound
+END_TO_END = {m["name"]: m
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+@contextlib.contextmanager
+def no_bytecode(**extra):
+    """os.environ plus extra, reading and writing no bytecode: a fresh, empty cache prefix."""
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
+        yield dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix,
+                   **extra)
 
 
 def run_bench(checkout, workload, seed):
     """One untraced bench run in checkout; its report, read back."""
-    subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-                   cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    with no_bytecode() as env:
+        subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+                       cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
     report = Path(checkout) / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(report.read_text())
 
@@ -74,11 +103,12 @@ def full_support_xnorm(n_max):
 
 def run_full_support(checkout, n_max):
     """full_support_xnorm in a fresh process on checkout's sources."""
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"),
-               **{var: "1" for var in THREAD_VARS})
-    out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                          "--full-support", str(n_max)],
-                         cwd=checkout, env=env, check=True, capture_output=True, text=True)
+    with no_bytecode(PYTHONPATH=str(Path(checkout) / "src"),
+                     **{var: "1" for var in THREAD_VARS}) as env:
+        out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                              "--full-support", str(n_max)],
+                             cwd=checkout, env=env, check=True, capture_output=True,
+                             text=True)
     return json.loads(out.stdout)
 
 
@@ -150,11 +180,30 @@ def summarise(reports):
     return out
 
 
+def verdict(first, second, pairs, better, bound):
+    """gain, regression, unresolved or unchanged, as the module docstring says.
+
+    first and second are one metric's summaries (median and IQR) in the
+    two checkouts, pairs its (first, second) values seed by seed.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    a, b = first["median"], second["median"]
+    if any(s["iqr"] > bound * abs(s["median"]) for s in (first, second)):
+        return "unresolved"
+    if sign * (b - a) > bound * abs(a):
+        return "regression"
+    wins = sum(sign * (y - x) < 0 for x, y in pairs)
+    if pairs and wins >= math.ceil(GAIN_SHARE * len(pairs)) and sign * (a - b) > first["iqr"]:
+        return "gain"
+    return "unchanged"
+
+
 def paired(first, second, key="metrics"):
     """Per workload and metric: seeds on which second reads lower than first.
 
     key="ops" compares the op times instead, so that a change of wall_s
-    is traced to the ops that moved.
+    is traced to the ops that moved.  Each end-to-end metric also gets
+    its verdict.
     """
     out = {}
     for workload in sorted(first.keys() & second.keys()):
@@ -165,12 +214,17 @@ def paired(first, second, key="metrics"):
             pairs = [(a[key][name]["values"][a["seeds"].index(s)],
                       b[key][name]["values"][b["seeds"].index(s)]) for s in seeds]
             ratios = [y / x for x, y in pairs if x]
-            out[workload][name] = {
+            row = {
                 "pairs": len(pairs),
                 "lower": sum(y < x for x, y in pairs),
                 "higher": sum(y > x for x, y in pairs),
                 "median_ratio": statistics.median(ratios) if ratios else None,
             }
+            if name in END_TO_END:
+                spec = END_TO_END[name]
+                row["verdict"] = verdict(a[key][name], b[key][name], pairs,
+                                         spec["better"], spec["bound"])
+            out[workload][name] = row
     return out
 
 
